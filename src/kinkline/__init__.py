@@ -12,11 +12,8 @@ from .brackets import (
     BracketError,
     ExtendedBracket5,
     ExtendedBracket7,
-    GapVector,
-    NonPositiveGapError,
     NotABracketError,
     NotAscendingError,
-    from_gaps,
     inner3,
     inner5,
     inner_length,
@@ -24,7 +21,6 @@ from .brackets import (
     make_extended7,
     outer_length,
     reflect,
-    to_gaps,
 )
 from .models import (
     CoincidentPointsError,
@@ -32,39 +28,36 @@ from .models import (
     build_model,
     divided_diff1,
     divided_diff2,
-    eval_model,
     scaling_h,
 )
 from .result import SolverResult, Status
 from .supm import (
     BracketTooSmallError,
     InvariantBrokenError,
+    NonFiniteValueError,
     SupmConfig,
     TrialAtCenterError,
     apply_update,
     classify_branch,
+    run_bracket_solver,
     supm_minimize,
     supm_step,
 )
 from .eupm import (
-    InfeasibleSequenceError,
     MINIMAL_SEQUENCES,
     apply_sequence,
     bracket_check,
-    contraction_ratio,
     eupm_minimize,
     eupm_step,
 )
 from .dupm import (
     ChiConditionError,
     DupmConfig,
-    DupmState,
     alpha_floor,
     alpha_plus,
     chi,
     dupm_minimize,
     dupm_step,
-    dupm_update,
     intersection_condition,
 )
 from .baselines import (

@@ -13,17 +13,10 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .brackets import Bracket3, ExtendedBracket5, inner_length
+from .brackets import Bracket3, ExtendedBracket5
 from .models import QuadModel, divided_diff1
 from .result import SolverResult, Status
-from .supm import (
-    BracketTooSmallError,
-    _min_separation,
-    apply_update,
-    classify_branch,
-    default_delta,
-    minimize_max_quadratics,
-)
+from .supm import _min_separation, minimize_max_quadratics, run_bracket_solver
 
 _EPS = sys.float_info.epsilon
 
@@ -218,48 +211,19 @@ def mifflin_strodiot_minimize(
     (1993): one secant line per flank through that flank's two points, the
     next trial at the minimizer of their pointwise max over the inner
     interval, and the bracket updated by the same four insertion rules the
-    five-point extremal solver uses.  The polyhedral model is exact for a
-    max of affine pieces and superlinear when both pieces are convex, but
-    a concave piece breaks the underestimation it relies on, so the method
+    five-point extremal solver uses, in the same loop
+    (:func:`~kinkline.supm.run_bracket_solver`).  The polyhedral model is
+    exact for a max of affine pieces and superlinear when both pieces are
+    convex, but a concave piece breaks the underestimation it relies on, so the method
     creeps at the minimum separation and exhausts its budget on non-convex
     (in particular multimodal) objectives.
     """
-    b = b0
-    delta = default_delta(cfg.eps, b0.xl1, b0.xr1)
-    trace = [(0, inner_length(b), b.fm)]
-    branches: list[int] = []
-    hist = [b] if record_brackets else None
-    evals = 0
-    i = 0
-    status = Status.CONVERGED
-    while inner_length(b) > 2.0 * cfg.eps:
-        if i >= cfg.budget:
-            status = Status.BUDGET_EXHAUSTED
-            break
+
+    def next_trial(b, branches, delta):
         x, fv = b.x, b.fv
         ql = QuadModel(fv[1], divided_diff1(fv[1], fv[0], x[1], x[0]), 0.0, x[1], x[0], "L")
         qr = QuadModel(fv[3], divided_diff1(fv[3], fv[4], x[3], x[4]), 0.0, x[3], x[4], "R")
         g = minimize_max_quadratics(ql, qr, b.xl1, b.xr1, b.xm)
-        try:
-            xt = _min_separation(g, b.xl1, b.xm, b.xr1, delta)
-        except BracketTooSmallError:
-            status = Status.STALLED
-            break
-        ft = oracle(xt)
-        evals += 1
-        br = classify_branch(xt, ft, b)
-        b = apply_update(br, xt, ft, b)
-        i += 1
-        trace.append((i, inner_length(b), b.fm))
-        branches.append(br)
-        if hist is not None:
-            hist.append(b)
-    return SolverResult(
-        bracket=b,
-        iterations=i,
-        evaluations=evals,
-        trace=trace,
-        status=status,
-        branches=branches,
-        bracket_trace=hist,
-    )
+        return _min_separation(g, b.xl1, b.xm, b.xr1, delta)
+
+    return run_bracket_solver(oracle, b0, cfg.eps, cfg.budget, next_trial, record_brackets)

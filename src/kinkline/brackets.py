@@ -40,10 +40,6 @@ class NotABracketError(BracketError):
     """The centre point is not a minimum of the inner value triple."""
 
 
-class NonPositiveGapError(BracketError):
-    """A gap vector component is zero or negative."""
-
-
 def _check_points(x: Sequence[float], min_gap: float) -> None:
     for i in range(1, len(x)):
         if not x[i] - x[i - 1] > min_gap:
@@ -168,28 +164,6 @@ AnyBracket = Union[Bracket3, ExtendedBracket5, ExtendedBracket7]
 ExtendedBracket = Union[ExtendedBracket5, ExtendedBracket7]
 
 
-@dataclass(frozen=True)
-class GapVector:
-    """The four inter-point distances of a five-point bracket.
-
-    ``p1 = xl1 - xl2``, ``p2 = xm - xl1``, ``p3 = xr1 - xm``,
-    ``p4 = xr2 - xr1``; all strictly positive.
-    """
-
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-
-    def __post_init__(self):
-        for name, v in zip(("p1", "p2", "p3", "p4"), (self.p1, self.p2, self.p3, self.p4)):
-            if not v > 0.0:
-                raise NonPositiveGapError(f"{name}={v!r} must be > 0")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p1, self.p2, self.p3, self.p4)
-
-
 def make_extended7(points: Iterable[float], values: Iterable[float]) -> ExtendedBracket7:
     """Validate seven (point, value) pairs into an :class:`ExtendedBracket7`."""
     return ExtendedBracket7(tuple(points), tuple(values))
@@ -228,23 +202,6 @@ def inner3(b: ExtendedBracket7 | ExtendedBracket5) -> Bracket3:
     """The inner value triple of an extended bracket."""
     c = b._CENTRE
     return Bracket3(b.x[c - 1], b.x[c], b.x[c + 1], b.fv[c - 1], b.fv[c], b.fv[c + 1])
-
-
-def to_gaps(b: ExtendedBracket5) -> GapVector:
-    """Inter-point distances of a five-point bracket."""
-    x = b.x
-    return GapVector(x[1] - x[0], x[2] - x[1], x[3] - x[2], x[4] - x[3])
-
-
-def from_gaps(p: GapVector, xm: float) -> tuple[float, float, float, float, float]:
-    """Abscissae of the five-point bracket with gaps ``p`` centred at ``xm``.
-
-    Inverse of :func:`to_gaps` up to the choice of centre; round-trips a
-    bracket exactly when its own centre is passed back in.
-    """
-    xl1 = xm - p.p2
-    xr1 = xm + p.p3
-    return (xl1 - p.p1, xl1, xm, xr1, xr1 + p.p4)
 
 
 def reflect(b: ExtendedBracket5) -> ExtendedBracket5:

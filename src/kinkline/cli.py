@@ -12,22 +12,13 @@ fallback seed.  Exit codes: 0 success, 1 solver or check failure,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
 
 import numpy as np
 
-from .brackets import reflect
-from .eupm import (
-    MINIMAL_SEQUENCES,
-    all_branch_sequences,
-    bracket_check,
-    eupm_step,
-    gap_sequence_ratios,
-)
-from .supm import apply_update
+from . import verify
 from .harness import (
     PAPER_ALGORITHMS,
     SUITES,
@@ -38,7 +29,6 @@ from .harness import (
     random_bracket5,
     run_benchmark,
     run_sequence_experiment,
-    sample_simplex,
     write_benchmark_csv,
     write_sequence_csv,
     write_trace_csv,
@@ -157,87 +147,38 @@ def _cmd_seqexp(args) -> int:
     return 0
 
 
-def _verify_sequences(samples: int, seed: int) -> bool:
-    """Per-sequence contraction bound over random feasible gap vectors."""
-    rng = np.random.default_rng([seed, 4])
-    ok = True
-    print("sequence   feasible      max ratio")
-    for seq in MINIMAL_SEQUENCES:
-        got = 0
-        worst = -math.inf
-        tries = 0
-        while got < samples and tries < 200:
-            p = sample_simplex(rng, samples)
-            ratios, feas = gap_sequence_ratios(p, seq)
-            if feas.any():
-                worst = max(worst, float(np.max(ratios[feas])))
-                got += int(feas.sum())
-            tries += 1
-        label = "".join(map(str, seq))
-        good = worst < 0.5
-        ok &= good
-        print(f"{label:<10} {got:>8}  {worst:.12f}  {'ok' if good else 'FAIL'}")
-    return ok
-
-
-def _verify_contraction(samples: int, seed: int) -> bool:
-    """Exhaustive five-step bound over all update sequences."""
-    rng = np.random.default_rng([seed, 5])
-    worst = -math.inf
-    worst_seq = None
-    for seq in all_branch_sequences(5):
-        p = sample_simplex(rng, samples)
-        ratios, feas = gap_sequence_ratios(p, seq)
-        if feas.any():
-            m = float(np.max(ratios[feas]))
-            if m > worst:
-                worst, worst_seq = m, seq
-    good = worst <= 0.5 + 1e-12
-    print(
-        f"five-step contraction: max ratio {worst:.12f} "
-        f"at {''.join(map(str, worst_seq))}  {'ok' if good else 'FAIL'}"
-    )
-    return good
-
-
-def _verify_symmetry(samples: int, seed: int) -> bool:
-    """Mirror identities of the closed-form step and updates."""
-    rng = np.random.default_rng([seed, 6])
-    eps = sys.float_info.epsilon
-    worst = 0.0
-    for _ in range(samples):
-        b = random_bracket5(rng)
-        span = b.x[-1] - b.x[0]
-        rb = reflect(b)
-        err = abs(eupm_step(rb) + eupm_step(b))
-        err = max(err, max(abs(u - v) for u, v in zip(reflect(rb).x, b.x)))
-        if bracket_check(b) > 0.0:
-            b, rb = rb, b
-        if bracket_check(b) < 0.0:
-            for br, mirrored in ((1, 2), (4, 3)):
-                improving = br == 1
-                ft = b.fm - 1.0 if improving else b.fm + 1.0
-                direct = apply_update(br, eupm_step(b), ft, b)
-                ft_m = rb.fm - 1.0 if improving else rb.fm + 1.0
-                mirror = reflect(apply_update(mirrored, eupm_step(rb), ft_m, rb))
-                err = max(err, max(abs(u - v) for u, v in zip(direct.x, mirror.x)))
-        worst = max(worst, err / (4.0 * eps * span))
-    good = worst <= 1.0
-    print(f"reflection identities: worst deviation {worst:.3f} of tolerance  "
-          f"{'ok' if good else 'FAIL'}")
-    return good
-
-
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
     run_all = not (args.sequences or args.contraction or args.symmetry)
     ok = True
     if args.sequences or run_all:
-        ok &= _verify_sequences(args.samples, seed)
+        rng = np.random.default_rng([seed, 4])
+        print("sequence   feasible      max ratio")
+        for seq, (got, worst) in verify.minimal_sequence_ratios(
+            rng, args.samples, args.samples
+        ).items():
+            good = worst < 0.5
+            ok &= good
+            label = "".join(map(str, seq))
+            print(f"{label:<10} {got:>8}  {worst:.12f}  {'ok' if good else 'FAIL'}")
     if args.contraction or run_all:
-        ok &= _verify_contraction(args.samples, seed)
+        rng = np.random.default_rng([seed, 5])
+        worst, worst_seq, _ = verify.five_step_contraction(rng, args.samples)
+        good = worst <= 0.5 + 1e-12
+        ok &= good
+        print(
+            f"five-step contraction: max ratio {worst:.12f} "
+            f"at {''.join(map(str, worst_seq))}  {'ok' if good else 'FAIL'}"
+        )
     if args.symmetry or run_all:
-        ok &= _verify_symmetry(min(args.samples, 20000), seed)
+        rng = np.random.default_rng([seed, 6])
+        worst = 0.0
+        for _ in range(min(args.samples, 20000)):
+            worst = max(worst, verify.reflection_deviation(random_bracket5(rng)))
+        good = worst <= 1.0
+        ok &= good
+        print(f"reflection identities: worst deviation {worst:.3f} of tolerance  "
+              f"{'ok' if good else 'FAIL'}")
     return 0 if ok else 1
 
 
@@ -306,6 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: A value that starts like a negative number.
 _NEGATIVE_VALUE = re.compile(r"-[\d.]")
+#: ``--bracket`` and the abbreviations argparse accepts for it (``--b``
+#: could also be ``--budget``).
+_BRACKET_FLAGS = {"--bracket"[:n] for n in range(4, 10)}
 
 
 def _attach_bracket_value(argv: list[str]) -> list[str]:
@@ -317,8 +261,8 @@ def _attach_bracket_value(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--bracket" and _NEGATIVE_VALUE.match(tok):
-            out[-1] = f"--bracket={tok}"
+        if out and out[-1] in _BRACKET_FLAGS and _NEGATIVE_VALUE.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out

@@ -17,28 +17,21 @@ the fly, never lowering it, using two triggers per iteration:
 Independently, if the same flank's inner point was replaced three
 iterations running, the next trial is forced to the closed-form extremal
 step, which guarantees both flanks keep moving.
+
+The loop is :func:`~kinkline.supm.run_bracket_solver`; the flank history
+is read from the update rules it has applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Sequence
 
-from .brackets import ExtendedBracket7, inner5, inner_length
+from .brackets import ExtendedBracket7, inner5
 from .eupm import eupm_step
 from .models import build_model, divided_diff2, scaling_h
-from .result import SolverResult, Status
-from .supm import (
-    BracketTooSmallError,
-    _min_separation,
-    _raw_supm_step,
-    apply_update,
-    argmin_max_quadratics,
-    classify_branch,
-    default_delta,
-)
-
-SideFlag = Literal["L", "R"]
+from .result import SolverResult
+from .supm import _min_separation, argmin_max_quadratics, run_bracket_solver, supm_step
 
 #: Relative tolerance for deciding that the two models agree at the step.
 INTERSECTION_RTOL = 1e-10
@@ -54,46 +47,19 @@ class ChiConditionError(RuntimeError):
 class DupmConfig:
     """Settings for the dynamic solver.
 
-    ``alpha0`` seeds the adjustment constant (zero lets the escalation
-    rules take over immediately).  ``chi_tol`` is the bisection width for
-    the escalation search; ``None`` picks 1e-3 relative to the concavity
-    threshold.  ``same_side_count`` consecutive same-flank updates trigger
-    one closed-form step.
+    The adjustment constant starts at zero and is escalated by the rules
+    in :func:`escalate_alpha`; the run stops as set out in
+    :func:`~kinkline.supm.run_bracket_solver`.
     """
 
-    alpha0: float = 0.0
     eps: float = 1e-8
-    delta: float | None = None
     budget: int = 500
-    chi_tol: float | None = None
-    same_side_count: int = 3
 
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("eps must be > 0")
-        if self.alpha0 < 0.0:
-            raise ValueError("alpha0 must be >= 0")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.delta is not None and not 0.0 < self.delta < self.eps:
-            raise ValueError("delta must satisfy 0 < delta < eps")
-        if self.same_side_count < 1:
-            raise ValueError("same_side_count must be >= 1")
-
-
-@dataclass(frozen=True)
-class DupmState:
-    """Bracket plus the solver's dynamic extras.
-
-    ``alpha`` never decreases over a run.  ``u`` holds which flank's inner
-    point the last few updates replaced, newest first; it starts as
-    ("L", "R", "L") so the closed-form override cannot fire before three
-    real updates have happened.
-    """
-
-    bracket: ExtendedBracket7
-    alpha: float
-    u: tuple[SideFlag, ...]
 
 
 def _side_dd2(b: ExtendedBracket7, side: str) -> float:
@@ -178,43 +144,34 @@ def chi(b: ExtendedBracket7, alpha_lo: float, tol: float) -> float:
     return hi
 
 
-def escalate_alpha(
-    b: ExtendedBracket7, alpha: float, chi_tol: float | None = None
-) -> float:
+def escalate_alpha(b: ExtendedBracket7, alpha: float) -> float:
     """Raise ``alpha`` to cover the necessary-condition floor and the
-    intersection condition; never lowers it."""
+    intersection condition; never lowers it.  The bisection width is 1e-3
+    relative to the concavity threshold."""
     alpha = max(alpha, alpha_floor(b))
-    if chi_tol is None:
-        chi_tol = 1e-3 * max(1.0, abs(alpha_plus(b)))
-    return chi(b, alpha, chi_tol)
+    return chi(b, alpha, 1e-3 * max(1.0, abs(alpha_plus(b))))
 
 
-def dupm_step(state: DupmState, delta: float) -> float:
-    """Trial point: closed-form step after a same-flank streak, otherwise
-    the max-model step at the current constant.  ``state.alpha`` must
-    already be escalated for this iteration."""
-    b = state.bracket
-    if len(set(state.u)) == 1:
-        g = eupm_step(inner5(b))
-    else:
-        g = _raw_supm_step(b, state.alpha)
-    if delta == 0.0:
-        return g
-    return _min_separation(g, b.xl1, b.xm, b.xr1, delta)
+#: Flank history the streak test starts from, oldest first: left (update
+#: 2), right (1), left (2), so no streak is complete before two real
+#: updates.
+_FLANK_SEED = (2, 1, 2)
 
 
-def dupm_update(xtrial: float, ftrial: float, state: DupmState) -> DupmState:
-    """Insert the trial and push the flank flag of the replaced inner point.
+def dupm_step(
+    b: ExtendedBracket7, alpha: float, branches: Sequence[int], delta: float
+) -> float:
+    """Trial point: the closed-form step when the last three updates all
+    replaced the same flank's inner point, otherwise the max-model step at
+    ``alpha``, which must already be escalated for this iteration.
 
-    Updates 1 and 3 replace the right inner point, 2 and 4 the left one.
+    ``branches`` lists the update rules applied so far, oldest first;
+    updates 1 and 3 replace the right inner point, 2 and 4 the left one.
     """
-    b = state.bracket
-    br = classify_branch(xtrial, ftrial, b)
-    flag: SideFlag = "R" if br in (1, 3) else "L"
-    nb = apply_update(br, xtrial, ftrial, b)
-    return DupmState(nb, state.alpha, (flag,) + state.u[: len(state.u) - 1])
-
-
+    last = (_FLANK_SEED + tuple(branches[-3:]))[-3:]
+    if len({br in (1, 3) for br in last}) == 1:
+        return _min_separation(eupm_step(inner5(b)), b.xl1, b.xm, b.xr1, delta)
+    return supm_step(b, alpha, delta)
 
 
 def dupm_minimize(
@@ -223,55 +180,23 @@ def dupm_minimize(
     cfg: DupmConfig,
     record_brackets: bool = False,
 ) -> SolverResult:
-    """Run the dynamic solver from ``b0``.
+    """Run the dynamic solver from ``b0``; see
+    :func:`~kinkline.supm.run_bracket_solver`.
 
-    Each iteration escalates the constant, picks the trial point, calls
-    the oracle once and updates the bracket and flank history.  The
-    per-iteration constants are returned in ``alphas`` (one entry per
-    completed iteration).
+    Each iteration escalates the constant, then picks the trial point by
+    :func:`dupm_step`.  The per-iteration constants are returned in
+    ``alphas`` (one entry per completed iteration).
     """
-    init_u: tuple[SideFlag, ...] = tuple(
-        ("L", "R")[i % 2] for i in range(cfg.same_side_count)
-    )
-    state = DupmState(b0, cfg.alpha0, init_u)
-    delta = cfg.delta if cfg.delta is not None else default_delta(cfg.eps, b0.xl1, b0.xr1)
-    trace = [(0, inner_length(b0), b0.fm)]
-    branches: list[int] = []
+    alpha = 0.0
     alphas: list[float] = []
-    hist = [b0] if record_brackets else None
-    evals = 0
-    i = 0
-    status = Status.CONVERGED
-    while inner_length(state.bracket) > 2.0 * cfg.eps:
-        if i >= cfg.budget:
-            status = Status.BUDGET_EXHAUSTED
-            break
-        b = state.bracket
-        state = DupmState(b, escalate_alpha(b, state.alpha, cfg.chi_tol), state.u)
-        try:
-            xt = dupm_step(state, delta)
-        except BracketTooSmallError:
-            status = Status.STALLED
-            break
-        ft = oracle(xt)
-        evals += 1
-        br = classify_branch(xt, ft, state.bracket)
-        flag: SideFlag = "R" if br in (1, 3) else "L"
-        nb = apply_update(br, xt, ft, state.bracket)
-        state = DupmState(nb, state.alpha, (flag,) + state.u[: len(state.u) - 1])
-        i += 1
-        trace.append((i, inner_length(nb), nb.fm))
-        branches.append(br)
-        alphas.append(state.alpha)
-        if hist is not None:
-            hist.append(state.bracket)
-    return SolverResult(
-        bracket=state.bracket,
-        iterations=i,
-        evaluations=evals,
-        trace=trace,
-        status=status,
-        branches=branches,
-        alphas=alphas,
-        bracket_trace=hist,
-    )
+
+    def next_trial(b, branches, delta):
+        nonlocal alpha
+        alpha = escalate_alpha(b, alpha)
+        xt = dupm_step(b, alpha, branches, delta)
+        alphas.append(alpha)
+        return xt
+
+    result = run_bracket_solver(oracle, b0, cfg.eps, cfg.budget, next_trial, record_brackets)
+    result.alphas = alphas
+    return result

@@ -21,15 +21,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .brackets import ExtendedBracket5, inner_length
-from .result import SolverResult, Status
-from .supm import (
-    BracketTooSmallError,
-    apply_update,
-    classify_branch,
-    default_delta,
-    _min_separation,
-)
+from .brackets import ExtendedBracket5
+from .result import SolverResult
+from .supm import _min_separation, apply_update, run_bracket_solver
 
 #: Update sequences whose contraction ratios bound every realizable
 #: five-step sequence (the remaining ones reduce to these by substring
@@ -50,13 +44,20 @@ MINIMAL_SEQUENCES = (
 )
 
 
-class InfeasibleSequenceError(ValueError):
-    """No objective can make the solver follow this sequence from here."""
+def eupm_step(b: ExtendedBracket5) -> float:
+    """Closed-form trial point; always strictly inside (xl1, xr1)."""
+    return b.xm + bracket_check(b)
 
 
-def _step_offset(x: Sequence[float]) -> float:
-    """Step position relative to the incumbent, computed in incumbent-centred
-    coordinates to dodge cancellation when the bracket sits far from zero."""
+def bracket_check(b: ExtendedBracket5) -> float:
+    """Signed offset of the trial from the incumbent.
+
+    Negative means the next trial falls left of the incumbent (branch
+    family {1, 4}), positive means right ({2, 3}).  Computed in
+    incumbent-centred coordinates to dodge cancellation when the bracket
+    sits far from zero.
+    """
+    x = b.x
     l2 = x[0] - x[2]
     l1 = x[1] - x[2]
     r1 = x[3] - x[2]
@@ -64,73 +65,28 @@ def _step_offset(x: Sequence[float]) -> float:
     return (r1 * r2 - l1 * l2) / ((r1 + r2) - (l1 + l2))
 
 
-def eupm_step(b: ExtendedBracket5) -> float:
-    """Closed-form trial point; always strictly inside (xl1, xr1)."""
-    return b.xm + _step_offset(b.x)
-
-
-def bracket_check(b: ExtendedBracket5) -> float:
-    """Signed offset of the trial from the incumbent.
-
-    Negative means the next trial falls left of the incumbent (branch
-    family {1, 4}), positive means right ({2, 3}).
-    """
-    return _step_offset(b.x)
-
-
 def eupm_minimize(
     oracle: Callable[[float], float],
     b0: ExtendedBracket5,
     eps: float = 1e-8,
-    delta: float | None = None,
     budget: int = 500,
     record_brackets: bool = False,
 ) -> SolverResult:
     """Run the extremal solver on a five-point bracket.
 
-    Same contract as the seven-point solver loop; the minimum-separation
-    projection is applied to the closed-form step before each oracle call.
+    Same contract as :func:`~kinkline.supm.run_bracket_solver`, which it
+    drives with the closed-form step, kept the minimum separation away
+    from the incumbent and the inner endpoints.
     """
     if not eps > 0.0:
         raise ValueError("eps must be > 0")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    b = b0
-    if delta is None:
-        delta = default_delta(eps, b0.xl1, b0.xr1)
-    trace = [(0, inner_length(b), b.fm)]
-    branches: list[int] = []
-    hist = [b] if record_brackets else None
-    evals = 0
-    i = 0
-    status = Status.CONVERGED
-    while inner_length(b) > 2.0 * eps:
-        if i >= budget:
-            status = Status.BUDGET_EXHAUSTED
-            break
-        try:
-            xt = _min_separation(eupm_step(b), b.xl1, b.xm, b.xr1, delta)
-        except BracketTooSmallError:
-            status = Status.STALLED
-            break
-        ft = oracle(xt)
-        evals += 1
-        br = classify_branch(xt, ft, b)
-        b = apply_update(br, xt, ft, b)
-        i += 1
-        trace.append((i, inner_length(b), b.fm))
-        branches.append(br)
-        if hist is not None:
-            hist.append(b)
-    return SolverResult(
-        bracket=b,
-        iterations=i,
-        evaluations=evals,
-        trace=trace,
-        status=status,
-        branches=branches,
-        bracket_trace=hist,
-    )
+
+    def next_trial(b, branches, delta):
+        return _min_separation(eupm_step(b), b.xl1, b.xm, b.xr1, delta)
+
+    return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
 
 
 def apply_sequence(
@@ -160,16 +116,6 @@ def apply_sequence(
         ft = b.fm - 1.0 if br in (1, 2) else b.fm + 1.0
         b = apply_update(br, b.xm + c, ft, b)
     return b, feasible
-
-
-def contraction_ratio(b: ExtendedBracket5, seq: Iterable[int]) -> float:
-    """Inner-length ratio after applying ``seq``; the sequence must be
-    feasible from ``b``."""
-    seq = tuple(seq)
-    b2, feasible = apply_sequence(b, seq)
-    if not feasible:
-        raise InfeasibleSequenceError(f"sequence {seq} is not realizable from {b.x}")
-    return inner_length(b2) / inner_length(b)
 
 
 def all_branch_sequences(length: int) -> list[tuple[int, ...]]:

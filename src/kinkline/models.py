@@ -95,7 +95,3 @@ def build_model(side: Side, b: ExtendedBracket7, alpha: float) -> QuadModel:
     c2 = divided_diff2(fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3])
     return QuadModel(fv[i1], c1, c2 - alpha * scaling_h(b), x[i1], x[i2], side)
 
-
-def eval_model(m: QuadModel, x):
-    """Evaluate a model at ``x`` (scalar or array) in Newton form."""
-    return m(x)

@@ -9,6 +9,11 @@ which side the trial fell and whether it improved on the incumbent.
 A minimum point separation ``delta`` keeps the trial away from the
 incumbent and the inner endpoints, which guarantees the bracket strictly
 shrinks even when the models misbehave.
+
+The loop itself, :func:`run_bracket_solver`, is shared by every solver
+that moves a five- or seven-point bracket by those four update rules
+(fixed-constant, extremal, dynamic and Mifflin-Strodiot); each supplies
+only its choice of trial point.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
-from .brackets import ExtendedBracket5, ExtendedBracket7, BracketError, inner_length
+from .brackets import ExtendedBracket, ExtendedBracket7, BracketError, inner_length
 from .models import QuadModel, build_model
 from .result import SolverResult, Status
 
@@ -38,19 +43,20 @@ class InvariantBrokenError(RuntimeError):
     """A bracket update produced an invalid bracket; indicates a bug."""
 
 
+class NonFiniteValueError(ValueError):
+    """The oracle returned NaN or an infinity at a trial point."""
+
+
 @dataclass(frozen=True)
 class SupmConfig:
     """Settings for the fixed-constant solver.
 
     Terminates when the inner length drops to ``2 * eps`` or after
-    ``budget`` iterations.  ``delta`` is the minimum distance kept between
-    a trial point and the incumbent or inner endpoints; ``None`` derives it
-    from ``eps`` and the bracket position at solve start.
+    ``budget`` iterations.
     """
 
     alpha: float = 0.0
     eps: float = 1e-8
-    delta: float | None = None
     budget: int = 500
 
     def __post_init__(self):
@@ -60,8 +66,6 @@ class SupmConfig:
             raise ValueError("alpha must be >= 0")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.delta is not None and not 0.0 < self.delta < self.eps:
-            raise ValueError("delta must satisfy 0 < delta < eps")
 
 
 def default_delta(eps: float, xl1: float, xr1: float) -> float:
@@ -246,46 +250,71 @@ def apply_update(branch: int, xtrial: float, ftrial: float, b):
         ) from exc
 
 
+def run_bracket_solver(
+    oracle: Callable[[float], float],
+    b0: ExtendedBracket,
+    eps: float,
+    budget: int,
+    next_trial: Callable[[ExtendedBracket, list[int], float], float],
+    record_brackets: bool = False,
+) -> SolverResult:
+    """Run a bracket solver from ``b0`` until the inner length reaches
+    ``2 * eps`` or ``budget`` iterations are spent.
+
+    Each iteration asks ``next_trial(bracket, branches, delta)`` for a
+    trial point kept ``delta`` (:func:`default_delta` at solve start) away
+    from the incumbent and the inner endpoints, where ``branches`` lists the
+    update rules applied so far, oldest first.  It calls the oracle there
+    once and inserts the trial by :func:`classify_branch` and
+    :func:`apply_update`.  A :class:`BracketTooSmallError` from
+    ``next_trial`` ends the run as ``STALLED``; a NaN or infinite oracle
+    value raises :class:`NonFiniteValueError`.
+    """
+    delta = default_delta(eps, b0.xl1, b0.xr1)
+    b = b0
+    trace = [(0, inner_length(b), b.fm)]
+    branches: list[int] = []
+    hist = [b] if record_brackets else None
+    status = Status.CONVERGED
+    while inner_length(b) > 2.0 * eps:
+        if len(branches) >= budget:
+            status = Status.BUDGET_EXHAUSTED
+            break
+        try:
+            xt = next_trial(b, branches, delta)
+        except BracketTooSmallError:
+            status = Status.STALLED
+            break
+        ft = oracle(xt)
+        if not math.isfinite(ft):
+            raise NonFiniteValueError(f"oracle returned {ft!r} at x={xt!r}")
+        br = classify_branch(xt, ft, b)
+        b = apply_update(br, xt, ft, b)
+        branches.append(br)
+        trace.append((len(branches), inner_length(b), b.fm))
+        if hist is not None:
+            hist.append(b)
+    return SolverResult(
+        bracket=b,
+        iterations=len(branches),
+        evaluations=len(branches),
+        trace=trace,
+        status=status,
+        branches=branches,
+        bracket_trace=hist,
+    )
+
+
 def supm_minimize(
     oracle: Callable[[float], float],
     b0: ExtendedBracket7,
     cfg: SupmConfig,
     record_brackets: bool = False,
 ) -> SolverResult:
-    """Run the fixed-constant solver from ``b0`` until the inner length
-    reaches ``2 * cfg.eps`` or the iteration budget runs out."""
-    b = b0
-    delta = cfg.delta if cfg.delta is not None else default_delta(cfg.eps, b0.xl1, b0.xr1)
-    trace = [(0, inner_length(b), b.fm)]
-    branches: list[int] = []
-    hist = [b] if record_brackets else None
-    evals = 0
-    i = 0
-    status = Status.CONVERGED
-    while inner_length(b) > 2.0 * cfg.eps:
-        if i >= cfg.budget:
-            status = Status.BUDGET_EXHAUSTED
-            break
-        try:
-            xt = supm_step(b, cfg.alpha, delta)
-        except BracketTooSmallError:
-            status = Status.STALLED
-            break
-        ft = oracle(xt)
-        evals += 1
-        br = classify_branch(xt, ft, b)
-        b = apply_update(br, xt, ft, b)
-        i += 1
-        trace.append((i, inner_length(b), b.fm))
-        branches.append(br)
-        if hist is not None:
-            hist.append(b)
-    return SolverResult(
-        bracket=b,
-        iterations=i,
-        evaluations=evals,
-        trace=trace,
-        status=status,
-        branches=branches,
-        bracket_trace=hist,
-    )
+    """Run the fixed-constant solver from ``b0``; see
+    :func:`run_bracket_solver`."""
+
+    def next_trial(b, branches, delta):
+        return supm_step(b, cfg.alpha, delta)
+
+    return run_bracket_solver(oracle, b0, cfg.eps, cfg.budget, next_trial, record_brackets)

@@ -7,24 +7,16 @@ CHANGES.md entry on the SU1 table records the measurements.
 """
 
 import math
-import sys
 import time
 
 import numpy as np
 import pytest
 
 from conftest import kink_bracket, kink_objective
+from kinkline import verify
 from kinkline.baselines import INVPHI, BaselineConfig, golden_section_minimize
-from kinkline.brackets import inner3, inner5, inner_length, make_extended7, outer_length, reflect
-from kinkline.eupm import (
-    MINIMAL_SEQUENCES,
-    all_branch_sequences,
-    bracket_check,
-    eupm_step,
-    gap_apply,
-    gap_check,
-    gap_sequence_ratios,
-)
+from kinkline.brackets import inner3, inner5, inner_length, make_extended7, reflect
+from kinkline.eupm import eupm_step, gap_apply, gap_check, gap_sequence_ratios
 from kinkline.harness import (
     PAPER_ALGORITHMS,
     TrialConfig,
@@ -39,11 +31,8 @@ from kinkline.harness import (
 )
 from kinkline.models import build_model
 from kinkline.result import Status
-from kinkline.supm import _raw_supm_step, apply_update, supm_step
+from kinkline.supm import _raw_supm_step, supm_step
 from kinkline.testfuncs import get_function, list_functions, oracle_for
-
-EPS = sys.float_info.epsilon
-
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
@@ -55,17 +44,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 def test_01_five_step_contraction():
     t0 = time.perf_counter()
     rng = np.random.default_rng([100, 1])
-    worst = -math.inf
-    worst_seq = None
-    feasible_total = 0
-    for seq in all_branch_sequences(5):
-        p = sample_simplex(rng, 10000)
-        ratios, feas = gap_sequence_ratios(p, seq)
-        feasible_total += int(feas.sum())
-        if feas.any():
-            m = float(np.max(ratios[feas]))
-            if m > worst:
-                worst, worst_seq = m, seq
+    worst, worst_seq, feasible_total = verify.five_step_contraction(rng, 10000)
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.5 + 1e-12 and elapsed < 60.0
     report(
@@ -79,18 +58,9 @@ def test_01_five_step_contraction():
 
 def test_02_minimal_sequence_ratios_and_pair_identities():
     rng = np.random.default_rng([100, 2])
-    worst_by_seq = {}
-    for seq in MINIMAL_SEQUENCES:
-        got = 0
-        worst = -math.inf
-        while got < 10000:
-            p = sample_simplex(rng, 40000)
-            ratios, feas = gap_sequence_ratios(p, seq)
-            if feas.any():
-                worst = max(worst, float(np.max(ratios[feas])))
-                got += int(feas.sum())
-        worst_by_seq[seq] = worst
-    all_contract = all(w < 0.5 for w in worst_by_seq.values())
+    by_seq = verify.minimal_sequence_ratios(rng, 10000, 40000)
+    assert all(got >= 10000 for got, _ in by_seq.values())
+    worst_all = max(worst for _, worst in by_seq.values())
 
     # the printed ratio identities pair sequences whose feasible sets are
     # disjoint past the shared prefix, so they are checked by formal
@@ -109,8 +79,7 @@ def test_02_minimal_sequence_ratios_and_pair_identities():
     r4322, _ = gap_sequence_ratios(p, (4, 3, 2, 2))
     d2 = float(np.max(np.abs(r434 - r4322)))
 
-    ok = all_contract and d1 <= 1e-12 and d2 <= 1e-12
-    worst_all = max(worst_by_seq.values())
+    ok = worst_all < 0.5 and d1 <= 1e-12 and d2 <= 1e-12
     report(
         2,
         "per-sequence ratios below one half plus pair identities",
@@ -124,21 +93,9 @@ def test_03_reflection_symmetry_suite():
     worst = 0.0
     for _ in range(100000):
         b = random_bracket5(rng)
-        tol = 4.0 * EPS * outer_length(b)
         rb = reflect(b)
         assert reflect(rb).x == b.x and reflect(rb).fv == b.fv
-        err = abs(eupm_step(rb) + eupm_step(b))
-        if bracket_check(b) > 0.0:
-            b, rb = rb, b
-        if bracket_check(b) < 0.0:
-            for br, mirrored in ((1, 2), (4, 3)):
-                improving = br == 1
-                ft = b.fm - 1.0 if improving else b.fm + 1.0
-                direct = apply_update(br, eupm_step(b), ft, b)
-                ftm = rb.fm - 1.0 if improving else rb.fm + 1.0
-                mirror = reflect(apply_update(mirrored, eupm_step(rb), ftm, rb))
-                err = max(err, max(abs(u - v) for u, v in zip(direct.x, mirror.x)))
-        worst = max(worst, err / tol if tol > 0 else 0.0)
+        worst = max(worst, verify.reflection_deviation(b))
     ok = worst <= 1.0
     report(3, "reflection symmetry identities", ok, f"worst {worst:.3f} of tolerance")
 

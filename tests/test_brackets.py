@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 
 from kinkline.brackets import (
     Bracket3,
-    GapVector,
-    NonPositiveGapError,
     NotABracketError,
     NotAscendingError,
-    from_gaps,
     inner3,
     inner5,
     inner_length,
@@ -17,7 +14,6 @@ from kinkline.brackets import (
     make_extended7,
     outer_length,
     reflect,
-    to_gaps,
 )
 from kinkline.harness import random_bracket5, random_bracket7
 
@@ -33,7 +29,8 @@ centres = st.floats(-100.0, 100.0)
 
 
 def bracket5_from(gaps, xm):
-    x = from_gaps(GapVector(*gaps), xm)
+    p1, p2, p3, p4 = gaps
+    x = (xm - p2 - p1, xm - p2, xm, xm + p3, xm + p3 + p4)
     return make_extended5(x, (0.3, 1.0, 0.0, 2.0, 0.7))
 
 
@@ -59,10 +56,6 @@ class TestConstruction:
     def test_bracket3_centre_condition(self):
         with pytest.raises(NotABracketError):
             Bracket3(0.0, 1.0, 2.0, 0.0, 1.0, 2.0)
-
-    def test_gap_vector_positive(self):
-        with pytest.raises(NonPositiveGapError):
-            GapVector(1.0, 0.0, 1.0, 1.0)
 
 
 class TestLengths:
@@ -91,25 +84,6 @@ class TestLengths:
         for _ in range(500):
             b = random_bracket5(rng)
             assert inner_length(reflect(b)) == inner_length(b)
-
-
-class TestGapCoordinates:
-    def test_unit_gaps(self):
-        b = make_extended5((-2, -1, 0, 1, 2), (4, 1, 0, 1, 4))
-        assert to_gaps(b).as_tuple() == (1.0, 1.0, 1.0, 1.0)
-
-    def test_uneven_gaps(self):
-        b = make_extended5((0, 1, 1.5, 3, 4), (5, 2, 0, 3, 9))
-        assert to_gaps(b).as_tuple() == (1.0, 0.5, 1.5, 1.0)
-
-    def test_from_unit_gaps(self):
-        assert from_gaps(GapVector(1, 1, 1, 1), 0.0) == (-2, -1, 0, 1, 2)
-
-    def test_round_trip_exact_on_sampled_brackets(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20000):
-            b = random_bracket5(rng)
-            assert from_gaps(to_gaps(b), b.xm) == b.x
 
 
 class TestReflect:

@@ -37,16 +37,19 @@ class TestMinimize:
         assert lines[1] == "iteration,xl1,xm,xr1,d,fm"
 
     def test_stalling_run_exits_one(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "minimize",
-            "--function", "NU3",
-            "--algorithm", "supm:0",
-            "--bracket",
-            "-1.811263,-2.171330,-2.23927,1.820150,2.102197,2.293404,2.334091",
-        )
-        assert code == 1
-        assert "budget_exhausted" in out
+        # argparse accepts --brack for --bracket; the negative value must
+        # still be read as its value
+        for flag in ("--bracket", "--brack"):
+            code, out, _ = run_cli(
+                capsys,
+                "minimize",
+                "--function", "NU3",
+                "--algorithm", "supm:0",
+                flag,
+                "-1.811263,-2.171330,-2.23927,1.820150,2.102197,2.293404,2.334091",
+            )
+            assert code == 1
+            assert "budget_exhausted" in out
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -8,13 +8,11 @@ from kinkline.brackets import inner5, inner_length, make_extended7
 from kinkline.dupm import (
     ChiConditionError,
     DupmConfig,
-    DupmState,
     alpha_floor,
     alpha_plus,
     chi,
     dupm_minimize,
     dupm_step,
-    dupm_update,
     escalate_alpha,
     intersection_condition,
 )
@@ -22,7 +20,7 @@ from kinkline.eupm import eupm_step
 from kinkline.harness import generate_bracket, random_bracket7
 from kinkline.models import build_model, scaling_h
 from kinkline.result import Status
-from kinkline.supm import _raw_supm_step, argmin_max_quadratics, supm_step
+from kinkline.supm import _raw_supm_step, apply_update, argmin_max_quadratics, supm_step
 from kinkline.testfuncs import get_function, oracle_for
 
 
@@ -175,30 +173,31 @@ class TestChi:
 class TestStepAndUpdate:
     def test_same_flank_streak_forces_closed_form(self):
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        state = DupmState(b, 0.0, ("R", "R", "R"))
-        got = dupm_step(state, 1e-9)
+        got = dupm_step(b, 0.0, [1, 3, 1], 1e-9)  # right, right, right
         assert got == eupm_step(inner5(b))  # exact: no clamp fires here
 
     def test_mixed_history_takes_adjusted_step(self):
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        state = DupmState(b, 0.7, ("L", "R", "L"))
-        assert dupm_step(state, 1e-9) == supm_step(b, 0.7, 1e-9)
+        assert dupm_step(b, 0.7, [4, 3, 2, 1], 1e-9) == supm_step(b, 0.7, 1e-9)
 
     def test_update_flags(self):
-        b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
-        st = DupmState(b, 0.0, ("L", "R", "L"))
-        assert dupm_update(3.5, -1.0, st).u == ("R", "L", "R")  # branch 1
-        assert dupm_update(4.5, -1.0, st).u == ("L", "L", "R")  # branch 2
-        assert dupm_update(4.5, 0.5, st).u == ("R", "L", "R")  # branch 3
-        assert dupm_update(3.5, 0.5, st).u == ("L", "L", "R")  # branch 4
+        # updates 1 and 3 replace the right inner point, 2 and 4 the left
+        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        closed = eupm_step(inner5(b))
+        for last in ((1, 3, 3), (3, 1, 1), (2, 4, 4), (4, 2, 2)):
+            assert dupm_step(b, 0.7, [2, *last], 1e-9) == closed
+        for last in ((1, 2, 1), (3, 4, 3), (2, 3, 2), (4, 1, 4)):
+            assert dupm_step(b, 0.7, [2, *last], 1e-9) == supm_step(b, 0.7, 1e-9)
 
     def test_three_same_side_updates_then_closed_form(self):
         b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
-        st = DupmState(b, 0.0, ("L", "R", "L"))
+        branches = []
         for xt, ft in ((4.5, 0.5), (4.3, 0.4), (4.2, 0.3)):
-            st = dupm_update(xt, ft, st)  # three branch-3 inserts
-        assert st.u == ("R", "R", "R")
-        assert dupm_step(st, 1e-12) == eupm_step(inner5(st.bracket))
+            b = apply_update(3, xt, ft, b)  # three branch-3 inserts
+            branches.append(3)
+            if len(branches) < 3:
+                assert dupm_step(b, 0.0, branches, 1e-12) == supm_step(b, 0.0, 1e-12)
+        assert dupm_step(b, 0.0, branches, 1e-12) == eupm_step(inner5(b))
 
 
 class TestSolver:
@@ -254,19 +253,16 @@ class TestSolver:
                     abs(g - bracket.xm) >= delta
                     and bracket.xl1 + delta <= g <= bracket.xr1 - delta
                 ):
-                    st = DupmState(bracket, res.alphas[i], state_u)
-                    assert dupm_step(st, delta) == g
+                    assert dupm_step(bracket, res.alphas[i], res.branches[:i], delta) == g
             state_u = (("R" if br in (1, 3) else "L"),) + state_u[:2]
 
 
 class TestConfig:
     def test_rejects_bad_settings(self):
         with pytest.raises(ValueError):
-            DupmConfig(alpha0=-1.0)
-        with pytest.raises(ValueError):
             DupmConfig(eps=-1.0)
         with pytest.raises(ValueError):
-            DupmConfig(same_side_count=0)
+            DupmConfig(budget=0)
 
     def test_escalate_clamps_negative_floor(self):
         b = with_values((-3, -2, -1, 0.0, 1, 2, 3), lambda x: -(x * x) + 9.5 * abs(x))

@@ -13,7 +13,6 @@ from kinkline.models import (
     build_model,
     divided_diff1,
     divided_diff2,
-    eval_model,
     scaling_h,
 )
 from kinkline.supm import _raw_supm_step
@@ -94,7 +93,7 @@ class TestModels:
         for side, idx in (("L", (0, 1, 2)), ("R", (4, 5, 6))):
             m = build_model(side, b, 0.0)
             for i in idx:
-                got = eval_model(m, b.x[i])
+                got = m(b.x[i])
                 assert abs(got - b.fv[i]) <= 8.0 * EPS * max(1.0, abs(b.fv[i]))
 
     def test_fig1_models_cross_near_half_percent(self):
@@ -110,15 +109,15 @@ class TestModels:
     def test_eval_at_anchors(self):
         b, _ = fig1_bracket()
         m = build_model("L", b, 0.7)
-        assert eval_model(m, m.x1) == m.c0
-        assert eval_model(m, m.x2) == pytest.approx(m.c0 + m.c1 * (m.x2 - m.x1), rel=1e-14)
+        assert m(m.x1) == m.c0
+        assert m(m.x2) == pytest.approx(m.c0 + m.c1 * (m.x2 - m.x1), rel=1e-14)
 
     def test_zero_curvature_is_affine(self):
         from kinkline.models import QuadModel
 
         m = QuadModel(1.0, 2.0, 0.0, 0.5, 1.5, "L")
         # affine through (x1, c0) with slope c1, checked away from anchors
-        assert eval_model(m, 10.0) == pytest.approx(1.0 + 2.0 * 9.5)
+        assert m(10.0) == pytest.approx(1.0 + 2.0 * 9.5)
 
 
 class TestUnderestimation:

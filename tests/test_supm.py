@@ -5,11 +5,12 @@ import pytest
 
 from kinkline.brackets import inner5, inner_length, make_extended7
 from kinkline.eupm import eupm_step
-from kinkline.harness import random_bracket7
+from kinkline.harness import random_bracket7, run_algorithm
 from kinkline.result import Status
 from kinkline.supm import (
     BracketTooSmallError,
     InvariantBrokenError,
+    NonFiniteValueError,
     SupmConfig,
     TrialAtCenterError,
     apply_update,
@@ -158,6 +159,14 @@ class TestSolver:
         res = supm_minimize(lambda x: x * x, b, SupmConfig(alpha=1.0))
         assert res.evaluations == res.iterations
 
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    @pytest.mark.parametrize("spec", ["supm:1", "eupm", "dupm", "mifflin"])
+    def test_non_finite_oracle_value_is_named(self, spec, value):
+        b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
+        with pytest.raises(NonFiniteValueError, match=f"oracle returned {value!r} at x=") as exc:
+            run_algorithm(spec, lambda x: value, b, 1e-8, 500)
+        assert b.xl1 < float(str(exc.value).split("x=")[1]) < b.xr1
+
 
 class TestConfig:
     def test_rejects_bad_settings(self):
@@ -165,8 +174,6 @@ class TestConfig:
             SupmConfig(eps=0.0)
         with pytest.raises(ValueError):
             SupmConfig(budget=0)
-        with pytest.raises(ValueError):
-            SupmConfig(delta=1e-7, eps=1e-8)
         with pytest.raises(ValueError):
             SupmConfig(alpha=-1.0)
 
