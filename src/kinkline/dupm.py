@@ -152,12 +152,6 @@ def escalate_alpha(b: ExtendedBracket7, alpha: float) -> float:
     return chi(b, alpha, 1e-3 * max(1.0, abs(alpha_plus(b))))
 
 
-#: Flank history the streak test starts from, oldest first: left (update
-#: 2), right (1), left (2), so no streak is complete before two real
-#: updates.
-_FLANK_SEED = (2, 1, 2)
-
-
 def dupm_step(
     b: ExtendedBracket7, alpha: float, branches: Sequence[int], delta: float
 ) -> float:
@@ -168,8 +162,8 @@ def dupm_step(
     ``branches`` lists the update rules applied so far, oldest first;
     updates 1 and 3 replace the right inner point, 2 and 4 the left one.
     """
-    last = (_FLANK_SEED + tuple(branches[-3:]))[-3:]
-    if len({br in (1, 3) for br in last}) == 1:
+    last = branches[-3:]
+    if len(last) == 3 and len({br in (1, 3) for br in last}) == 1:
         return _min_separation(eupm_step(inner5(b)), b.xl1, b.xm, b.xr1, delta)
     return supm_step(b, alpha, delta)
 

@@ -189,6 +189,15 @@ class TestStepAndUpdate:
         for last in ((1, 2, 1), (3, 4, 3), (2, 3, 2), (4, 1, 4)):
             assert dupm_step(b, 0.7, [2, *last], 1e-9) == supm_step(b, 0.7, 1e-9)
 
+    def test_two_updates_decide_alike_on_either_flank(self):
+        # a left/right mirror must not change the decision: no streak is
+        # complete before three real updates, on either flank
+        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        adjusted = supm_step(b, 0.7, 1e-9)
+        assert adjusted != eupm_step(inner5(b))
+        for two in ([2, 4], [4, 2], [1, 3], [3, 1]):
+            assert dupm_step(b, 0.7, two, 1e-9) == adjusted
+
     def test_three_same_side_updates_then_closed_form(self):
         b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
         branches = []
@@ -243,10 +252,10 @@ class TestSolver:
         rng = np.random.default_rng(28)
         b = generate_bracket(func, rng)
         res = dupm_minimize(oracle_for(func), b, DupmConfig(), record_brackets=True)
-        state_u = ("L", "R", "L")
+        flanks = []
         for i, br in enumerate(res.branches):
             bracket = res.bracket_trace[i]
-            if len(set(state_u)) == 1:
+            if len(flanks) >= 3 and len(set(flanks[-3:])) == 1:
                 g = eupm_step(inner5(bracket))
                 delta = 2.5e-9
                 if (
@@ -254,7 +263,7 @@ class TestSolver:
                     and bracket.xl1 + delta <= g <= bracket.xr1 - delta
                 ):
                     assert dupm_step(bracket, res.alphas[i], res.branches[:i], delta) == g
-            state_u = (("R" if br in (1, 3) else "L"),) + state_u[:2]
+            flanks.append("R" if br in (1, 3) else "L")
 
 
 class TestConfig:

@@ -14,24 +14,24 @@ from kinkline.cli import main
 BENCH_ALL_3_TRIALS_SEED_0 = """\
 # kinkline bench seed=0 trials=3 eps=1e-08 budget=500
 Functions,0,0.1,1,10,EUPM,DUPM,Brent,Mifflin
-SU1,0.203388,0.320026,0.400560,0.470996,0.615172,0.526470,0.373592,0.607046
+SU1,0.203388,0.320026,0.400560,0.470996,0.615172,0.533981,0.373592,0.607046
 SU2,0.675636,0.615731,0.618716,0.614431,0.614925,0.596387,0.300970,0.723011
-SU3,inf,0.349560,0.457321,0.494946,0.619199,0.552033,0.279555,inf
+SU3,inf,0.349560,0.457321,0.494946,0.619199,0.534564,0.279555,inf
 SU4,0.790338,0.559660,0.585155,0.584320,0.582874,0.593384,0.472269,inf
-SU5,0.260603,0.432860,0.491320,0.547293,0.612297,0.559047,0.307408,0.595913
+SU5,0.260603,0.432860,0.491320,0.547293,0.612297,0.566525,0.307408,0.595913
 SU6,0.290154,0.495684,0.573137,0.573381,0.619459,0.546973,0.309369,0.612812
 SU7,0.231825,0.348846,0.429618,0.508962,0.610831,0.574062,0.283494,0.597531
 NU1,inf,0.098790,0.175919,0.229272,0.615176,0.244530,0.484189,inf
 NU2,inf,0.277722,0.314814,0.371148,0.616461,0.406965,0.617946,inf
-NU3,inf,0.318931,0.344089,0.377154,0.624270,0.318931,0.628022,0.249916
+NU3,inf,0.318931,0.344089,0.377154,0.624270,0.328168,0.628022,0.249916
 NU4,inf,0.317064,0.375012,0.401968,0.609415,0.264782,0.595388,0.287571
-NU5,inf,0.311371,0.340694,0.376968,0.600937,0.321583,0.456372,0.295489
+NU5,inf,0.311371,0.340694,0.376968,0.600937,0.314987,0.456372,0.295489
 SM1,inf,0.627168,0.606301,0.602134,0.603697,0.597822,0.420294,inf
-SM2,inf,0.433444,0.480603,0.525112,0.608694,0.580597,0.185392,inf
-SM3,inf,0.476369,0.503480,0.551452,0.629764,0.593226,0.213714,inf
-SM4,inf,0.290954,0.396067,0.450044,0.597619,0.544723,0.314669,inf
-SM5,inf,0.375771,0.414745,0.456466,0.587705,0.601767,0.260046,inf
-SM6,0.329647,0.502621,0.521117,0.566639,0.616088,0.557325,0.331851,inf
+SM2,inf,0.433444,0.480603,0.525112,0.608694,0.572872,0.185392,inf
+SM3,inf,0.476369,0.503480,0.551452,0.629764,0.600364,0.213714,inf
+SM4,inf,0.290954,0.396067,0.450044,0.597619,0.533629,0.314669,inf
+SM5,inf,0.375771,0.414745,0.456466,0.587705,0.569233,0.260046,inf
+SM6,0.329647,0.502621,0.521117,0.566639,0.616088,0.575429,0.331851,inf
 SM7,0.347332,0.378181,0.453505,0.510949,0.620823,0.581263,0.208549,inf
 """
 
