@@ -35,11 +35,12 @@ from .supm import (
     BracketTooSmallError,
     InvariantBrokenError,
     NonFiniteValueError,
-    SupmConfig,
     TrialAtCenterError,
     apply_update,
+    check_stop_rule,
     classify_branch,
     run_bracket_solver,
+    run_solver,
     supm_minimize,
     supm_step,
 )
@@ -52,7 +53,6 @@ from .eupm import (
 )
 from .dupm import (
     ChiConditionError,
-    DupmConfig,
     alpha_floor,
     alpha_plus,
     chi,
@@ -61,7 +61,6 @@ from .dupm import (
     intersection_condition,
 )
 from .baselines import (
-    BaselineConfig,
     brent_minimize,
     golden_section_minimize,
     mifflin_strodiot_minimize,

@@ -1,22 +1,25 @@
 """Reference solvers: golden section, Brent's method, Mifflin-Strodiot.
 
 These are the standards the underestimator solvers are measured against.
-All three share the solver contract: terminate when the bracketing
-interval's inner length reaches ``2 * eps``, count oracle calls, and leave
-a per-iteration trace of interval length and incumbent value.
+All three run in the same loop as those solvers,
+:func:`~kinkline.supm.run_solver`: it stops them when the bracketing
+interval's inner length reaches ``2 * eps``, counts their oracle calls and
+keeps the per-iteration trace of interval length and incumbent value.
+Golden section and Brent supply their iterations as generators that keep
+their state in local variables; Mifflin-Strodiot moves a five-point
+bracket by the same update rules as the underestimator solvers.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .brackets import Bracket3, ExtendedBracket5
 from .models import QuadModel, divided_diff1
-from .result import SolverResult, Status
-from .supm import _min_separation, minimize_max_quadratics, run_bracket_solver
+from .result import SolverResult
+from .supm import _min_separation, minimize_max_quadratics, run_bracket_solver, run_solver
 
 _EPS = sys.float_info.epsilon
 
@@ -26,22 +29,11 @@ INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 CGOLD = 1.0 - INVPHI
 
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    eps: float = 1e-8
-    budget: int = 500
-
-    def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("eps must be > 0")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-
-
 def golden_section_minimize(
     oracle: Callable[[float], float],
     b0: Bracket3,
-    cfg: BaselineConfig,
+    eps: float = 1e-8,
+    budget: int = 500,
     record_brackets: bool = False,
 ) -> SolverResult:
     """Classic golden section search on the interval of ``b0``.
@@ -57,60 +49,47 @@ def golden_section_minimize(
 
     The incumbent value in the trace is the best value seen so far; on a
     multimodal objective the final interval need not contain it, so the
-    returned bracket is positional only.
+    returned bracket is positional only.  Runs in
+    :func:`~kinkline.supm.run_solver`.
     """
-    a, b = b0.xl, b0.xr
-    fa, fb = b0.fl, b0.fr
-    x1 = b - INVPHI * (b - a)
-    x2 = a + INVPHI * (b - a)
-    f1 = oracle(x1)
-    f2 = oracle(x2)
-    evals = 2
-    best = min(b0.fm, f1, f2)
 
-    def snapshot():
-        if f1 <= f2:
-            return Bracket3.unchecked(a, x1, b, fa, f1, fb)
-        return Bracket3.unchecked(a, x2, b, fa, f2, fb)
+    def iterate(evaluate):
+        a, b = b0.xl, b0.xr
+        fa, fb = b0.fl, b0.fr
+        x1 = b - INVPHI * (b - a)
+        x2 = a + INVPHI * (b - a)
+        f1 = evaluate(x1)
+        f2 = evaluate(x2)
+        best = min(b0.fm, f1, f2)
 
-    trace = [(0, b - a, b0.fm)]
-    hist = [b0] if record_brackets else None
-    i = 0
-    status = Status.CONVERGED
-    while b - a > 2.0 * cfg.eps:
-        if i >= cfg.budget:
-            status = Status.BUDGET_EXHAUSTED
-            break
-        if f1 < f2:
-            b, fb = x2, f2
-            x2, f2 = x1, f1
-            x1 = b - INVPHI * (b - a)
-            f1 = oracle(x1)
-        else:
-            a, fa = x1, f1
-            x1, f1 = x2, f2
-            x2 = a + INVPHI * (b - a)
-            f2 = oracle(x2)
-        evals += 1
-        i += 1
-        best = min(best, f1, f2)
-        trace.append((i, b - a, best))
-        if hist is not None:
-            hist.append(snapshot())
-    return SolverResult(
-        bracket=snapshot(),
-        iterations=i,
-        evaluations=evals,
-        trace=trace,
-        status=status,
-        bracket_trace=hist,
-    )
+        def snapshot():
+            if f1 <= f2:
+                return Bracket3.unchecked(a, x1, b, fa, f1, fb)
+            return Bracket3.unchecked(a, x2, b, fa, f2, fb)
+
+        yield b - a, b0.fm, snapshot
+        while True:
+            if f1 < f2:
+                b, fb = x2, f2
+                x2, f2 = x1, f1
+                x1 = b - INVPHI * (b - a)
+                f1 = evaluate(x1)
+            else:
+                a, fa = x1, f1
+                x1, f1 = x2, f2
+                x2 = a + INVPHI * (b - a)
+                f2 = evaluate(x2)
+            best = min(best, f1, f2)
+            yield b - a, best, snapshot
+
+    return run_solver(oracle, b0, eps, budget, iterate, record_brackets)
 
 
 def brent_minimize(
     oracle: Callable[[float], float],
     b0: Bracket3,
-    cfg: BaselineConfig,
+    eps: float = 1e-8,
+    budget: int = 500,
     record_brackets: bool = False,
 ) -> SolverResult:
     """Brent's parabolic-interpolation search with golden-section fallback.
@@ -121,88 +100,76 @@ def brent_minimize(
     the interval and moves less than half the step taken two iterations
     ago; otherwise a golden step into the larger sub-interval is taken.
     Probes never leave the current interval, and a minimum spacing keeps
-    the parabola denominators alive.
+    the parabola denominators alive.  Runs in
+    :func:`~kinkline.supm.run_solver`.
     """
-    a, b = b0.xl, b0.xr
-    fa, fb = b0.fl, b0.fr
-    x = w = v = b0.xm
-    fx = fw = fv = b0.fm
-    d = e = 0.0
-    trace = [(0, b - a, fx)]
-    hist = [b0] if record_brackets else None
-    evals = 0
-    i = 0
-    status = Status.CONVERGED
-    while b - a > 2.0 * cfg.eps:
-        if i >= cfg.budget:
-            status = Status.BUDGET_EXHAUSTED
-            break
-        mid = 0.5 * (a + b)
-        tol1 = 0.25 * cfg.eps + 64.0 * _EPS * abs(x)
-        use_golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            etemp = e
-            e = d
-            if not (
-                abs(p) >= abs(0.5 * q * etemp)
-                or p <= q * (a - x)
-                or p >= q * (b - x)
-                or q == 0.0
-            ):
-                d = p / q
-                u = x + d
-                if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
-                    d = tol1 if x < mid else -tol1
-                use_golden = False
-        if use_golden:
-            e = (b - x) if x < mid else (a - x)
-            d = CGOLD * e
-        u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0.0 else -tol1)
-        fu = oracle(u)
-        evals += 1
-        if fu <= fx:
-            if u >= x:
-                a, fa = x, fx
-            else:
-                b, fb = x, fx
-            v, fv = w, fw
-            w, fw = x, fx
-            x, fx = u, fu
-        else:
-            if u < x:
-                a, fa = u, fu
-            else:
-                b, fb = u, fu
-            if fu <= fw or w == x:
+
+    def iterate(evaluate):
+        a, b = b0.xl, b0.xr
+        fa, fb = b0.fl, b0.fr
+        x = w = v = b0.xm
+        fx = fw = fv = b0.fm
+        d = e = 0.0
+        snapshot = lambda: Bracket3.unchecked(a, x, b, fa, fx, fb)
+        yield b - a, fx, snapshot
+        while True:
+            mid = 0.5 * (a + b)
+            tol1 = 0.25 * eps + 64.0 * _EPS * abs(x)
+            use_golden = True
+            if abs(e) > tol1:
+                r = (x - w) * (fx - fv)
+                q = (x - v) * (fx - fw)
+                p = (x - v) * q - (x - w) * r
+                q = 2.0 * (q - r)
+                if q > 0.0:
+                    p = -p
+                q = abs(q)
+                etemp = e
+                e = d
+                if not (
+                    abs(p) >= abs(0.5 * q * etemp)
+                    or p <= q * (a - x)
+                    or p >= q * (b - x)
+                    or q == 0.0
+                ):
+                    d = p / q
+                    u = x + d
+                    if u - a < 2.0 * tol1 or b - u < 2.0 * tol1:
+                        d = tol1 if x < mid else -tol1
+                    use_golden = False
+            if use_golden:
+                e = (b - x) if x < mid else (a - x)
+                d = CGOLD * e
+            u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0.0 else -tol1)
+            fu = evaluate(u)
+            if fu <= fx:
+                if u >= x:
+                    a, fa = x, fx
+                else:
+                    b, fb = x, fx
                 v, fv = w, fw
-                w, fw = u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        i += 1
-        trace.append((i, b - a, fx))
-        if hist is not None:
-            hist.append(Bracket3.unchecked(a, x, b, fa, fx, fb))
-    return SolverResult(
-        bracket=Bracket3.unchecked(a, x, b, fa, fx, fb),
-        iterations=i,
-        evaluations=evals,
-        trace=trace,
-        status=status,
-        bracket_trace=hist,
-    )
+                w, fw = x, fx
+                x, fx = u, fu
+            else:
+                if u < x:
+                    a, fa = u, fu
+                else:
+                    b, fb = u, fu
+                if fu <= fw or w == x:
+                    v, fv = w, fw
+                    w, fw = u, fu
+                elif fu <= fv or v == x or v == w:
+                    v, fv = u, fu
+            yield b - a, fx, snapshot
+
+    return run_solver(oracle, b0, eps, budget, iterate, record_brackets)
 
 
 def mifflin_strodiot_minimize(
     oracle: Callable[[float], float],
     b0: ExtendedBracket5,
-    cfg: BaselineConfig,
+    eps: float = 1e-8,
+    budget: int = 500,
     record_brackets: bool = False,
 ) -> SolverResult:
     """Five-point method stepping to the crossing of the flank secants.
@@ -226,4 +193,4 @@ def mifflin_strodiot_minimize(
         g = minimize_max_quadratics(ql, qr, b.xl1, b.xr1, b.xm)
         return _min_separation(g, b.xl1, b.xm, b.xr1, delta)
 
-    return run_bracket_solver(oracle, b0, cfg.eps, cfg.budget, next_trial, record_brackets)
+    return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

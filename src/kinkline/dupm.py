@@ -24,7 +24,6 @@ is read from the update rules it has applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .brackets import ExtendedBracket7, inner5
@@ -41,25 +40,6 @@ class ChiConditionError(RuntimeError):
     """The intersection condition failed just above the concavity
     threshold.  No model is convex there, so no vertex can win and the
     condition holds for every bracket; this indicates a bug."""
-
-
-@dataclass(frozen=True)
-class DupmConfig:
-    """Settings for the dynamic solver.
-
-    The adjustment constant starts at zero and is escalated by the rules
-    in :func:`escalate_alpha`; the run stops as set out in
-    :func:`~kinkline.supm.run_bracket_solver`.
-    """
-
-    eps: float = 1e-8
-    budget: int = 500
-
-    def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("eps must be > 0")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
 
 
 def _side_dd2(b: ExtendedBracket7, side: str) -> float:
@@ -171,13 +151,15 @@ def dupm_step(
 def dupm_minimize(
     oracle: Callable[[float], float],
     b0: ExtendedBracket7,
-    cfg: DupmConfig,
+    eps: float = 1e-8,
+    budget: int = 500,
     record_brackets: bool = False,
 ) -> SolverResult:
     """Run the dynamic solver from ``b0``; see
     :func:`~kinkline.supm.run_bracket_solver`.
 
-    Each iteration escalates the constant, then picks the trial point by
+    The adjustment constant starts at zero.  Each iteration escalates it by
+    :func:`escalate_alpha`, then picks the trial point by
     :func:`dupm_step`.  The per-iteration constants are returned in
     ``alphas`` (one entry per completed iteration).
     """
@@ -191,6 +173,6 @@ def dupm_minimize(
         alphas.append(alpha)
         return xt
 
-    result = run_bracket_solver(oracle, b0, cfg.eps, cfg.budget, next_trial, record_brackets)
+    result = run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
     result.alphas = alphas
     return result

@@ -74,14 +74,10 @@ def eupm_minimize(
 ) -> SolverResult:
     """Run the extremal solver on a five-point bracket.
 
-    Same contract as :func:`~kinkline.supm.run_bracket_solver`, which it
-    drives with the closed-form step, kept the minimum separation away
-    from the incumbent and the inner endpoints.
+    The trial point is the closed-form step, kept the minimum separation
+    away from the incumbent and the inner endpoints; the loop, its stop
+    rule and its checks are :func:`~kinkline.supm.run_bracket_solver`'s.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be > 0")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
 
     def next_trial(b, branches, delta):
         return _min_separation(eupm_step(b), b.xl1, b.xm, b.xr1, delta)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .baselines import (
     INVPHI,
-    BaselineConfig,
     brent_minimize,
     golden_section_minimize,
     mifflin_strodiot_minimize,
@@ -32,10 +31,10 @@ from .brackets import (
     make_extended5,
     make_extended7,
 )
-from .dupm import DupmConfig, dupm_minimize
+from .dupm import dupm_minimize
 from .eupm import eupm_minimize, gap_apply_binary, gap_inner
 from .result import SolverResult, Status
-from .supm import SupmConfig, supm_minimize
+from .supm import check_stop_rule, supm_minimize
 from .testfuncs import CountingOracle, TestFunction, get_function, list_functions
 
 _BENCH_STREAM = 1
@@ -156,13 +155,27 @@ def convergence_rate(result: SolverResult) -> float:
     return (df / d0) ** (1.0 / result.iterations)
 
 
+#: Algorithm kind -> (solver, the part of a seven-point bracket it runs
+#: on): all seven points for the underestimator solvers, the inner five
+#: for the extremal and Mifflin-Strodiot ones, the inner triple for golden
+#: section and Brent.
+SOLVERS = {
+    "supm": (supm_minimize, lambda b: b),
+    "eupm": (eupm_minimize, inner5),
+    "dupm": (dupm_minimize, lambda b: b),
+    "brent": (brent_minimize, inner3),
+    "golden": (golden_section_minimize, inner3),
+    "mifflin": (mifflin_strodiot_minimize, inner5),
+}
+
+
 def parse_algorithm(spec: str) -> tuple[str, float]:
     """Split an algorithm spec into (kind, alpha); alpha only for supm."""
     s = spec.strip().lower()
     if s.startswith("supm"):
         rest = s[4:].lstrip(":")
         return "supm", float(rest) if rest else 0.0
-    if s in ("eupm", "dupm", "brent", "golden", "mifflin"):
+    if s in SOLVERS:
         return s, 0.0
     raise ValueError(f"unknown algorithm spec {spec!r}")
 
@@ -175,31 +188,12 @@ def run_algorithm(
     budget: int,
     record_brackets: bool = False,
 ) -> SolverResult:
-    """Run one algorithm from a shared seven-point bracket.
-
-    Each solver consumes the part of the bracket it is defined on: all
-    seven points for the underestimator solvers, the inner five for the
-    extremal and Mifflin-Strodiot ones, the inner triple for golden
-    section and Brent.
-    """
+    """Run one algorithm from the part of a shared seven-point bracket it
+    is defined on (see :data:`SOLVERS`)."""
     kind, alpha = parse_algorithm(spec)
-    if kind == "supm":
-        cfg = SupmConfig(alpha=alpha, eps=eps, budget=budget)
-        return supm_minimize(oracle, bracket, cfg, record_brackets)
-    if kind == "dupm":
-        return dupm_minimize(
-            oracle, bracket, DupmConfig(eps=eps, budget=budget), record_brackets
-        )
-    if kind == "eupm":
-        return eupm_minimize(
-            oracle, inner5(bracket), eps=eps, budget=budget, record_brackets=record_brackets
-        )
-    bcfg = BaselineConfig(eps=eps, budget=budget)
-    if kind == "brent":
-        return brent_minimize(oracle, inner3(bracket), bcfg, record_brackets)
-    if kind == "golden":
-        return golden_section_minimize(oracle, inner3(bracket), bcfg, record_brackets)
-    return mifflin_strodiot_minimize(oracle, inner5(bracket), bcfg, record_brackets)
+    solve, view = SOLVERS[kind]
+    extra = {"alpha": alpha} if kind == "supm" else {}
+    return solve(oracle, view(bracket), eps, budget, record_brackets, **extra)
 
 
 @dataclass(frozen=True)
@@ -214,10 +208,7 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be > 0")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        check_stop_rule(self.eps, self.budget)
         for spec in self.algorithms:
             parse_algorithm(spec)
         for fid in self.functions:

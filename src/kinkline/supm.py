@@ -10,20 +10,21 @@ A minimum point separation ``delta`` keeps the trial away from the
 incumbent and the inner endpoints, which guarantees the bracket strictly
 shrinks even when the models misbehave.
 
-The loop itself, :func:`run_bracket_solver`, is shared by every solver
-that moves a five- or seven-point bracket by those four update rules
-(fixed-constant, extremal, dynamic and Mifflin-Strodiot); each supplies
-only its choice of trial point.
+Every solver runs in one loop, :func:`run_solver`, which owns the stop
+rule, the budget, the oracle-call count, the non-finite value check and
+the trace; a solver supplies only its iterations.  Those that move a five-
+or seven-point bracket by the four update rules (fixed-constant,
+extremal, dynamic and Mifflin-Strodiot) share :func:`run_bracket_solver`
+and supply only their choice of trial point.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Iterator, Literal
 
-from .brackets import ExtendedBracket, ExtendedBracket7, BracketError, inner_length
+from .brackets import AnyBracket, ExtendedBracket, ExtendedBracket7, BracketError, inner_length
 from .models import QuadModel, build_model
 from .result import SolverResult, Status
 
@@ -45,27 +46,6 @@ class InvariantBrokenError(RuntimeError):
 
 class NonFiniteValueError(ValueError):
     """The oracle returned NaN or an infinity at a trial point."""
-
-
-@dataclass(frozen=True)
-class SupmConfig:
-    """Settings for the fixed-constant solver.
-
-    Terminates when the inner length drops to ``2 * eps`` or after
-    ``budget`` iterations.
-    """
-
-    alpha: float = 0.0
-    eps: float = 1e-8
-    budget: int = 500
-
-    def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("eps must be > 0")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
 
 
 def default_delta(eps: float, xl1: float, xr1: float) -> float:
@@ -250,6 +230,72 @@ def apply_update(branch: int, xtrial: float, ftrial: float, b):
         ) from exc
 
 
+def check_stop_rule(eps: float, budget: int) -> None:
+    """Reject a stop rule no run could meet: ``eps`` must be positive and
+    ``budget`` at least one iteration."""
+    if not eps > 0.0:
+        raise ValueError("eps must be > 0")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+
+
+def run_solver(
+    oracle: Callable[[float], float],
+    b0: AnyBracket,
+    eps: float,
+    budget: int,
+    iterate: Callable[[Callable[[float], float]], Iterator[tuple]],
+    record_brackets: bool = False,
+) -> SolverResult:
+    """Run a solver from ``b0`` until the inner length reaches ``2 * eps``
+    or ``budget`` iterations are spent.
+
+    ``iterate(evaluate)`` is the solver: a generator that yields
+    ``(inner length, incumbent value, snapshot)`` once for ``b0`` and once
+    after each iteration, where ``snapshot()`` returns its current bracket.
+    It calls the oracle only through ``evaluate``, which counts the calls
+    and raises :class:`NonFiniteValueError` on a NaN or infinite value.  A
+    :class:`BracketTooSmallError` from the generator ends the run as
+    ``STALLED``.
+    """
+    check_stop_rule(eps, budget)
+    calls = 0
+
+    def evaluate(x: float) -> float:
+        nonlocal calls
+        calls += 1
+        fx = oracle(x)
+        if not math.isfinite(fx):
+            raise NonFiniteValueError(f"oracle returned {fx!r} at x={x!r}")
+        return fx
+
+    steps = iterate(evaluate)
+    d, fm, snapshot = next(steps)
+    trace = [(0, d, fm)]
+    hist = [b0] if record_brackets else None
+    status = Status.CONVERGED
+    while d > 2.0 * eps:
+        if len(trace) > budget:
+            status = Status.BUDGET_EXHAUSTED
+            break
+        try:
+            d, fm, snapshot = next(steps)
+        except BracketTooSmallError:
+            status = Status.STALLED
+            break
+        trace.append((len(trace), d, fm))
+        if hist is not None:
+            hist.append(snapshot())
+    return SolverResult(
+        bracket=snapshot(),
+        iterations=len(trace) - 1,
+        evaluations=calls,
+        trace=trace,
+        status=status,
+        bracket_trace=hist,
+    )
+
+
 def run_bracket_solver(
     oracle: Callable[[float], float],
     b0: ExtendedBracket,
@@ -258,63 +304,51 @@ def run_bracket_solver(
     next_trial: Callable[[ExtendedBracket, list[int], float], float],
     record_brackets: bool = False,
 ) -> SolverResult:
-    """Run a bracket solver from ``b0`` until the inner length reaches
-    ``2 * eps`` or ``budget`` iterations are spent.
+    """Run a solver that moves a five- or seven-point bracket by the four
+    update rules, through :func:`run_solver`.
 
     Each iteration asks ``next_trial(bracket, branches, delta)`` for a
     trial point kept ``delta`` (:func:`default_delta` at solve start) away
     from the incumbent and the inner endpoints, where ``branches`` lists the
-    update rules applied so far, oldest first.  It calls the oracle there
-    once and inserts the trial by :func:`classify_branch` and
-    :func:`apply_update`.  A :class:`BracketTooSmallError` from
-    ``next_trial`` ends the run as ``STALLED``; a NaN or infinite oracle
-    value raises :class:`NonFiniteValueError`.
+    update rules applied so far, oldest first.  It evaluates the trial once
+    and inserts it by :func:`classify_branch` and :func:`apply_update`.
+    The applied rules are returned in ``branches``.
     """
     delta = default_delta(eps, b0.xl1, b0.xr1)
-    b = b0
-    trace = [(0, inner_length(b), b.fm)]
     branches: list[int] = []
-    hist = [b] if record_brackets else None
-    status = Status.CONVERGED
-    while inner_length(b) > 2.0 * eps:
-        if len(branches) >= budget:
-            status = Status.BUDGET_EXHAUSTED
-            break
-        try:
+
+    def iterate(evaluate):
+        b = b0
+        snapshot = lambda: b
+        yield inner_length(b), b.fm, snapshot
+        while True:
             xt = next_trial(b, branches, delta)
-        except BracketTooSmallError:
-            status = Status.STALLED
-            break
-        ft = oracle(xt)
-        if not math.isfinite(ft):
-            raise NonFiniteValueError(f"oracle returned {ft!r} at x={xt!r}")
-        br = classify_branch(xt, ft, b)
-        b = apply_update(br, xt, ft, b)
-        branches.append(br)
-        trace.append((len(branches), inner_length(b), b.fm))
-        if hist is not None:
-            hist.append(b)
-    return SolverResult(
-        bracket=b,
-        iterations=len(branches),
-        evaluations=len(branches),
-        trace=trace,
-        status=status,
-        branches=branches,
-        bracket_trace=hist,
-    )
+            ft = evaluate(xt)
+            br = classify_branch(xt, ft, b)
+            b = apply_update(br, xt, ft, b)
+            branches.append(br)
+            yield inner_length(b), b.fm, snapshot
+
+    result = run_solver(oracle, b0, eps, budget, iterate, record_brackets)
+    result.branches = branches
+    return result
 
 
 def supm_minimize(
     oracle: Callable[[float], float],
     b0: ExtendedBracket7,
-    cfg: SupmConfig,
+    eps: float = 1e-8,
+    budget: int = 500,
     record_brackets: bool = False,
+    *,
+    alpha: float = 0.0,
 ) -> SolverResult:
-    """Run the fixed-constant solver from ``b0``; see
-    :func:`run_bracket_solver`."""
+    """Run the fixed-constant solver with adjustment constant ``alpha``
+    from ``b0``; see :func:`run_bracket_solver`."""
+    if alpha < 0.0:
+        raise ValueError("alpha must be >= 0")
 
     def next_trial(b, branches, delta):
-        return supm_step(b, cfg.alpha, delta)
+        return supm_step(b, alpha, delta)
 
-    return run_bracket_solver(oracle, b0, cfg.eps, cfg.budget, next_trial, record_brackets)
+    return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import kink_bracket, kink_objective
 from kinkline import verify
-from kinkline.baselines import INVPHI, BaselineConfig, golden_section_minimize
+from kinkline.baselines import INVPHI, golden_section_minimize
 from kinkline.brackets import inner3, inner5, inner_length, make_extended7, reflect
 from kinkline.eupm import eupm_step, gap_apply, gap_check, gap_sequence_ratios
 from kinkline.harness import (
@@ -148,7 +148,7 @@ def test_06_golden_section_measured_rate():
         for t in range(100):
             rng = np.random.default_rng([100, 6, t])
             b = generate_bracket(func, rng)
-            res = golden_section_minimize(oracle_for(func), inner3(b), BaselineConfig())
+            res = golden_section_minimize(oracle_for(func), inner3(b))
             assert res.status is Status.CONVERGED
             worst_dev = max(worst_dev, abs(convergence_rate(res) - 0.618))
     ok = worst_dev <= 0.005

@@ -6,7 +6,6 @@ import pytest
 
 from kinkline.baselines import (
     INVPHI,
-    BaselineConfig,
     brent_minimize,
     golden_section_minimize,
     mifflin_strodiot_minimize,
@@ -47,7 +46,7 @@ class TestGoldenSection:
         # within the first iterations.
         f = lambda x: x * x
         res = golden_section_minimize(
-            f, bracket3(f, -1.0, 0.3, 2.0), BaselineConfig(), record_brackets=True
+            f, bracket3(f, -1.0, 0.3, 2.0), record_brackets=True
         )
         assert all(b.xl <= 0.0 <= b.xr for b in res.bracket_trace)
         ds = [row[1] for row in res.trace]
@@ -56,13 +55,13 @@ class TestGoldenSection:
 
     def test_measured_rate_is_the_golden_ratio(self):
         f = lambda x: x * x
-        res = golden_section_minimize(f, bracket3(f, -1.0, 0.3, 2.0), BaselineConfig())
+        res = golden_section_minimize(f, bracket3(f, -1.0, 0.3, 2.0))
         assert res.status is Status.CONVERGED
         assert convergence_rate(res) == pytest.approx(INVPHI, abs=0.005)
 
     def test_interval_strictly_decreasing(self):
         f = math.cosh
-        res = golden_section_minimize(f, bracket3(f, -2.0, 0.5, 1.0), BaselineConfig())
+        res = golden_section_minimize(f, bracket3(f, -2.0, 0.5, 1.0))
         ds = [row[1] for row in res.trace]
         assert all(d2 < d1 for d1, d2 in zip(ds, ds[1:]))
 
@@ -71,20 +70,20 @@ class TestGoldenSection:
         rng = np.random.default_rng(29)
         for _ in range(20):
             b = generate_bracket(func, rng)
-            res = golden_section_minimize(oracle_for(func), inner3(b), BaselineConfig())
+            res = golden_section_minimize(oracle_for(func), inner3(b))
             fs = [row[2] for row in res.trace]
             assert all(f2 <= f1 for f1, f2 in zip(fs, fs[1:]))
 
     def test_budget_exhaustion(self):
         f = lambda x: x * x
-        res = golden_section_minimize(f, bracket3(f, -1.0, 0.3, 2.0), BaselineConfig(budget=5))
+        res = golden_section_minimize(f, bracket3(f, -1.0, 0.3, 2.0), budget=5)
         assert res.status is Status.BUDGET_EXHAUSTED and res.iterations == 5
 
 
 class TestBrent:
     def test_exact_quadratic_hits_minimum_fast(self):
         f = lambda x: (x - 0.3) ** 2
-        res = brent_minimize(f, bracket3(f, -1.0, 0.1, 2.0), BaselineConfig(), record_brackets=True)
+        res = brent_minimize(f, bracket3(f, -1.0, 0.1, 2.0), record_brackets=True)
         assert res.status is Status.CONVERGED
         assert res.evaluations <= 10
         # the first parabolic interpolation lands on the minimum to rounding
@@ -100,7 +99,7 @@ class TestBrent:
             seen = []
             oracle = oracle_for(func)
             probe = lambda x: (seen.append(x), oracle(x))[1]
-            res = brent_minimize(probe, t, BaselineConfig())
+            res = brent_minimize(probe, t)
             assert all(t.xl <= x <= t.xr for x in seen)
             ds = [row[1] for row in res.trace]
             assert all(d2 <= d1 for d1, d2 in zip(ds, ds[1:]))
@@ -111,9 +110,9 @@ class TestBrent:
         br, gr = [], []
         for _ in range(20):
             b = generate_bracket(func, rng)
-            br.append(brent_minimize(oracle_for(func), inner3(b), BaselineConfig()).evaluations)
+            br.append(brent_minimize(oracle_for(func), inner3(b)).evaluations)
             gr.append(
-                golden_section_minimize(oracle_for(func), inner3(b), BaselineConfig()).evaluations
+                golden_section_minimize(oracle_for(func), inner3(b)).evaluations
             )
         assert sum(br) * 2 <= sum(gr)
 
@@ -123,7 +122,7 @@ class TestBrent:
         rates = []
         for _ in range(20):
             b = generate_bracket(func, rng)
-            res = brent_minimize(oracle_for(func), inner3(b), BaselineConfig())
+            res = brent_minimize(oracle_for(func), inner3(b))
             assert res.status is Status.CONVERGED
             rates.append(convergence_rate(res))
         assert sum(rates) / len(rates) >= 0.3  # nowhere near its smooth-case speed
@@ -135,14 +134,14 @@ class TestMifflinStrodiot:
         rng = np.random.default_rng(33)
         for _ in range(20):
             b = generate_bracket(func, rng)
-            res = mifflin_strodiot_minimize(oracle_for(func), inner5(b), BaselineConfig())
+            res = mifflin_strodiot_minimize(oracle_for(func), inner5(b))
             assert res.status is Status.CONVERGED
 
     def test_smooth_convex_converges(self):
         f = lambda x: (x - 0.4) ** 2
         pts = (-3.0, -2.0, -1.0, 0.5, 1.0, 2.0, 3.0)
         b = make_extended7(pts, tuple(f(p) for p in pts))
-        res = mifflin_strodiot_minimize(f, inner5(b), BaselineConfig())
+        res = mifflin_strodiot_minimize(f, inner5(b))
         assert res.status is Status.CONVERGED
 
     def test_multimodal_exhausts_budget(self):
@@ -151,7 +150,7 @@ class TestMifflinStrodiot:
         exhausted = 0
         for _ in range(10):
             b = generate_bracket(func, rng)
-            res = mifflin_strodiot_minimize(oracle_for(func), inner5(b), BaselineConfig())
+            res = mifflin_strodiot_minimize(oracle_for(func), inner5(b))
             exhausted += res.status is Status.BUDGET_EXHAUSTED
         assert exhausted == 10
 
@@ -160,14 +159,6 @@ class TestMifflinStrodiot:
         rng = np.random.default_rng(35)
         for _ in range(10):
             b = generate_bracket(func, rng)
-            res = mifflin_strodiot_minimize(oracle_for(func), inner5(b), BaselineConfig())
+            res = mifflin_strodiot_minimize(oracle_for(func), inner5(b))
             fs = [row[2] for row in res.trace]
             assert all(f2 <= f1 for f1, f2 in zip(fs, fs[1:]))
-
-
-class TestConfig:
-    def test_rejects_bad_settings(self):
-        with pytest.raises(ValueError):
-            BaselineConfig(eps=0.0)
-        with pytest.raises(ValueError):
-            BaselineConfig(budget=0)

@@ -7,7 +7,6 @@ from conftest import kink_bracket, kink_objective
 from kinkline.brackets import inner5, inner_length, make_extended7
 from kinkline.dupm import (
     ChiConditionError,
-    DupmConfig,
     alpha_floor,
     alpha_plus,
     chi,
@@ -214,13 +213,13 @@ class TestSolver:
         from kinkline.harness import convergence_rate
 
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
-        res = dupm_minimize(lambda x: x * x, b, DupmConfig())
+        res = dupm_minimize(lambda x: x * x, b)
         assert res.status is Status.CONVERGED
         assert convergence_rate(res) < 0.618
 
     def test_huge_eps_converges_immediately(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
-        res = dupm_minimize(lambda x: x * x, b, DupmConfig(eps=10.0))
+        res = dupm_minimize(lambda x: x * x, b, eps=10.0)
         assert res.iterations == 0 and res.converged
 
     def test_alpha_never_decreases_and_stays_escalated(self):
@@ -229,7 +228,7 @@ class TestSolver:
             f, _, _, k, radius = kink_objective(rng)
             g = lambda x: float(f(x))
             b = kink_bracket(rng, f, k, radius)
-            res = dupm_minimize(g, b, DupmConfig(budget=200), record_brackets=True)
+            res = dupm_minimize(g, b, budget=200, record_brackets=True)
             assert res.converged
             assert all(a2 >= a1 for a1, a2 in zip(res.alphas, res.alphas[1:]))
             # after escalation, the floor is covered at every iteration
@@ -242,7 +241,7 @@ class TestSolver:
             for t in range(100):
                 rng = np.random.default_rng([27, t])
                 b = generate_bracket(func, rng)
-                res = dupm_minimize(oracle_for(func), b, DupmConfig())
+                res = dupm_minimize(oracle_for(func), b)
                 assert res.status is Status.CONVERGED, (fid, t)
 
     def test_streaks_emit_closed_form_trials(self):
@@ -251,7 +250,7 @@ class TestSolver:
         func = get_function("NU3")
         rng = np.random.default_rng(28)
         b = generate_bracket(func, rng)
-        res = dupm_minimize(oracle_for(func), b, DupmConfig(), record_brackets=True)
+        res = dupm_minimize(oracle_for(func), b, record_brackets=True)
         flanks = []
         for i, br in enumerate(res.branches):
             bracket = res.bracket_trace[i]
@@ -267,12 +266,6 @@ class TestSolver:
 
 
 class TestConfig:
-    def test_rejects_bad_settings(self):
-        with pytest.raises(ValueError):
-            DupmConfig(eps=-1.0)
-        with pytest.raises(ValueError):
-            DupmConfig(budget=0)
-
     def test_escalate_clamps_negative_floor(self):
         b = with_values((-3, -2, -1, 0.0, 1, 2, 3), lambda x: -(x * x) + 9.5 * abs(x))
         assert alpha_floor(b) <= 0.0

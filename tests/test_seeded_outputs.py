@@ -6,10 +6,13 @@ updates the affected entries and lists them in CHANGES.md.
 """
 
 import hashlib
+import io
 
 import pytest
 
 from kinkline.cli import main
+from kinkline.harness import PAPER_ALGORITHMS, minimize_once, write_trace_csv
+from kinkline.testfuncs import list_functions
 
 BENCH_ALL_3_TRIALS_SEED_0 = """\
 # kinkline bench seed=0 trials=3 eps=1e-08 budget=500
@@ -48,6 +51,10 @@ NU2_SEED_3_TRACE_SHA256 = {
     "golden": "bb4fbcf681469d614df2a63778826786ae607fdbe334ee8360b9a2f9e3edd002",
 }
 
+#: SHA-256 over the trace CSV, status and evaluations of every registered
+#: function x algorithm at seed 0 (19 x 9 runs, in registry and table order).
+ALL_RUNS_SEED_0_SHA256 = "477ea99f19df627511d282b1af4f374f62f644785b5be5b63e921a5d5c5a1538"
+
 
 def test_bench_csv(capsys):
     assert main(["bench", "--suite", "all", "--trials", "3", "--seed", "0"]) == 0
@@ -61,3 +68,15 @@ def test_minimize_trace(capsys, tmp_path, spec):
           "--trace", str(trace)])
     capsys.readouterr()
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == NU2_SEED_3_TRACE_SHA256[spec]
+
+
+def test_every_function_and_algorithm_at_seed_0():
+    h = hashlib.sha256()
+    for f in list_functions():
+        for spec in PAPER_ALGORITHMS + ("golden",):
+            res, _ = minimize_once(f.fid, spec, seed=0)
+            buf = io.StringIO()
+            write_trace_csv(res, buf)
+            h.update(f"{f.fid} {spec} {res.status.value} {res.evaluations}\n".encode())
+            h.update(buf.getvalue().encode())
+    assert h.hexdigest() == ALL_RUNS_SEED_0_SHA256

@@ -5,13 +5,12 @@ import pytest
 
 from kinkline.brackets import inner5, inner_length, make_extended7
 from kinkline.eupm import eupm_step
-from kinkline.harness import random_bracket7, run_algorithm
+from kinkline.harness import PAPER_ALGORITHMS, random_bracket7, run_algorithm
 from kinkline.result import Status
 from kinkline.supm import (
     BracketTooSmallError,
     InvariantBrokenError,
     NonFiniteValueError,
-    SupmConfig,
     TrialAtCenterError,
     apply_update,
     classify_branch,
@@ -121,13 +120,13 @@ class TestUpdates:
 class TestSolver:
     def test_smooth_convex_converges(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
-        res = supm_minimize(lambda x: x * x, b, SupmConfig(alpha=1.0))
+        res = supm_minimize(lambda x: x * x, b, alpha=1.0)
         assert res.status is Status.CONVERGED
         assert inner_length(res.bracket) <= 2e-8
 
     def test_huge_eps_converges_immediately(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
-        res = supm_minimize(lambda x: x * x, b, SupmConfig(alpha=1.0, eps=10.0))
+        res = supm_minimize(lambda x: x * x, b, eps=10.0, alpha=1.0)
         assert res.status is Status.CONVERGED and res.iterations == 0
         assert res.evaluations == 0
 
@@ -139,7 +138,7 @@ class TestSolver:
             f, _, _, k, radius = kink_objective(rng)
             b = kink_bracket(rng, f, k, radius)
             g = lambda x: float(f(x))
-            res = supm_minimize(g, b, SupmConfig(alpha=1.0, budget=200))
+            res = supm_minimize(g, b, budget=200, alpha=1.0)
             ds = [row[1] for row in res.trace]
             fs = [row[2] for row in res.trace]
             assert all(d2 < d1 for d1, d2 in zip(ds, ds[1:]))
@@ -148,7 +147,7 @@ class TestSolver:
     def test_brackets_stay_valid(self):
         f = lambda x: abs(x - 0.1) + 0.05 * (x - 0.1) ** 2
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), f)
-        res = supm_minimize(f, b, SupmConfig(alpha=2.0), record_brackets=True)
+        res = supm_minimize(f, b, record_brackets=True, alpha=2.0)
         assert res.status is Status.CONVERGED
         for br in res.bracket_trace:
             assert all(u < v for u, v in zip(br.x, br.x[1:]))
@@ -156,11 +155,13 @@ class TestSolver:
 
     def test_evaluations_match_iterations(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
-        res = supm_minimize(lambda x: x * x, b, SupmConfig(alpha=1.0))
+        res = supm_minimize(lambda x: x * x, b, alpha=1.0)
         assert res.evaluations == res.iterations
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
-    @pytest.mark.parametrize("spec", ["supm:1", "eupm", "dupm", "mifflin"])
+    @pytest.mark.parametrize(
+        "spec", ["supm:1", "eupm", "dupm", "mifflin", "brent", "golden"]
+    )
     def test_non_finite_oracle_value_is_named(self, spec, value):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
         with pytest.raises(NonFiniteValueError, match=f"oracle returned {value!r} at x=") as exc:
@@ -169,13 +170,19 @@ class TestSolver:
 
 
 class TestConfig:
-    def test_rejects_bad_settings(self):
-        with pytest.raises(ValueError):
-            SupmConfig(eps=0.0)
-        with pytest.raises(ValueError):
-            SupmConfig(budget=0)
-        with pytest.raises(ValueError):
-            SupmConfig(alpha=-1.0)
+    @pytest.mark.parametrize("spec", PAPER_ALGORITHMS + ("golden",))
+    def test_rejects_bad_settings(self, spec):
+        b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
+
+        def oracle(x):
+            raise AssertionError("evaluated before the settings were checked")
+
+        for eps, budget in ((0.0, 500), (-1e-8, 500), (1e-8, 0), (1e-8, -3)):
+            with pytest.raises(ValueError, match="eps must be > 0|budget must be >= 1"):
+                run_algorithm(spec, oracle, b, eps, budget)
+        if spec.startswith("supm"):
+            with pytest.raises(ValueError, match="alpha must be >= 0"):
+                run_algorithm("supm:-1", oracle, b, 1e-8, 500)
 
     def test_default_delta_scales(self):
         assert default_delta(1e-8, 0.0, 1.0) == pytest.approx(2.5e-9)
