@@ -19,7 +19,8 @@ from typing import Callable
 from .brackets import Bracket3, ExtendedBracket5
 from .models import QuadModel, divided_diff1
 from .result import SolverResult
-from .supm import _min_separation, minimize_max_quadratics, run_bracket_solver, run_solver
+from .supm import BracketTooSmallError, _min_separation, minimize_max_quadratics
+from .supm import run_bracket_solver, run_solver
 
 _EPS = sys.float_info.epsilon
 
@@ -49,8 +50,9 @@ def golden_section_minimize(
 
     The incumbent value in the trace is the best value seen so far; on a
     multimodal objective the final interval need not contain it, so the
-    returned bracket is positional only.  Runs in
-    :func:`~kinkline.supm.run_solver`.
+    returned bracket is positional only.  The run stalls, in
+    :func:`~kinkline.supm.run_solver`, before a fresh probe that would not
+    lie strictly between the kept endpoint and the carried probe.
     """
 
     def iterate(evaluate):
@@ -58,6 +60,9 @@ def golden_section_minimize(
         fa, fb = b0.fl, b0.fr
         x1 = b - INVPHI * (b - a)
         x2 = a + INVPHI * (b - a)
+        if not a < x1 < x2 < b:
+            yield b - a, b0.fm, lambda: b0
+            raise BracketTooSmallError(f"no room for two probes in ({a!r}, {b!r})")
         f1 = evaluate(x1)
         f2 = evaluate(x2)
         best = min(b0.fm, f1, f2)
@@ -70,15 +75,19 @@ def golden_section_minimize(
         yield b - a, b0.fm, snapshot
         while True:
             if f1 < f2:
+                x = x2 - INVPHI * (x2 - a)
+                if not a < x < x1:
+                    raise BracketTooSmallError(f"no room for a probe in ({a!r}, {x1!r})")
                 b, fb = x2, f2
                 x2, f2 = x1, f1
-                x1 = b - INVPHI * (b - a)
-                f1 = evaluate(x1)
+                x1, f1 = x, evaluate(x)
             else:
+                x = x1 + INVPHI * (b - x1)
+                if not x2 < x < b:
+                    raise BracketTooSmallError(f"no room for a probe in ({x2!r}, {b!r})")
                 a, fa = x1, f1
                 x1, f1 = x2, f2
-                x2 = a + INVPHI * (b - a)
-                f2 = evaluate(x2)
+                x2, f2 = x, evaluate(x)
             best = min(best, f1, f2)
             yield b - a, best, snapshot
 
@@ -99,9 +108,9 @@ def brent_minimize(
     the first probe).  A parabolic step is accepted only if it falls inside
     the interval and moves less than half the step taken two iterations
     ago; otherwise a golden step into the larger sub-interval is taken.
-    Probes never leave the current interval, and a minimum spacing keeps
-    the parabola denominators alive.  Runs in
-    :func:`~kinkline.supm.run_solver`.
+    A minimum spacing keeps the parabola denominators alive; a probe that
+    spacing would put outside the open interval ends the run as stalled,
+    before it is evaluated.  Runs in :func:`~kinkline.supm.run_solver`.
     """
 
     def iterate(evaluate):
@@ -141,6 +150,8 @@ def brent_minimize(
                 e = (b - x) if x < mid else (a - x)
                 d = CGOLD * e
             u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0.0 else -tol1)
+            if not a < u < b:
+                raise BracketTooSmallError(f"probe {u!r} outside ({a!r}, {b!r})")
             fu = evaluate(u)
             if fu <= fx:
                 if u >= x:

@@ -36,10 +36,19 @@ from .harness import (
 from .testfuncs import UnknownFunctionError, list_functions
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
+def _checked(convert, ok, wanted: str):
+    """argparse type: ``convert(text)``, refused unless ``ok`` holds for it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
         return value
-    return int(os.environ.get("KINKLINE_SEED", "0"))
+
+    return parse
 
 
 def _open_out(path: str | None):
@@ -63,7 +72,6 @@ def _usage_error(command: str, message: str) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    seed = _resolve_seed(args.seed)
     points = None
     if args.bracket:
         try:
@@ -78,7 +86,7 @@ def _cmd_minimize(args) -> int:
         result, bracket = minimize_once(
             args.function,
             args.algorithm,
-            seed=seed,
+            seed=args.seed,
             eps=args.eps,
             budget=args.budget,
             bracket_points=points,
@@ -94,7 +102,7 @@ def _cmd_minimize(args) -> int:
                 result,
                 out,
                 header=f"kinkline minimize function={args.function} "
-                f"algorithm={args.algorithm} seed={seed} eps={args.eps:g} "
+                f"algorithm={args.algorithm} seed={args.seed} eps={args.eps:g} "
                 f"budget={args.budget}",
             )
         finally:
@@ -111,7 +119,6 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    seed = _resolve_seed(args.seed)
     if args.functions:
         functions = tuple(tok.strip().upper() for tok in args.functions.split(","))
     else:
@@ -123,7 +130,7 @@ def _cmd_bench(args) -> int:
         trials=args.trials,
         eps=args.eps,
         budget=args.budget,
-        seed=seed,
+        seed=args.seed,
     )
     report = run_benchmark(cfg, jobs=args.jobs)
     out, close = _open_out(args.out)
@@ -136,11 +143,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_seqexp(args) -> int:
-    seed = _resolve_seed(args.seed)
-    rows = run_sequence_experiment(bits=args.bits, samples=args.samples, seed=seed)
+    rows = run_sequence_experiment(bits=args.bits, samples=args.samples, seed=args.seed)
     out, close = _open_out(args.out)
     try:
-        write_sequence_csv(rows, out, seed=seed, samples=args.samples)
+        write_sequence_csv(rows, out, seed=args.seed, samples=args.samples)
     finally:
         if close:
             out.close()
@@ -148,11 +154,10 @@ def _cmd_seqexp(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = _resolve_seed(args.seed)
     run_all = not (args.sequences or args.contraction or args.symmetry)
     ok = True
     if args.sequences or run_all:
-        rng = np.random.default_rng([seed, 4])
+        rng = np.random.default_rng([args.seed, 4])
         print("sequence   feasible      max ratio")
         for seq, (got, worst) in verify.minimal_sequence_ratios(
             rng, args.samples, args.samples
@@ -162,7 +167,7 @@ def _cmd_verify(args) -> int:
             label = "".join(map(str, seq))
             print(f"{label:<10} {got:>8}  {worst:.12f}  {'ok' if good else 'FAIL'}")
     if args.contraction or run_all:
-        rng = np.random.default_rng([seed, 5])
+        rng = np.random.default_rng([args.seed, 5])
         worst, worst_seq, _ = verify.five_step_contraction(rng, args.samples)
         good = worst <= 0.5 + 1e-12
         ok &= good
@@ -171,7 +176,7 @@ def _cmd_verify(args) -> int:
             f"at {''.join(map(str, worst_seq))}  {'ok' if good else 'FAIL'}"
         )
     if args.symmetry or run_all:
-        rng = np.random.default_rng([seed, 6])
+        rng = np.random.default_rng([args.seed, 6])
         worst = 0.0
         for _ in range(min(args.samples, 20000)):
             worst = max(worst, verify.reflection_deviation(random_bracket5(rng)))
@@ -188,6 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Derivative-free univariate minimization of piecewise-smooth functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+    seed = _checked(int, lambda n: n >= 0, "an integer >= 0 (--seed or KINKLINE_SEED)")
+    positive = _checked(float, lambda v: v > 0.0, "a number > 0")
+    # argparse checks a string default with ``type``: KINKLINE_SEED as --seed
+    seed_default = os.environ.get("KINKLINE_SEED", "0")
 
     p = sub.add_parser("list-functions", help="print the test-function registry")
     p.set_defaults(func=_cmd_list_functions)
@@ -199,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="dupm",
         help="dupm, eupm, brent, golden, mifflin or supm:<alpha>",
     )
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--budget", type=int, default=500)
+    p.add_argument("--seed", type=seed, default=seed_default)
+    p.add_argument("--eps", type=positive, default=1e-8)
+    p.add_argument("--budget", type=count, default=500)
     p.add_argument("--trace", help="write the per-iteration trace CSV here")
     p.add_argument(
         "--bracket",
@@ -212,10 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="average convergence-rate tables")
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
     p.add_argument("--functions", help="comma-separated function ids (overrides --suite)")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--eps", type=float, default=1e-8)
-    p.add_argument("--budget", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=count, default=1000)
+    p.add_argument("--eps", type=positive, default=1e-8)
+    p.add_argument("--budget", type=count, default=500)
+    p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.add_argument(
         "--skip",
@@ -224,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop an algorithm column",
     )
     p.add_argument("--latex-labels", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over functions")
+    p.add_argument("--jobs", type=count, default=1, help="parallel workers over functions")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("seqexp", help="bit-pattern contraction experiment")
-    p.add_argument("--bits", type=int, default=10)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--bits", type=count, default=10)
+    p.add_argument("--samples", type=count, default=1000)
+    p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_seqexp)
 
@@ -238,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequences", action="store_true", help="per-sequence ratio bounds")
     p.add_argument("--contraction", action="store_true", help="exhaustive five-step bound")
     p.add_argument("--symmetry", action="store_true", help="reflection identities")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=count, default=10000)
+    p.add_argument("--seed", type=seed, default=seed_default)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .brackets import AnyBracket
 
@@ -11,18 +11,18 @@ from .brackets import AnyBracket
 class Status(enum.Enum):
     CONVERGED = "converged"
     BUDGET_EXHAUSTED = "budget_exhausted"
-    #: The bracket is still wider than the tolerance but the minimum point
-    #: separation leaves no room for a new trial.
+    #: The bracket is still wider than the tolerance but has no room left
+    #: for a new trial point (``BracketTooSmallError``).
     STALLED = "stalled"
 
 
 @dataclass
 class SolverResult:
-    """Outcome of one solver run.
+    """Outcome of one solver run, built by :func:`~kinkline.supm.run_solver`.
 
-    ``trace`` holds one ``(iteration, inner_length, f_at_incumbent)`` row
-    per iteration, starting with row 0 for the initial bracket.  Both the
-    length column and the value column are non-increasing.
+    ``evaluations`` is that loop's count of oracle calls.  ``trace`` has
+    one ``(iteration, inner_length, f_at_incumbent)`` row per iteration from
+    row 0 for the initial bracket; both columns are non-increasing.
 
     ``branches`` (bracket-update index per iteration), ``alphas``
     (adjustment constant per iteration, dynamic solver only) and

@@ -161,3 +161,32 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--samples", "300", "--seed", "0")
         assert code == 0
         assert "five-step contraction" in out and "reflection identities" in out
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, flag",
+    [
+        (("verify", "--contraction", "--samples", "0"), None, "--samples"),
+        (("verify", "--sequences", "--samples", "0"), None, "--samples"),
+        (("seqexp", "--bits", "0"), None, "--bits"),
+        (("seqexp", "--samples", "0"), None, "--samples"),
+        (("bench", "--trials", "0"), None, "--trials"),
+        (("bench", "--budget", "-5"), None, "--budget"),
+        (("bench", "--jobs", "0"), None, "--jobs"),
+        (("minimize", "--function", "NU3", "--budget", "0"), None, "--budget"),
+        (("minimize", "--function", "NU3", "--eps", "0"), None, "--eps"),
+        (("minimize", "--function", "NU3", "--eps", "nan"), None, "--eps"),
+        (("minimize", "--function", "NU3", "--seed", "-1"), None, "--seed"),
+        (("minimize", "--function", "NU3"), "abc", "--seed"),
+        (("seqexp",), "-2", "--seed"),
+    ],
+)
+def test_out_of_range_number_is_usage_error(capsys, monkeypatch, argv, env_seed, flag):
+    if env_seed is not None:
+        monkeypatch.setenv("KINKLINE_SEED", env_seed)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    errors = [l for l in out.err.splitlines() if l.startswith(f"kinkline {argv[0]}: error:")]
+    assert len(errors) == 1 and f"argument {flag}: expected " in errors[0]

@@ -1,11 +1,14 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kinkline.baselines import INVPHI
-from kinkline.brackets import inner_length, make_extended7
+from kinkline.brackets import MIN_GAP_FACTOR, Bracket3, BracketError, inner_length, make_extended7
 from kinkline.harness import (
     PAPER_ALGORITHMS,
     ResampleLimitExceededError,
@@ -14,6 +17,7 @@ from kinkline.harness import (
     generate_bracket,
     minimize_once,
     parse_algorithm,
+    run_algorithm,
     run_benchmark,
     run_sequence_experiment,
     sample_simplex,
@@ -22,7 +26,8 @@ from kinkline.harness import (
     write_trace_csv,
 )
 from kinkline.result import SolverResult, Status
-from kinkline.testfuncs import Category, TestFunction, get_function
+from kinkline import testfuncs
+from kinkline.testfuncs import Category, get_function
 
 
 class TestGenerateBracket:
@@ -48,7 +53,7 @@ class TestGenerateBracket:
             assert b.fv[3] == min(b.fv)
 
     def test_monotone_function_exhausts_resampling(self):
-        ramp = TestFunction(
+        ramp = testfuncs.TestFunction(
             "TMP", Category.SMOOTH_UNIMODAL, (0.0, 1.0), lambda x: x, "x"
         )
         with pytest.raises(ResampleLimitExceededError):
@@ -212,3 +217,54 @@ class TestMinimizeOnce:
         assert len(lines) == 2 + len(res.trace)
         first = lines[2].split(",")
         assert first[0] == "0" and float(first[4]) == res.trace[0][1]
+
+
+@st.composite
+def ill_scaled_problems(draw):
+    """A seven-point bracket centred up to 1e8 from zero, with gaps from 1e-6
+    to 1 and, on some draws, one gap a few times the smallest a bracket
+    allows (16 eps of its span, or one rounding unit far from zero), with a
+    quadratic or a kinked objective whose minimum is near the incumbent."""
+    far = st.floats(1e7, 1e8)
+    centre = draw(st.one_of(st.floats(-1e8, 1e8), far, far.map(lambda c: -c)))
+    scale = 10.0 ** draw(st.floats(-6.0, 0.0))
+    gaps = [scale * draw(st.floats(0.2, 1.0)) for _ in range(6)]
+    tiny = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
+    if tiny is not None:
+        eps = sys.float_info.epsilon
+        gaps[tiny] = draw(st.floats(1.5, 4.0)) * MIN_GAP_FACTOR * eps * sum(gaps)
+    offsets = np.concatenate([-np.cumsum(gaps[2::-1])[::-1], [0.0], np.cumsum(gaps[3:])])
+    x = [centre + float(o) for o in offsets]
+    for i in range(1, 7):
+        x[i] = max(x[i], math.nextafter(x[i - 1], math.inf))
+    m = x[3] + draw(st.floats(-0.25, 0.25)) * min(x[3] - x[2], x[4] - x[3])
+    if draw(st.booleans()):
+        f = lambda t: (t - m) ** 2
+    else:
+        a, b, q = (draw(st.floats(0.2, 2.0)) for _ in range(3))
+        f = lambda t: max(-a * (t - m), b * (t - m)) + q * (t - m) ** 2
+    try:
+        bracket = make_extended7(x, [f(t) for t in x])
+    except BracketError:
+        assume(False)
+    return bracket, f
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(ill_scaled_problems())
+def test_ill_scaled_brackets_end_cleanly(problem):
+    bracket, f = problem
+    for spec in PAPER_ALGORITHMS + ("golden",):
+        res = run_algorithm(spec, f, bracket, 1e-8, 100)
+        assert res.status in (Status.CONVERGED, Status.BUDGET_EXHAUSTED, Status.STALLED)
+        ds = [row[1] for row in res.trace]
+        fs = [row[2] for row in res.trace]
+        assert all(d2 <= d1 for d1, d2 in zip(ds, ds[1:])), spec
+        assert all(f2 <= f1 for f1, f2 in zip(fs, fs[1:])), spec
+        upfront = 2 if spec == "golden" and res.evaluations else 0
+        assert res.evaluations == res.iterations + upfront, spec
+        b = res.bracket
+        if isinstance(b, Bracket3):
+            assert b.xl < b.xm < b.xr, spec
+        else:
+            type(b)(b.x, b.fv)
