@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     count = _checked(int, lambda n: n >= 1, "an integer >= 1")
     seed = _checked(int, lambda n: n >= 0, "an integer >= 0 (--seed or KINKLINE_SEED)")
     positive = _checked(float, lambda v: v > 0.0, "a number > 0")
-    # argparse checks a string default with ``type``: KINKLINE_SEED as --seed
+    # argparse passes a string default through ``type``: KINKLINE_SEED is checked as --seed
     seed_default = os.environ.get("KINKLINE_SEED", "0")
 
     p = sub.add_parser("list-functions", help="print the test-function registry")

@@ -75,8 +75,8 @@ def eupm_minimize(
     """Run the extremal solver on a five-point bracket.
 
     The trial point is the closed-form step, kept the minimum separation
-    away from the incumbent and the inner endpoints; the loop, its stop
-    rule and its checks are :func:`~kinkline.supm.run_bracket_solver`'s.
+    away from the incumbent and the inner endpoints; the run and its stop
+    rule are :func:`~kinkline.supm.run_bracket_solver`'s.
     """
 
     def next_trial(b, branches, delta):

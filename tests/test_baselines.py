@@ -45,9 +45,7 @@ class TestGoldenSection:
         # A wrong INVPHI or a probe misplaced by 1e-12 of the interval fails
         # within the first iterations.
         f = lambda x: x * x
-        res = golden_section_minimize(
-            f, bracket3(f, -1.0, 0.3, 2.0), record_brackets=True
-        )
+        res = golden_section_minimize(f, bracket3(f, -1.0, 0.3, 2.0), record_brackets=True)
         assert all(b.xl <= 0.0 <= b.xr for b in res.bracket_trace)
         ds = [row[1] for row in res.trace]
         for k, (d1, d2) in enumerate(zip(ds, ds[1:])):
@@ -111,9 +109,7 @@ class TestBrent:
         for _ in range(20):
             b = generate_bracket(func, rng)
             br.append(brent_minimize(oracle_for(func), inner3(b)).evaluations)
-            gr.append(
-                golden_section_minimize(oracle_for(func), inner3(b)).evaluations
-            )
+            gr.append(golden_section_minimize(oracle_for(func), inner3(b)).evaluations)
         assert sum(br) * 2 <= sum(gr)
 
     def test_kinked_minimum_converges_but_slowly(self):
