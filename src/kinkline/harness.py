@@ -170,11 +170,15 @@ SOLVERS = {
 
 
 def parse_algorithm(spec: str) -> tuple[str, float]:
-    """Split an algorithm spec into (kind, alpha); alpha only for supm."""
+    """Split an algorithm spec into (kind, alpha); alpha only for supm,
+    where it must be finite and >= 0."""
     s = spec.strip().lower()
     if s.startswith("supm"):
         rest = s[4:].lstrip(":")
-        return "supm", float(rest) if rest else 0.0
+        alpha = float(rest) if rest else 0.0
+        if not (alpha >= 0.0 and math.isfinite(alpha)):
+            raise ValueError(f"expected a finite alpha >= 0 after 'supm:', got {rest!r}")
+        return "supm", alpha
     if s in SOLVERS:
         return s, 0.0
     raise ValueError(f"unknown algorithm spec {spec!r}")

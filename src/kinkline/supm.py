@@ -345,8 +345,8 @@ def supm_minimize(
 ) -> SolverResult:
     """Run the fixed-constant solver with adjustment constant ``alpha``
     from ``b0``; see :func:`run_bracket_solver`."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
+    if not (alpha >= 0.0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be finite and >= 0")
 
     def next_trial(b, branches, delta):
         return supm_step(b, alpha, delta)

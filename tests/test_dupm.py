@@ -1,4 +1,6 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from conftest import kink_bracket, kink_objective
 from kinkline.brackets import inner5, inner_length, make_extended7
 from kinkline.dupm import (
     ChiConditionError,
+    Flanks,
     alpha_floor,
     alpha_plus,
     chi,
@@ -17,7 +20,7 @@ from kinkline.dupm import (
 )
 from kinkline.eupm import eupm_step
 from kinkline.harness import generate_bracket, random_bracket7
-from kinkline.models import build_model, scaling_h
+from kinkline.models import build_model, divided_diff2, scaling_h
 from kinkline.result import Status
 from kinkline.supm import _raw_supm_step, apply_update, argmin_max_quadratics, supm_step
 from kinkline.testfuncs import get_function, oracle_for
@@ -206,6 +209,73 @@ class TestStepAndUpdate:
             if len(branches) < 3:
                 assert dupm_step(b, 0.0, branches, 1e-12) == supm_step(b, 0.0, 1e-12)
         assert dupm_step(b, 0.0, branches, 1e-12) == eupm_step(inner5(b))
+
+
+class TestFlanks:
+    def test_models_and_winner_equal_build_model(self):
+        # the record's models at any constant are build_model's, field for
+        # field, and its minimizer is the one argmin_max_quadratics finds
+        rng = np.random.default_rng(33)
+        brackets = [random_bracket7(rng) for _ in range(100)]
+        for t, fid in enumerate(("SU1", "NU1", "NU2", "NU3", "NU4", "NU5", "SM1")):
+            func = get_function(fid)
+            brackets += [generate_bracket(func, np.random.default_rng([33, t, k])) for k in range(20)]
+        for b in brackets:
+            ap = alpha_plus(b)
+            zero_l, zero_r = build_model("L", b, 0.0), build_model("R", b, 0.0)
+            assert ap == max(zero_l.c2adj, zero_r.c2adj) / scaling_h(b)
+            tol = 1e-3 * max(1.0, abs(ap))
+            for alpha in (0.0, alpha_floor(b), ap, ap + tol, 1e8):
+                ql, qr, g, kind = Flanks(b).solve(alpha)
+                want_l, want_r = build_model("L", b, alpha), build_model("R", b, alpha)
+                assert (ql, qr) == (want_l, want_r)
+                assert (g, kind) == argmin_max_quadratics(want_l, want_r, b.xl1, b.xr1, b.xm)
+
+    def test_step_takes_the_winner_escalation_accepted(self):
+        rng = np.random.default_rng(34)
+        for _ in range(100):
+            b = random_bracket7(rng)
+            fl = Flanks(b)
+            alpha = escalate_alpha(fl, 0.0)
+            assert fl.accepted[0] == alpha
+            assert dupm_step(fl, alpha, [], 1e-9) == supm_step(b, alpha, 1e-9)
+
+    def test_flank_data_is_computed_once_per_iteration(self, monkeypatch):
+        # per iteration: two flank models (two second divided differences)
+        # plus the two centre ones, and one max-model minimization per
+        # condition check, none left for the step
+        counts = Counter()
+        targets = {
+            "divided_diff2": divided_diff2,
+            "argmin_max_quadratics": argmin_max_quadratics,
+            "intersection_condition": intersection_condition,
+            "escalate_alpha": escalate_alpha,
+        }
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "kinkline" or modname.startswith("kinkline."):
+                for key, value in list(vars(mod).items()):
+                    for name, fn in targets.items():
+                        if value is fn:
+                            monkeypatch.setattr(mod, key, counting(name, fn))
+        iterations = 0
+        for fid in ("NU1", "NU2", "NU3", "NU4", "NU5"):
+            func = get_function(fid)
+            for t in range(20):
+                b = generate_bracket(func, np.random.default_rng([35, t]))
+                res = dupm_minimize(oracle_for(func), b)
+                assert res.converged
+                iterations += res.iterations
+        assert counts["escalate_alpha"] == iterations > 0
+        assert counts["divided_diff2"] <= 4 * iterations
+        assert counts["argmin_max_quadratics"] == counts["intersection_condition"]
 
 
 class TestSolver:

@@ -1,6 +1,7 @@
 import io
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from kinkline.baselines import INVPHI
 from kinkline.brackets import MIN_GAP_FACTOR, Bracket3, BracketError, inner_length, make_extended7
+from kinkline.dupm import intersection_condition
 from kinkline.harness import (
     PAPER_ALGORITHMS,
     ResampleLimitExceededError,
@@ -17,6 +19,7 @@ from kinkline.harness import (
     generate_bracket,
     minimize_once,
     parse_algorithm,
+    random_bracket7,
     run_algorithm,
     run_benchmark,
     run_sequence_experiment,
@@ -206,6 +209,22 @@ class TestMinimizeOnce:
     def test_dupm_on_nu2_converges(self):
         res, _ = minimize_once("NU2", "dupm", seed=3)
         assert res.status is Status.CONVERGED
+
+    def test_results_hold_builtin_floats(self):
+        # no NumPy scalar leaks from the generator or the solvers into a
+        # result, and the intersection condition is a plain bool
+        for func in testfuncs.list_functions():
+            for spec in PAPER_ALGORITHMS + ("golden",):
+                res, b0 = minimize_once(func.fid, spec, seed=0)
+                b = res.bracket
+                values = [*b.x, *b.fv] if hasattr(b, "x") else list(astuple(b))
+                values += [v for row in res.trace for v in row[1:]] + (res.alphas or [])
+                assert all(type(v) is float for v in values), (func.fid, spec)
+                assert all(type(row[0]) is int for row in res.trace)
+            assert type(intersection_condition(b0, 0.0)) is bool
+        rng = np.random.default_rng(36)
+        for _ in range(50):
+            assert type(intersection_condition(random_bracket7(rng), 0.0)) is bool
 
     def test_trace_csv_columns(self):
         res, _ = minimize_once("NU2", "eupm", seed=1)

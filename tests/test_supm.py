@@ -181,8 +181,11 @@ class TestConfig:
             with pytest.raises(ValueError, match="eps must be > 0|budget must be >= 1"):
                 run_algorithm(spec, oracle, b, eps, budget)
         if spec.startswith("supm"):
-            with pytest.raises(ValueError, match="alpha must be >= 0"):
-                run_algorithm("supm:-1", oracle, b, 1e-8, 500)
+            for bad in ("-1", "nan", "inf"):
+                with pytest.raises(ValueError, match="expected a finite alpha >= 0"):
+                    run_algorithm(f"supm:{bad}", oracle, b, 1e-8, 500)
+                with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
+                    supm_minimize(oracle, b, alpha=float(bad))
 
     def test_default_delta_scales(self):
         assert default_delta(1e-8, 0.0, 1.0) == pytest.approx(2.5e-9)
