@@ -38,8 +38,8 @@ from typing import Callable, Sequence
 
 from .brackets import ExtendedBracket7, inner5
 from .eupm import eupm_step
-from .models import QuadModel, divided_diff1, divided_diff2, scaling_h
-# Not called here (Flanks repeats its arithmetic once per bracket), but
+from .models import QuadModel, divided_diff2, flank_coeffs, scaling_h
+# Not called here (Flanks computes its flanks once per bracket), but
 # perfbench/test_perfbench.py checks that tracing restores this binding.
 from .models import build_model  # noqa: F401
 from .result import SolverResult
@@ -53,16 +53,6 @@ class ChiConditionError(RuntimeError):
     """The intersection condition failed just above the concavity
     threshold.  No model is convex there, so no vertex can win and the
     condition holds for every bracket; this indicates a bug."""
-
-
-def _flank(x, fv, i1: int, i2: int, i3: int):
-    """Model coefficients of the flank through points i1, i2, i3 (inner
-    first), in build_model's point order so the arithmetic is the same,
-    and the centre second divided difference through 3, i1, i2."""
-    c1 = divided_diff1(fv[i1], fv[i2], x[i1], x[i2])
-    c2 = divided_diff2(fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3])
-    centre = divided_diff2(fv[3], fv[i1], fv[i2], x[3], x[i1], x[i2])
-    return (fv[i1], c1, c2, x[i1], x[i2]), centre
 
 
 class Flanks:
@@ -81,8 +71,10 @@ class Flanks:
         x, fv = b.x, b.fv
         self.b = b
         self.h = scaling_h(b)
-        self.left, self.dl = _flank(x, fv, 2, 1, 0)
-        self.right, self.dr = _flank(x, fv, 4, 5, 6)
+        self.left = flank_coeffs(x, fv, 2, 1, 0) + (x[2], x[1])
+        self.right = flank_coeffs(x, fv, 4, 5, 6) + (x[4], x[5])
+        self.dl = divided_diff2(fv[3], fv[2], fv[1], x[3], x[2], x[1])
+        self.dr = divided_diff2(fv[3], fv[4], fv[5], x[3], x[4], x[5])
         self.plus = max(self.left[2], self.right[2]) / self.h
         self.accepted: tuple[float, float] | None = None
 

@@ -428,8 +428,8 @@ def random_bracket5(
     gap_range: tuple[float, float] = (0.1, 2.0),
     centre_range: tuple[float, float] = (-10.0, 10.0),
 ) -> ExtendedBracket5:
-    """Five-point bracket with uniform gaps and arbitrary cached values
-    satisfying the centre condition."""
+    """Five-point bracket of builtin floats with uniform gaps and arbitrary
+    cached values satisfying the centre condition."""
     g = rng.uniform(*gap_range, 4)
     xm = rng.uniform(*centre_range)
     x = (xm - g[1] - g[0], xm - g[1], xm, xm + g[2], xm + g[2] + g[3])
@@ -441,7 +441,7 @@ def random_bracket5(
         fm + rng.uniform(0.0, 1.0),
         rng.uniform(-1.0, 1.0),
     )
-    return make_extended5(x, fv)
+    return make_extended5(map(float, x), map(float, fv))
 
 
 def random_bracket7(
@@ -450,8 +450,8 @@ def random_bracket7(
     centre_range: tuple[float, float] = (-10.0, 10.0),
     value_range: tuple[float, float] = (0.0, 1.0),
 ) -> ExtendedBracket7:
-    """Seven-point bracket with uniform gaps and uniform cached values,
-    centre value pushed below its neighbours."""
+    """Seven-point bracket of builtin floats with uniform gaps and uniform
+    cached values, centre value pushed below its neighbours."""
     g = rng.uniform(*gap_range, 6)
     xm = rng.uniform(*centre_range)
     x = (
@@ -466,4 +466,4 @@ def random_bracket7(
     fv = list(rng.uniform(*value_range, 7))
     width = value_range[1] - value_range[0]
     fv[3] = min(fv[2], fv[4]) - rng.uniform(0.0, width / 2.0)
-    return make_extended7(x, tuple(fv))
+    return make_extended7(map(float, x), map(float, fv))

@@ -6,11 +6,14 @@ put a quadratic in Newton form, then pull its curvature down by
 curvature variation of the underlying smooth piece, the adjusted quadratic
 underestimates that piece across the inner interval, which is what makes
 the intersection of the two side models a safe next trial point.
+
+A flank's unadjusted coefficients (:func:`flank_coeffs`) depend on its own
+three points and values alone, so a solver may carry them, bit for bit,
+across an update that leaves that flank's points in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 from .brackets import ExtendedBracket7
@@ -49,7 +52,6 @@ def scaling_h(b: ExtendedBracket7) -> float:
     return max(x[6] - x[2], x[4] - x[0])
 
 
-@dataclass(frozen=True)
 class QuadModel:
     """One side's quadratic in Newton form anchored at (x1, x2).
 
@@ -58,14 +60,30 @@ class QuadModel:
     and c2adj is the side's second divided difference minus the adjustment
     ``alpha * scaling_h``.  Kept in Newton form throughout; expanding to
     monomials loses accuracy once the bracket is tiny and far from zero.
+
+    A ``__slots__`` record, equal field for field and not hashable.
     """
 
-    c0: float
-    c1: float
-    c2adj: float
-    x1: float
-    x2: float
-    side: Side
+    __slots__ = ("c0", "c1", "c2adj", "x1", "x2", "side")
+
+    def __init__(self, c0: float, c1: float, c2adj: float, x1: float, x2: float, side: Side):
+        self.c0 = c0
+        self.c1 = c1
+        self.c2adj = c2adj
+        self.x1 = x1
+        self.x2 = x2
+        self.side = side
+
+    def _fields(self) -> tuple:
+        return (self.c0, self.c1, self.c2adj, self.x1, self.x2, self.side)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadModel):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return f"QuadModel{self._fields()!r}"
 
     def __call__(self, x):
         return self.c0 + (x - self.x1) * (self.c1 + self.c2adj * (x - self.x2))
@@ -78,20 +96,29 @@ class QuadModel:
         return 0.5 * (self.x1 + self.x2) - self.c1 / (2.0 * self.c2adj)
 
 
+def flank_coeffs(x, fv, i1: int, i2: int, i3: int) -> tuple[float, float, float]:
+    """Newton coefficients ``(c0, c1, c2)`` of the quadratic through points
+    i1, i2, i3 (inner first) of the abscissae ``x`` and values ``fv``,
+    before any curvature adjustment."""
+    return (
+        fv[i1],
+        divided_diff1(fv[i1], fv[i2], x[i1], x[i2]),
+        divided_diff2(fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3]),
+    )
+
+
 def build_model(side: Side, b: ExtendedBracket7, alpha: float) -> QuadModel:
     """Adjusted quadratic through one flank's three points.
 
     With ``alpha == 0`` this is the exact Newton interpolant of the flank;
     positive ``alpha`` only lowers the curvature term.
     """
-    x, fv = b.x, b.fv
     if side == "L":
         i1, i2, i3 = 2, 1, 0
     elif side == "R":
         i1, i2, i3 = 4, 5, 6
     else:
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
-    c1 = divided_diff1(fv[i1], fv[i2], x[i1], x[i2])
-    c2 = divided_diff2(fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3])
-    return QuadModel(fv[i1], c1, c2 - alpha * scaling_h(b), x[i1], x[i2], side)
-
+    x = b.x
+    c0, c1, c2 = flank_coeffs(x, b.fv, i1, i2, i3)
+    return QuadModel(c0, c1, c2 - alpha * scaling_h(b), x[i1], x[i2], side)

@@ -4,7 +4,8 @@ Each iteration builds the left and right adjusted quadratics with a fixed
 constant ``alpha``, takes the minimizer of their pointwise maximum over the
 inner interval as the next trial point, evaluates the oracle there and
 shuffles the seven-point bracket by one of four update rules depending on
-which side the trial fell and whether it improved on the incumbent.
+which side the trial fell and whether it improved on the incumbent.  Each
+rule keeps one flank's points, whose coefficients the solver carries over.
 
 A minimum point separation ``delta`` keeps the trial away from the
 incumbent and the inner endpoints, which guarantees the bracket strictly
@@ -25,7 +26,7 @@ import sys
 from typing import Callable, Iterator, Literal
 
 from .brackets import AnyBracket, ExtendedBracket, ExtendedBracket7, BracketError, inner_length
-from .models import QuadModel, build_model
+from .models import QuadModel, flank_coeffs, scaling_h
 from .result import SolverResult, Status
 
 _EPS = sys.float_info.epsilon
@@ -51,18 +52,6 @@ class NonFiniteValueError(ValueError):
 def default_delta(eps: float, xl1: float, xr1: float) -> float:
     """Separation floor: below the termination scale, above rounding noise."""
     return max(eps / 4.0, 64.0 * _EPS * (abs(xl1) + abs(xr1)))
-
-
-def _difference_coeffs(ql: QuadModel, qr: QuadModel, shift: float):
-    """Monomial coefficients of ql - qr in the shifted variable u = x - shift."""
-    a1l, a2l = ql.x1 - shift, ql.x2 - shift
-    a1r, a2r = qr.x1 - shift, qr.x2 - shift
-    a = ql.c2adj - qr.c2adj
-    b = (ql.c1 - ql.c2adj * (a1l + a2l)) - (qr.c1 - qr.c2adj * (a1r + a2r))
-    c = (ql.c0 - ql.c1 * a1l + ql.c2adj * a1l * a2l) - (
-        qr.c0 - qr.c1 * a1r + qr.c2adj * a1r * a2r
-    )
-    return a, b, c
 
 
 def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -109,33 +98,41 @@ def argmin_max_quadratics(
     is reported as the first of endpoint, crossing, vertex.  ``centre``
     also anchors the shifted coordinates used for the root solve.
     """
+    l0, l1, l2, lx1, lx2 = ql.c0, ql.c1, ql.c2adj, ql.x1, ql.x2
+    r0, r1, r2, rx1, rx2 = qr.c0, qr.c1, qr.c2adj, qr.x1, qr.x2
     s = centre
     lo, hi = left - s, right - s
 
-    if (
-        ql.c1 == 0.0
-        and ql.c2adj == 0.0
-        and qr.c1 == 0.0
-        and qr.c2adj == 0.0
-        and ql.c0 == qr.c0
-    ):
+    if l1 == 0.0 and l2 == 0.0 and r1 == 0.0 and r2 == 0.0 and l0 == r0:
         return s + 0.5 * (lo + hi), "flat"
 
     cands = [lo, hi]
-    da, db, dc = _difference_coeffs(ql, qr, s)
+    # ql - qr in monomial form in the shifted variable u = x - s
+    a1l, a2l, a1r, a2r = lx1 - s, lx2 - s, rx1 - s, rx2 - s
+    da = l2 - r2
+    db = (l1 - l2 * (a1l + a2l)) - (r1 - r2 * (a1r + a2r))
+    dc = (l0 - l1 * a1l + l2 * a1l * a2l) - (r0 - r1 * a1r + r2 * a1r * a2r)
     for u in _real_roots(da, db, dc):
         if lo <= u <= hi:
             cands.append(u)
     n_cross = len(cands)
-    for q in (ql, qr):
-        if q.c2adj > 0.0:
-            u = q.vertex() - s
+    for c1, c2, x1, x2 in ((l1, l2, lx1, lx2), (r1, r2, rx1, rx2)):
+        if c2 > 0.0:
+            u = 0.5 * (x1 + x2) - c1 / (2.0 * c2) - s
             if lo <= u <= hi:
                 cands.append(u)
 
-    best = min(cands, key=lambda u: (max(ql(s + u), qr(s + u)), abs(u), u))
-    i = cands.index(best)
-    return s + best, "endpoint" if i < 2 else "crossing" if i < n_cross else "vertex"
+    # Keep the first candidate with the strictly smallest key (max value,
+    # |u|, u), as min(key=...) would; models evaluate as QuadModel.__call__
+    # does, and "vr if vr > vl else vl" is max(vl, vr), NaN included.
+    for i, u in enumerate(cands):
+        x = s + u
+        vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
+        vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
+        m = vr if vr > vl else vl
+        if i == 0 or m < bm or (m == bm and (abs(u), u) < (abs(bu), bu)):
+            bm, bu, ib = m, u, i
+    return s + bu, "endpoint" if ib < 2 else "crossing" if ib < n_cross else "vertex"
 
 
 def minimize_max_quadratics(
@@ -146,19 +143,13 @@ def minimize_max_quadratics(
     return argmin_max_quadratics(ql, qr, left, right, centre)[0]
 
 
-def _raw_supm_step(b: ExtendedBracket7, alpha: float) -> float:
-    """Max-model minimizer over the inner interval, before the separation
-    projection."""
-    ql = build_model("L", b, alpha)
-    qr = build_model("R", b, alpha)
-    return minimize_max_quadratics(ql, qr, b.xl1, b.xr1, b.xm)
-
-
 def _min_separation(g: float, lo: float, mid: float, hi: float, delta: float) -> float:
     """Project ``g`` onto [lo+delta, hi-delta] minus the delta-ball at mid.
 
-    An exact tie at the incumbent resolves to the left, ``mid - delta``.
-    Raises :class:`BracketTooSmallError` when both side slots are empty.
+    When both side slots are open, the projection nearer ``g`` wins, and
+    the left one on a tie.  An exact tie at the incumbent resolves to the
+    left, ``mid - delta``.  Raises :class:`BracketTooSmallError` when both
+    side slots are empty.
     """
     left_ok = mid - delta >= lo + delta
     right_ok = hi - delta >= mid + delta
@@ -168,21 +159,36 @@ def _min_separation(g: float, lo: float, mid: float, hi: float, delta: float) ->
         )
     if g == mid:
         return mid - delta if left_ok else mid + delta
-    proj = []
     if left_ok:
-        proj.append(min(max(g, lo + delta), mid - delta))
-    if right_ok:
-        proj.append(min(max(g, mid + delta), hi - delta))
-    return min(proj, key=lambda x: (abs(x - g), x))
+        p = min(max(g, lo + delta), mid - delta)
+        if not right_ok:
+            return p
+    q = min(max(g, mid + delta), hi - delta)
+    if not left_ok or (abs(q - g), q) < (abs(p - g), p):
+        return q
+    return p
+
+
+def _step(b: ExtendedBracket7, left, right, alpha: float, delta: float) -> float:
+    """:func:`supm_step` from ``b``'s flank coefficients ``left`` and
+    ``right``, :func:`~kinkline.models.flank_coeffs` of points 2, 1, 0 and
+    4, 5, 6."""
+    x = b.x
+    ah = alpha * scaling_h(b)
+    ql = QuadModel(left[0], left[1], left[2] - ah, x[2], x[1], "L")
+    qr = QuadModel(right[0], right[1], right[2] - ah, x[4], x[5], "R")
+    g = minimize_max_quadratics(ql, qr, x[2], x[4], x[3])
+    if delta == 0.0:
+        return g
+    return _min_separation(g, x[2], x[3], x[4], delta)
 
 
 def supm_step(b: ExtendedBracket7, alpha: float, delta: float) -> float:
     """Next trial point: the max-model minimizer, kept ``delta`` away from
-    the incumbent and the inner endpoints."""
-    g = _raw_supm_step(b, alpha)
-    if delta == 0.0:
-        return g
-    return _min_separation(g, b.xl1, b.xm, b.xr1, delta)
+    the incumbent and the inner endpoints; ``delta == 0`` gives the
+    minimizer itself."""
+    x, fv = b.x, b.fv
+    return _step(b, flank_coeffs(x, fv, 2, 1, 0), flank_coeffs(x, fv, 4, 5, 6), alpha, delta)
 
 
 def classify_branch(xtrial: float, ftrial: float, b) -> int:
@@ -316,6 +322,7 @@ def run_bracket_solver(
     """
     delta = default_delta(eps, b0.xl1, b0.xr1)
     branches: list[int] = []
+    c = b0._CENTRE
 
     def iterate(evaluate):
         b = b0
@@ -327,7 +334,7 @@ def run_bracket_solver(
             br = classify_branch(xt, ft, b)
             b = apply_update(br, xt, ft, b)
             branches.append(br)
-            yield inner_length(b), b.fm, snapshot
+            yield b.x[c + 1] - b.x[c - 1], b.fv[c], snapshot
 
     result = run_solver(oracle, b0, eps, budget, iterate, record_brackets)
     result.branches = branches
@@ -344,11 +351,25 @@ def supm_minimize(
     alpha: float = 0.0,
 ) -> SolverResult:
     """Run the fixed-constant solver with adjustment constant ``alpha``
-    from ``b0``; see :func:`run_bracket_solver`."""
+    from ``b0``; see :func:`run_bracket_solver`.
+
+    Each trial is :func:`supm_step`'s.  Update rules 1 and 3 keep the left
+    flank's points (indices 0-2) and rules 2 and 4 the right flank's (4-6),
+    so after the first iteration the kept flank's coefficients are carried,
+    exactly as recomputing them would give, and only the other's computed.
+    """
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")
+    left = right = None
 
     def next_trial(b, branches, delta):
-        return supm_step(b, alpha, delta)
+        nonlocal left, right
+        x, fv = b.x, b.fv
+        last = branches[-1] if branches else 0
+        if last not in (1, 3):
+            left = flank_coeffs(x, fv, 2, 1, 0)
+        if last not in (2, 4):
+            right = flank_coeffs(x, fv, 4, 5, 6)
+        return _step(b, left, right, alpha, delta)
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

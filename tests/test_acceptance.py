@@ -31,7 +31,7 @@ from kinkline.harness import (
 )
 from kinkline.models import build_model
 from kinkline.result import Status
-from kinkline.supm import _raw_supm_step, supm_step
+from kinkline.supm import supm_step
 from kinkline.testfuncs import get_function, list_functions, oracle_for
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -119,7 +119,7 @@ def test_04_underestimation_and_interior_selection():
         xs_left = b.xl1 + span * (grid + 1) / 1000.0     # (xl1, xr1]
         below_ok &= bool(np.all(qr(xs_right) < fr(xs_right)))
         below_ok &= bool(np.all(ql(xs_left) < fl(xs_left)))
-        g = _raw_supm_step(b, alpha)
+        g = supm_step(b, alpha, 0.0)
         interior_ok &= b.xl1 < g < b.xr1
     ok = below_ok and interior_ok
     report(
@@ -223,7 +223,7 @@ def test_10_model_intersection_anchor():
     f = lambda x: max(-math.sin(0.5 * math.pi * x), 1.0 - math.cos(0.5 * math.pi * x))
     pts = (-1.0, -0.9, -0.75, 0.0, 0.6, 0.8, 0.95)
     b = make_extended7(pts, tuple(f(p) for p in pts))
-    g = _raw_supm_step(b, 0.0)
+    g = supm_step(b, 0.0, 0.0)
     ql = build_model("L", b, 0.0)
     qr = build_model("R", b, 0.0)
     xs = np.linspace(b.xl1, b.xr1, 10**6)

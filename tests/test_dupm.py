@@ -22,7 +22,7 @@ from kinkline.eupm import eupm_step
 from kinkline.harness import generate_bracket, random_bracket7
 from kinkline.models import build_model, divided_diff2, scaling_h
 from kinkline.result import Status
-from kinkline.supm import _raw_supm_step, apply_update, argmin_max_quadratics, supm_step
+from kinkline.supm import apply_update, argmin_max_quadratics, supm_step
 from kinkline.testfuncs import get_function, oracle_for
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from kinkline.baselines import INVPHI
 from kinkline.brackets import MIN_GAP_FACTOR, Bracket3, BracketError, inner_length, make_extended7
-from kinkline.dupm import intersection_condition
+from kinkline.dupm import alpha_floor, alpha_plus, chi, intersection_condition
 from kinkline.harness import (
     PAPER_ALGORITHMS,
     ResampleLimitExceededError,
@@ -19,6 +19,7 @@ from kinkline.harness import (
     generate_bracket,
     minimize_once,
     parse_algorithm,
+    random_bracket5,
     random_bracket7,
     run_algorithm,
     run_benchmark,
@@ -61,6 +62,17 @@ class TestGenerateBracket:
         )
         with pytest.raises(ResampleLimitExceededError):
             generate_bracket(ramp, np.random.default_rng(3), max_attempts=50)
+
+
+def test_random_brackets_hold_builtin_floats():
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        b5, b7 = random_bracket5(rng), random_bracket7(rng)
+        for v in b5.x + b5.fv + b7.x + b7.fv:
+            assert type(v) is float
+        floor = alpha_floor(b7)
+        for v in (floor, alpha_plus(b7), chi(b7, max(0.0, floor), 1e-3)):
+            assert type(v) is float
 
 
 def fake_result(d_values, status=Status.CONVERGED):

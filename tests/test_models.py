@@ -15,7 +15,7 @@ from kinkline.models import (
     divided_diff2,
     scaling_h,
 )
-from kinkline.supm import _raw_supm_step
+from kinkline.supm import supm_step
 
 EPS = sys.float_info.epsilon
 
@@ -98,7 +98,7 @@ class TestModels:
 
     def test_fig1_models_cross_near_half_percent(self):
         b, _ = fig1_bracket()
-        g = _raw_supm_step(b, 0.0)
+        g = supm_step(b, 0.0, 0.0)
         assert abs(g - 0.005) <= 1e-3
 
     def test_large_alpha_makes_models_concave(self):
@@ -111,6 +111,15 @@ class TestModels:
         m = build_model("L", b, 0.7)
         assert m(m.x1) == m.c0
         assert m(m.x2) == pytest.approx(m.c0 + m.c1 * (m.x2 - m.x1), rel=1e-14)
+
+    def test_equal_field_for_field(self):
+        from kinkline.models import QuadModel
+
+        m = QuadModel(1.0, 2.0, -0.5, 0.5, 1.5, "L")
+        assert m == QuadModel(1.0, 2.0, -0.5, 0.5, 1.5, "L")
+        assert m != QuadModel(1.0, 2.0, -0.5, 0.5, 1.5, "R")
+        assert m != QuadModel(1.0, 2.0, -0.25, 0.5, 1.5, "L")
+        assert eval(repr(m), {"QuadModel": QuadModel}) == m
 
     def test_zero_curvature_is_affine(self):
         from kinkline.models import QuadModel

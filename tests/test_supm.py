@@ -1,23 +1,32 @@
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kinkline.brackets import inner5, inner_length, make_extended7
 from kinkline.eupm import eupm_step
-from kinkline.harness import PAPER_ALGORITHMS, random_bracket7, run_algorithm
+from kinkline.harness import PAPER_ALGORITHMS, generate_bracket, random_bracket7, run_algorithm
+from kinkline.models import QuadModel, divided_diff2
 from kinkline.result import Status
 from kinkline.supm import (
     BracketTooSmallError,
     InvariantBrokenError,
     NonFiniteValueError,
     TrialAtCenterError,
+    _min_separation,
+    _real_roots,
     apply_update,
+    argmin_max_quadratics,
     classify_branch,
     default_delta,
     supm_minimize,
     supm_step,
 )
+from kinkline.testfuncs import list_functions, oracle_for
 
 
 def with_values(points, f):
@@ -55,6 +64,124 @@ class TestStep:
         b = with_values((-3, -2, -1e-7, 0, 1e-7, 2, 3), lambda x: x * x)
         with pytest.raises(BracketTooSmallError):
             supm_step(b, 0.0, 9e-8)
+
+
+def _ref_difference_coeffs(ql, qr, shift):
+    a1l, a2l = ql.x1 - shift, ql.x2 - shift
+    a1r, a2r = qr.x1 - shift, qr.x2 - shift
+    a = ql.c2adj - qr.c2adj
+    b = (ql.c1 - ql.c2adj * (a1l + a2l)) - (qr.c1 - qr.c2adj * (a1r + a2r))
+    c = (ql.c0 - ql.c1 * a1l + ql.c2adj * a1l * a2l) - (
+        qr.c0 - qr.c1 * a1r + qr.c2adj * a1r * a2r
+    )
+    return a, b, c
+
+
+def _ref_argmin_max_quadratics(ql, qr, left, right, centre):
+    """Reference: argmin_max_quadratics as it was with attribute reads and
+    min(key=lambda), before the one-pass scoring loop."""
+    s = centre
+    lo, hi = left - s, right - s
+    if ql.c1 == 0.0 and ql.c2adj == 0.0 and qr.c1 == 0.0 and qr.c2adj == 0.0 and ql.c0 == qr.c0:
+        return s + 0.5 * (lo + hi), "flat"
+    cands = [lo, hi]
+    da, db, dc = _ref_difference_coeffs(ql, qr, s)
+    for u in _real_roots(da, db, dc):
+        if lo <= u <= hi:
+            cands.append(u)
+    n_cross = len(cands)
+    for q in (ql, qr):
+        if q.c2adj > 0.0:
+            u = q.vertex() - s
+            if lo <= u <= hi:
+                cands.append(u)
+    best = min(cands, key=lambda u: (max(ql(s + u), qr(s + u)), abs(u), u))
+    i = cands.index(best)
+    return s + best, "endpoint" if i < 2 else "crossing" if i < n_cross else "vertex"
+
+
+def _ref_min_separation(g, lo, mid, hi, delta):
+    """Reference: the list-and-lambda projection _min_separation replaced."""
+    left_ok = mid - delta >= lo + delta
+    right_ok = hi - delta >= mid + delta
+    if not left_ok and not right_ok:
+        raise BracketTooSmallError("no room")
+    if g == mid:
+        return mid - delta if left_ok else mid + delta
+    proj = []
+    if left_ok:
+        proj.append(min(max(g, lo + delta), mid - delta))
+    if right_ok:
+        proj.append(min(max(g, mid + delta), hi - delta))
+    return min(proj, key=lambda x: (abs(x - g), x))
+
+
+# small integers make exact ties between candidates common
+_num = st.one_of(st.integers(-3, 3).map(float), st.floats(-8.0, 8.0))
+_models = st.builds(QuadModel, _num, _num, _num, _num, _num, st.just("L"))
+
+
+def _bits(x):
+    return x.hex() if isinstance(x, float) else x
+
+
+class TestScoringMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(ql=_models, qr=_models, ends=st.lists(_num, min_size=3, max_size=3, unique=True))
+    # flat models: the midpoint
+    @example(QuadModel(1.0, 0.0, 0.0, 0.0, 1.0, "L"), QuadModel(1.0, 0.0, 0.0, 2.0, 3.0, "R"),
+             [-1.0, 0.0, 2.0])
+    # the crossing x = 0 is the left endpoint: reported as an endpoint
+    @example(QuadModel(0.0, -1.0, 0.0, 0.0, 1.0, "L"), QuadModel(0.0, 1.0, 0.0, 0.0, 1.0, "R"),
+             [0.0, 1.0, 2.0])
+    # equal-valued endpoints of one concave model: the left one
+    @example(QuadModel(0.0, 0.0, -1.0, 0.0, 0.0, "L"), QuadModel(-5.0, 0.0, 0.0, 0.0, 1.0, "R"),
+             [-1.0, 0.0, 1.0])
+    # both convex vertices, at -0.5 and 0.5, inside the interval
+    @example(QuadModel(0.0, 0.0, 1.0, -0.5, -0.5, "L"), QuadModel(0.0, 0.0, 1.0, 0.5, 0.5, "R"),
+             [-2.0, 0.0, 2.0])
+    def test_argmin_max_quadratics(self, ql, qr, ends):
+        left, centre, right = sorted(ends)
+        got = argmin_max_quadratics(ql, qr, left, right, centre)
+        want = _ref_argmin_max_quadratics(ql, qr, left, right, centre)
+        assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1])
+
+    @pytest.mark.parametrize(
+        "ql, qr, ends, want",
+        [
+            ((1.0, 0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 2.0, 3.0), (-1.0, 0.0, 2.0), (0.5, "flat")),
+            ((0.0, -1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 2.0), (0.0, "endpoint")),
+            ((0.0, 0.0, -1.0, 0.0, 0.0), (-5.0, 0.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (-1.0, "endpoint")),
+            ((0.0, 0.0, 1.0, -0.5, -0.5), (0.0, 0.0, 1.0, 0.5, 0.5), (-2.0, 0.0, 2.0), (0.0, "crossing")),
+            ((-10.0, 0.0, 1.0, -0.5, -0.5), (0.0, 0.0, 1.0, 0.5, 0.5), (-2.0, 0.0, 2.0), (0.5, "vertex")),
+        ],
+    )
+    def test_tie_rules(self, ql, qr, ends, want):
+        left, centre, right = ends
+        got = argmin_max_quadratics(QuadModel(*ql, "L"), QuadModel(*qr, "R"), left, right, centre)
+        assert got == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(args=st.lists(_num, min_size=4, max_size=4), delta=st.floats(0.0, 4.0))
+    # g equidistant, after rounding, from mid - 1 and mid + 1: the smaller wins
+    @example([1e-20, -4.0, 0.0, 4.0], 1.0)
+    # g at the incumbent
+    @example([0.0, -4.0, 0.0, 4.0], 1.0)
+    @example([0.0, -1.5, 0.0, 4.0], 1.0)
+    def test_min_separation(self, args, delta):
+        g, lo, mid, hi = args
+        try:
+            want = _bits(_ref_min_separation(g, lo, mid, hi, delta))
+        except BracketTooSmallError:
+            with pytest.raises(BracketTooSmallError):
+                _min_separation(g, lo, mid, hi, delta)
+        else:
+            assert _bits(_min_separation(g, lo, mid, hi, delta)) == want
+
+    def test_min_separation_ties(self):
+        assert _min_separation(1e-20, -4.0, 0.0, 4.0, 1.0) == -1.0
+        assert _min_separation(0.0, -4.0, 0.0, 4.0, 1.0) == -1.0
+        assert _min_separation(0.0, -1.5, 0.0, 4.0, 1.0) == 1.0
 
 
 class TestClassification:
@@ -157,6 +284,49 @@ class TestSolver:
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
         res = supm_minimize(lambda x: x * x, b, alpha=1.0)
         assert res.evaluations == res.iterations
+
+    @pytest.mark.parametrize("spec", ["supm:0", "supm:1"])
+    def test_carried_flanks_give_the_fresh_step(self, spec):
+        # every trial equals supm_step recomputed from the bracket it was
+        # chosen on, with no flank data carried
+        alpha = float(spec.split(":")[1])
+        for func in list_functions():
+            for t in range(2):
+                b = generate_bracket(func, np.random.default_rng([61, t]))
+                oracle = oracle_for(func)
+                trials = []
+
+                def recording(x):
+                    trials.append(x)
+                    return oracle(x)
+
+                res = run_algorithm(spec, recording, b, 1e-8, 500, record_brackets=True)
+                delta = default_delta(1e-8, b.xl1, b.xr1)
+                assert len(trials) == res.iterations > 0
+                for br, xt in zip(res.bracket_trace, trials):
+                    assert xt == supm_step(br, alpha, delta)
+
+    def test_one_flank_is_recomputed_per_iteration(self, monkeypatch):
+        # the first iteration computes both flanks' second divided
+        # differences; each later one only the flank its update changed
+        calls = Counter()
+
+        def counting(*args):
+            calls["divided_diff2"] += 1
+            return divided_diff2(*args)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "kinkline" or modname.startswith("kinkline."):
+                for key, value in list(vars(mod).items()):
+                    if value is divided_diff2:
+                        monkeypatch.setattr(mod, key, counting)
+        for func in list_functions():
+            b = generate_bracket(func, np.random.default_rng([62, 0]))
+            calls.clear()
+            res = supm_minimize(oracle_for(func), b, alpha=1.0)
+            trials = res.iterations + (res.status is Status.STALLED)
+            assert res.iterations > 1
+            assert calls["divided_diff2"] <= trials + 1
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     @pytest.mark.parametrize(
