@@ -124,14 +124,17 @@ def _cmd_bench(args) -> int:
     else:
         functions = SUITES[args.suite]
     algorithms = tuple(s for s in PAPER_ALGORITHMS if s not in (args.skip or ()))
-    cfg = TrialConfig(
-        functions=functions,
-        algorithms=algorithms,
-        trials=args.trials,
-        eps=args.eps,
-        budget=args.budget,
-        seed=args.seed,
-    )
+    try:
+        cfg = TrialConfig(
+            functions=functions,
+            algorithms=algorithms,
+            trials=args.trials,
+            eps=args.eps,
+            budget=args.budget,
+            seed=args.seed,
+        )
+    except UnknownFunctionError as exc:
+        return _usage_error("bench", f"--functions: unknown function {exc.args[0]!r}")
     report = run_benchmark(cfg, jobs=args.jobs)
     out, close = _open_out(args.out)
     try:

@@ -18,12 +18,14 @@ Independently, if the same flank's inner point was replaced three
 iterations running, the next trial is forced to the closed-form extremal
 step, which guarantees both flanks keep moving.
 
-Only the adjusted curvature depends on the constant, so each iteration
-computes its bracket's flank data once, as a :class:`Flanks` record: the
-scale ``h``, each flank's model coefficients and the two centre second
-divided differences.  The floor, the threshold, every condition check and
-the step read that record; a model at ``alpha`` takes ``alpha * h`` off
-the stored curvature, as :func:`~kinkline.models.build_model` does.  A
+Only the adjusted curvature depends on the constant, so the flank data
+lives in one :class:`~kinkline.supm.Flanks` record, the one the
+fixed-constant solver carries: the scale ``h`` and each flank's model
+coefficients.  Each update advances it, recomputing only the flank whose
+points changed.  The floor (with the two centre second divided
+differences it computes), the threshold, every condition check and the
+step read that record; a model at ``alpha`` takes ``alpha * h`` off the
+stored curvature, as :func:`~kinkline.models.build_model` does.  A
 condition check that holds keeps its max-model minimizer on the record,
 and the step at the constant the escalation accepted takes it from there
 instead of solving again.
@@ -38,12 +40,12 @@ from typing import Callable, Sequence
 
 from .brackets import ExtendedBracket7, inner5
 from .eupm import eupm_step
-from .models import QuadModel, divided_diff2, flank_coeffs, scaling_h
-# Not called here (Flanks computes its flanks once per bracket), but
+from .models import divided_diff2
+# Not called here (the models come from the carried Flanks record), but
 # perfbench/test_perfbench.py checks that tracing restores this binding.
 from .models import build_model  # noqa: F401
 from .result import SolverResult
-from .supm import Winner, _min_separation, argmin_max_quadratics, run_bracket_solver
+from .supm import Flanks, _as_flanks, _min_separation, run_bracket_solver
 
 #: Relative tolerance for deciding that the two models agree at the step.
 INTERSECTION_RTOL = 1e-10
@@ -55,60 +57,28 @@ class ChiConditionError(RuntimeError):
     condition holds for every bracket; this indicates a bug."""
 
 
-class Flanks:
-    """A bracket's flank data: the scale ``h``; per flank, ``left`` and
-    ``right``, the coefficients ``(c0, c1, c2, x1, x2)`` of its
-    :class:`~kinkline.models.QuadModel` before adjustment; the centre
-    second divided differences ``dl`` and ``dr`` (incumbent and the
-    flank's two inner points); and the concavity threshold ``plus``.
-    ``accepted`` is ``(alpha, minimizer)`` from the last condition check
-    on this record that held, or None.
-    """
-
-    __slots__ = ("b", "h", "left", "right", "dl", "dr", "plus", "accepted")
-
-    def __init__(self, b: ExtendedBracket7):
-        x, fv = b.x, b.fv
-        self.b = b
-        self.h = scaling_h(b)
-        self.left = flank_coeffs(x, fv, 2, 1, 0) + (x[2], x[1])
-        self.right = flank_coeffs(x, fv, 4, 5, 6) + (x[4], x[5])
-        self.dl = divided_diff2(fv[3], fv[2], fv[1], x[3], x[2], x[1])
-        self.dr = divided_diff2(fv[3], fv[4], fv[5], x[3], x[4], x[5])
-        self.plus = max(self.left[2], self.right[2]) / self.h
-        self.accepted: tuple[float, float] | None = None
-
-    def solve(self, alpha: float) -> tuple[QuadModel, QuadModel, float, Winner]:
-        """Both flank models at ``alpha``, equal field for field to
-        :func:`~kinkline.models.build_model`'s, and the minimizer of their
-        max over the inner interval with its kind."""
-        ah = alpha * self.h
-        (l0, l1, l2, lx1, lx2), (r0, r1, r2, rx1, rx2), b = self.left, self.right, self.b
-        ql = QuadModel(l0, l1, l2 - ah, lx1, lx2, "L")
-        qr = QuadModel(r0, r1, r2 - ah, rx1, rx2, "R")
-        return (ql, qr) + argmin_max_quadratics(ql, qr, b.xl1, b.xr1, b.xm)
-
-
-def _as_flanks(b: ExtendedBracket7 | Flanks) -> Flanks:
-    return b if isinstance(b, Flanks) else Flanks(b)
-
-
 def alpha_floor(b: ExtendedBracket7 | Flanks) -> float:
     """Smallest constant keeping both models at or below the incumbent value.
 
     May be negative; the caller clamps with the running maximum.  ``b`` is
-    a bracket or its :class:`Flanks`, as are the brackets taken by the
-    functions below.
+    a bracket or its :class:`~kinkline.supm.Flanks`, as are the brackets
+    taken by the functions below.  Each flank's curvature is compared with
+    the centre second divided difference through the incumbent and the
+    flank's two inner points.
     """
     fl = _as_flanks(b)
-    return max(fl.left[2] - fl.dl, fl.right[2] - fl.dr) / fl.h
+    x, fv = fl.b.x, fl.b.fv
+    dl = divided_diff2(fv[3], fv[2], fv[1], x[3], x[2], x[1])
+    dr = divided_diff2(fv[3], fv[4], fv[5], x[3], x[4], x[5])
+    return max(fl.left[2] - dl, fl.right[2] - dr) / fl.h
 
 
 def alpha_plus(b: ExtendedBracket7 | Flanks) -> float:
     """Concavity threshold: above it both models curve downward, so the
     minimizer of their max over the inner interval is an intersection
     point or an endpoint of the interval, never a vertex."""
-    return _as_flanks(b).plus
+    fl = _as_flanks(b)
+    return max(fl.left[2], fl.right[2]) / fl.h
 
 
 def intersection_condition(b: ExtendedBracket7 | Flanks, alpha: float) -> bool:
@@ -206,18 +176,20 @@ def dupm_minimize(
     """Run the dynamic solver from ``b0``; see
     :func:`~kinkline.supm.run_bracket_solver`.
 
-    The adjustment constant starts at zero.  Each iteration builds the
-    bracket's :class:`Flanks`, escalates the constant on it by
-    :func:`escalate_alpha`, then picks the trial point by
+    The adjustment constant starts at zero.  Each iteration advances one
+    :class:`~kinkline.supm.Flanks` record to the bracket, escalates the
+    constant on it by :func:`escalate_alpha`, then picks the trial point by
     :func:`dupm_step`.  The per-iteration constants are returned in
     ``alphas`` (one entry per completed iteration).
     """
     alpha = 0.0
     alphas: list[float] = []
+    fl = Flanks(b0)
 
     def next_trial(b, branches, delta):
         nonlocal alpha
-        fl = Flanks(b)
+        if branches:
+            fl.advance(b, branches[-1])
         alpha = escalate_alpha(fl, alpha)
         xt = dupm_step(fl, alpha, branches, delta)
         alphas.append(alpha)

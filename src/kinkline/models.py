@@ -88,9 +88,6 @@ class QuadModel:
     def __call__(self, x):
         return self.c0 + (x - self.x1) * (self.c1 + self.c2adj * (x - self.x2))
 
-    def derivative(self, x: float) -> float:
-        return self.c1 + self.c2adj * (2.0 * x - self.x1 - self.x2)
-
     def vertex(self) -> float:
         """Stationary point; caller must ensure c2adj != 0."""
         return 0.5 * (self.x1 + self.x2) - self.c1 / (2.0 * self.c2adj)

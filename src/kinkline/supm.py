@@ -5,7 +5,9 @@ constant ``alpha``, takes the minimizer of their pointwise maximum over the
 inner interval as the next trial point, evaluates the oracle there and
 shuffles the seven-point bracket by one of four update rules depending on
 which side the trial fell and whether it improved on the incumbent.  Each
-rule keeps one flank's points, whose coefficients the solver carries over.
+rule keeps one flank's points, so the solver carries that flank's
+coefficients over in a :class:`Flanks` record, which the dynamic solver
+shares, and recomputes only the other's.
 
 A minimum point separation ``delta`` keeps the trial away from the
 incumbent and the inner endpoints, which guarantees the bracket strictly
@@ -169,26 +171,67 @@ def _min_separation(g: float, lo: float, mid: float, hi: float, delta: float) ->
     return p
 
 
-def _step(b: ExtendedBracket7, left, right, alpha: float, delta: float) -> float:
-    """:func:`supm_step` from ``b``'s flank coefficients ``left`` and
-    ``right``, :func:`~kinkline.models.flank_coeffs` of points 2, 1, 0 and
-    4, 5, 6."""
-    x = b.x
-    ah = alpha * scaling_h(b)
-    ql = QuadModel(left[0], left[1], left[2] - ah, x[2], x[1], "L")
-    qr = QuadModel(right[0], right[1], right[2] - ah, x[4], x[5], "R")
-    g = minimize_max_quadratics(ql, qr, x[2], x[4], x[3])
-    if delta == 0.0:
-        return g
-    return _min_separation(g, x[2], x[3], x[4], delta)
+class Flanks:
+    """A seven-point bracket's flank data, carried across iterations by the
+    fixed-constant and dynamic solvers.
+
+    ``b`` is the bracket and ``h`` its :func:`~kinkline.models.scaling_h`;
+    ``left`` and ``right`` are the :func:`~kinkline.models.flank_coeffs`
+    of points 2, 1, 0 and 4, 5, 6, each flank's model before adjustment,
+    anchored at the flank's two inner points of ``b``.  ``accepted`` is
+    ``(alpha, minimizer)`` from the last condition check on this bracket
+    that held (see :func:`~kinkline.dupm.intersection_condition`), or None.
+    """
+
+    __slots__ = ("b", "h", "left", "right", "accepted")
+
+    def __init__(self, b: ExtendedBracket7):
+        x, fv = b.x, b.fv
+        self.b = b
+        self.h = scaling_h(b)
+        self.left = flank_coeffs(x, fv, 2, 1, 0)
+        self.right = flank_coeffs(x, fv, 4, 5, 6)
+        self.accepted: tuple[float, float] | None = None
+
+    def advance(self, b: ExtendedBracket7, branch: int) -> None:
+        """Move the record in place to ``b``, which update rule ``branch``
+        made from the record's bracket.  Rules 1 and 3 keep the left flank's
+        points and rules 2 and 4 the right's, so that flank's coefficients
+        stay, exactly as recomputing them would give; the other flank and
+        ``h`` are recomputed, and ``accepted`` is cleared."""
+        x, fv = b.x, b.fv
+        self.b = b
+        self.h = scaling_h(b)
+        if branch == 1 or branch == 3:
+            self.right = flank_coeffs(x, fv, 4, 5, 6)
+        else:
+            self.left = flank_coeffs(x, fv, 2, 1, 0)
+        self.accepted = None
+
+    def solve(self, alpha: float) -> tuple[QuadModel, QuadModel, float, Winner]:
+        """Both flank models at ``alpha``, equal field for field to
+        :func:`~kinkline.models.build_model`'s, and the minimizer of their
+        max over the inner interval with its kind."""
+        x, ah = self.b.x, alpha * self.h
+        l0, l1, l2 = self.left
+        r0, r1, r2 = self.right
+        ql = QuadModel(l0, l1, l2 - ah, x[2], x[1], "L")
+        qr = QuadModel(r0, r1, r2 - ah, x[4], x[5], "R")
+        return (ql, qr) + argmin_max_quadratics(ql, qr, x[2], x[4], x[3])
 
 
-def supm_step(b: ExtendedBracket7, alpha: float, delta: float) -> float:
-    """Next trial point: the max-model minimizer, kept ``delta`` away from
-    the incumbent and the inner endpoints; ``delta == 0`` gives the
-    minimizer itself."""
-    x, fv = b.x, b.fv
-    return _step(b, flank_coeffs(x, fv, 2, 1, 0), flank_coeffs(x, fv, 4, 5, 6), alpha, delta)
+def _as_flanks(b: ExtendedBracket7 | Flanks) -> Flanks:
+    return b if isinstance(b, Flanks) else Flanks(b)
+
+
+def supm_step(b: ExtendedBracket7 | Flanks, alpha: float, delta: float) -> float:
+    """Next trial point: the max-model minimizer at ``alpha``, kept
+    ``delta`` away from the incumbent and the inner endpoints; ``delta ==
+    0`` only clips it to the inner interval.  ``b`` is a bracket or its
+    :class:`Flanks`."""
+    fl = _as_flanks(b)
+    x = fl.b.x
+    return _min_separation(fl.solve(alpha)[2], x[2], x[3], x[4], delta)
 
 
 def classify_branch(xtrial: float, ftrial: float, b) -> int:
@@ -353,23 +396,17 @@ def supm_minimize(
     """Run the fixed-constant solver with adjustment constant ``alpha``
     from ``b0``; see :func:`run_bracket_solver`.
 
-    Each trial is :func:`supm_step`'s.  Update rules 1 and 3 keep the left
-    flank's points (indices 0-2) and rules 2 and 4 the right flank's (4-6),
-    so after the first iteration the kept flank's coefficients are carried,
-    exactly as recomputing them would give, and only the other's computed.
+    Each trial is :func:`supm_step`'s, taken from one :class:`Flanks`
+    record that each update advances, so only the flank the update changed
+    is recomputed.
     """
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")
-    left = right = None
+    fl = Flanks(b0)
 
     def next_trial(b, branches, delta):
-        nonlocal left, right
-        x, fv = b.x, b.fv
-        last = branches[-1] if branches else 0
-        if last not in (1, 3):
-            left = flank_coeffs(x, fv, 2, 1, 0)
-        if last not in (2, 4):
-            right = flank_coeffs(x, fv, 4, 5, 6)
-        return _step(b, left, right, alpha, delta)
+        if branches:
+            fl.advance(b, branches[-1])
+        return supm_step(fl, alpha, delta)
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

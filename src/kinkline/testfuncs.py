@@ -215,24 +215,20 @@ def list_functions() -> list[TestFunction]:
 
 
 class CountingOracle:
-    """Wrap an evaluator, counting distinct evaluations.
+    """Wrap an evaluator, counting every call in ``evaluations``.
 
-    Repeated queries at a previously seen abscissa are served from the memo
-    and do not count (disable with ``memoize=False``, in which case every
-    call counts).  With a ``domain``, queries outside it raise
-    :class:`OutOfDomainError`; a relative slack of 1e-12 of the domain
-    width absorbs endpoint rounding.
+    With a ``domain``, queries outside it raise :class:`OutOfDomainError`;
+    a relative slack of 1e-12 of the domain width absorbs endpoint
+    rounding.
     """
 
     def __init__(
         self,
         fn: Callable[[float], float],
         domain: tuple[float, float] | None = None,
-        memoize: bool = True,
     ):
         self._fn = fn
         self._domain = domain
-        self._memo: dict[float, float] | None = {} if memoize else None
         self.evaluations = 0
 
     def __call__(self, x: float) -> float:
@@ -241,17 +237,11 @@ class CountingOracle:
             slack = 1e-12 * (b - a)
             if not a - slack <= x <= b + slack:
                 raise OutOfDomainError(f"x={x!r} outside [{a}, {b}]")
-        if self._memo is not None:
-            hit = self._memo.get(x)
-            if hit is not None:
-                return hit
         v = self._fn(x)
         self.evaluations += 1
-        if self._memo is not None:
-            self._memo[x] = v
         return v
 
 
-def oracle_for(f: TestFunction, memoize: bool = True) -> CountingOracle:
+def oracle_for(f: TestFunction) -> CountingOracle:
     """Counting oracle over a registered function's own domain."""
-    return CountingOracle(f.evaluator, f.domain, memoize)
+    return CountingOracle(f.evaluator, f.domain)

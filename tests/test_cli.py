@@ -135,6 +135,12 @@ class TestBench:
             main(["bench", "--nope"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("functions, fid", [("XX1", "XX1"), ("SU1,,", "")])
+    def test_unknown_function_is_usage_error(self, capsys, functions, fid):
+        code, out, err = run_cli(capsys, "bench", "--functions", functions, "--trials", "1")
+        assert code == 2 and out == ""
+        assert err == f"kinkline bench: error: --functions: unknown function {fid!r}\n"
+
 
 class TestSeqexp:
     def test_csv_written(self, capsys, tmp_path):

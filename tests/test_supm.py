@@ -8,12 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kinkline.brackets import inner5, inner_length, make_extended7
+from kinkline.dupm import dupm_step
 from kinkline.eupm import eupm_step
 from kinkline.harness import PAPER_ALGORITHMS, generate_bracket, random_bracket7, run_algorithm
 from kinkline.models import QuadModel, divided_diff2
 from kinkline.result import Status
 from kinkline.supm import (
     BracketTooSmallError,
+    Flanks,
     InvariantBrokenError,
     NonFiniteValueError,
     TrialAtCenterError,
@@ -285,11 +287,10 @@ class TestSolver:
         res = supm_minimize(lambda x: x * x, b, alpha=1.0)
         assert res.evaluations == res.iterations
 
-    @pytest.mark.parametrize("spec", ["supm:0", "supm:1"])
+    @pytest.mark.parametrize("spec", ["supm:0", "supm:1", "dupm"])
     def test_carried_flanks_give_the_fresh_step(self, spec):
-        # every trial equals supm_step recomputed from the bracket it was
+        # every trial equals the step recomputed from the bracket it was
         # chosen on, with no flank data carried
-        alpha = float(spec.split(":")[1])
         for func in list_functions():
             for t in range(2):
                 b = generate_bracket(func, np.random.default_rng([61, t]))
@@ -303,8 +304,11 @@ class TestSolver:
                 res = run_algorithm(spec, recording, b, 1e-8, 500, record_brackets=True)
                 delta = default_delta(1e-8, b.xl1, b.xr1)
                 assert len(trials) == res.iterations > 0
-                for br, xt in zip(res.bracket_trace, trials):
-                    assert xt == supm_step(br, alpha, delta)
+                for i, (br, xt) in enumerate(zip(res.bracket_trace, trials)):
+                    if spec == "dupm":
+                        assert xt == dupm_step(br, res.alphas[i], res.branches[:i], delta)
+                    else:
+                        assert xt == supm_step(br, float(spec.split(":")[1]), delta)
 
     def test_one_flank_is_recomputed_per_iteration(self, monkeypatch):
         # the first iteration computes both flanks' second divided
@@ -337,6 +341,33 @@ class TestSolver:
         with pytest.raises(NonFiniteValueError, match=f"oracle returned {value!r} at x=") as exc:
             run_algorithm(spec, lambda x: value, b, 1e-8, 500)
         assert b.xl1 < float(str(exc.value).split("x=")[1]) < b.xr1
+
+
+class TestFlanks:
+    def test_advance_equals_a_fresh_record(self):
+        # each update rule keeps one flank's points; the advanced record
+        # carries that flank's coefficients and matches a record built from
+        # the new bracket field for field, with no stale accepted minimizer
+        rng = np.random.default_rng(63)
+        for _ in range(100):
+            b = random_bracket7(rng)
+            x, fv, fm = b.x, b.fv, b.fm
+            for branch in (1, 2, 3, 4):
+                on_left = branch in (1, 4)
+                xt = float(rng.uniform(x[2], x[3]) if on_left else rng.uniform(x[3], x[4]))
+                ft = fm - 0.5 if branch in (1, 2) else fm + 0.5
+                assert classify_branch(xt, ft, b) == branch
+                nb = apply_update(branch, xt, ft, b)
+                fl = Flanks(b)
+                fl.accepted = (0.0, xt)
+                kept = fl.left if branch in (1, 3) else fl.right
+                fl.advance(nb, branch)
+                fresh = Flanks(nb)
+                assert fl.accepted is None
+                assert [getattr(fl, f) for f in Flanks.__slots__] == [
+                    getattr(fresh, f) for f in Flanks.__slots__
+                ]
+                assert kept is (fl.left if branch in (1, 3) else fl.right)
 
 
 class TestConfig:

@@ -111,17 +111,12 @@ class TestShapes:
 
 
 class TestCountingOracle:
-    def test_memo_counts_distinct_calls(self):
+    def test_every_call_counts(self):
+        # no memo: a repeated abscissa is evaluated and counted again
         calls = []
         oracle = CountingOracle(lambda x: (calls.append(x), x * x)[1])
-        assert oracle(2.0) == 4.0
-        assert oracle(2.0) == 4.0
-        assert oracle.evaluations == 1 and calls == [2.0]
-
-    def test_without_memo_every_call_counts(self):
-        oracle = CountingOracle(lambda x: x, memoize=False)
-        oracle(1.0), oracle(1.0)
-        assert oracle.evaluations == 2
+        assert (oracle(2.0), oracle(2.0), oracle(3.0)) == (4.0, 4.0, 9.0)
+        assert oracle.evaluations == 3 and calls == [2.0, 2.0, 3.0]
 
     def test_domain_enforced(self):
         oracle = oracle_for(get_function("SU5"))
