@@ -201,7 +201,7 @@ def mifflin_strodiot_minimize(
         x, fv = b.x, b.fv
         ql = QuadModel(fv[1], divided_diff1(fv[1], fv[0], x[1], x[0]), 0.0, x[1], x[0], "L")
         qr = QuadModel(fv[3], divided_diff1(fv[3], fv[4], x[3], x[4]), 0.0, x[3], x[4], "R")
-        g = minimize_max_quadratics(ql, qr, b.xl1, b.xr1, b.xm)
-        return _min_separation(g, b.xl1, b.xm, b.xr1, delta)
+        g = minimize_max_quadratics(ql, qr, x[1], x[3], x[2])
+        return _min_separation(g, x[1], x[2], x[3], delta)
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

@@ -1,12 +1,16 @@
-"""Bracket data types and their geometry.
+"""The bracket type and its geometry.
 
-A bracket is a short ascending tuple of abscissae whose centre point carries
-the smallest known objective value, so a local minimum is pinned inside the
-inner pair.  Three sizes are used: the plain three-point bracket for the
-classic solvers, and five- and seven-point extended brackets that carry
-enough side points to fit one quadratic model per side.
+A bracket is an ascending tuple of abscissae whose centre point carries
+the smallest value of the inner triple, so a local minimum is pinned
+inside the incumbent's two neighbours.  One frozen type, :class:`Bracket`,
+holds the points and their values, validates them and names the inner
+triple; it comes in three sizes.  :class:`ExtendedBracket7` carries three
+side points on each flank, enough to fit one quadratic model per side;
+:class:`ExtendedBracket5` is its inner five, which the closed-form step
+needs; :class:`Bracket3` is the inner triple that the classic solvers
+move, with the names ``xl``, ``xr``, ``fl`` and ``fr`` for its ends.
 
-All bracket types cache the objective value at every point.  Solvers never
+Every bracket caches the objective value at each point.  Solvers never
 re-query the oracle at a point the bracket already holds; fresh oracle calls
 happen only at new trial points.
 """
@@ -15,12 +19,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 _EPS = sys.float_info.epsilon
 
-#: Adjacent points closer than this multiple of machine epsilon times the
-#: bracket diameter are rejected: divided differences divide by the gaps.
+#: Adjacent points of a five- or seven-point bracket closer than this
+#: multiple of machine epsilon times the bracket diameter are rejected:
+#: divided differences divide by the gaps.
 MIN_GAP_FACTOR = 16.0
 
 
@@ -54,22 +59,68 @@ def _check_centre(fv: Sequence[float], c: int) -> None:
 
 
 @dataclass(frozen=True)
-class Bracket3:
-    """Three points ``xl < xm < xr`` with ``f(xl) >= f(xm) <= f(xr)``.
+class Bracket:
+    """Ascending points ``x`` with cached values ``fv``, centre at index
+    ``len(x) // 2`` carrying the smallest of the inner value triple.
 
-    Guarantees a local minimum in ``(xl, xr)``.
+    A subclass sets the point count ``_N``, which fixes the centre index
+    ``_CENTRE``; adjacent points must lie more than ``_GAP_FACTOR`` times
+    machine epsilon times the bracket's span apart.  Instances are
+    immutable, so one bracket can start many solvers.
     """
 
-    xl: float
-    xm: float
-    xr: float
-    fl: float
-    fm: float
-    fr: float
+    x: tuple[float, ...]
+    fv: tuple[float, ...]
+
+    _N = 0
+    _CENTRE = 0
+    _GAP_FACTOR = MIN_GAP_FACTOR
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._CENTRE = cls._N // 2
 
     def __post_init__(self):
-        _check_points((self.xl, self.xm, self.xr), 0.0)
-        _check_centre((self.fl, self.fm, self.fr), 1)
+        x, n = self.x, self._N
+        if len(x) != n or len(self.fv) != n:
+            raise BracketError(f"need exactly {n} points and {n} values")
+        _check_points(x, self._GAP_FACTOR * _EPS * (x[-1] - x[0]))
+        _check_centre(self.fv, self._CENTRE)
+
+    @property
+    def xl1(self) -> float:
+        return self.x[self._CENTRE - 1]
+
+    @property
+    def xm(self) -> float:
+        return self.x[self._CENTRE]
+
+    @property
+    def xr1(self) -> float:
+        return self.x[self._CENTRE + 1]
+
+    @property
+    def fm(self) -> float:
+        return self.fv[self._CENTRE]
+
+
+class Bracket3(Bracket):
+    """Three points ``xl < xm < xr`` with ``f(xl) >= f(xm) <= f(xr)``.
+
+    Guarantees a local minimum in ``(xl, xr)``.  Only coincident points
+    are refused: the classic solvers divide by no gap.
+    """
+
+    _N = 3
+    _GAP_FACTOR = 0.0
+
+    def __init__(self, xl: float, xm: float, xr: float, fl: float, fm: float, fr: float):
+        super().__init__((xl, xm, xr), (fl, fm, fr))
+
+    xl = property(lambda self: self.x[0])
+    xr = property(lambda self: self.x[2])
+    fl = property(lambda self: self.fv[0])
+    fr = property(lambda self: self.fv[2])
 
     @classmethod
     def unchecked(cls, xl, xm, xr, fl, fm, fr) -> "Bracket3":
@@ -80,88 +131,28 @@ class Bracket3:
         state is positional, not value-ordered.
         """
         obj = object.__new__(cls)
-        _check_points((xl, xm, xr), 0.0)
-        for name, v in zip(("xl", "xm", "xr", "fl", "fm", "fr"), (xl, xm, xr, fl, fm, fr)):
-            object.__setattr__(obj, name, v)
+        object.__setattr__(obj, "x", (xl, xm, xr))
+        object.__setattr__(obj, "fv", (fl, fm, fr))
+        _check_points(obj.x, 0.0)
         return obj
 
 
-@dataclass(frozen=True)
-class ExtendedBracket7:
-    """Seven ascending points; the inner triple forms a :class:`Bracket3`.
+class ExtendedBracket7(Bracket):
+    """Seven points ``(xl3, xl2, xl1, xm, xr1, xr2, xr3)``: three side
+    points on each flank of the incumbent, enough for one quadratic model
+    per flank."""
 
-    Layout is ``(xl3, xl2, xl1, xm, xr1, xr2, xr3)``: three side points on
-    each flank of the incumbent, ordered left to right.
-    """
-
-    x: tuple[float, float, float, float, float, float, float]
-    fv: tuple[float, float, float, float, float, float, float]
-
-    _CENTRE = 3
-
-    def __post_init__(self):
-        if len(self.x) != 7 or len(self.fv) != 7:
-            raise BracketError("need exactly 7 points and 7 values")
-        span = self.x[-1] - self.x[0]
-        _check_points(self.x, MIN_GAP_FACTOR * _EPS * span)
-        _check_centre(self.fv, self._CENTRE)
-
-    @property
-    def xl1(self) -> float:
-        return self.x[2]
-
-    @property
-    def xm(self) -> float:
-        return self.x[3]
-
-    @property
-    def xr1(self) -> float:
-        return self.x[4]
-
-    @property
-    def fm(self) -> float:
-        return self.fv[3]
+    _N = 7
 
 
-@dataclass(frozen=True)
-class ExtendedBracket5:
-    """Five ascending points ``(xl2, xl1, xm, xr1, xr2)`` with cached values.
+class ExtendedBracket5(Bracket):
+    """Five points ``(xl2, xl1, xm, xr1, xr2)``.
 
     The outermost pair of a seven-point bracket is irrelevant to the
     closed-form extremal step, so this is the state it works on.
     """
 
-    x: tuple[float, float, float, float, float]
-    fv: tuple[float, float, float, float, float]
-
-    _CENTRE = 2
-
-    def __post_init__(self):
-        if len(self.x) != 5 or len(self.fv) != 5:
-            raise BracketError("need exactly 5 points and 5 values")
-        span = self.x[-1] - self.x[0]
-        _check_points(self.x, MIN_GAP_FACTOR * _EPS * span)
-        _check_centre(self.fv, self._CENTRE)
-
-    @property
-    def xl1(self) -> float:
-        return self.x[1]
-
-    @property
-    def xm(self) -> float:
-        return self.x[2]
-
-    @property
-    def xr1(self) -> float:
-        return self.x[3]
-
-    @property
-    def fm(self) -> float:
-        return self.fv[2]
-
-
-AnyBracket = Union[Bracket3, ExtendedBracket5, ExtendedBracket7]
-ExtendedBracket = Union[ExtendedBracket5, ExtendedBracket7]
+    _N = 5
 
 
 def make_extended7(points: Iterable[float], values: Iterable[float]) -> ExtendedBracket7:
@@ -174,22 +165,18 @@ def make_extended5(points: Iterable[float], values: Iterable[float]) -> Extended
     return ExtendedBracket5(tuple(points), tuple(values))
 
 
-def inner_length(b: AnyBracket) -> float:
+def inner_length(b: Bracket) -> float:
     """Distance ``xr1 - xl1`` between the incumbent's nearest neighbours.
 
     This is the quantity solvers drive to zero; the termination test and the
     convergence-rate metric are both stated in terms of it.  For a
     three-point bracket it is the whole interval.
     """
-    if isinstance(b, Bracket3):
-        return b.xr - b.xl
     return b.xr1 - b.xl1
 
 
-def outer_length(b: AnyBracket) -> float:
+def outer_length(b: Bracket) -> float:
     """Diameter of the bracket's convex hull (first to last point)."""
-    if isinstance(b, Bracket3):
-        return b.xr - b.xl
     return b.x[-1] - b.x[0]
 
 

@@ -12,6 +12,8 @@ fallback seed.  Exit codes: 0 success, 1 solver or check failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import os
 import re
 import sys
@@ -51,10 +53,22 @@ def _checked(convert, ok, wanted: str):
     return parse
 
 
-def _open_out(path: str | None):
+class _UsageError(Exception):
+    """Bad input found after parsing: :func:`main` prints the message as one
+    ``error:`` line on stderr, worded as argparse words its own, and returns
+    the usage exit code 2."""
+
+
+def _open_out(flag: str, path: str | None):
+    """Context manager for an output option: stdout for no path or ``-``,
+    else the file opened for writing, or a :class:`_UsageError` if it cannot
+    be."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise _UsageError(f"{flag}: cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _cmd_list_functions(args) -> int:
@@ -64,24 +78,17 @@ def _cmd_list_functions(args) -> int:
     return 0
 
 
-def _usage_error(command: str, message: str) -> int:
-    """Print one ``error:`` line on stderr, worded as argparse words its
-    own, and return the usage exit code 2."""
-    print(f"kinkline {command}: error: {message}", file=sys.stderr)
-    return 2
-
-
 def _cmd_minimize(args) -> int:
     points = None
     if args.bracket:
         try:
             points = [float(tok) for tok in args.bracket.split(",")]
         except ValueError as exc:
-            return _usage_error("minimize", f"--bracket: {exc}")
+            raise _UsageError(f"--bracket: {exc}") from exc
     try:
         parse_algorithm(args.algorithm)
     except ValueError as exc:
-        return _usage_error("minimize", f"--algorithm: {exc}")
+        raise _UsageError(f"--algorithm: {exc}") from exc
     try:
         result, bracket = minimize_once(
             args.function,
@@ -92,12 +99,13 @@ def _cmd_minimize(args) -> int:
             bracket_points=points,
         )
     except UnknownFunctionError as exc:
-        return _usage_error("minimize", f"--function: unknown function {exc.args[0]!r}")
+        raise _UsageError(f"--function: unknown function {exc.args[0]!r}") from exc
     except BracketPointsError as exc:
-        return _usage_error("minimize", f"--bracket: {exc}")
+        raise _UsageError(f"--bracket: {exc}") from exc
+    # opened after the run, which takes milliseconds, so that a bad
+    # --function or --bracket leaves an existing trace file as it was
     if args.trace:
-        out, close = _open_out(args.trace)
-        try:
+        with _open_out("--trace", args.trace) as out:
             write_trace_csv(
                 result,
                 out,
@@ -105,9 +113,6 @@ def _cmd_minimize(args) -> int:
                 f"algorithm={args.algorithm} seed={args.seed} eps={args.eps:g} "
                 f"budget={args.budget}",
             )
-        finally:
-            if close:
-                out.close()
     d = result.trace[-1][1]
     fm = result.trace[-1][2]
     print(
@@ -134,25 +139,17 @@ def _cmd_bench(args) -> int:
             seed=args.seed,
         )
     except UnknownFunctionError as exc:
-        return _usage_error("bench", f"--functions: unknown function {exc.args[0]!r}")
-    report = run_benchmark(cfg, jobs=args.jobs)
-    out, close = _open_out(args.out)
-    try:
+        raise _UsageError(f"--functions: unknown function {exc.args[0]!r}") from exc
+    with _open_out("--out", args.out) as out:
+        report = run_benchmark(cfg, jobs=args.jobs)
         write_benchmark_csv(report, out, latex_labels=args.latex_labels)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def _cmd_seqexp(args) -> int:
-    rows = run_sequence_experiment(bits=args.bits, samples=args.samples, seed=args.seed)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out("--out", args.out) as out:
+        rows = run_sequence_experiment(bits=args.bits, samples=args.samples, seed=args.seed)
         write_sequence_csv(rows, out, seed=args.seed, samples=args.samples)
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -198,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     count = _checked(int, lambda n: n >= 1, "an integer >= 1")
     seed = _checked(int, lambda n: n >= 0, "an integer >= 0 (--seed or KINKLINE_SEED)")
-    positive = _checked(float, lambda v: v > 0.0, "a number > 0")
+    positive = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
     # argparse passes a string default through ``type``: KINKLINE_SEED is checked as --seed
     seed_default = os.environ.get("KINKLINE_SEED", "0")
 
@@ -284,7 +281,11 @@ def _attach_bracket_value(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_attach_bracket_value(argv))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"kinkline {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -163,7 +163,8 @@ def dupm_step(
         g = fl.accepted[1]
     else:
         g = fl.solve(alpha)[2]
-    return _min_separation(g, b.xl1, b.xm, b.xr1, delta)
+    x = b.x
+    return _min_separation(g, x[2], x[3], x[4], delta)
 
 
 def dupm_minimize(

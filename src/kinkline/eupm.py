@@ -80,7 +80,8 @@ def eupm_minimize(
     """
 
     def next_trial(b, branches, delta):
-        return _min_separation(eupm_step(b), b.xl1, b.xm, b.xr1, delta)
+        x = b.x
+        return _min_separation(eupm_step(b), x[1], x[2], x[3], delta)
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
 

@@ -23,7 +23,6 @@ from .baselines import (
 )
 from .brackets import (
     BracketError,
-    Bracket3,
     ExtendedBracket5,
     ExtendedBracket7,
     inner3,
@@ -400,12 +399,6 @@ def minimize_once(
     return result, bracket
 
 
-def _triple(b) -> tuple[float, float, float]:
-    if isinstance(b, Bracket3):
-        return b.xl, b.xm, b.xr
-    return b.xl1, b.xm, b.xr1
-
-
 def write_trace_csv(result: SolverResult, out: IO[str], header: str = "") -> None:
     """Per-iteration positions and progress of a recorded run."""
     if result.bracket_trace is None:
@@ -414,8 +407,7 @@ def write_trace_csv(result: SolverResult, out: IO[str], header: str = "") -> Non
         out.write(f"# {header}\n")
     out.write("iteration,xl1,xm,xr1,d,fm\n")
     for (i, d, fm), br in zip(result.trace, result.bracket_trace):
-        xl1, xm, xr1 = _triple(br)
-        out.write(f"{i},{xl1!r},{xm!r},{xr1!r},{d!r},{fm!r}\n")
+        out.write(f"{i},{br.xl1!r},{br.xm!r},{br.xr1!r},{d!r},{fm!r}\n")
 
 
 # ---------------------------------------------------------------------------

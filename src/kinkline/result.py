@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .brackets import AnyBracket
+from .brackets import Bracket
 
 
 class Status(enum.Enum):
@@ -30,7 +30,7 @@ class SolverResult:
     diagnostics and invariant checks.
     """
 
-    bracket: AnyBracket
+    bracket: Bracket
     iterations: int
     evaluations: int
     trace: list[tuple[int, float, float]]

@@ -27,7 +27,7 @@ import math
 import sys
 from typing import Callable, Iterator, Literal
 
-from .brackets import AnyBracket, ExtendedBracket, ExtendedBracket7, BracketError, inner_length
+from .brackets import Bracket, BracketError, ExtendedBracket7, inner_length
 from .models import QuadModel, flank_coeffs, scaling_h
 from .result import SolverResult, Status
 
@@ -241,9 +241,10 @@ def classify_branch(xtrial: float, ftrial: float, b) -> int:
     3: right, not improving; 4: left, not improving.  A value tie counts
     as not improving, keeping the incumbent in place.
     """
-    if xtrial == b.xm:
+    xm = b.xm
+    if xtrial == xm:
         raise TrialAtCenterError(f"trial coincides with incumbent at {xtrial!r}")
-    if xtrial < b.xm:
+    if xtrial < xm:
         return 1 if ftrial < b.fm else 4
     return 2 if ftrial < b.fm else 3
 
@@ -280,17 +281,17 @@ def apply_update(branch: int, xtrial: float, ftrial: float, b):
 
 
 def check_stop_rule(eps: float, budget: int) -> None:
-    """Reject a stop rule no run could meet: ``eps`` must be positive and
-    ``budget`` at least one iteration."""
-    if not eps > 0.0:
-        raise ValueError("eps must be > 0")
+    """Reject a stop rule no run could meet: ``eps`` must be finite and
+    positive and ``budget`` at least one iteration."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be finite and > 0")
     if budget < 1:
         raise ValueError("budget must be >= 1")
 
 
 def run_solver(
     oracle: Callable[[float], float],
-    b0: AnyBracket,
+    b0: Bracket,
     eps: float,
     budget: int,
     iterate: Callable[[Callable[[float], float]], Iterator[tuple]],
@@ -347,10 +348,10 @@ def run_solver(
 
 def run_bracket_solver(
     oracle: Callable[[float], float],
-    b0: ExtendedBracket,
+    b0: Bracket,
     eps: float,
     budget: int,
-    next_trial: Callable[[ExtendedBracket, list[int], float], float],
+    next_trial: Callable[[Bracket, list[int], float], float],
     record_brackets: bool = False,
 ) -> SolverResult:
     """Run a solver that moves a five- or seven-point bracket by the four

@@ -1,10 +1,17 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinkline.brackets import (
+    Bracket,
     Bracket3,
+    BracketError,
+    ExtendedBracket5,
+    ExtendedBracket7,
     NotABracketError,
     NotAscendingError,
     inner3,
@@ -56,6 +63,79 @@ class TestConstruction:
     def test_bracket3_centre_condition(self):
         with pytest.raises(NotABracketError):
             Bracket3(0.0, 1.0, 2.0, 0.0, 1.0, 2.0)
+
+
+SIZES = [(Bracket3, 3), (ExtendedBracket5, 5), (ExtendedBracket7, 7)]
+
+
+def build(cls, x, fv):
+    """A bracket of any size through its public constructor."""
+    return cls(*x, *fv) if cls is Bracket3 else cls(tuple(x), tuple(fv))
+
+
+def parabola(n):
+    """Points -c..c of an n-point bracket and their squares."""
+    x = [float(i - n // 2) for i in range(n)]
+    return x, [v * v for v in x]
+
+
+@pytest.mark.parametrize("cls, n", SIZES)
+class TestOneBracketType:
+    def test_valid_bracket_names_its_inner_triple(self, cls, n):
+        x, fv = parabola(n)
+        b = build(cls, x, fv)
+        assert (b.xl1, b.xm, b.xr1, b.fm) == (-1.0, 0.0, 1.0, 0.0)
+        assert b.x == tuple(x) and b.fv == tuple(fv)
+
+    def test_wrong_point_count_is_named(self, cls, n):
+        x, fv = parabola(n + 2)
+        with pytest.raises(BracketError, match=f"need exactly {n} points and {n} values"):
+            Bracket.__init__(object.__new__(cls), tuple(x), tuple(fv))
+
+    def test_points_out_of_order_give_the_index(self, cls, n):
+        x, fv = parabola(n)
+        x[-2], x[-1] = x[-1], x[-2]
+        with pytest.raises(NotAscendingError) as exc:
+            build(cls, x, fv)
+        assert exc.value.index == n - 1
+
+    def test_gap_rule_depends_on_the_size(self, cls, n):
+        x, fv = parabola(n)
+        x[-1] = x[-2] + 4.0 * sys.float_info.epsilon * (x[-2] - x[0])
+        assert 0.0 < x[-1] - x[-2] < 16.0 * sys.float_info.epsilon * (x[-1] - x[0])
+        if cls is Bracket3:
+            assert build(cls, x, fv).xr == x[-1]
+        else:
+            with pytest.raises(NotAscendingError) as exc:
+                build(cls, x, fv)
+            assert exc.value.index == n - 1
+
+    def test_immutable(self, cls, n):
+        b = build(cls, *parabola(n))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.x = (0.0,) * n
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            b.fv = b.fv
+
+
+class TestBracket3:
+    def test_unchecked_skips_only_the_centre_check(self):
+        b = Bracket3.unchecked(0.0, 1.0, 2.0, 0.0, 1.0, 2.0)
+        assert (b.xl, b.xm, b.xr, b.fl, b.fm, b.fr) == (0.0, 1.0, 2.0, 0.0, 1.0, 2.0)
+        assert Bracket3.unchecked(0.0, 1.0, 2.0, 1.0, 0.0, 1.0) == Bracket3(
+            0.0, 1.0, 2.0, 1.0, 0.0, 1.0
+        )
+        with pytest.raises(NotAscendingError) as exc:
+            Bracket3.unchecked(0.0, 2.0, 1.0, 0.0, 1.0, 2.0)
+        assert exc.value.index == 2
+        with pytest.raises(NotAscendingError):
+            Bracket3.unchecked(0.0, 0.0, 1.0, 0.0, 1.0, 2.0)
+
+    def test_ends_are_the_inner_neighbours(self):
+        b = Bracket3(-0.5, 0.25, 2.0, 3.0, 1.0, 4.0)
+        assert (b.xl1, b.xr1) == (b.xl, b.xr) == (-0.5, 2.0)
+        assert (b.fl, b.fm, b.fr) == (3.0, 1.0, 4.0)
+        assert inner_length(b) == outer_length(b) == b.xr - b.xl
 
 
 class TestLengths:

@@ -77,6 +77,15 @@ class TestMinimize:
         assert err.startswith(f"kinkline minimize: error: {message}")
         assert err.count("\n") == 1
 
+    def test_unwritable_trace_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "minimize", "--function", "NU2", "--trace", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            f"kinkline minimize: error: --trace: cannot write {str(path)!r}: "
+            "No such file or directory\n"
+        )
+
     def test_console_entry_reads_negative_bracket_as_value(self, capsys, monkeypatch):
         # the console script calls main() with no arguments
         monkeypatch.setattr(
@@ -142,6 +151,20 @@ class TestBench:
         assert err == f"kinkline bench: error: --functions: unknown function {fid!r}\n"
 
 
+    def test_unwritable_out_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def run_benchmark(*args, **kwargs):
+            raise AssertionError("ran the benchmark before opening --out")
+
+        monkeypatch.setattr("kinkline.cli.run_benchmark", run_benchmark)
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "bench", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            f"kinkline bench: error: --out: cannot write {str(path)!r}: "
+            "No such file or directory\n"
+        )
+
+
 class TestSeqexp:
     def test_csv_written(self, capsys, tmp_path):
         out_path = tmp_path / "seq.csv"
@@ -153,6 +176,16 @@ class TestSeqexp:
         lines = out_path.read_text().splitlines()
         assert lines[1] == "sequence,bits,eupm_rate,golden_rate"
         assert len(lines) == 2 + 16
+
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "seqexp", "--bits", "2", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            f"kinkline seqexp: error: --out: cannot write {str(path)!r}: "
+            "No such file or directory\n"
+        )
 
 
 class TestVerify:
@@ -188,6 +221,7 @@ class TestVerify:
         (("minimize", "--function", "NU3", "--algorithm", "supm:-1"), None, "--algorithm"),
         (("minimize", "--function", "NU3", "--algorithm", "supm:nan"), None, "--algorithm"),
         (("minimize", "--function", "NU3", "--algorithm", "supm:inf"), None, "--algorithm"),
+        (("minimize", "--function", "NU3", "--eps", "inf"), None, "--eps"),
     ],
 )
 def test_out_of_range_number_is_usage_error(capsys, monkeypatch, argv, env_seed, flag):

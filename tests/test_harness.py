@@ -1,7 +1,6 @@
 import io
 import math
 import sys
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -229,7 +228,7 @@ class TestMinimizeOnce:
             for spec in PAPER_ALGORITHMS + ("golden",):
                 res, b0 = minimize_once(func.fid, spec, seed=0)
                 b = res.bracket
-                values = [*b.x, *b.fv] if hasattr(b, "x") else list(astuple(b))
+                values = [*b.x, *b.fv]
                 values += [v for row in res.trace for v in row[1:]] + (res.alphas or [])
                 assert all(type(v) is float for v in values), (func.fid, spec)
                 assert all(type(row[0]) is int for row in res.trace)

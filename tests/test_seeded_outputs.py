@@ -55,6 +55,13 @@ NU2_SEED_3_TRACE_SHA256 = {
 #: function x algorithm at seed 0 (19 x 9 runs, in registry and table order).
 ALL_RUNS_SEED_0_SHA256 = "477ea99f19df627511d282b1af4f374f62f644785b5be5b63e921a5d5c5a1538"
 
+#: SHA-256 of the stdout of the oracle-free commands ``verify --seed 0`` and
+#: ``seqexp --seed 0`` at their default sample counts.
+ORACLE_FREE_SEED_0_SHA256 = {
+    "verify": "a9d79bb64e15c4db6ac1b0010289cf0187cef8ef6731659a47ce4ea6019a05f6",
+    "seqexp": "6373e502ab0ee3f1d650aa261ca059a27063b17c474dbee8dbf608f5f84abef5",
+}
+
 
 def test_bench_csv(capsys):
     assert main(["bench", "--suite", "all", "--trials", "3", "--seed", "0"]) == 0
@@ -80,3 +87,10 @@ def test_every_function_and_algorithm_at_seed_0():
             h.update(f"{f.fid} {spec} {res.status.value} {res.evaluations}\n".encode())
             h.update(buf.getvalue().encode())
     assert h.hexdigest() == ALL_RUNS_SEED_0_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(ORACLE_FREE_SEED_0_SHA256))
+def test_oracle_free_outputs(capsys, command):
+    assert main([command, "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_FREE_SEED_0_SHA256[command]

@@ -378,8 +378,9 @@ class TestConfig:
         def oracle(x):
             raise AssertionError("evaluated before the settings were checked")
 
-        for eps, budget in ((0.0, 500), (-1e-8, 500), (1e-8, 0), (1e-8, -3)):
-            with pytest.raises(ValueError, match="eps must be > 0|budget must be >= 1"):
+        bad = ((0.0, 500), (-1e-8, 500), (math.inf, 500), (1e-8, 0), (1e-8, -3))
+        for eps, budget in bad:
+            with pytest.raises(ValueError, match="eps must be finite and > 0|budget must be >= 1"):
                 run_algorithm(spec, oracle, b, eps, budget)
         if spec.startswith("supm"):
             for bad in ("-1", "nan", "inf"):
