@@ -19,7 +19,7 @@ from typing import Callable
 from .brackets import Bracket3, ExtendedBracket5
 from .models import QuadModel, divided_diff1
 from .result import SolverResult
-from .supm import BracketTooSmallError, _min_separation, minimize_max_quadratics
+from .supm import BracketTooSmallError, minimize_max_quadratics
 from .supm import run_bracket_solver, run_solver
 
 _EPS = sys.float_info.epsilon
@@ -197,11 +197,10 @@ def mifflin_strodiot_minimize(
     (in particular multimodal) objectives.
     """
 
-    def next_trial(b, branches, delta):
+    def next_trial(b, branches):
         x, fv = b.x, b.fv
         ql = QuadModel(fv[1], divided_diff1(fv[1], fv[0], x[1], x[0]), 0.0, x[1], x[0], "L")
         qr = QuadModel(fv[3], divided_diff1(fv[3], fv[4], x[3], x[4]), 0.0, x[3], x[4], "R")
-        g = minimize_max_quadratics(ql, qr, x[1], x[3], x[2])
-        return _min_separation(g, x[1], x[2], x[3], delta)
+        return minimize_max_quadratics(ql, qr, x[1], x[3], x[2])
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

@@ -31,7 +31,8 @@ and the step at the constant the escalation accepted takes it from there
 instead of solving again.
 
 The loop is :func:`~kinkline.supm.run_bracket_solver`; the flank history
-is read from the update rules it has applied.
+is read from the update rules it has applied, and the loop, not this
+module, keeps each proposed trial point the minimum separation away.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .models import divided_diff2
 # perfbench/test_perfbench.py checks that tracing restores this binding.
 from .models import build_model  # noqa: F401
 from .result import SolverResult
-from .supm import Flanks, _as_flanks, _min_separation, run_bracket_solver
+from .supm import Flanks, run_bracket_solver
 
 #: Relative tolerance for deciding that the two models agree at the step.
 INTERSECTION_RTOL = 1e-10
@@ -57,31 +58,29 @@ class ChiConditionError(RuntimeError):
     condition holds for every bracket; this indicates a bug."""
 
 
-def alpha_floor(b: ExtendedBracket7 | Flanks) -> float:
+def alpha_floor(fl: Flanks) -> float:
     """Smallest constant keeping both models at or below the incumbent value.
 
-    May be negative; the caller clamps with the running maximum.  ``b`` is
-    a bracket or its :class:`~kinkline.supm.Flanks`, as are the brackets
-    taken by the functions below.  Each flank's curvature is compared with
-    the centre second divided difference through the incumbent and the
-    flank's two inner points.
+    May be negative; the caller clamps with the running maximum.  ``fl``
+    is a bracket's :class:`~kinkline.supm.Flanks`, as for the functions
+    below.  Each flank's curvature is compared with the centre second
+    divided difference through the incumbent and the flank's two inner
+    points.
     """
-    fl = _as_flanks(b)
     x, fv = fl.b.x, fl.b.fv
     dl = divided_diff2(fv[3], fv[2], fv[1], x[3], x[2], x[1])
     dr = divided_diff2(fv[3], fv[4], fv[5], x[3], x[4], x[5])
     return max(fl.left[2] - dl, fl.right[2] - dr) / fl.h
 
 
-def alpha_plus(b: ExtendedBracket7 | Flanks) -> float:
+def alpha_plus(fl: Flanks) -> float:
     """Concavity threshold: above it both models curve downward, so the
     minimizer of their max over the inner interval is an intersection
     point or an endpoint of the interval, never a vertex."""
-    fl = _as_flanks(b)
     return max(fl.left[2], fl.right[2]) / fl.h
 
 
-def intersection_condition(b: ExtendedBracket7 | Flanks, alpha: float) -> bool:
+def intersection_condition(fl: Flanks, alpha: float) -> bool:
     """Is the max-model minimizer a crossing of the two models or an
     endpoint of the inner interval, rather than the vertex of a convex one?
 
@@ -91,7 +90,6 @@ def intersection_condition(b: ExtendedBracket7 | Flanks, alpha: float) -> bool:
     sets the scale when both model values are near zero.  When the
     condition holds, the minimizer is kept as the record's ``accepted``.
     """
-    fl = _as_flanks(b)
     ql, qr, g, kind = fl.solve(alpha)
     if kind == "vertex":
         vl, vr = ql(g), qr(g)
@@ -101,7 +99,7 @@ def intersection_condition(b: ExtendedBracket7 | Flanks, alpha: float) -> bool:
     return True
 
 
-def chi(b: ExtendedBracket7 | Flanks, alpha_lo: float, tol: float) -> float:
+def chi(fl: Flanks, alpha_lo: float, tol: float) -> float:
     """Bisect for the smallest constant granting the intersection condition.
 
     Returns ``alpha_lo`` unchanged when the condition already holds there.
@@ -113,7 +111,6 @@ def chi(b: ExtendedBracket7 | Flanks, alpha_lo: float, tol: float) -> float:
     """
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
-    fl = _as_flanks(b)
     if intersection_condition(fl, alpha_lo):
         return alpha_lo
     ap = alpha_plus(fl)
@@ -132,39 +129,32 @@ def chi(b: ExtendedBracket7 | Flanks, alpha_lo: float, tol: float) -> float:
     return hi
 
 
-def escalate_alpha(b: ExtendedBracket7 | Flanks, alpha: float) -> float:
+def escalate_alpha(fl: Flanks, alpha: float) -> float:
     """Raise ``alpha`` to cover the necessary-condition floor and the
     intersection condition; never lowers it.  The bisection width is 1e-3
     relative to the concavity threshold.  The returned constant is the
     last one whose condition check held, so its minimizer is the record's
     ``accepted``."""
-    fl = _as_flanks(b)
     alpha = max(alpha, alpha_floor(fl))
     return chi(fl, alpha, 1e-3 * max(1.0, abs(alpha_plus(fl))))
 
 
-def dupm_step(
-    b: ExtendedBracket7 | Flanks, alpha: float, branches: Sequence[int], delta: float
-) -> float:
-    """Trial point: the closed-form step when the last three updates all
-    replaced the same flank's inner point, otherwise the max-model step at
-    ``alpha``, which must already be escalated for this iteration.  Both
-    are kept ``delta`` away from the incumbent and the inner endpoints.
+def dupm_step(fl: Flanks, alpha: float, branches: Sequence[int]) -> float:
+    """Proposed trial point: the closed-form step when the last three
+    updates all replaced the same flank's inner point, otherwise the
+    max-model step at ``alpha``, which must already be escalated for this
+    iteration.  :func:`~kinkline.supm.run_bracket_solver` keeps it the
+    minimum separation away from the incumbent and the inner endpoints.
 
     ``branches`` lists the update rules applied so far, oldest first;
     updates 1 and 3 replace the right inner point, 2 and 4 the left one.
     """
-    fl = _as_flanks(b)
-    b = fl.b
     last = branches[-3:]
     if len(last) == 3 and len({br in (1, 3) for br in last}) == 1:
-        g = eupm_step(inner5(b))
-    elif fl.accepted is not None and fl.accepted[0] == alpha:
-        g = fl.accepted[1]
-    else:
-        g = fl.solve(alpha)[2]
-    x = b.x
-    return _min_separation(g, x[2], x[3], x[4], delta)
+        return eupm_step(inner5(fl.b))
+    if fl.accepted is not None and fl.accepted[0] == alpha:
+        return fl.accepted[1]
+    return fl.solve(alpha)[2]
 
 
 def dupm_minimize(
@@ -187,15 +177,15 @@ def dupm_minimize(
     alphas: list[float] = []
     fl = Flanks(b0)
 
-    def next_trial(b, branches, delta):
+    def next_trial(b, branches):
         nonlocal alpha
         if branches:
             fl.advance(b, branches[-1])
         alpha = escalate_alpha(fl, alpha)
-        xt = dupm_step(fl, alpha, branches, delta)
         alphas.append(alpha)
-        return xt
+        return dupm_step(fl, alpha, branches)
 
     result = run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
-    result.alphas = alphas
+    # a proposal that found no room for its trial completed no iteration
+    result.alphas = alphas[: result.iterations]
     return result

@@ -23,7 +23,7 @@ import numpy as np
 
 from .brackets import ExtendedBracket5
 from .result import SolverResult
-from .supm import _min_separation, apply_update, run_bracket_solver
+from .supm import apply_update, run_bracket_solver
 
 #: Update sequences whose contraction ratios bound every realizable
 #: five-step sequence (the remaining ones reduce to these by substring
@@ -74,14 +74,13 @@ def eupm_minimize(
 ) -> SolverResult:
     """Run the extremal solver on a five-point bracket.
 
-    The trial point is the closed-form step, kept the minimum separation
-    away from the incumbent and the inner endpoints; the run and its stop
-    rule are :func:`~kinkline.supm.run_bracket_solver`'s.
+    The proposed trial point is the closed-form step; the minimum
+    separation, the run and its stop rule are
+    :func:`~kinkline.supm.run_bracket_solver`'s.
     """
 
-    def next_trial(b, branches, delta):
-        x = b.x
-        return _min_separation(eupm_step(b), x[1], x[2], x[3], delta)
+    def next_trial(b, branches):
+        return eupm_step(b)
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
 

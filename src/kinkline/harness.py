@@ -174,7 +174,10 @@ def parse_algorithm(spec: str) -> tuple[str, float]:
     s = spec.strip().lower()
     if s.startswith("supm"):
         rest = s[4:].lstrip(":")
-        alpha = float(rest) if rest else 0.0
+        try:
+            alpha = float(rest) if rest else 0.0
+        except ValueError:
+            alpha = math.nan  # refused below, with the documented message
         if not (alpha >= 0.0 and math.isfinite(alpha)):
             raise ValueError(f"expected a finite alpha >= 0 after 'supm:', got {rest!r}")
         return "supm", alpha
@@ -440,7 +443,6 @@ def random_bracket7(
     rng: np.random.Generator,
     gap_range: tuple[float, float] = (0.1, 2.0),
     centre_range: tuple[float, float] = (-10.0, 10.0),
-    value_range: tuple[float, float] = (0.0, 1.0),
 ) -> ExtendedBracket7:
     """Seven-point bracket of builtin floats with uniform gaps and uniform
     cached values, centre value pushed below its neighbours."""
@@ -455,7 +457,6 @@ def random_bracket7(
         xm + g[3] + g[4],
         xm + g[3] + g[4] + g[5],
     )
-    fv = list(rng.uniform(*value_range, 7))
-    width = value_range[1] - value_range[0]
-    fv[3] = min(fv[2], fv[4]) - rng.uniform(0.0, width / 2.0)
+    fv = list(rng.uniform(0.0, 1.0, 7))
+    fv[3] = min(fv[2], fv[4]) - rng.uniform(0.0, 0.5)
     return make_extended7(map(float, x), map(float, fv))

@@ -9,16 +9,15 @@ rule keeps one flank's points, so the solver carries that flank's
 coefficients over in a :class:`Flanks` record, which the dynamic solver
 shares, and recomputes only the other's.
 
-A minimum point separation ``delta`` keeps the trial away from the
-incumbent and the inner endpoints, which guarantees the bracket strictly
-shrinks even when the models misbehave.
-
 Every solver runs in one loop, :func:`run_solver`, which owns the stop
 rule, the budget, the oracle-call count, the non-finite value check and
 the trace; a solver supplies only its iterations.  Those that move a five-
 or seven-point bracket by the four update rules (fixed-constant,
 extremal, dynamic and Mifflin-Strodiot) share :func:`run_bracket_solver`
-and supply only their choice of trial point.
+and supply only a proposed trial point.  That loop then keeps the trial a
+minimum separation ``delta`` away from the incumbent and the inner
+endpoints, which guarantees the bracket strictly shrinks even when the
+models misbehave: the solvers propose, the loop clips.
 """
 
 from __future__ import annotations
@@ -220,18 +219,11 @@ class Flanks:
         return (ql, qr) + argmin_max_quadratics(ql, qr, x[2], x[4], x[3])
 
 
-def _as_flanks(b: ExtendedBracket7 | Flanks) -> Flanks:
-    return b if isinstance(b, Flanks) else Flanks(b)
-
-
-def supm_step(b: ExtendedBracket7 | Flanks, alpha: float, delta: float) -> float:
-    """Next trial point: the max-model minimizer at ``alpha``, kept
-    ``delta`` away from the incumbent and the inner endpoints; ``delta ==
-    0`` only clips it to the inner interval.  ``b`` is a bracket or its
-    :class:`Flanks`."""
-    fl = _as_flanks(b)
-    x = fl.b.x
-    return _min_separation(fl.solve(alpha)[2], x[2], x[3], x[4], delta)
+def supm_step(fl: Flanks, alpha: float) -> float:
+    """Proposed trial point: the max-model minimizer at ``alpha`` over the
+    inner interval of the record's bracket, before the loop's separation
+    rule (see :func:`run_bracket_solver`)."""
+    return fl.solve(alpha)[2]
 
 
 def classify_branch(xtrial: float, ftrial: float, b) -> int:
@@ -351,34 +343,37 @@ def run_bracket_solver(
     b0: Bracket,
     eps: float,
     budget: int,
-    next_trial: Callable[[Bracket, list[int], float], float],
+    next_trial: Callable[[Bracket, list[int]], float],
     record_brackets: bool = False,
 ) -> SolverResult:
     """Run a solver that moves a five- or seven-point bracket by the four
     update rules, through :func:`run_solver`.
 
-    Each iteration asks ``next_trial(bracket, branches, delta)`` for a
-    trial point kept ``delta`` (:func:`default_delta` at solve start) away
-    from the incumbent and the inner endpoints, where ``branches`` lists the
-    update rules applied so far, oldest first.  It evaluates the trial once
-    and inserts it by :func:`classify_branch` and :func:`apply_update`.
-    The applied rules are returned in ``branches``.
+    Each iteration asks ``next_trial(bracket, branches)`` for the solver's
+    proposed trial point, where ``branches`` lists the update rules applied
+    so far, oldest first, and keeps it ``delta`` (:func:`default_delta` at
+    solve start) away from the incumbent and the inner endpoints, or stalls
+    if there is no room.  It evaluates the trial once and inserts it by
+    :func:`classify_branch` and :func:`apply_update`.  The applied rules
+    are returned in ``branches``.
     """
     delta = default_delta(eps, b0.xl1, b0.xr1)
     branches: list[int] = []
     c = b0._CENTRE
+    lo, hi = c - 1, c + 1
 
     def iterate(evaluate):
         b = b0
         snapshot = lambda: b
         yield inner_length(b), b.fm, snapshot
         while True:
-            xt = next_trial(b, branches, delta)
+            x = b.x
+            xt = _min_separation(next_trial(b, branches), x[lo], x[c], x[hi], delta)
             ft = evaluate(xt)
             br = classify_branch(xt, ft, b)
             b = apply_update(br, xt, ft, b)
             branches.append(br)
-            yield b.x[c + 1] - b.x[c - 1], b.fv[c], snapshot
+            yield b.x[hi] - b.x[lo], b.fv[c], snapshot
 
     result = run_solver(oracle, b0, eps, budget, iterate, record_brackets)
     result.branches = branches
@@ -405,9 +400,9 @@ def supm_minimize(
         raise ValueError("alpha must be finite and >= 0")
     fl = Flanks(b0)
 
-    def next_trial(b, branches, delta):
+    def next_trial(b, branches):
         if branches:
             fl.advance(b, branches[-1])
-        return supm_step(fl, alpha, delta)
+        return supm_step(fl, alpha)
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

@@ -69,6 +69,10 @@ class TestMinimize:
             ),
             (("NU9",), "--function: unknown function 'NU9'"),
             (("NU3", "--algorithm", "newton"), "--algorithm: unknown algorithm spec 'newton'"),
+            (
+                ("NU3", "--algorithm", "supm:x"),
+                "--algorithm: expected a finite alpha >= 0 after 'supm:', got 'x'",
+            ),
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):

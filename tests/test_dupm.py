@@ -38,11 +38,11 @@ def polyfit_dd2(xs, fs):
 class TestAlphaFloor:
     def test_zero_for_global_quadratic(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: 2 * x * x + x - 1)
-        assert alpha_floor(b) == pytest.approx(0.0, abs=1e-12)
+        assert alpha_floor(Flanks(b)) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_for_piecewise_affine_sides(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: max(-x, 2 * x))
-        assert alpha_floor(b) == pytest.approx(0.0, abs=1e-12)
+        assert alpha_floor(Flanks(b)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_polyfit_oracle(self):
         rng = np.random.default_rng(21)
@@ -56,26 +56,26 @@ class TestAlphaFloor:
                 )
                 / scaling_h(b)
             )
-            assert alpha_floor(b) == pytest.approx(want, rel=1e-6, abs=1e-9)
+            assert alpha_floor(Flanks(b)) == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 class TestAlphaPlus:
     def test_negative_when_both_sides_concave(self):
         b = with_values((-3, -2, -1, 0.0, 1, 2, 3), lambda x: -(x * x) + 9.5 * abs(x))
-        assert alpha_plus(b) < 0.0
+        assert alpha_plus(Flanks(b)) < 0.0
 
     def test_square_data(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
-        assert alpha_plus(b) == pytest.approx(1.0 / scaling_h(b), rel=1e-12)
+        assert alpha_plus(Flanks(b)) == pytest.approx(1.0 / scaling_h(b), rel=1e-12)
 
     def test_chi_never_exceeds_alpha_plus_by_much(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
             b = random_bracket7(rng)
-            ap = alpha_plus(b)
+            ap = alpha_plus(Flanks(b))
             tol = 1e-3 * max(1.0, abs(ap))
             try:
-                got = chi(b, 0.0, tol)
+                got = chi(Flanks(b), 0.0, tol)
             except Exception:
                 continue
             assert got <= max(0.0, ap) + 2.0 * tol
@@ -86,8 +86,8 @@ class TestIntersectionCondition:
         rng = np.random.default_rng(23)
         for _ in range(100):
             b = random_bracket7(rng)
-            alpha = max(0.0, alpha_plus(b)) + 1.0
-            assert intersection_condition(b, alpha)
+            alpha = max(0.0, alpha_plus(Flanks(b))) + 1.0
+            assert intersection_condition(Flanks(b), alpha)
 
     def test_false_when_a_convex_vertex_wins(self):
         # right side strongly convex with an interior vertex far below the
@@ -95,7 +95,7 @@ class TestIntersectionCondition:
         f = lambda x: 5.0 * (x - 0.8) ** 2 if x > 0 else 4.0 - 6.0 * x
         # xm off the mirror point of xr1 about 0.8, so f(xm) < f(xr1)
         b = with_values((-3.0, -2.0, -1.0, 0.5, 1.2, 2.0, 3.0), f)
-        assert not intersection_condition(b, 0.0)
+        assert not intersection_condition(Flanks(b), 0.0)
 
     def test_true_when_an_endpoint_wins(self):
         # left line 10 - x stays above the convex right model on most of
@@ -105,8 +105,8 @@ class TestIntersectionCondition:
         ql, qr = build_model("L", b, 0.0), build_model("R", b, 0.0)
         assert qr.c2adj > 0.0
         assert argmin_max_quadratics(ql, qr, b.xl1, b.xr1, b.xm) == (1.0, "endpoint")
-        assert intersection_condition(b, 0.0)
-        assert chi(b, 0.0, 1e-3) == 0.0
+        assert intersection_condition(Flanks(b), 0.0)
+        assert chi(Flanks(b), 0.0, 1e-3) == 0.0
 
     def test_true_above_threshold_on_ill_scaled_brackets(self):
         # centre near 1e8 with gaps of tens of ulps: the models' values at a
@@ -115,13 +115,13 @@ class TestIntersectionCondition:
         rng = np.random.default_rng(31)
         for _ in range(100):
             b = random_bracket7(rng, gap_range=(1e-7, 1e-6), centre_range=(1e8 - 1.0, 1e8 + 1.0))
-            assert intersection_condition(b, max(0.0, alpha_plus(b)) + 1.0)
+            assert intersection_condition(Flanks(b), max(0.0, alpha_plus(Flanks(b))) + 1.0)
 
 
 class TestChi:
     def test_returns_lo_when_condition_already_holds(self):
         b = with_values((-3, -2, -1, 0.0, 1, 2, 3), lambda x: -(x * x) + 9.5 * abs(x))
-        assert chi(b, 0.0, 1e-4) == 0.0
+        assert chi(Flanks(b), 0.0, 1e-4) == 0.0
 
     def test_bisection_matches_linear_scan(self):
         rng = np.random.default_rng(24)
@@ -132,13 +132,13 @@ class TestChi:
             if checked >= 20:
                 break
             b = random_bracket7(rng)
-            tol = 1e-3 * max(1.0, abs(alpha_plus(b)))
-            if intersection_condition(b, 0.0):
+            tol = 1e-3 * max(1.0, abs(alpha_plus(Flanks(b))))
+            if intersection_condition(Flanks(b), 0.0):
                 continue
-            got = chi(b, 0.0, tol)
+            got = chi(Flanks(b), 0.0, tol)
             # scan at a tenth of the bisection tolerance for the flip point
             alphas = np.arange(0.0, got + 2 * tol, tol / 10.0)
-            held = [bool(intersection_condition(b, float(a))) for a in alphas]
+            held = [bool(intersection_condition(Flanks(b), float(a))) for a in alphas]
             assert any(held), "scan never saw the condition hold"
             first = held.index(True)
             if not all(held[first:]):
@@ -155,18 +155,18 @@ class TestChi:
         monkeypatch.setattr(kinkline.dupm, "intersection_condition", lambda b, alpha: False)
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
         with pytest.raises(ChiConditionError):
-            escalate_alpha(b, 0.0)
+            escalate_alpha(Flanks(b), 0.0)
 
     def test_halving_tol_moves_result_little(self):
         rng = np.random.default_rng(25)
         checked = 0
         while checked < 10:
             b = random_bracket7(rng)
-            if intersection_condition(b, 0.0):
+            if intersection_condition(Flanks(b), 0.0):
                 continue
-            tol = 1e-3 * max(1.0, abs(alpha_plus(b)))
-            a1 = chi(b, 0.0, tol)
-            a2 = chi(b, 0.0, tol / 2.0)
+            tol = 1e-3 * max(1.0, abs(alpha_plus(Flanks(b))))
+            a1 = chi(Flanks(b), 0.0, tol)
+            a2 = chi(Flanks(b), 0.0, tol / 2.0)
             assert abs(a1 - a2) <= tol
             checked += 1
 
@@ -174,30 +174,30 @@ class TestChi:
 class TestStepAndUpdate:
     def test_same_flank_streak_forces_closed_form(self):
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        got = dupm_step(b, 0.0, [1, 3, 1], 1e-9)  # right, right, right
-        assert got == eupm_step(inner5(b))  # exact: no clamp fires here
+        got = dupm_step(Flanks(b), 0.0, [1, 3, 1])  # right, right, right
+        assert got == eupm_step(inner5(b))
 
     def test_mixed_history_takes_adjusted_step(self):
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        assert dupm_step(b, 0.7, [4, 3, 2, 1], 1e-9) == supm_step(b, 0.7, 1e-9)
+        assert dupm_step(Flanks(b), 0.7, [4, 3, 2, 1]) == supm_step(Flanks(b), 0.7)
 
     def test_update_flags(self):
         # updates 1 and 3 replace the right inner point, 2 and 4 the left
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
         closed = eupm_step(inner5(b))
         for last in ((1, 3, 3), (3, 1, 1), (2, 4, 4), (4, 2, 2)):
-            assert dupm_step(b, 0.7, [2, *last], 1e-9) == closed
+            assert dupm_step(Flanks(b), 0.7, [2, *last]) == closed
         for last in ((1, 2, 1), (3, 4, 3), (2, 3, 2), (4, 1, 4)):
-            assert dupm_step(b, 0.7, [2, *last], 1e-9) == supm_step(b, 0.7, 1e-9)
+            assert dupm_step(Flanks(b), 0.7, [2, *last]) == supm_step(Flanks(b), 0.7)
 
     def test_two_updates_decide_alike_on_either_flank(self):
         # a left/right mirror must not change the decision: no streak is
         # complete before three real updates, on either flank
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        adjusted = supm_step(b, 0.7, 1e-9)
+        adjusted = supm_step(Flanks(b), 0.7)
         assert adjusted != eupm_step(inner5(b))
         for two in ([2, 4], [4, 2], [1, 3], [3, 1]):
-            assert dupm_step(b, 0.7, two, 1e-9) == adjusted
+            assert dupm_step(Flanks(b), 0.7, two) == adjusted
 
     def test_three_same_side_updates_then_closed_form(self):
         b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
@@ -206,8 +206,8 @@ class TestStepAndUpdate:
             b = apply_update(3, xt, ft, b)  # three branch-3 inserts
             branches.append(3)
             if len(branches) < 3:
-                assert dupm_step(b, 0.0, branches, 1e-12) == supm_step(b, 0.0, 1e-12)
-        assert dupm_step(b, 0.0, branches, 1e-12) == eupm_step(inner5(b))
+                assert dupm_step(Flanks(b), 0.0, branches) == supm_step(Flanks(b), 0.0)
+        assert dupm_step(Flanks(b), 0.0, branches) == eupm_step(inner5(b))
 
 
 class TestFlanks:
@@ -220,11 +220,11 @@ class TestFlanks:
             func = get_function(fid)
             brackets += [generate_bracket(func, np.random.default_rng([33, t, k])) for k in range(20)]
         for b in brackets:
-            ap = alpha_plus(b)
+            ap = alpha_plus(Flanks(b))
             zero_l, zero_r = build_model("L", b, 0.0), build_model("R", b, 0.0)
             assert ap == max(zero_l.c2adj, zero_r.c2adj) / scaling_h(b)
             tol = 1e-3 * max(1.0, abs(ap))
-            for alpha in (0.0, alpha_floor(b), ap, ap + tol, 1e8):
+            for alpha in (0.0, alpha_floor(Flanks(b)), ap, ap + tol, 1e8):
                 ql, qr, g, kind = Flanks(b).solve(alpha)
                 want_l, want_r = build_model("L", b, alpha), build_model("R", b, alpha)
                 assert (ql, qr) == (want_l, want_r)
@@ -237,7 +237,7 @@ class TestFlanks:
             fl = Flanks(b)
             alpha = escalate_alpha(fl, 0.0)
             assert fl.accepted[0] == alpha
-            assert dupm_step(fl, alpha, [], 1e-9) == supm_step(b, alpha, 1e-9)
+            assert dupm_step(fl, alpha, []) == supm_step(Flanks(b), alpha)
 
     def test_flank_data_is_computed_once_per_iteration(self, monkeypatch):
         # per iteration: the flank the update changed (both on a run's
@@ -303,7 +303,7 @@ class TestSolver:
             assert all(a2 >= a1 for a1, a2 in zip(res.alphas, res.alphas[1:]))
             # after escalation, the floor is covered at every iteration
             for br, a in zip(res.bracket_trace[:-1], res.alphas):
-                assert alpha_floor(br) <= a + 1e-9 * max(1.0, abs(a))
+                assert alpha_floor(Flanks(br)) <= a + 1e-9 * max(1.0, abs(a))
 
     def test_nonsmooth_unimodal_never_exhausts(self):
         for fid in ("NU1", "NU2", "NU3", "NU4", "NU5"):
@@ -331,12 +331,12 @@ class TestSolver:
                     abs(g - bracket.xm) >= delta
                     and bracket.xl1 + delta <= g <= bracket.xr1 - delta
                 ):
-                    assert dupm_step(bracket, res.alphas[i], res.branches[:i], delta) == g
+                    assert dupm_step(Flanks(bracket), res.alphas[i], res.branches[:i]) == g
             flanks.append("R" if br in (1, 3) else "L")
 
 
 class TestConfig:
     def test_escalate_clamps_negative_floor(self):
         b = with_values((-3, -2, -1, 0.0, 1, 2, 3), lambda x: -(x * x) + 9.5 * abs(x))
-        assert alpha_floor(b) <= 0.0
-        assert escalate_alpha(b, 0.3) >= 0.3
+        assert alpha_floor(Flanks(b)) <= 0.0
+        assert escalate_alpha(Flanks(b), 0.3) >= 0.3

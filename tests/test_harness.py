@@ -29,6 +29,7 @@ from kinkline.harness import (
     write_trace_csv,
 )
 from kinkline.result import SolverResult, Status
+from kinkline.supm import Flanks
 from kinkline import testfuncs
 from kinkline.testfuncs import Category, get_function
 
@@ -69,8 +70,9 @@ def test_random_brackets_hold_builtin_floats():
         b5, b7 = random_bracket5(rng), random_bracket7(rng)
         for v in b5.x + b5.fv + b7.x + b7.fv:
             assert type(v) is float
-        floor = alpha_floor(b7)
-        for v in (floor, alpha_plus(b7), chi(b7, max(0.0, floor), 1e-3)):
+        fl = Flanks(b7)
+        floor = alpha_floor(fl)
+        for v in (floor, alpha_plus(fl), chi(fl, max(0.0, floor), 1e-3)):
             assert type(v) is float
 
 
@@ -112,6 +114,11 @@ class TestAlgorithmSpecs:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             parse_algorithm("newton")
+
+    def test_non_numeric_supm_constant_is_named(self):
+        message = "^expected a finite alpha >= 0 after 'supm:', got 'x'$"
+        with pytest.raises(ValueError, match=message):
+            parse_algorithm("supm:x")
 
 
 class TestBenchmark:
@@ -232,10 +239,10 @@ class TestMinimizeOnce:
                 values += [v for row in res.trace for v in row[1:]] + (res.alphas or [])
                 assert all(type(v) is float for v in values), (func.fid, spec)
                 assert all(type(row[0]) is int for row in res.trace)
-            assert type(intersection_condition(b0, 0.0)) is bool
+            assert type(intersection_condition(Flanks(b0), 0.0)) is bool
         rng = np.random.default_rng(36)
         for _ in range(50):
-            assert type(intersection_condition(random_bracket7(rng), 0.0)) is bool
+            assert type(intersection_condition(Flanks(random_bracket7(rng)), 0.0)) is bool
 
     def test_trace_csv_columns(self):
         res, _ = minimize_once("NU2", "eupm", seed=1)

@@ -15,7 +15,7 @@ from kinkline.models import (
     divided_diff2,
     scaling_h,
 )
-from kinkline.supm import supm_step
+from kinkline.supm import Flanks, supm_step
 
 EPS = sys.float_info.epsilon
 
@@ -98,7 +98,7 @@ class TestModels:
 
     def test_fig1_models_cross_near_half_percent(self):
         b, _ = fig1_bracket()
-        g = supm_step(b, 0.0, 0.0)
+        g = supm_step(Flanks(b), 0.0)
         assert abs(g - 0.005) <= 1e-3
 
     def test_large_alpha_makes_models_concave(self):

@@ -35,37 +35,65 @@ def with_values(points, f):
     return make_extended7(points, tuple(f(p) for p in points))
 
 
+def recording(oracle, trials):
+    def record(x):
+        trials.append(x)
+        return oracle(x)
+
+    return record
+
+
 class TestStep:
     def test_affine_kink_lands_on_the_kink(self):
         b = with_values((-3, -2, -1, 0.25, 1, 2, 3), lambda x: max(-x, 2 * x))
-        assert supm_step(b, 0.0, 1e-9) == pytest.approx(0.0, abs=1e-12)
+        assert supm_step(Flanks(b), 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_centre_tie_resolves_left(self):
+        # the proposal is the incumbent itself; the loop moves it left
         b = with_values((-3, -2, -1, 0, 1, 2, 3), abs)
-        delta = 1e-9
-        assert supm_step(b, 0.0, delta) == -delta
+        assert supm_step(Flanks(b), 0.0) == 0.0
+        trials = []
+        run_algorithm("supm:0", recording(abs, trials), b, 1e-8, 500)
+        assert trials[0] == -default_delta(1e-8, b.xl1, b.xr1)
 
     def test_large_alpha_matches_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             b = random_bracket7(rng, gap_range=(2.0, 4.0), centre_range=(-5.0, 5.0))
-            g = supm_step(b, 1e8, 0.0)
+            g = supm_step(Flanks(b), 1e8)
             ge = eupm_step(inner5(b))
             assert abs(g - ge) <= 1e-8 * inner_length(b)
 
-    def test_step_respects_separation(self):
-        rng = np.random.default_rng(8)
-        for _ in range(300):
-            b = random_bracket7(rng)
-            delta = 1e-6
-            x = supm_step(b, 1.0, delta)
-            assert b.xl1 + delta <= x <= b.xr1 - delta
-            assert abs(x - b.xm) >= delta * (1.0 - 1e-12)
+    @pytest.mark.parametrize("spec", ["supm:0", "supm:1", "eupm", "dupm", "mifflin"])
+    def test_step_respects_separation(self, spec):
+        # every trial keeps delta from the incumbent and the inner
+        # endpoints of the bracket it was chosen on, compared in the float
+        # expressions the rule computes: xm - delta may round half an ulp
+        # of xm towards xm, which is more than 1e-12 of a delta of 2.5e-9
+        for func in list_functions():
+            for t in range(2):
+                b = generate_bracket(func, np.random.default_rng([63, t]))
+                trials = []
+                res = run_algorithm(
+                    spec, recording(oracle_for(func), trials), b, 1e-8, 500, record_brackets=True
+                )
+                delta = default_delta(1e-8, b.xl1, b.xr1)
+                assert len(trials) == res.iterations > 0
+                for br, x in zip(res.bracket_trace, trials):
+                    assert br.xl1 + delta <= x <= br.xr1 - delta
+                    assert x <= br.xm - delta or x >= br.xm + delta
 
     def test_no_room_raises(self):
-        b = with_values((-3, -2, -1e-7, 0, 1e-7, 2, 3), lambda x: x * x)
-        with pytest.raises(BracketTooSmallError):
-            supm_step(b, 0.0, 9e-8)
+        # both inner gaps are below 2 * delta: the loop's separation rule
+        # raises BracketTooSmallError before any oracle call, and the run
+        # ends as a stall
+        pts = tuple(1e8 + d for d in (-3, -2, -1e-6, 0, 1e-6, 2, 3))
+        f = lambda x: (x - 1e8) ** 2
+        b = with_values(pts, f)
+        assert 2.0 * default_delta(1e-9, b.xl1, b.xr1) > b.xr1 - b.xm
+        res = supm_minimize(f, b, 1e-9)
+        assert res.status is Status.STALLED
+        assert res.iterations == res.evaluations == 0
 
 
 def _ref_difference_coeffs(ql, qr, shift):
@@ -259,6 +287,27 @@ class TestSolver:
         assert res.status is Status.CONVERGED and res.iterations == 0
         assert res.evaluations == 0
 
+    @pytest.mark.parametrize(
+        "eps, budget, status",
+        [
+            (1e-9, 500, Status.STALLED),
+            (1e-9, 2, Status.BUDGET_EXHAUSTED),
+            (1e-3, 500, Status.CONVERGED),
+        ],
+        ids=["stalled", "budget", "converged"],
+    )
+    @pytest.mark.parametrize("spec", ["supm:0", "supm:1", "eupm", "dupm", "mifflin"])
+    def test_one_list_entry_per_completed_iteration(self, spec, eps, budget, status):
+        # near 1e8 the separation floor outgrows the bracket after a few
+        # iterations, so the stalled run ends on a proposal with no room
+        pts = tuple(1e8 + d for d in (-3, -2, -1, 0.25, 1, 2, 3))
+        f = lambda x: abs(x - 1e8 - 0.1)
+        res = run_algorithm(spec, f, with_values(pts, f), eps, budget)
+        assert res.status is status
+        assert len(res.branches) == res.iterations > 0
+        if spec == "dupm":
+            assert len(res.alphas) == res.iterations
+
     def test_trace_monotone(self):
         from conftest import kink_bracket, kink_objective
 
@@ -296,19 +345,17 @@ class TestSolver:
                 b = generate_bracket(func, np.random.default_rng([61, t]))
                 oracle = oracle_for(func)
                 trials = []
-
-                def recording(x):
-                    trials.append(x)
-                    return oracle(x)
-
-                res = run_algorithm(spec, recording, b, 1e-8, 500, record_brackets=True)
+                res = run_algorithm(
+                    spec, recording(oracle, trials), b, 1e-8, 500, record_brackets=True
+                )
                 delta = default_delta(1e-8, b.xl1, b.xr1)
                 assert len(trials) == res.iterations > 0
                 for i, (br, xt) in enumerate(zip(res.bracket_trace, trials)):
                     if spec == "dupm":
-                        assert xt == dupm_step(br, res.alphas[i], res.branches[:i], delta)
+                        g = dupm_step(Flanks(br), res.alphas[i], res.branches[:i])
                     else:
-                        assert xt == supm_step(br, float(spec.split(":")[1]), delta)
+                        g = supm_step(Flanks(br), float(spec.split(":")[1]))
+                    assert xt == _min_separation(g, br.xl1, br.xm, br.xr1, delta)
 
     def test_one_flank_is_recomputed_per_iteration(self, monkeypatch):
         # the first iteration computes both flanks' second divided
