@@ -23,12 +23,12 @@ lives in one :class:`~kinkline.supm.Flanks` record, the one the
 fixed-constant solver carries: the scale ``h`` and each flank's model
 coefficients.  Each update advances it, recomputing only the flank whose
 points changed.  The floor (with the two centre second divided
-differences it computes), the threshold, every condition check and the
-step read that record; a model at ``alpha`` takes ``alpha * h`` off the
-stored curvature, as :func:`~kinkline.models.build_model` does.  A
-condition check that holds keeps its max-model minimizer on the record,
-and the step at the constant the escalation accepted takes it from there
-instead of solving again.
+differences it computes), the threshold and every condition check read
+that record; a model at ``alpha`` takes ``alpha * h`` off the stored
+curvature, as :func:`~kinkline.models.build_model` does.  The
+escalation returns its decision, the constant and the max-model minimizer
+that the last condition check found there, and that minimizer is the
+trial unless the closed-form override applies.
 
 The loop is :func:`~kinkline.supm.run_bracket_solver`; the flank history
 is read from the update rules it has applied, and the loop, not this
@@ -80,81 +80,76 @@ def alpha_plus(fl: Flanks) -> float:
     return max(fl.left[2], fl.right[2]) / fl.h
 
 
-def intersection_condition(fl: Flanks, alpha: float) -> bool:
-    """Is the max-model minimizer a crossing of the two models or an
-    endpoint of the inner interval, rather than the vertex of a convex one?
+def intersection_condition(fl: Flanks, alpha: float) -> float | None:
+    """The max-model minimizer at ``alpha`` if it is a crossing of the two
+    models or an endpoint of the inner interval, and None if it is the
+    vertex of a convex one.
 
     Which candidate won decides: a crossing or an endpoint meets the
     condition.  A winning vertex meets it only if the other model passes
     through it too, checked with a relative tolerance: the incumbent value
-    sets the scale when both model values are near zero.  When the
-    condition holds, the minimizer is kept as the record's ``accepted``.
+    sets the scale when both model values are near zero.
     """
     ql, qr, g, kind = fl.solve(alpha)
     if kind == "vertex":
         vl, vr = ql(g), qr(g)
         if not abs(vl - vr) <= INTERSECTION_RTOL * (abs(vl) + abs(vr) + abs(fl.b.fm)):
-            return False
-    fl.accepted = (alpha, g)
-    return True
+            return None
+    return g
 
 
-def chi(fl: Flanks, alpha_lo: float, tol: float) -> float:
+def chi(fl: Flanks, alpha_lo: float) -> tuple[float, float]:
     """Bisect for the smallest constant granting the intersection condition.
 
-    Returns ``alpha_lo`` unchanged when the condition already holds there.
-    Otherwise searches (alpha_lo, threshold]; the returned value is the
-    upper end of the final bisection interval, where the condition was
-    checked to hold.  The search starts just above the threshold, where
-    the condition always holds; :class:`ChiConditionError` reports the
-    broken invariant if it does not.
+    Returns ``(alpha, g)``, where ``g`` is the max-model minimizer at
+    ``alpha`` that the last check to hold found.  ``alpha`` is ``alpha_lo``
+    when the condition holds there, and otherwise the upper end of the
+    final bisection interval over (alpha_lo, threshold], of width 1e-3
+    relative to the threshold.  The search starts just above the threshold,
+    where the condition always holds; :class:`ChiConditionError` reports
+    the broken invariant if it does not.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
-    if intersection_condition(fl, alpha_lo):
-        return alpha_lo
+    g = intersection_condition(fl, alpha_lo)
+    if g is not None:
+        return alpha_lo, g
     ap = alpha_plus(fl)
-    hi = max(ap, alpha_lo) + max(tol, 1e-12 * max(1.0, abs(ap)))
-    if not intersection_condition(fl, hi):
+    tol = 1e-3 * max(1.0, abs(ap))
+    lo, hi = alpha_lo, max(ap, alpha_lo) + tol
+    g = intersection_condition(fl, hi)
+    if g is None:
         raise ChiConditionError(
             f"models fail to intersect even at alpha={hi!r} (threshold {ap!r})"
         )
-    lo = alpha_lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if intersection_condition(fl, mid):
-            hi = mid
-        else:
+        if (gm := intersection_condition(fl, mid)) is None:
             lo = mid
-    return hi
+        else:
+            hi, g = mid, gm
+    return hi, g
 
 
-def escalate_alpha(fl: Flanks, alpha: float) -> float:
+def escalate_alpha(fl: Flanks, alpha: float) -> tuple[float, float]:
     """Raise ``alpha`` to cover the necessary-condition floor and the
-    intersection condition; never lowers it.  The bisection width is 1e-3
-    relative to the concavity threshold.  The returned constant is the
-    last one whose condition check held, so its minimizer is the record's
-    ``accepted``."""
-    alpha = max(alpha, alpha_floor(fl))
-    return chi(fl, alpha, 1e-3 * max(1.0, abs(alpha_plus(fl))))
+    intersection condition, never lowering it; returns :func:`chi`'s
+    ``(alpha, minimizer)``."""
+    return chi(fl, max(alpha, alpha_floor(fl)))
 
 
-def dupm_step(fl: Flanks, alpha: float, branches: Sequence[int]) -> float:
+def dupm_step(b: ExtendedBracket7, g: float, branches: Sequence[int]) -> float:
     """Proposed trial point: the closed-form step when the last three
-    updates all replaced the same flank's inner point, otherwise the
-    max-model step at ``alpha``, which must already be escalated for this
-    iteration.  :func:`~kinkline.supm.run_bracket_solver` keeps it the
-    minimum separation away from the incumbent and the inner endpoints.
+    updates all replaced the same flank's inner point, otherwise ``g``,
+    the max-model minimizer the escalation accepted on ``b``.
+    :func:`~kinkline.supm.run_bracket_solver` keeps it the minimum
+    separation away from the incumbent and the inner endpoints.
 
     ``branches`` lists the update rules applied so far, oldest first;
     updates 1 and 3 replace the right inner point, 2 and 4 the left one.
     """
     last = branches[-3:]
     if len(last) == 3 and len({br in (1, 3) for br in last}) == 1:
-        return eupm_step(inner5(fl.b))
-    if fl.accepted is not None and fl.accepted[0] == alpha:
-        return fl.accepted[1]
-    return fl.solve(alpha)[2]
+        return eupm_step(inner5(b))
+    return g
 
 
 def dupm_minimize(
@@ -169,7 +164,8 @@ def dupm_minimize(
 
     The adjustment constant starts at zero.  Each iteration advances one
     :class:`~kinkline.supm.Flanks` record to the bracket, escalates the
-    constant on it by :func:`escalate_alpha`, then picks the trial point by
+    constant on it by :func:`escalate_alpha`, which also returns the
+    max-model minimizer there, then picks the trial point by
     :func:`dupm_step`.  The per-iteration constants are returned in
     ``alphas`` (one entry per completed iteration).
     """
@@ -181,9 +177,9 @@ def dupm_minimize(
         nonlocal alpha
         if branches:
             fl.advance(b, branches[-1])
-        alpha = escalate_alpha(fl, alpha)
+        alpha, g = escalate_alpha(fl, alpha)
         alphas.append(alpha)
-        return dupm_step(fl, alpha, branches)
+        return dupm_step(b, g, branches)
 
     result = run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
     # a proposal that found no room for its trial completed no iteration

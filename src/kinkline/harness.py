@@ -367,7 +367,7 @@ def minimize_once(
 
     Without ``bracket_points`` the starting bracket comes from the random
     generator; with them, the seven given abscissae are sorted ascending,
-    evaluated, and validated, and any failure raises
+    evaluated to finite real values, and validated, and any failure raises
     :class:`BracketPointsError`.  Injected points may extend beyond the
     function's nominal domain (the oracle's domain check widens to their
     hull); the values must still satisfy the centre condition.
@@ -385,11 +385,14 @@ def minimize_once(
         values = []
         for x in pts:
             try:
-                values.append(func.evaluator(x))
-            except (ArithmeticError, ValueError) as exc:
+                fx = func.evaluator(x)
+                if not math.isfinite(fx):  # TypeError for a complex value
+                    raise ValueError(f"value {fx!r} is not finite")
+            except (ArithmeticError, TypeError, ValueError) as exc:
                 raise BracketPointsError(
                     f"{func.fid} cannot be evaluated at x={x!r} ({type(exc).__name__}: {exc})"
                 ) from exc
+            values.append(fx)
         try:
             bracket = make_extended7(pts, values)
         except BracketError as exc:

@@ -77,7 +77,8 @@ def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
         r = sq / (2.0 * abs(a))
         return (-r, r) if r != 0.0 else (0.0,)
     q = -0.5 * (b + math.copysign(sq, b))
-    return (q / a, c / q)
+    # q is 0 only when b is subnormal and 4ac underflowed: take c as 0
+    return (q / a, c / q) if q != 0.0 else (0.0, -b / a)
 
 
 #: Kinds of candidate that can minimize the max of two quadratics.
@@ -147,8 +148,10 @@ def minimize_max_quadratics(
 def _min_separation(g: float, lo: float, mid: float, hi: float, delta: float) -> float:
     """Project ``g`` onto [lo+delta, hi-delta] minus the delta-ball at mid.
 
-    When both side slots are open, the projection nearer ``g`` wins, and
-    the left one on a tie.  An exact tie at the incumbent resolves to the
+    A trial clipped to the float ``mid - delta`` or ``mid + delta`` can lie
+    up to half an ulp of ``mid`` short of ``delta`` from ``mid``.  When
+    both side slots are open, the projection nearer ``g`` wins, and the
+    left one on a tie.  An exact tie at the incumbent resolves to the
     left, ``mid - delta``.  Raises :class:`BracketTooSmallError` when both
     side slots are empty.
     """
@@ -177,12 +180,11 @@ class Flanks:
     ``b`` is the bracket and ``h`` its :func:`~kinkline.models.scaling_h`;
     ``left`` and ``right`` are the :func:`~kinkline.models.flank_coeffs`
     of points 2, 1, 0 and 4, 5, 6, each flank's model before adjustment,
-    anchored at the flank's two inner points of ``b``.  ``accepted`` is
-    ``(alpha, minimizer)`` from the last condition check on this bracket
-    that held (see :func:`~kinkline.dupm.intersection_condition`), or None.
+    anchored at the flank's two inner points of ``b``.  Nothing in it
+    depends on the adjustment constant; :meth:`solve` applies one.
     """
 
-    __slots__ = ("b", "h", "left", "right", "accepted")
+    __slots__ = ("b", "h", "left", "right")
 
     def __init__(self, b: ExtendedBracket7):
         x, fv = b.x, b.fv
@@ -190,14 +192,13 @@ class Flanks:
         self.h = scaling_h(b)
         self.left = flank_coeffs(x, fv, 2, 1, 0)
         self.right = flank_coeffs(x, fv, 4, 5, 6)
-        self.accepted: tuple[float, float] | None = None
 
     def advance(self, b: ExtendedBracket7, branch: int) -> None:
         """Move the record in place to ``b``, which update rule ``branch``
         made from the record's bracket.  Rules 1 and 3 keep the left flank's
         points and rules 2 and 4 the right's, so that flank's coefficients
         stay, exactly as recomputing them would give; the other flank and
-        ``h`` are recomputed, and ``accepted`` is cleared."""
+        ``h`` are recomputed."""
         x, fv = b.x, b.fv
         self.b = b
         self.h = scaling_h(b)
@@ -205,7 +206,6 @@ class Flanks:
             self.right = flank_coeffs(x, fv, 4, 5, 6)
         else:
             self.left = flank_coeffs(x, fv, 2, 1, 0)
-        self.accepted = None
 
     def solve(self, alpha: float) -> tuple[QuadModel, QuadModel, float, Winner]:
         """Both flank models at ``alpha``, equal field for field to

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kinkline.brackets import make_extended7
+from kinkline.brackets import BracketError, make_extended7
 
 
 def kink_objective(rng: np.random.Generator):
@@ -41,5 +41,5 @@ def kink_bracket(rng: np.random.Generator, f, k: float, radius: float):
         pts = (*lefts, xm, *rights)
         try:
             return make_extended7(pts, tuple(float(f(p)) for p in pts))
-        except Exception:
+        except BracketError:
             continue

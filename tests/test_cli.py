@@ -73,6 +73,14 @@ class TestMinimize:
                 ("NU3", "--algorithm", "supm:x"),
                 "--algorithm: expected a finite alpha >= 0 after 'supm:', got 'x'",
             ),
+            (
+                ("SU5", "--bracket=-0.5,0.1,0.2,0.7,0.8,0.85,0.9"),
+                "--bracket: SU5 cannot be evaluated at x=-0.5 (TypeError: ",
+            ),
+            (
+                ("SM3", "--bracket=-0.5,0.1,0.2,0.25,0.3,0.5,0.9"),
+                "--bracket: SM3 cannot be evaluated at x=-0.5 (TypeError: ",
+            ),
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):

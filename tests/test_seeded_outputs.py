@@ -55,6 +55,10 @@ NU2_SEED_3_TRACE_SHA256 = {
 #: function x algorithm at seed 0 (19 x 9 runs, in registry and table order).
 ALL_RUNS_SEED_0_SHA256 = "477ea99f19df627511d282b1af4f374f62f644785b5be5b63e921a5d5c5a1538"
 
+#: SHA-256 over ``f"{fid}:{res.alphas!r}\n"`` of every registered function's
+#: DUPM run at seed 0 (19 runs, 574 constants, in registry order).
+DUPM_ALPHAS_SEED_0_SHA256 = "557bcb26582948e403aa3df0bd18d60d5ab3bae37fff38ad1da855732c644ecf"
+
 #: SHA-256 of the stdout of the oracle-free commands ``verify --seed 0`` and
 #: ``seqexp --seed 0`` at their default sample counts.
 ORACLE_FREE_SEED_0_SHA256 = {
@@ -87,6 +91,14 @@ def test_every_function_and_algorithm_at_seed_0():
             h.update(f"{f.fid} {spec} {res.status.value} {res.evaluations}\n".encode())
             h.update(buf.getvalue().encode())
     assert h.hexdigest() == ALL_RUNS_SEED_0_SHA256
+
+
+def test_dupm_alphas_at_seed_0():
+    h = hashlib.sha256()
+    for f in list_functions():
+        res, _ = minimize_once(f.fid, "dupm", seed=0)
+        h.update(f"{f.fid}:{res.alphas!r}\n".encode())
+    assert h.hexdigest() == DUPM_ALPHAS_SEED_0_SHA256
 
 
 @pytest.mark.parametrize("command", sorted(ORACLE_FREE_SEED_0_SHA256))
