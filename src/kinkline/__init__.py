@@ -24,10 +24,10 @@ from .brackets import (
 )
 from .models import (
     CoincidentPointsError,
-    QuadModel,
     build_model,
     divided_diff1,
     divided_diff2,
+    model_value,
     scaling_h,
 )
 from .result import SolverResult, Status

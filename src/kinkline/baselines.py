@@ -17,7 +17,7 @@ import sys
 from typing import Callable
 
 from .brackets import Bracket3, ExtendedBracket5
-from .models import QuadModel, divided_diff1
+from .models import divided_diff1
 from .result import SolverResult
 from .supm import BracketTooSmallError, minimize_max_quadratics
 from .supm import run_bracket_solver, run_solver
@@ -199,8 +199,8 @@ def mifflin_strodiot_minimize(
 
     def next_trial(b, branches):
         x, fv = b.x, b.fv
-        ql = QuadModel(fv[1], divided_diff1(fv[1], fv[0], x[1], x[0]), 0.0, x[1], x[0], "L")
-        qr = QuadModel(fv[3], divided_diff1(fv[3], fv[4], x[3], x[4]), 0.0, x[3], x[4], "R")
+        ql = (fv[1], divided_diff1(fv[1], fv[0], x[1], x[0]), 0.0, x[1], x[0])
+        qr = (fv[3], divided_diff1(fv[3], fv[4], x[3], x[4]), 0.0, x[3], x[4])
         return minimize_max_quadratics(ql, qr, x[1], x[3], x[2])
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

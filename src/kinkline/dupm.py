@@ -18,17 +18,13 @@ Independently, if the same flank's inner point was replaced three
 iterations running, the next trial is forced to the closed-form extremal
 step, which guarantees both flanks keep moving.
 
-Only the adjusted curvature depends on the constant, so the flank data
-lives in one :class:`~kinkline.supm.Flanks` record, the one the
-fixed-constant solver carries: the scale ``h`` and each flank's model
-coefficients.  Each update advances it, recomputing only the flank whose
-points changed.  The floor (with the two centre second divided
-differences it computes), the threshold and every condition check read
-that record; a model at ``alpha`` takes ``alpha * h`` off the stored
-curvature, as :func:`~kinkline.models.build_model` does.  The
-escalation returns its decision, the constant and the max-model minimizer
-that the last condition check found there, and that minimizer is the
-trial unless the closed-form override applies.
+Only the adjusted curvature depends on the constant, so the floor, the
+threshold and every condition check read the fixed-constant solver's
+:class:`~kinkline.supm.Flanks` record, which each update advances; a
+model at ``alpha`` is the tuple :func:`~kinkline.models.build_model`
+returns.  The escalation returns its decision, the constant and the
+max-model minimizer that the last condition check found there, and that
+minimizer is the trial unless the closed-form override applies.
 
 The loop is :func:`~kinkline.supm.run_bracket_solver`; the flank history
 is read from the update rules it has applied, and the loop, not this
@@ -41,7 +37,7 @@ from typing import Callable, Sequence
 
 from .brackets import ExtendedBracket7, inner5
 from .eupm import eupm_step
-from .models import divided_diff2
+from .models import divided_diff2, model_value
 # Not called here (the models come from the carried Flanks record), but
 # perfbench/test_perfbench.py checks that tracing restores this binding.
 from .models import build_model  # noqa: F401
@@ -92,7 +88,7 @@ def intersection_condition(fl: Flanks, alpha: float) -> float | None:
     """
     ql, qr, g, kind = fl.solve(alpha)
     if kind == "vertex":
-        vl, vr = ql(g), qr(g)
+        vl, vr = model_value(ql, g), model_value(qr, g)
         if not abs(vl - vr) <= INTERSECTION_RTOL * (abs(vl) + abs(vr) + abs(fl.b.fm)):
             return None
     return g

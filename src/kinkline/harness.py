@@ -34,7 +34,7 @@ from .dupm import dupm_minimize
 from .eupm import eupm_minimize, gap_apply_binary, gap_inner
 from .result import SolverResult, Status
 from .supm import check_stop_rule, supm_minimize
-from .testfuncs import CountingOracle, TestFunction, get_function, list_functions
+from .testfuncs import CountingOracle, TestFunction, get_function, list_functions, oracle_for
 
 _BENCH_STREAM = 1
 _SEQEXP_STREAM = 2
@@ -251,8 +251,7 @@ def _bench_function(cfg: TrialConfig, fid: str) -> dict[tuple[str, str], CellSta
         rng = np.random.default_rng([cfg.seed, _BENCH_STREAM, fidx, t])
         bracket = generate_bracket(func, rng)
         for spec in cfg.algorithms:
-            oracle = CountingOracle(func.evaluator, func.domain)
-            res = run_algorithm(spec, oracle, bracket, cfg.eps, cfg.budget)
+            res = run_algorithm(spec, oracle_for(func), bracket, cfg.eps, cfg.budget)
             rates[spec].append(convergence_rate(res))
     out = {}
     for spec, rs in rates.items():

@@ -7,9 +7,14 @@ curvature variation of the underlying smooth piece, the adjusted quadratic
 underestimates that piece across the inner interval, which is what makes
 the intersection of the two side models a safe next trial point.
 
-A flank's unadjusted coefficients (:func:`flank_coeffs`) depend on its own
-three points and values alone, so a solver may carry them, bit for bit,
-across an update that leaves that flank's points in place.
+A flank model is a tuple of floats ``(c0, c1, c2, x1, x2)``: the quadratic
+``c0 + c1*(x - x1) + c2*(x - x1)*(x - x2)`` anchored at the flank's two
+inner points, with the adjustment already taken off ``c2``.  It stays in
+Newton form; expanding to monomials loses accuracy once the bracket is
+tiny and far from zero.  A flank's unadjusted coefficients
+(:func:`flank_coeffs`) depend on its own three points and values alone, so
+a solver may carry them, bit for bit, across an update that leaves that
+flank's points in place.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from typing import Literal
 from .brackets import ExtendedBracket7
 
 Side = Literal["L", "R"]
+#: A flank model ``(c0, c1, c2, x1, x2)``, its curvature ``c2`` adjusted.
+Model = tuple[float, float, float, float, float]
 
 
 class CoincidentPointsError(ValueError):
@@ -52,45 +59,10 @@ def scaling_h(b: ExtendedBracket7) -> float:
     return max(x[6] - x[2], x[4] - x[0])
 
 
-class QuadModel:
-    """One side's quadratic in Newton form anchored at (x1, x2).
-
-    ``q(x) = c0 + c1*(x - x1) + c2adj*(x - x1)*(x - x2)`` where c0, c1 are
-    the value and slope divided difference at the two innermost side points
-    and c2adj is the side's second divided difference minus the adjustment
-    ``alpha * scaling_h``.  Kept in Newton form throughout; expanding to
-    monomials loses accuracy once the bracket is tiny and far from zero.
-
-    A ``__slots__`` record, equal field for field and not hashable.
-    """
-
-    __slots__ = ("c0", "c1", "c2adj", "x1", "x2", "side")
-
-    def __init__(self, c0: float, c1: float, c2adj: float, x1: float, x2: float, side: Side):
-        self.c0 = c0
-        self.c1 = c1
-        self.c2adj = c2adj
-        self.x1 = x1
-        self.x2 = x2
-        self.side = side
-
-    def _fields(self) -> tuple:
-        return (self.c0, self.c1, self.c2adj, self.x1, self.x2, self.side)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadModel):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return f"QuadModel{self._fields()!r}"
-
-    def __call__(self, x):
-        return self.c0 + (x - self.x1) * (self.c1 + self.c2adj * (x - self.x2))
-
-    def vertex(self) -> float:
-        """Stationary point; caller must ensure c2adj != 0."""
-        return 0.5 * (self.x1 + self.x2) - self.c1 / (2.0 * self.c2adj)
+def model_value(m: Model, x):
+    """Value of the flank model ``m`` at ``x``, a float or a NumPy array."""
+    c0, c1, c2, x1, x2 = m
+    return c0 + (x - x1) * (c1 + c2 * (x - x2))
 
 
 def flank_coeffs(x, fv, i1: int, i2: int, i3: int) -> tuple[float, float, float]:
@@ -104,8 +76,8 @@ def flank_coeffs(x, fv, i1: int, i2: int, i3: int) -> tuple[float, float, float]
     )
 
 
-def build_model(side: Side, b: ExtendedBracket7, alpha: float) -> QuadModel:
-    """Adjusted quadratic through one flank's three points.
+def build_model(side: Side, b: ExtendedBracket7, alpha: float) -> Model:
+    """Adjusted quadratic model through one flank's three points.
 
     With ``alpha == 0`` this is the exact Newton interpolant of the flank;
     positive ``alpha`` only lowers the curvature term.
@@ -118,4 +90,4 @@ def build_model(side: Side, b: ExtendedBracket7, alpha: float) -> QuadModel:
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     x = b.x
     c0, c1, c2 = flank_coeffs(x, b.fv, i1, i2, i3)
-    return QuadModel(c0, c1, c2 - alpha * scaling_h(b), x[i1], x[i2], side)
+    return c0, c1, c2 - alpha * scaling_h(b), x[i1], x[i2]

@@ -27,7 +27,7 @@ import sys
 from typing import Callable, Iterator, Literal
 
 from .brackets import Bracket, BracketError, ExtendedBracket7, inner_length
-from .models import QuadModel, flank_coeffs, scaling_h
+from .models import Model, flank_coeffs, scaling_h
 from .result import SolverResult, Status
 
 _EPS = sys.float_info.epsilon
@@ -86,10 +86,10 @@ Winner = Literal["endpoint", "crossing", "vertex", "flat"]
 
 
 def argmin_max_quadratics(
-    ql: QuadModel, qr: QuadModel, left: float, right: float, centre: float
+    ql: Model, qr: Model, left: float, right: float, centre: float
 ) -> tuple[float, Winner]:
-    """Minimizer over [left, right] of the pointwise max of two quadratics,
-    and which kind of candidate it is.
+    """Minimizer over [left, right] of the pointwise max of two flank
+    models (see :mod:`~kinkline.models`), and which kind of candidate it is.
 
     The minimum is attained at an intersection of the two (``"crossing"``),
     at the vertex of a convex one (``"vertex"``), or at an endpoint
@@ -100,8 +100,8 @@ def argmin_max_quadratics(
     is reported as the first of endpoint, crossing, vertex.  ``centre``
     also anchors the shifted coordinates used for the root solve.
     """
-    l0, l1, l2, lx1, lx2 = ql.c0, ql.c1, ql.c2adj, ql.x1, ql.x2
-    r0, r1, r2, rx1, rx2 = qr.c0, qr.c1, qr.c2adj, qr.x1, qr.x2
+    l0, l1, l2, lx1, lx2 = ql
+    r0, r1, r2, rx1, rx2 = qr
     s = centre
     lo, hi = left - s, right - s
 
@@ -118,14 +118,14 @@ def argmin_max_quadratics(
         if lo <= u <= hi:
             cands.append(u)
     n_cross = len(cands)
-    for c1, c2, x1, x2 in ((l1, l2, lx1, lx2), (r1, r2, rx1, rx2)):
+    for _, c1, c2, x1, x2 in (ql, qr):
         if c2 > 0.0:
             u = 0.5 * (x1 + x2) - c1 / (2.0 * c2) - s
             if lo <= u <= hi:
                 cands.append(u)
 
     # Keep the first candidate with the strictly smallest key (max value,
-    # |u|, u), as min(key=...) would; models evaluate as QuadModel.__call__
+    # |u|, u), as min(key=...) would; models evaluate as models.model_value
     # does, and "vr if vr > vl else vl" is max(vl, vr), NaN included.
     for i, u in enumerate(cands):
         x = s + u
@@ -138,10 +138,10 @@ def argmin_max_quadratics(
 
 
 def minimize_max_quadratics(
-    ql: QuadModel, qr: QuadModel, left: float, right: float, centre: float
+    ql: Model, qr: Model, left: float, right: float, centre: float
 ) -> float:
-    """Minimizer over [left, right] of the pointwise max of two quadratics;
-    see :func:`argmin_max_quadratics`."""
+    """Minimizer over [left, right] of the pointwise max of two flank
+    models; see :func:`argmin_max_quadratics`."""
     return argmin_max_quadratics(ql, qr, left, right, centre)[0]
 
 
@@ -207,15 +207,15 @@ class Flanks:
         else:
             self.left = flank_coeffs(x, fv, 2, 1, 0)
 
-    def solve(self, alpha: float) -> tuple[QuadModel, QuadModel, float, Winner]:
-        """Both flank models at ``alpha``, equal field for field to
-        :func:`~kinkline.models.build_model`'s, and the minimizer of their
-        max over the inner interval with its kind."""
+    def solve(self, alpha: float) -> tuple[Model, Model, float, Winner]:
+        """Both flank models at ``alpha``, the tuples
+        :func:`~kinkline.models.build_model` returns, and the minimizer of
+        their max over the inner interval with its kind."""
         x, ah = self.b.x, alpha * self.h
         l0, l1, l2 = self.left
         r0, r1, r2 = self.right
-        ql = QuadModel(l0, l1, l2 - ah, x[2], x[1], "L")
-        qr = QuadModel(r0, r1, r2 - ah, x[4], x[5], "R")
+        ql = (l0, l1, l2 - ah, x[2], x[1])
+        qr = (r0, r1, r2 - ah, x[4], x[5])
         return (ql, qr) + argmin_max_quadratics(ql, qr, x[2], x[4], x[3])
 
 
@@ -395,6 +395,11 @@ def supm_minimize(
     Each trial is :func:`supm_step`'s, taken from one :class:`Flanks`
     record that each update advances, so only the flank the update changed
     is recomputed.
+
+    With ``alpha > 0`` the solver is not scale-free, by design: the
+    adjustment ``alpha * h`` comes off a curvature in the units of f, so
+    ``alpha`` carries those units, and scaling f changes the trials.  With
+    ``alpha == 0`` the steps depend on f only up to a positive factor.
     """
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")

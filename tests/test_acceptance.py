@@ -29,7 +29,7 @@ from kinkline.harness import (
     run_benchmark,
     sample_simplex,
 )
-from kinkline.models import build_model
+from kinkline.models import build_model, model_value
 from kinkline.result import Status
 from kinkline.supm import Flanks, supm_step
 from kinkline.testfuncs import get_function, list_functions, oracle_for
@@ -117,8 +117,8 @@ def test_04_underestimation_and_interior_selection():
         span = b.xr1 - b.xl1
         xs_right = b.xl1 + span * grid / 1000.0          # [xl1, xr1)
         xs_left = b.xl1 + span * (grid + 1) / 1000.0     # (xl1, xr1]
-        below_ok &= bool(np.all(qr(xs_right) < fr(xs_right)))
-        below_ok &= bool(np.all(ql(xs_left) < fl(xs_left)))
+        below_ok &= bool(np.all(model_value(qr, xs_right) < fr(xs_right)))
+        below_ok &= bool(np.all(model_value(ql, xs_left) < fl(xs_left)))
         g = supm_step(Flanks(b), alpha)
         interior_ok &= b.xl1 < g < b.xr1
     ok = below_ok and interior_ok
@@ -164,7 +164,7 @@ def test_07_nonsmooth_table_qualitative():
         trials=1000,
         seed=0,
     )
-    rep = run_benchmark(cfg)
+    rep = run_benchmark(cfg, jobs=2)
     dupm_finite = all(math.isfinite(rep.cell(f, "dupm").mean_rate) for f in functions)
     dupm_beats_brent = all(
         rep.cell(f, "dupm").mean_rate < rep.cell(f, "brent").mean_rate
@@ -185,7 +185,7 @@ def test_07_nonsmooth_table_qualitative():
 def test_08_smooth_table_qualitative():
     functions = ("SU1", "SU2", "SU3", "SU4", "SU5", "SU6", "SU7")
     cfg = TrialConfig(functions=functions, trials=1000, seed=0)
-    rep = run_benchmark(cfg)
+    rep = run_benchmark(cfg, jobs=2)
     eupm_band = all(0.55 <= rep.cell(f, "eupm").mean_rate <= 0.70 for f in functions)
     offending = []
     for f in functions:
@@ -227,7 +227,7 @@ def test_10_model_intersection_anchor():
     ql = build_model("L", b, 0.0)
     qr = build_model("R", b, 0.0)
     xs = np.linspace(b.xl1, b.xr1, 10**6)
-    mx = np.maximum(ql(xs), qr(xs))
+    mx = np.maximum(model_value(ql, xs), model_value(qr, xs))
     gstar = float(xs[int(np.argmin(mx))])
     cell = (b.xr1 - b.xl1) / (10**6 - 1)
     ok = abs(g - 0.005) <= 1e-3 and abs(g - gstar) <= cell

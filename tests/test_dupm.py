@@ -103,7 +103,7 @@ class TestIntersectionCondition:
         # even though the right model's vertex (at 3) makes it convex
         b = make_extended7((-3, -2, -1, 0.5, 1, 2, 3), (13, 12, 11, 0, 4, 1, 0))
         ql, qr = build_model("L", b, 0.0), build_model("R", b, 0.0)
-        assert qr.c2adj > 0.0
+        assert qr[2] > 0.0
         assert argmin_max_quadratics(ql, qr, b.xl1, b.xr1, b.xm) == (1.0, "endpoint")
         assert intersection_condition(Flanks(b), 0.0) == 1.0
         assert chi(Flanks(b), 0.0) == (0.0, 1.0)
@@ -213,7 +213,7 @@ class TestFlanks:
         for b in brackets:
             ap = alpha_plus(Flanks(b))
             zero_l, zero_r = build_model("L", b, 0.0), build_model("R", b, 0.0)
-            assert ap == max(zero_l.c2adj, zero_r.c2adj) / scaling_h(b)
+            assert ap == max(zero_l[2], zero_r[2]) / scaling_h(b)
             tol = 1e-3 * max(1.0, abs(ap))
             for alpha in (0.0, alpha_floor(Flanks(b)), ap, ap + tol, 1e8):
                 ql, qr, g, kind = Flanks(b).solve(alpha)
