@@ -398,8 +398,8 @@ def supm_minimize(
 
     With ``alpha > 0`` the solver is not scale-free, by design: the
     adjustment ``alpha * h`` comes off a curvature in the units of f, so
-    ``alpha`` carries those units, and scaling f changes the trials.  With
-    ``alpha == 0`` the steps depend on f only up to a positive factor.
+    ``alpha`` carries those units and scaling f changes the trials; with
+    ``alpha == 0``, scaling f by a power of two changes no bit.
     """
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")

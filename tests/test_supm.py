@@ -115,9 +115,8 @@ def _ref_vertex(q):
 
 
 def _ref_argmin_max_quadratics(ql, qr, left, right, centre):
-    """Reference: argmin_max_quadratics as it was with a separate vertex
-    and evaluation per model and min(key=lambda), before the one-pass
-    scoring loop."""
+    """Reference: argmin_max_quadratics before the one-pass scoring loop,
+    with a vertex and an evaluation per model and min(key=lambda)."""
     s = centre
     lo, hi = left - s, right - s
     if ql[1] == 0.0 and ql[2] == 0.0 and qr[1] == 0.0 and qr[2] == 0.0 and ql[0] == qr[0]:
