@@ -13,6 +13,13 @@ move, with the names ``xl``, ``xr``, ``fl`` and ``fr`` for its ends.
 Every bracket caches the objective value at each point.  Solvers never
 re-query the oracle at a point the bracket already holds; fresh oracle calls
 happen only at new trial points.
+
+Every construction validates the whole bracket, with two exceptions that
+skip ``__post_init__`` through the trusted build ``_trusted``:
+:meth:`Bracket3.unchecked`, which checks only the ordering, and
+:func:`trusted_update`, the one path of :func:`kinkline.supm.apply_update`,
+which checks only what an update rule can break.  Nothing else may use the
+trusted build.
 """
 
 from __future__ import annotations
@@ -56,6 +63,14 @@ def _check_centre(fv: Sequence[float], c: int) -> None:
         raise NotABracketError(
             f"centre condition violated: f={fv[c - 1]!r}, {fv[c]!r}, {fv[c + 1]!r}"
         )
+
+
+def _trusted(cls: type[Bracket], x: tuple[float, ...], fv: tuple[float, ...]) -> Bracket:
+    """The trusted build: a ``cls`` holding ``x`` and ``fv``, unchecked."""
+    b = object.__new__(cls)
+    object.__setattr__(b, "x", x)
+    object.__setattr__(b, "fv", fv)
+    return b
 
 
 @dataclass(frozen=True)
@@ -130,9 +145,7 @@ class Bracket3(Bracket):
         an incumbent whose value exceeds a stale endpoint value; their final
         state is positional, not value-ordered.
         """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "x", (xl, xm, xr))
-        object.__setattr__(obj, "fv", (fl, fm, fr))
+        obj = _trusted(cls, (xl, xm, xr), (fl, fm, fr))
         _check_points(obj.x, 0.0)
         return obj
 
@@ -163,6 +176,31 @@ def make_extended7(points: Iterable[float], values: Iterable[float]) -> Extended
 def make_extended5(points: Iterable[float], values: Iterable[float]) -> ExtendedBracket5:
     """Validate five (point, value) pairs into an :class:`ExtendedBracket5`."""
     return ExtendedBracket5(tuple(points), tuple(values))
+
+
+def trusted_update(
+    b: Bracket, x: tuple[float, ...], fv: tuple[float, ...], i: int
+) -> Bracket:
+    """A bracket of ``b``'s type holding ``x`` and ``fv``, which an update
+    rule made from the five- or seven-point bracket ``b``: ``b``'s points
+    less one end, with a point inserted at index ``i`` between two points
+    that are adjacent in ``b``.
+
+    Only what that can break is checked: the gaps on either side of index
+    ``i`` and the centre triple.  The new ends are points of ``b``, so the
+    span cannot grow (float subtraction is monotone) and every gap kept from
+    ``b`` still clears the minimum gap.  So this raises exactly the error,
+    index and message included, that the full check of ``type(b)(x, fv)``
+    raises.  The argument rests on ``b`` having passed a check itself.
+    """
+    cls = type(b)
+    gap = cls._GAP_FACTOR * _EPS * (x[-1] - x[0])
+    if not x[i] - x[i - 1] > gap:
+        raise NotAscendingError(i)
+    if not x[i + 1] - x[i] > gap:
+        raise NotAscendingError(i + 1)
+    _check_centre(fv, cls._CENTRE)
+    return _trusted(cls, x, fv)
 
 
 def inner_length(b: Bracket) -> float:

@@ -234,7 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop an algorithm column",
     )
     p.add_argument("--latex-labels", action="store_true")
-    p.add_argument("--jobs", type=count, default=1, help="parallel workers over functions")
+    p.add_argument(
+        "--jobs",
+        type=count,
+        default=1,
+        help="parallel workers over (function, trial range) units; same output",
+    )
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("seqexp", help="bit-pattern contraction experiment")

@@ -243,39 +243,60 @@ class BenchmarkReport:
         return self.cells[(fid, spec)]
 
 
-def _bench_function(cfg: TrialConfig, fid: str) -> dict[tuple[str, str], CellStats]:
+def _bench_rates(cfg: TrialConfig, fid: str, trials: range) -> dict[str, list[float]]:
+    """Per-algorithm convergence rates of ``fid`` over ``trials``, in order."""
     func = get_function(fid)
     fidx = _function_index(fid)
     rates: dict[str, list[float]] = {spec: [] for spec in cfg.algorithms}
-    for t in range(cfg.trials):
+    for t in trials:
         rng = np.random.default_rng([cfg.seed, _BENCH_STREAM, fidx, t])
         bracket = generate_bracket(func, rng)
         for spec in cfg.algorithms:
             res = run_algorithm(spec, oracle_for(func), bracket, cfg.eps, cfg.budget)
             rates[spec].append(convergence_rate(res))
-    out = {}
-    for spec, rs in rates.items():
-        failures = sum(1 for r in rs if math.isinf(r))
-        mean = math.inf if failures else sum(rs) / len(rs)
-        out[(fid, spec)] = CellStats(mean, len(rs), failures)
-    return out
+    return rates
+
+
+def _bench_chunks(cfg: TrialConfig, jobs: int) -> list[tuple[str, range]]:
+    """(function, trial range) work units for ``jobs`` workers, functions in
+    order and each function's ranges in trial order.
+
+    A function's trials split into ranges small enough that there are
+    about eight units per worker, so that no worker idles long at the end
+    when some functions' trials cost far more than others'.
+    """
+    size = -(-cfg.trials * len(cfg.functions) // (8 * jobs))
+    return [
+        (fid, range(t, min(t + size, cfg.trials)))
+        for fid in cfg.functions
+        for t in range(0, cfg.trials, size)
+    ]
 
 
 def run_benchmark(cfg: TrialConfig, jobs: int = 1) -> BenchmarkReport:
     """Run every configured algorithm on every function.
 
     Within a trial all algorithms start from the same bracket but get
-    independent oracles and counters.  With ``jobs > 1`` the per-function
-    rows run in separate processes; outputs are identical either way.
+    independent oracles and counters.  With ``jobs > 1`` the (function,
+    trial range) units of :func:`_bench_chunks` run in separate processes,
+    and each cell is built from its rates concatenated in trial order, so
+    the outputs are identical either way.
     """
-    cells: dict[tuple[str, str], CellStats] = {}
-    if jobs > 1 and len(cfg.functions) > 1:
+    fids, ranges = zip(*_bench_chunks(cfg, jobs))
+    if jobs > 1 and len(fids) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_bench_function, itertools.repeat(cfg), cfg.functions):
-                cells.update(part)
+            parts = list(pool.map(_bench_rates, itertools.repeat(cfg), fids, ranges))
     else:
-        for fid in cfg.functions:
-            cells.update(_bench_function(cfg, fid))
+        parts = list(map(_bench_rates, itertools.repeat(cfg), fids, ranges))
+    rates: dict[tuple[str, str], list[float]] = {}
+    for fid, part in zip(fids, parts):
+        for spec, rs in part.items():
+            rates.setdefault((fid, spec), []).extend(rs)
+    cells = {}
+    for key, rs in rates.items():
+        failures = sum(1 for r in rs if math.isinf(r))
+        mean = math.inf if failures else sum(rs) / len(rs)
+        cells[key] = CellStats(mean, len(rs), failures)
     return BenchmarkReport(cfg, cells)
 
 

@@ -26,7 +26,13 @@ import math
 import sys
 from typing import Callable, Iterator, Literal
 
-from .brackets import Bracket, BracketError, ExtendedBracket7, inner_length
+from .brackets import (
+    Bracket,
+    BracketError,
+    ExtendedBracket7,
+    inner_length,
+    trusted_update,
+)
 from .models import Model, flank_coeffs, scaling_h
 from .result import SolverResult, Status
 
@@ -155,22 +161,32 @@ def _min_separation(g: float, lo: float, mid: float, hi: float, delta: float) ->
     left, ``mid - delta``.  Raises :class:`BracketTooSmallError` when both
     side slots are empty.
     """
-    left_ok = mid - delta >= lo + delta
-    right_ok = hi - delta >= mid + delta
+    # The builtins min, max and abs and the tuple key are spelt out as the
+    # comparisons they make, which are faster than the calls: "a if a > g
+    # else g" is max(g, a) and "b if b < p else p" is min(p, b), NaN and
+    # signed zeros included; "q - g if q > g else g - q" is abs(q - g); and
+    # "dq < dp or (dq == dp and q < p)" is (dq, q) < (dp, p).
+    lo_in, mid_lo, mid_hi, hi_in = lo + delta, mid - delta, mid + delta, hi - delta
+    left_ok = mid_lo >= lo_in
+    right_ok = hi_in >= mid_hi
     if not left_ok and not right_ok:
         raise BracketTooSmallError(
             f"no admissible trial point in ({lo}, {hi}) with separation {delta}"
         )
     if g == mid:
-        return mid - delta if left_ok else mid + delta
+        return mid_lo if left_ok else mid_hi
     if left_ok:
-        p = min(max(g, lo + delta), mid - delta)
+        p = lo_in if lo_in > g else g
+        p = mid_lo if mid_lo < p else p
         if not right_ok:
             return p
-    q = min(max(g, mid + delta), hi - delta)
-    if not left_ok or (abs(q - g), q) < (abs(p - g), p):
+    q = mid_hi if mid_hi > g else g
+    q = hi_in if hi_in < q else q
+    if not left_ok:
         return q
-    return p
+    dq = q - g if q > g else g - q
+    dp = p - g if p > g else g - p
+    return q if dq < dp or (dq == dp and q < p) else p
 
 
 class Flanks:
@@ -247,25 +263,33 @@ def apply_update(branch: int, xtrial: float, ftrial: float, b):
     Works on both seven- and five-point brackets: the trial slots in next
     to the incumbent and the far point on the opposite side drops off.
     Cached values travel with their points; only the trial's value is new.
-    The result is re-validated, so a rule inconsistent with the trial's
-    position surfaces as :class:`InvariantBrokenError`.
+    A rule inconsistent with the trial's position, or a trial too close to
+    a neighbour, surfaces as :class:`InvariantBrokenError`.
+
+    The result is checked as :func:`~kinkline.brackets.trusted_update`
+    checks it, which refuses exactly what the full constructor would: only
+    the gaps on either side of the trial and the new centre triple.  A gap
+    kept from ``b`` cannot fail, because both new ends are points of ``b``,
+    so the span, and with it the minimum gap, can only shrink.
     """
     x, fv = b.x, b.fv
     c = b._CENTRE
-    n = len(x)
-    t, ft = (xtrial,), (ftrial,)
+    # keep x[s:k] + trial + x[k:e]: the trial lands at index k - s
     if branch == 1:
-        nx, nf = x[:c] + t + x[c : n - 1], fv[:c] + ft + fv[c : n - 1]
+        s, k = 0, c
     elif branch == 2:
-        nx, nf = x[1 : c + 1] + t + x[c + 1 :], fv[1 : c + 1] + ft + fv[c + 1 :]
+        s, k = 1, c + 1
     elif branch == 3:
-        nx, nf = x[: c + 1] + t + x[c + 1 : n - 1], fv[: c + 1] + ft + fv[c + 1 : n - 1]
+        s, k = 0, c + 1
     elif branch == 4:
-        nx, nf = x[1:c] + t + x[c:], fv[1:c] + ft + fv[c:]
+        s, k = 1, c
     else:
         raise ValueError(f"branch must be 1..4, got {branch!r}")
+    e = len(x) - 1 + s
+    nx = x[s:k] + (xtrial,) + x[k:e]
+    nf = fv[s:k] + (ftrial,) + fv[k:e]
     try:
-        return type(b)(nx, nf)
+        return trusted_update(b, nx, nf, k - s)
     except BracketError as exc:
         raise InvariantBrokenError(
             f"update {branch} with trial {xtrial!r} broke the bracket: {exc}"

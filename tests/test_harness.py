@@ -14,6 +14,7 @@ from kinkline.harness import (
     PAPER_ALGORITHMS,
     ResampleLimitExceededError,
     TrialConfig,
+    _bench_chunks,
     convergence_rate,
     generate_bracket,
     minimize_once,
@@ -173,10 +174,22 @@ class TestBenchmark:
         assert buf.getvalue().splitlines()[2].startswith("$f^{SU}_2$,")
 
     def test_parallel_jobs_match_serial(self):
-        cfg = TrialConfig(functions=("NU3", "NU5"), algorithms=("eupm", "golden"), trials=2, seed=3)
+        # 8 trials on 2 workers: each function splits into one unit per
+        # trial, so every cell joins the rates of several units, and a sum
+        # taken out of trial order would change the last bits of a mean
+        cfg = TrialConfig(
+            functions=("NU3", "NU5"),
+            algorithms=("eupm", "golden", "supm:0", "dupm"),
+            trials=8,
+            seed=3,
+        )
+        units = _bench_chunks(cfg, 2)
+        assert [fid for fid, _ in units] == ["NU3"] * 8 + ["NU5"] * 8
+        assert [t for _, r in units for t in r] == list(range(8)) * 2
         serial = run_benchmark(cfg, jobs=1)
         parallel = run_benchmark(cfg, jobs=2)
         assert serial.cells == parallel.cells
+        assert [c.trials for c in parallel.cells.values()] == [8] * 8
 
 
 class TestSequenceExperiment:

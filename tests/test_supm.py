@@ -4,10 +4,17 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kinkline.brackets import inner5, inner_length, make_extended7
+from kinkline.brackets import (
+    BracketError,
+    ExtendedBracket5,
+    ExtendedBracket7,
+    inner5,
+    inner_length,
+    make_extended7,
+)
 from kinkline.dupm import dupm_step
 from kinkline.eupm import eupm_step
 from kinkline.harness import PAPER_ALGORITHMS, generate_bracket, random_bracket7, run_algorithm
@@ -198,14 +205,35 @@ class TestScoringMatchesReference:
         assert got == want
 
     @settings(max_examples=500, deadline=None)
-    @given(args=st.lists(_num, min_size=4, max_size=4), delta=st.floats(0.0, 4.0))
+    @given(
+        g=st.one_of(_num, st.sampled_from([math.nan, math.inf, -math.inf, -0.0])),
+        bounds=st.lists(st.one_of(_num, st.sampled_from([0.0, -0.0])), min_size=3, max_size=3),
+        delta=st.one_of(st.floats(0.0, 4.0), st.just(-0.0)),
+    )
     # g equidistant, after rounding, from mid - 1 and mid + 1: the smaller wins
-    @example([1e-20, -4.0, 0.0, 4.0], 1.0)
+    @example(1e-20, [-4.0, 0.0, 4.0], 1.0)
     # g at the incumbent
-    @example([0.0, -4.0, 0.0, 4.0], 1.0)
-    @example([0.0, -1.5, 0.0, 4.0], 1.0)
-    def test_min_separation(self, args, delta):
-        g, lo, mid, hi = args
+    @example(0.0, [-4.0, 0.0, 4.0], 1.0)
+    @example(0.0, [-1.5, 0.0, 4.0], 1.0)
+    @example(-0.0, [-4.0, 0.0, 4.0], 1.0)
+    # g exactly at each end of the two side slots
+    @example(-4.0 + 0.1, [-4.0, 0.0, 4.0], 0.1)
+    @example(0.0 - 0.1, [-4.0, 0.0, 4.0], 0.1)
+    @example(0.0 + 0.1, [-4.0, 0.0, 4.0], 0.1)
+    @example(4.0 - 0.1, [-4.0, 0.0, 4.0], 0.1)
+    # a NaN or infinite proposal, and signed-zero bounds
+    @example(math.nan, [-4.0, 0.0, 4.0], 1.0)
+    @example(math.nan, [-1.5, 0.0, 4.0], 1.0)
+    @example(math.inf, [-4.0, 0.0, 4.0], 1.0)
+    @example(-math.inf, [-4.0, 0.0, 4.0], 1.0)
+    @example(0.0, [-0.0, 0.0, -0.0], 0.0)
+    @example(-0.0, [0.0, -0.0, 0.0], 0.0)
+    # both slots at distance 1 from g, at -0.0 and 0.0: the left one
+    @example(-1.0, [-0.0, 0.0, 4.0], -0.0)
+    # g = -0.0 at the left slot's end 0.0: the max keeps g, so -0.0
+    @example(-0.0, [0.0, 1.0, 4.0], 0.0)
+    def test_min_separation(self, g, bounds, delta):
+        lo, mid, hi = bounds
         try:
             want = _bits(_ref_min_separation(g, lo, mid, hi, delta))
         except BracketTooSmallError:
@@ -218,6 +246,95 @@ class TestScoringMatchesReference:
         assert _min_separation(1e-20, -4.0, 0.0, 4.0, 1.0) == -1.0
         assert _min_separation(0.0, -4.0, 0.0, 4.0, 1.0) == -1.0
         assert _min_separation(0.0, -1.5, 0.0, 4.0, 1.0) == 1.0
+
+
+def _ref_layout(branch, xtrial, ftrial, b):
+    """Reference: the points and values update rule ``branch`` makes."""
+    x, fv, c, n = b.x, b.fv, b._CENTRE, len(b.x)
+    t, ft = (xtrial,), (ftrial,)
+    if branch == 1:
+        return x[:c] + t + x[c : n - 1], fv[:c] + ft + fv[c : n - 1]
+    if branch == 2:
+        return x[1 : c + 1] + t + x[c + 1 :], fv[1 : c + 1] + ft + fv[c + 1 :]
+    if branch == 3:
+        return x[: c + 1] + t + x[c + 1 : n - 1], fv[: c + 1] + ft + fv[c + 1 : n - 1]
+    return x[1:c] + t + x[c:], fv[1:c] + ft + fv[c:]
+
+
+@st.composite
+def _update_cases(draw):
+    """A valid five- or seven-point bracket, a rule, and a trial: on the
+    rule's side of the incumbent, at or one ulp beside an inner point,
+    outside the inner interval, anywhere in the bracket, or NaN; with a
+    value that often ties one of the bracket's."""
+    cls = draw(st.sampled_from([ExtendedBracket5, ExtendedBracket7]))
+    n, c = cls._N, cls._CENTRE
+    # tiny scales make a one-ulp step wider than the minimum gap
+    base = draw(st.one_of(st.integers(-3, 3).map(float), st.floats(-8.0, 8.0)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e-13, 1e-15]))
+    ks = sorted(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True)))
+    x = [base + scale * k for k in ks]
+    # an outer point far out: dropping it shrinks the span, and the minimum
+    # gap, by orders of magnitude
+    far = draw(st.sampled_from([None, 0, n - 1]))
+    if far is not None:
+        x[far] += 1e9 if far else -1e9
+    x = tuple(x)
+    fv = list(draw(st.lists(_num, min_size=n, max_size=n)))
+    fv[c] = min(fv[c - 1 : c + 2])
+    try:
+        b = cls(x, tuple(fv))
+    except BracketError:
+        assume(False)
+    inner = [x[c - 1], x[c], x[c + 1]]
+    trials = [nx for p in inner for nx in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf))]
+    trials += [x[0], x[-1], x[0] - 1.0, x[-1] + 1.0, 0.5 * (x[c - 2] + x[c - 1]), math.nan]
+    trials += [0.5 * (x[c - 1] + x[c]), 0.5 * (x[c] + x[c + 1])]
+    branch = draw(st.integers(1, 4))
+    side = (x[c - 1], x[c]) if branch in (1, 4) else (x[c], x[c + 1])
+    xt = draw(st.one_of(st.floats(*side), st.sampled_from(trials), st.floats(x[0], x[-1])))
+    ft = draw(st.one_of(st.sampled_from([fv[c], fv[c - 1], fv[c + 1], fv[c] - 1.0, math.nan]), _num))
+    return b, branch, xt, ft
+
+
+class TestLocalValidation:
+    """apply_update checks only what an update changed, and must refuse
+    exactly what the full constructor refuses, with the same message."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(case=_update_cases())
+    # the trial one ulp right of the incumbent, wider than the minimum gap
+    @example((make_extended7([1.0 + k * 1e-15 for k in range(7)], [3, 2, 1, 0, 1, 2, 3]), 2, math.nextafter(1.0 + 3e-15, 2.0), -1.0))
+    # the trial 1e-6 left of the incumbent: wide enough only once the far
+    # left point drops, so the gaps must be checked against the new span
+    @example((make_extended7((-1e9, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 2, 4.000001, -1.0))
+    # one ulp beside the incumbent of a wide bracket: the gap is too small
+    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 3, math.nextafter(4.0, 5.0), 0.5))
+    # a right-side trial under a left-side rule, and the same under rule 4
+    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 1, 4.5, -1.0))
+    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 4, 4.5, 0.5))
+    # a trial outside the inner interval, a NaN trial and a NaN value
+    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 3, 5.5, 0.5))
+    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 2, math.nan, -1.0))
+    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 1, 3.5, math.nan))
+    # a value tie with the incumbent under an improving rule: the centre fails
+    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 1, 3.5, 0.0))
+    def test_refuses_exactly_what_the_constructor_refuses(self, case):
+        b, branch, xt, ft = case
+        nx, nf = _ref_layout(branch, xt, ft, b)
+        try:
+            want = type(b)(nx, nf)
+        except BracketError as exc:
+            with pytest.raises(InvariantBrokenError) as info:
+                apply_update(branch, xt, ft, b)
+            assert str(info.value) == f"update {branch} with trial {xt!r} broke the bracket: {exc}"
+            assert type(info.value.__cause__) is type(exc)
+            assert getattr(info.value.__cause__, "index", None) == getattr(exc, "index", None)
+        else:
+            got = apply_update(branch, xt, ft, b)
+            assert type(got) is type(want)
+            assert [_bits(v) for v in got.x + got.fv] == [_bits(v) for v in want.x + want.fv]
+            assert got == want and hash(got) == hash(want)
 
 
 class TestClassification:
