@@ -287,14 +287,21 @@ def _update_cases(draw):
     except BracketError:
         assume(False)
     inner = [x[c - 1], x[c], x[c + 1]]
-    trials = [nx for p in inner for nx in (p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf))]
+    inf = math.inf
+    trials = [t for p in inner for t in (p, math.nextafter(p, -inf), math.nextafter(p, inf))]
     trials += [x[0], x[-1], x[0] - 1.0, x[-1] + 1.0, 0.5 * (x[c - 2] + x[c - 1]), math.nan]
     trials += [0.5 * (x[c - 1] + x[c]), 0.5 * (x[c] + x[c + 1])]
     branch = draw(st.integers(1, 4))
     side = (x[c - 1], x[c]) if branch in (1, 4) else (x[c], x[c + 1])
     xt = draw(st.one_of(st.floats(*side), st.sampled_from(trials), st.floats(x[0], x[-1])))
-    ft = draw(st.one_of(st.sampled_from([fv[c], fv[c - 1], fv[c + 1], fv[c] - 1.0, math.nan]), _num))
+    ties = [fv[c], fv[c - 1], fv[c + 1], fv[c] - 1.0, math.nan]
+    ft = draw(st.one_of(st.sampled_from(ties), _num))
     return b, branch, xt, ft
+
+
+_SQUARE7 = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
+_TIGHT7 = make_extended7([1.0 + k * 1e-15 for k in range(7)], (3, 2, 1, 0, 1, 2, 3))
+_FAR7 = make_extended7((-1e9, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
 
 
 class TestLocalValidation:
@@ -304,21 +311,23 @@ class TestLocalValidation:
     @settings(max_examples=1000, deadline=None)
     @given(case=_update_cases())
     # the trial one ulp right of the incumbent, wider than the minimum gap
-    @example((make_extended7([1.0 + k * 1e-15 for k in range(7)], [3, 2, 1, 0, 1, 2, 3]), 2, math.nextafter(1.0 + 3e-15, 2.0), -1.0))
-    # the trial 1e-6 left of the incumbent: wide enough only once the far
+    @example((_TIGHT7, 2, math.nextafter(_TIGHT7.xm, 2.0), -1.0))
+    # the trial 1e-6 right of the incumbent: wide enough only once the far
     # left point drops, so the gaps must be checked against the new span
-    @example((make_extended7((-1e9, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 2, 4.000001, -1.0))
+    @example((_FAR7, 2, 4.000001, -1.0))
     # one ulp beside the incumbent of a wide bracket: the gap is too small
-    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 3, math.nextafter(4.0, 5.0), 0.5))
+    @example((_SQUARE7, 3, math.nextafter(4.0, 5.0), 0.5))
     # a right-side trial under a left-side rule, and the same under rule 4
-    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 1, 4.5, -1.0))
-    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 4, 4.5, 0.5))
+    @example((_SQUARE7, 1, 4.5, -1.0))
+    @example((_SQUARE7, 4, 4.5, 0.5))
     # a trial outside the inner interval, a NaN trial and a NaN value
-    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 3, 5.5, 0.5))
-    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 2, math.nan, -1.0))
-    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 1, 3.5, math.nan))
-    # a value tie with the incumbent under an improving rule: the centre fails
-    @example((make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9)), 1, 3.5, 0.0))
+    @example((_SQUARE7, 3, 5.5, 0.5))
+    @example((_SQUARE7, 2, math.nan, -1.0))
+    @example((_SQUARE7, 1, 3.5, math.nan))
+    # a value tie with the incumbent under rule 1 holds the centre; an
+    # improving value under rule 3 breaks it
+    @example((_SQUARE7, 1, 3.5, 0.0))
+    @example((_SQUARE7, 3, 4.5, -1.0))
     def test_refuses_exactly_what_the_constructor_refuses(self, case):
         b, branch, xt, ft = case
         nx, nf = _ref_layout(branch, xt, ft, b)
