@@ -12,8 +12,11 @@ from .brackets import (
     BracketError,
     ExtendedBracket5,
     ExtendedBracket7,
+    InvariantBrokenError,
     NotABracketError,
     NotAscendingError,
+    TrialAtCenterError,
+    apply_update,
     inner3,
     inner5,
     inner_length,
@@ -33,12 +36,8 @@ from .models import (
 from .result import SolverResult, Status
 from .supm import (
     BracketTooSmallError,
-    InvariantBrokenError,
     NonFiniteValueError,
-    TrialAtCenterError,
-    apply_update,
     check_stop_rule,
-    classify_branch,
     run_bracket_solver,
     run_solver,
     supm_minimize,

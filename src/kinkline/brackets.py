@@ -17,9 +17,9 @@ happen only at new trial points.
 Every construction validates the whole bracket, with two exceptions that
 skip ``__post_init__`` through the trusted build ``_trusted``:
 :meth:`Bracket3.unchecked`, which checks only the ordering, and
-:func:`trusted_update`, the one path of :func:`kinkline.supm.apply_update`,
-which checks only what an update rule can break.  Nothing else may use the
-trusted build.
+:func:`apply_update`, the one bracket-update step, which picks the update
+rule (it owns their numbering) and checks only what that rule can break.
+Nothing else may use the trusted build.
 """
 
 from __future__ import annotations
@@ -50,6 +50,16 @@ class NotAscendingError(BracketError):
 
 class NotABracketError(BracketError):
     """The centre point is not a minimum of the inner value triple."""
+
+
+class TrialAtCenterError(ValueError):
+    """A trial point coincided with the incumbent; the separation rule
+    should have prevented this."""
+
+
+class InvariantBrokenError(RuntimeError):
+    """A bracket update produced an invalid bracket, or a solver proposed a
+    NaN trial point; either indicates a bug."""
 
 
 def _check_points(x: Sequence[float], min_gap: float) -> None:
@@ -178,29 +188,49 @@ def make_extended5(points: Iterable[float], values: Iterable[float]) -> Extended
     return ExtendedBracket5(tuple(points), tuple(values))
 
 
-def trusted_update(
-    b: Bracket, x: tuple[float, ...], fv: tuple[float, ...], i: int
-) -> Bracket:
-    """A bracket of ``b``'s type holding ``x`` and ``fv``, which an update
-    rule made from the five- or seven-point bracket ``b``: ``b``'s points
-    less one end, with a point inserted at index ``i`` between two points
-    that are adjacent in ``b``.
+def apply_update(xtrial: float, ftrial: float, b: Bracket) -> tuple[int, Bracket]:
+    """Insert a trial into the five- or seven-point bracket ``b`` by the
+    update rule it calls for; return the rule and the new bracket.
 
-    Only what that can break is checked: the gaps on either side of index
-    ``i`` and the centre triple.  The new ends are points of ``b``, so the
-    span cannot grow (float subtraction is monotone) and every gap kept from
-    ``b`` still clears the minimum gap.  So this raises exactly the error,
-    index and message included, that the full check of ``type(b)(x, fv)``
-    raises.  The argument rests on ``b`` having passed a check itself.
+    The rule is fixed by the trial's side of the incumbent and whether its
+    value improves on the incumbent's: 1 left and improving, 2 right and
+    improving, 3 right and not, 4 left and not.  A value tie counts as not
+    improving, keeping the incumbent in place; a trial at the incumbent
+    raises :class:`TrialAtCenterError`.  The trial slots in next to the
+    incumbent and the far point on the opposite side drops off; cached
+    values travel with their points.
+
+    Only what that can break is checked: the gaps on either side of the
+    trial and the new centre triple.  The new ends are points of ``b``, so
+    the span cannot grow (float subtraction is monotone) and every gap kept
+    from ``b`` still clears the minimum gap.  So a refusal is exactly the
+    error, index and message included, that the full check of the new
+    points raises, wrapped in :class:`InvariantBrokenError`; the argument
+    rests on ``b`` having passed a check itself.
     """
-    cls = type(b)
-    gap = cls._GAP_FACTOR * _EPS * (x[-1] - x[0])
-    if not x[i] - x[i - 1] > gap:
-        raise NotAscendingError(i)
-    if not x[i + 1] - x[i] > gap:
-        raise NotAscendingError(i + 1)
-    _check_centre(fv, cls._CENTRE)
-    return _trusted(cls, x, fv)
+    x, fv, c = b.x, b.fv, b._CENTRE
+    if xtrial == x[c]:
+        raise TrialAtCenterError(f"trial coincides with incumbent at {xtrial!r}")
+    # keep x[s:k] + trial + x[k:e]: the trial lands at index i = k - s
+    if xtrial < x[c]:
+        rule, s, k = (1, 0, c) if ftrial < fv[c] else (4, 1, c)
+    else:
+        rule, s, k = (2, 1, c + 1) if ftrial < fv[c] else (3, 0, c + 1)
+    e, i = len(x) - 1 + s, k - s
+    nx = x[s:k] + (xtrial,) + x[k:e]
+    nf = fv[s:k] + (ftrial,) + fv[k:e]
+    gap = b._GAP_FACTOR * _EPS * (nx[-1] - nx[0])
+    try:
+        if not nx[i] - nx[i - 1] > gap:
+            raise NotAscendingError(i)
+        if not nx[i + 1] - nx[i] > gap:
+            raise NotAscendingError(i + 1)
+        _check_centre(nf, c)
+    except BracketError as exc:
+        raise InvariantBrokenError(
+            f"update {rule} with trial {xtrial!r} broke the bracket: {exc}"
+        ) from exc
+    return rule, _trusted(type(b), nx, nf)
 
 
 def inner_length(b: Bracket) -> float:

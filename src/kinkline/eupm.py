@@ -21,9 +21,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .brackets import ExtendedBracket5
+from .brackets import ExtendedBracket5, apply_update
 from .result import SolverResult
-from .supm import apply_update, run_bracket_solver
+from .supm import run_bracket_solver
 
 #: Update sequences whose contraction ratios bound every realizable
 #: five-step sequence (the remaining ones reduce to these by substring
@@ -95,7 +95,8 @@ def apply_sequence(
     at inserted points are synthesized one unit below or above the current
     incumbent value.  An element is feasible when its branch family matches
     the sign of :func:`bracket_check` at that moment (an exact zero counts
-    as the left family).  On the first infeasible element the walk stops
+    as the left family; a trial that lands on the incumbent raises
+    ``TrialAtCenterError``).  On the first infeasible element the walk stops
     and the bracket reached so far is returned with ``feasible = False``.
 
     No minimum-separation projection is applied here; the contraction
@@ -110,7 +111,7 @@ def apply_sequence(
             feasible = False
             break
         ft = b.fm - 1.0 if br in (1, 2) else b.fm + 1.0
-        b = apply_update(br, b.xm + c, ft, b)
+        _, b = apply_update(b.xm + c, ft, b)
     return b, feasible
 
 

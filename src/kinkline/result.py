@@ -24,10 +24,10 @@ class SolverResult:
     one ``(iteration, inner_length, f_at_incumbent)`` row per iteration from
     row 0 for the initial bracket; both columns are non-increasing.
 
-    ``branches`` (bracket-update index per iteration), ``alphas``
-    (adjustment constant per iteration, dynamic solver only) and
-    ``bracket_trace`` (full bracket per iteration, opt-in) exist for
-    diagnostics and invariant checks.
+    ``branches`` (update rule per iteration, numbered by
+    :func:`~kinkline.brackets.apply_update`), ``alphas`` (adjustment constant
+    per iteration, dynamic solver only) and ``bracket_trace`` (full bracket
+    per iteration, opt-in) exist for diagnostics and invariant checks.
     """
 
     bracket: Bracket

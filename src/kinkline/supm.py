@@ -28,10 +28,10 @@ from typing import Callable, Iterator, Literal
 
 from .brackets import (
     Bracket,
-    BracketError,
     ExtendedBracket7,
+    InvariantBrokenError,
+    apply_update,
     inner_length,
-    trusted_update,
 )
 from .models import Model, flank_coeffs, scaling_h
 from .result import SolverResult, Status
@@ -41,15 +41,6 @@ _EPS = sys.float_info.epsilon
 
 class BracketTooSmallError(RuntimeError):
     """No room left for a trial point respecting the minimum separation."""
-
-
-class TrialAtCenterError(ValueError):
-    """A trial point coincided with the incumbent; the separation rule
-    should have prevented this."""
-
-
-class InvariantBrokenError(RuntimeError):
-    """A bracket update produced an invalid bracket; indicates a bug."""
 
 
 class NonFiniteValueError(ValueError):
@@ -211,6 +202,7 @@ class Flanks:
 
     def advance(self, b: ExtendedBracket7, branch: int) -> None:
         """Move the record in place to ``b``, which update rule ``branch``
+        (numbered as :func:`~kinkline.brackets.apply_update` numbers them)
         made from the record's bracket.  Rules 1 and 3 keep the left flank's
         points and rules 2 and 4 the right's, so that flank's coefficients
         stay, exactly as recomputing them would give; the other flank and
@@ -240,60 +232,6 @@ def supm_step(fl: Flanks, alpha: float) -> float:
     inner interval of the record's bracket, before the loop's separation
     rule (see :func:`run_bracket_solver`)."""
     return fl.solve(alpha)[2]
-
-
-def classify_branch(xtrial: float, ftrial: float, b) -> int:
-    """Which of the four update rules applies to this trial.
-
-    1: left of the incumbent and improving; 2: right, improving;
-    3: right, not improving; 4: left, not improving.  A value tie counts
-    as not improving, keeping the incumbent in place.
-    """
-    xm = b.xm
-    if xtrial == xm:
-        raise TrialAtCenterError(f"trial coincides with incumbent at {xtrial!r}")
-    if xtrial < xm:
-        return 1 if ftrial < b.fm else 4
-    return 2 if ftrial < b.fm else 3
-
-
-def apply_update(branch: int, xtrial: float, ftrial: float, b):
-    """Insert the trial into the bracket by update rule ``branch``.
-
-    Works on both seven- and five-point brackets: the trial slots in next
-    to the incumbent and the far point on the opposite side drops off.
-    Cached values travel with their points; only the trial's value is new.
-    A rule inconsistent with the trial's position, or a trial too close to
-    a neighbour, surfaces as :class:`InvariantBrokenError`.
-
-    The result is checked as :func:`~kinkline.brackets.trusted_update`
-    checks it, which refuses exactly what the full constructor would: only
-    the gaps on either side of the trial and the new centre triple.  A gap
-    kept from ``b`` cannot fail, because both new ends are points of ``b``,
-    so the span, and with it the minimum gap, can only shrink.
-    """
-    x, fv = b.x, b.fv
-    c = b._CENTRE
-    # keep x[s:k] + trial + x[k:e]: the trial lands at index k - s
-    if branch == 1:
-        s, k = 0, c
-    elif branch == 2:
-        s, k = 1, c + 1
-    elif branch == 3:
-        s, k = 0, c + 1
-    elif branch == 4:
-        s, k = 1, c
-    else:
-        raise ValueError(f"branch must be 1..4, got {branch!r}")
-    e = len(x) - 1 + s
-    nx = x[s:k] + (xtrial,) + x[k:e]
-    nf = fv[s:k] + (ftrial,) + fv[k:e]
-    try:
-        return trusted_update(b, nx, nf, k - s)
-    except BracketError as exc:
-        raise InvariantBrokenError(
-            f"update {branch} with trial {xtrial!r} broke the bracket: {exc}"
-        ) from exc
 
 
 def check_stop_rule(eps: float, budget: int) -> None:
@@ -377,9 +315,11 @@ def run_bracket_solver(
     proposed trial point, where ``branches`` lists the update rules applied
     so far, oldest first, and keeps it ``delta`` (:func:`default_delta` at
     solve start) away from the incumbent and the inner endpoints, or stalls
-    if there is no room.  It evaluates the trial once and inserts it by
-    :func:`classify_branch` and :func:`apply_update`.  The applied rules
-    are returned in ``branches``.
+    if there is no room.  A NaN proposal raises
+    :class:`~kinkline.brackets.InvariantBrokenError` before the oracle is
+    called.  It evaluates the trial once and inserts it by
+    :func:`~kinkline.brackets.apply_update`, which picks the update rule.
+    The applied rules are returned in ``branches``.
     """
     delta = default_delta(eps, b0.xl1, b0.xr1)
     branches: list[int] = []
@@ -393,9 +333,9 @@ def run_bracket_solver(
         while True:
             x = b.x
             xt = _min_separation(next_trial(b, branches), x[lo], x[c], x[hi], delta)
-            ft = evaluate(xt)
-            br = classify_branch(xt, ft, b)
-            b = apply_update(br, xt, ft, b)
+            if xt != xt:
+                raise InvariantBrokenError(f"the solver proposed trial {xt!r}")
+            br, b = apply_update(xt, evaluate(xt), b)
             branches.append(br)
             yield b.x[hi] - b.x[lo], b.fv[c], snapshot
 

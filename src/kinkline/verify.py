@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .brackets import ExtendedBracket5, reflect
+from .brackets import ExtendedBracket5, apply_update, reflect
 from .eupm import (
     MINIMAL_SEQUENCES,
     all_branch_sequences,
@@ -20,7 +20,6 @@ from .eupm import (
     gap_sequence_ratios,
 )
 from .harness import sample_simplex
-from .supm import apply_update
 
 #: Draws per sequence after which :func:`minimal_sequence_ratios` stops
 #: short of the requested feasible count.
@@ -90,11 +89,9 @@ def reflection_deviation(b: ExtendedBracket5) -> float:
     if bracket_check(b) > 0.0:
         b, rb = rb, b
     if bracket_check(b) < 0.0:
-        for br, mirrored in ((1, 2), (4, 3)):
-            improving = br == 1
-            ft = b.fm - 1.0 if improving else b.fm + 1.0
-            direct = apply_update(br, eupm_step(b), ft, b)
-            ft_m = rb.fm - 1.0 if improving else rb.fm + 1.0
-            mirror = reflect(apply_update(mirrored, eupm_step(rb), ft_m, rb))
-            err = max(err, max(abs(u - v) for u, v in zip(direct.x, mirror.x)))
+        # the synthesized value picks update 1 then 4 on b, 2 then 3 on rb
+        for df in (-1.0, 1.0):
+            _, direct = apply_update(eupm_step(b), b.fm + df, b)
+            _, mirror = apply_update(eupm_step(rb), rb.fm + df, rb)
+            err = max(err, max(abs(u - v) for u, v in zip(direct.x, reflect(mirror).x)))
     return err / tol

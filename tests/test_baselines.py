@@ -77,6 +77,15 @@ class TestGoldenSection:
         res = golden_section_minimize(f, bracket3(f, -1.0, 0.3, 2.0), budget=5)
         assert res.status is Status.BUDGET_EXHAUSTED and res.iterations == 5
 
+    def test_no_room_for_the_first_probes_stalls_at_once(self):
+        # two ulps wide, above 2 * eps: the golden probes cannot both lie
+        # strictly inside, so the run stalls before any oracle call
+        xm = math.nextafter(1.0, 2.0)
+        b = Bracket3(1.0, xm, math.nextafter(xm, 2.0), 1.0, 0.0, 1.0)
+        res = golden_section_minimize(lambda x: x * x, b, eps=1e-17)
+        assert res.status is Status.STALLED
+        assert (res.iterations, res.evaluations) == (0, 0)
+
 
 class TestBrent:
     def test_exact_quadratic_hits_minimum_fast(self):

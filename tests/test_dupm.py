@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import kink_bracket, kink_objective
-from kinkline.brackets import inner5, inner_length, make_extended7
+from kinkline.brackets import apply_update, inner5, inner_length, make_extended7
 from kinkline.dupm import (
     ChiConditionError,
     alpha_floor,
@@ -21,7 +21,7 @@ from kinkline.eupm import eupm_step
 from kinkline.harness import generate_bracket, random_bracket7
 from kinkline.models import build_model, divided_diff2, scaling_h
 from kinkline.result import Status
-from kinkline.supm import Flanks, apply_update, argmin_max_quadratics, supm_step
+from kinkline.supm import Flanks, argmin_max_quadratics, supm_step
 from kinkline.testfuncs import get_function, oracle_for
 
 
@@ -193,8 +193,9 @@ class TestStepAndUpdate:
         b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
         branches = []
         for xt, ft in ((4.5, 0.5), (4.3, 0.4), (4.2, 0.3)):
-            b = apply_update(3, xt, ft, b)  # three branch-3 inserts
-            branches.append(3)
+            br, b = apply_update(xt, ft, b)
+            assert br == 3  # right of the incumbent, not improving
+            branches.append(br)
             adjusted = supm_step(Flanks(b), 0.0)
             if len(branches) < 3:
                 assert dupm_step(b, adjusted, branches) == adjusted

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kinkline.brackets import (
+    apply_update,
     inner_length,
     make_extended5,
     outer_length,
@@ -23,7 +24,7 @@ from kinkline.eupm import (
 )
 from kinkline.harness import random_bracket5, sample_simplex
 from kinkline.result import Status
-from kinkline.supm import apply_update, default_delta
+from kinkline.supm import default_delta
 
 EPS = sys.float_info.epsilon
 
@@ -94,12 +95,11 @@ class TestReflectionIdentities:
             if bracket_check(b) >= 0.0:
                 continue
             rb = reflect(b)
-            for br, mirrored in ((1, 2), (4, 3)):
-                improving = br == 1
-                ft = b.fm - 1.0 if improving else b.fm + 1.0
-                direct = apply_update(br, eupm_step(b), ft, b)
-                ftm = rb.fm - 1.0 if improving else rb.fm + 1.0
-                mirror = reflect(apply_update(mirrored, eupm_step(rb), ftm, rb))
+            for rules, df in (((1, 2), -1.0), ((4, 3), 1.0)):
+                br, direct = apply_update(eupm_step(b), b.fm + df, b)
+                mirrored, mirror = apply_update(eupm_step(rb), rb.fm + df, rb)
+                assert (br, mirrored) == rules
+                mirror = reflect(mirror)
                 tol = 4.0 * EPS * outer_length(b)
                 assert all(abs(u - v) <= tol for u, v in zip(direct.x, mirror.x))
             checked += 1

@@ -11,6 +11,9 @@ from kinkline.brackets import (
     BracketError,
     ExtendedBracket5,
     ExtendedBracket7,
+    InvariantBrokenError,
+    TrialAtCenterError,
+    apply_update,
     inner5,
     inner_length,
     make_extended7,
@@ -23,15 +26,12 @@ from kinkline.result import Status
 from kinkline.supm import (
     BracketTooSmallError,
     Flanks,
-    InvariantBrokenError,
     NonFiniteValueError,
-    TrialAtCenterError,
     _min_separation,
     _real_roots,
-    apply_update,
     argmin_max_quadratics,
-    classify_branch,
     default_delta,
+    run_bracket_solver,
     supm_minimize,
     supm_step,
 )
@@ -247,6 +247,22 @@ class TestScoringMatchesReference:
         assert _min_separation(0.0, -4.0, 0.0, 4.0, 1.0) == -1.0
         assert _min_separation(0.0, -1.5, 0.0, 4.0, 1.0) == 1.0
 
+    def test_real_roots_keeps_a_grazing_intersection(self):
+        # (u - 1)^2 lifted by 2 ulps: the discriminant is -8 eps, rounding
+        # noise, so the touching point is kept as a double root
+        eps = sys.float_info.epsilon
+        roots = _real_roots(1.0, -2.0, 1.0 + 2.0 * eps)
+        assert len(roots) == 2
+        assert all(abs(u - 1.0) <= 4.0 * eps for u in roots)
+
+
+def _ref_rule(xtrial, ftrial, b):
+    """Reference: the update rule a trial that is not the incumbent calls
+    for, by its side of the incumbent and whether it improves."""
+    if xtrial < b.xm:
+        return 1 if ftrial < b.fm else 4
+    return 2 if ftrial < b.fm else 3
+
 
 def _ref_layout(branch, xtrial, ftrial, b):
     """Reference: the points and values update rule ``branch`` makes."""
@@ -263,10 +279,10 @@ def _ref_layout(branch, xtrial, ftrial, b):
 
 @st.composite
 def _update_cases(draw):
-    """A valid five- or seven-point bracket, a rule, and a trial: on the
-    rule's side of the incumbent, at or one ulp beside an inner point,
-    outside the inner interval, anywhere in the bracket, or NaN; with a
-    value that often ties one of the bracket's."""
+    """A valid five- or seven-point bracket and a trial: on either side of
+    the incumbent, at or one ulp beside an inner point, outside the inner
+    interval, anywhere in the bracket, or NaN; with a value that often ties
+    one of the bracket's."""
     cls = draw(st.sampled_from([ExtendedBracket5, ExtendedBracket7]))
     n, c = cls._N, cls._CENTRE
     # tiny scales make a one-ulp step wider than the minimum gap
@@ -291,12 +307,11 @@ def _update_cases(draw):
     trials = [t for p in inner for t in (p, math.nextafter(p, -inf), math.nextafter(p, inf))]
     trials += [x[0], x[-1], x[0] - 1.0, x[-1] + 1.0, 0.5 * (x[c - 2] + x[c - 1]), math.nan]
     trials += [0.5 * (x[c - 1] + x[c]), 0.5 * (x[c] + x[c + 1])]
-    branch = draw(st.integers(1, 4))
-    side = (x[c - 1], x[c]) if branch in (1, 4) else (x[c], x[c + 1])
+    side = draw(st.sampled_from([(x[c - 1], x[c]), (x[c], x[c + 1])]))
     xt = draw(st.one_of(st.floats(*side), st.sampled_from(trials), st.floats(x[0], x[-1])))
     ties = [fv[c], fv[c - 1], fv[c + 1], fv[c] - 1.0, math.nan]
     ft = draw(st.one_of(st.sampled_from(ties), _num))
-    return b, branch, xt, ft
+    return b, xt, ft
 
 
 _SQUARE7 = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
@@ -305,42 +320,47 @@ _FAR7 = make_extended7((-1e9, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
 
 
 class TestLocalValidation:
-    """apply_update checks only what an update changed, and must refuse
-    exactly what the full constructor refuses, with the same message."""
+    """apply_update picks the rule a trial calls for, checks only what that
+    rule changed, and must refuse exactly what the full constructor
+    refuses, with the same message."""
 
     @settings(max_examples=1000, deadline=None)
     @given(case=_update_cases())
     # the trial one ulp right of the incumbent, wider than the minimum gap
-    @example((_TIGHT7, 2, math.nextafter(_TIGHT7.xm, 2.0), -1.0))
+    @example((_TIGHT7, math.nextafter(_TIGHT7.xm, 2.0), -1.0))
     # the trial 1e-6 right of the incumbent: wide enough only once the far
     # left point drops, so the gaps must be checked against the new span
-    @example((_FAR7, 2, 4.000001, -1.0))
+    @example((_FAR7, 4.000001, -1.0))
     # one ulp beside the incumbent of a wide bracket: the gap is too small
-    @example((_SQUARE7, 3, math.nextafter(4.0, 5.0), 0.5))
-    # a right-side trial under a left-side rule, and the same under rule 4
-    @example((_SQUARE7, 1, 4.5, -1.0))
-    @example((_SQUARE7, 4, 4.5, 0.5))
+    @example((_SQUARE7, math.nextafter(4.0, 5.0), 0.5))
     # a trial outside the inner interval, a NaN trial and a NaN value
-    @example((_SQUARE7, 3, 5.5, 0.5))
-    @example((_SQUARE7, 2, math.nan, -1.0))
-    @example((_SQUARE7, 1, 3.5, math.nan))
-    # a value tie with the incumbent under rule 1 holds the centre; an
-    # improving value under rule 3 breaks it
-    @example((_SQUARE7, 1, 3.5, 0.0))
-    @example((_SQUARE7, 3, 4.5, -1.0))
+    @example((_SQUARE7, 5.5, 0.5))
+    @example((_SQUARE7, math.nan, -1.0))
+    @example((_SQUARE7, 3.5, math.nan))
+    # a value tie with the incumbent on either side holds the centre
+    @example((_SQUARE7, 3.5, 0.0))
+    @example((_SQUARE7, 4.5, 0.0))
+    # the trial at the incumbent
+    @example((_SQUARE7, 4.0, -1.0))
     def test_refuses_exactly_what_the_constructor_refuses(self, case):
-        b, branch, xt, ft = case
-        nx, nf = _ref_layout(branch, xt, ft, b)
+        b, xt, ft = case
+        if xt == b.xm:
+            with pytest.raises(TrialAtCenterError):
+                apply_update(xt, ft, b)
+            return
+        rule = _ref_rule(xt, ft, b)
+        nx, nf = _ref_layout(rule, xt, ft, b)
         try:
             want = type(b)(nx, nf)
         except BracketError as exc:
             with pytest.raises(InvariantBrokenError) as info:
-                apply_update(branch, xt, ft, b)
-            assert str(info.value) == f"update {branch} with trial {xt!r} broke the bracket: {exc}"
+                apply_update(xt, ft, b)
+            assert str(info.value) == f"update {rule} with trial {xt!r} broke the bracket: {exc}"
             assert type(info.value.__cause__) is type(exc)
             assert getattr(info.value.__cause__, "index", None) == getattr(exc, "index", None)
         else:
-            got = apply_update(branch, xt, ft, b)
+            got_rule, got = apply_update(xt, ft, b)
+            assert got_rule == rule
             assert type(got) is type(want)
             assert [_bits(v) for v in got.x + got.fv] == [_bits(v) for v in want.x + want.fv]
             assert got == want and hash(got) == hash(want)
@@ -351,24 +371,24 @@ class TestClassification:
         self.b = with_values((1, 2, 3, 4, 5, 6, 7), lambda x: (x - 4.0) ** 2)
 
     def test_left_improving(self):
-        assert classify_branch(3.5, -1.0, self.b) == 1
+        assert apply_update(3.5, -1.0, self.b)[0] == 1
 
     def test_right_improving(self):
-        assert classify_branch(4.5, -1.0, self.b) == 2
+        assert apply_update(4.5, -1.0, self.b)[0] == 2
 
     def test_right_non_improving(self):
-        assert classify_branch(4.5, 1.0, self.b) == 3
+        assert apply_update(4.5, 1.0, self.b)[0] == 3
 
     def test_left_non_improving(self):
-        assert classify_branch(3.5, 1.0, self.b) == 4
+        assert apply_update(3.5, 1.0, self.b)[0] == 4
 
     def test_value_tie_counts_as_non_improving(self):
-        assert classify_branch(4.5, self.b.fm, self.b) == 3
-        assert classify_branch(3.5, self.b.fm, self.b) == 4
+        assert apply_update(4.5, self.b.fm, self.b)[0] == 3
+        assert apply_update(3.5, self.b.fm, self.b)[0] == 4
 
     def test_trial_at_centre_rejected(self):
         with pytest.raises(TrialAtCenterError):
-            classify_branch(4.0, 0.0, self.b)
+            apply_update(4.0, 0.0, self.b)
 
 
 class TestUpdates:
@@ -376,33 +396,29 @@ class TestUpdates:
         self.b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
 
     def test_branch1_layout(self):
-        nb = apply_update(1, 3.5, -1.0, self.b)
+        nb = apply_update(3.5, -1.0, self.b)[1]
         assert nb.x == (1, 2, 3, 3.5, 4, 5, 6)
         assert nb.fv == (9, 4, 1, -1.0, 0, 1, 4)
 
     def test_branch2_layout(self):
-        nb = apply_update(2, 4.5, -1.0, self.b)
+        nb = apply_update(4.5, -1.0, self.b)[1]
         assert nb.x == (2, 3, 4, 4.5, 5, 6, 7)
 
     def test_branch3_layout(self):
-        nb = apply_update(3, 4.5, 0.5, self.b)
+        nb = apply_update(4.5, 0.5, self.b)[1]
         assert nb.x == (1, 2, 3, 4, 4.5, 5, 6)
 
     def test_branch4_layout(self):
-        nb = apply_update(4, 3.5, 0.5, self.b)
+        nb = apply_update(3.5, 0.5, self.b)[1]
         assert nb.x == (2, 3, 3.5, 4, 5, 6, 7)
 
     def test_inner_length_strictly_decreases(self):
-        for br, xt, ft in ((1, 3.5, -1.0), (2, 4.5, -1.0), (3, 4.5, 0.5), (4, 3.5, 0.5)):
-            nb = apply_update(br, xt, ft, self.b)
+        for xt, ft in ((3.5, -1.0), (4.5, -1.0), (4.5, 0.5), (3.5, 0.5)):
+            nb = apply_update(xt, ft, self.b)[1]
             assert inner_length(nb) < inner_length(self.b)
 
-    def test_inconsistent_branch_breaks_invariant(self):
-        with pytest.raises(InvariantBrokenError):
-            apply_update(1, 4.5, -1.0, self.b)  # right-side trial, left-side rule
-
     def test_values_carried_over(self):
-        nb = apply_update(3, 4.5, 0.5, self.b)
+        nb = apply_update(4.5, 0.5, self.b)[1]
         assert nb.fv == (9, 4, 1, 0, 0.5, 1, 4)
 
 
@@ -557,6 +573,17 @@ class TestSolver:
             run_algorithm(spec, lambda x: value, b, 1e-8, 500)
         assert b.xl1 < float(str(exc.value).split("x=")[1]) < b.xr1
 
+    def test_nan_proposal_is_refused_before_the_oracle(self):
+        # a NaN proposal passes the separation rule unchanged; the loop
+        # names it rather than handing it to the oracle
+        b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
+        trials = []
+        with pytest.raises(InvariantBrokenError, match="proposed trial nan"):
+            run_bracket_solver(
+                recording(lambda x: x * x, trials), b, 1e-8, 500, lambda b, br: math.nan
+            )
+        assert trials == []
+
 
 class TestFlanks:
     def test_advance_equals_a_fresh_record(self):
@@ -571,8 +598,8 @@ class TestFlanks:
                 on_left = branch in (1, 4)
                 xt = float(rng.uniform(x[2], x[3]) if on_left else rng.uniform(x[3], x[4]))
                 ft = fm - 0.5 if branch in (1, 2) else fm + 0.5
-                assert classify_branch(xt, ft, b) == branch
-                nb = apply_update(branch, xt, ft, b)
+                rule, nb = apply_update(xt, ft, b)
+                assert rule == branch
                 fl = Flanks(b)
                 kept = fl.left if branch in (1, 3) else fl.right
                 fl.advance(nb, branch)
