@@ -93,11 +93,13 @@ def apply_sequence(
     No oracle is involved: the step depends only on the points, and the
     improving / non-improving bit is implied by the branch index, so values
     at inserted points are synthesized one unit below or above the current
-    incumbent value.  An element is feasible when its branch family matches
-    the sign of :func:`bracket_check` at that moment (an exact zero counts
-    as the left family; a trial that lands on the incumbent raises
-    ``TrialAtCenterError``).  On the first infeasible element the walk stops
-    and the bracket reached so far is returned with ``feasible = False``.
+    incumbent value; a ``ValueError`` if the unit rounds away and the value
+    reads back as another rule.  An element is feasible when its branch
+    family matches the sign of :func:`bracket_check` at that moment (an
+    exact zero counts as the left family; a trial that lands on the
+    incumbent raises ``TrialAtCenterError``).  On the first infeasible
+    element the walk stops and the bracket reached so far is returned with
+    ``feasible = False``.
 
     No minimum-separation projection is applied here; the contraction
     algebra is verified unperturbed.
@@ -111,7 +113,9 @@ def apply_sequence(
             feasible = False
             break
         ft = b.fm - 1.0 if br in (1, 2) else b.fm + 1.0
-        _, b = apply_update(b.xm + c, ft, b)
+        rule, b = apply_update(b.xm + c, ft, b)
+        if rule != br:
+            raise ValueError(f"value {ft!r} made update {rule}, not {br}")
     return b, feasible
 
 

@@ -153,6 +153,13 @@ class TestSequences:
             _, feasible = apply_sequence(b, [1, 2])
             assert not feasible
 
+    def test_value_that_decides_another_rule_is_refused(self):
+        # at 2**60 a unit below the incumbent rounds to a tie: not improving
+        big = 2.0**60
+        b = b5((0, 1, 1.8, 2, 3), (big + 512, big + 256, big, big + 256, big + 512))
+        with pytest.raises(ValueError, match="made update 4, not 1"):
+            apply_sequence(b, [1])
+
     def test_infeasible_start_stops_the_walk(self):
         b = b5((0, 1, 1.5, 3, 4))  # check > 0: left-family start impossible
         b2, feasible = apply_sequence(b, (1,))
