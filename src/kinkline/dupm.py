@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .brackets import ExtendedBracket7, inner5
+from .brackets import ExtendedBracket7
 from .eupm import eupm_step
 from .models import divided_diff2, model_value
 # Not called here (the models come from the carried Flanks record), but
@@ -140,11 +140,12 @@ def dupm_step(b: ExtendedBracket7, g: float, branches: Sequence[int]) -> float:
     separation away from the incumbent and the inner endpoints.
 
     ``branches`` lists the update rules applied so far, oldest first;
-    updates 1 and 3 replace the right inner point, 2 and 4 the left one.
+    updates 1 and 3 replace the right inner point, 2 and 4 the left one,
+    so a rule's parity names its flank.  The closed-form step reads only
+    the inner five points, so it takes the seven-point ``b`` as it is.
     """
-    last = branches[-3:]
-    if len(last) == 3 and len({br in (1, 3) for br in last}) == 1:
-        return eupm_step(inner5(b))
+    if len(branches) > 2 and branches[-1] % 2 == branches[-2] % 2 == branches[-3] % 2:
+        return eupm_step(b)
     return g
 
 

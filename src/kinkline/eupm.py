@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .brackets import ExtendedBracket5, apply_update
+from .brackets import ExtendedBracket5, ExtendedBracket7, apply_update
 from .result import SolverResult
 from .supm import run_bracket_solver
 
@@ -44,24 +44,26 @@ MINIMAL_SEQUENCES = (
 )
 
 
-def eupm_step(b: ExtendedBracket5) -> float:
-    """Closed-form trial point; always strictly inside (xl1, xr1)."""
+def eupm_step(b: ExtendedBracket5 | ExtendedBracket7) -> float:
+    """Closed-form trial point; always strictly inside (xl1, xr1).  ``b``
+    has five or seven points, read as :func:`bracket_check` reads them."""
     return b.xm + bracket_check(b)
 
 
-def bracket_check(b: ExtendedBracket5) -> float:
+def bracket_check(b: ExtendedBracket5 | ExtendedBracket7) -> float:
     """Signed offset of the trial from the incumbent.
 
     Negative means the next trial falls left of the incumbent (branch
     family {1, 4}), positive means right ({2, 3}).  Computed in
     incumbent-centred coordinates to dodge cancellation when the bracket
-    sits far from zero.
+    sits far from zero.  Points are read one and two places either side
+    of the centre, so a seven-point bracket gives its inner five's bits.
     """
-    x = b.x
-    l2 = x[0] - x[2]
-    l1 = x[1] - x[2]
-    r1 = x[3] - x[2]
-    r2 = x[4] - x[2]
+    x, c = b.x, b._CENTRE
+    l2 = x[c - 2] - x[c]
+    l1 = x[c - 1] - x[c]
+    r1 = x[c + 1] - x[c]
+    r2 = x[c + 2] - x[c]
     return (r1 * r2 - l1 * l2) / ((r1 + r2) - (l1 + l2))
 
 

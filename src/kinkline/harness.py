@@ -426,14 +426,29 @@ def minimize_once(
 
 
 def write_trace_csv(result: SolverResult, out: IO[str], header: str = "") -> None:
-    """Per-iteration positions and progress of a recorded run."""
+    """Per-iteration positions and progress of a recorded run, written in
+    one call.  An update keeps two inner points (rules 3 and 4 also the
+    incumbent value), so a value carried from the previous row reuses that
+    row's text; it is matched by identity, never by value (``0.0 == -0.0``,
+    but their reprs differ)."""
     if result.bracket_trace is None:
         raise ValueError("run the solver with record_brackets=True to dump a trace")
-    if header:
-        out.write(f"# {header}\n")
-    out.write("iteration,xl1,xm,xr1,d,fm\n")
+    lines = [f"# {header}\n"] if header else []
+    lines.append("iteration,xl1,xm,xr1,d,fm\n")
+    pl = pm = pr = pf = None  # the previous row's values; tl.. their text
+    tl = tm = tr = tf = ""
     for (i, d, fm), br in zip(result.trace, result.bracket_trace):
-        out.write(f"{i},{br.xl1!r},{br.xm!r},{br.xr1!r},{d!r},{fm!r}\n")
+        x, c = br.x, br._CENTRE
+        l, m, r = x[c - 1], x[c], x[c + 1]
+        nl = tl if l is pl else tm if l is pm else repr(l)
+        nr = tr if r is pr else tm if r is pm else repr(r)
+        if m is not pm:
+            tm = repr(m)
+        tl, tr = nl, nr
+        tf = tf if fm is pf else repr(fm)
+        pl, pm, pr, pf = l, m, r, fm
+        lines.append(f"{i},{tl},{tm},{tr},{d!r},{tf}\n")
+    out.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

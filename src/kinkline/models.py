@@ -15,6 +15,7 @@ tiny and far from zero.  A flank's unadjusted coefficients
 (:func:`flank_coeffs`) depend on its own three points and values alone, so
 a solver may carry them, bit for bit, across an update that leaves that
 flank's points in place.
+Each divided difference is one expression, computed in one call.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ def divided_diff2(fa: float, fb: float, fc: float, a: float, b: float, c: float)
     """
     if a == b or a == c or b == c:
         raise CoincidentPointsError(f"points not pairwise distinct: {a!r}, {b!r}, {c!r}")
-    return (divided_diff1(fa, fb, a, b) - divided_diff1(fa, fc, a, c)) / (b - c)
+    return ((fa - fb) / (a - b) - (fa - fc) / (a - c)) / (b - c)
 
 
 def scaling_h(b: ExtendedBracket7) -> float:
@@ -68,12 +69,13 @@ def model_value(m: Model, x):
 def flank_coeffs(x, fv, i1: int, i2: int, i3: int) -> tuple[float, float, float]:
     """Newton coefficients ``(c0, c1, c2)`` of the quadratic through points
     i1, i2, i3 (inner first) of the abscissae ``x`` and values ``fv``,
-    before any curvature adjustment."""
-    return (
-        fv[i1],
-        divided_diff1(fv[i1], fv[i2], x[i1], x[i2]),
-        divided_diff2(fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3]),
-    )
+    before any curvature adjustment.  ``c2`` reuses the slope ``c1``: the
+    same operations, in the same order, as :func:`divided_diff2`."""
+    x1, x2, x3, f1, f3 = x[i1], x[i2], x[i3], fv[i1], fv[i3]
+    if x1 == x2 or x1 == x3 or x2 == x3:
+        raise CoincidentPointsError(f"points not pairwise distinct: {x1!r}, {x2!r}, {x3!r}")
+    c1 = (f1 - fv[i2]) / (x1 - x2)
+    return f1, c1, (c1 - (f1 - f3) / (x1 - x3)) / (x2 - x3)
 
 
 def build_model(side: Side, b: ExtendedBracket7, alpha: float) -> Model:

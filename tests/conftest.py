@@ -13,6 +13,12 @@ settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
 
+def bits(x):
+    """A float's exact bits as hex text (other values as they are), so an
+    equality also tells ``0.0`` from ``-0.0``."""
+    return x.hex() if isinstance(x, float) else x
+
+
 def kink_objective(rng: np.random.Generator):
     """Random max-of-two-quadratics with a kink minimum.
 

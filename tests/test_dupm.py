@@ -19,7 +19,7 @@ from kinkline.dupm import (
 )
 from kinkline.eupm import eupm_step
 from kinkline.harness import generate_bracket, random_bracket7
-from kinkline.models import build_model, divided_diff2, scaling_h
+from kinkline.models import build_model, divided_diff2, flank_coeffs, scaling_h
 from kinkline.result import Status
 from kinkline.supm import Flanks, argmin_max_quadratics, supm_step
 from kinkline.testfuncs import get_function, oracle_for
@@ -189,6 +189,24 @@ class TestStepAndUpdate:
         for two in ([2, 4], [4, 2], [1, 3], [3, 1]):
             assert dupm_step(b, adjusted, two) == adjusted
 
+    def test_fewer_than_three_updates_take_the_adjusted_step(self):
+        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        adjusted = supm_step(Flanks(b), 0.7)
+        for history in ([], [1], [2], [3], [4], [1, 1], [4, 2], [3, 1], [2, 3]):
+            assert dupm_step(b, adjusted, history) is adjusted
+
+    def test_override_takes_the_seven_point_bracket(self, monkeypatch):
+        # the closed-form step reads the bracket itself, through the
+        # module's own eupm_step binding, with no inner five built for it
+        import kinkline.dupm
+
+        seen = []
+        monkeypatch.setattr(kinkline.dupm, "eupm_step", lambda b: seen.append(b) or 0.25)
+        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        assert dupm_step(b, 2.0, [2, 4, 2]) == 0.25
+        assert len(seen) == 1 and seen[0] is b
+        assert not hasattr(kinkline.dupm, "inner5")
+
     def test_three_same_side_updates_then_closed_form(self):
         b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
         branches = []
@@ -231,12 +249,13 @@ class TestFlanks:
 
     def test_flank_data_is_computed_once_per_iteration(self, monkeypatch):
         # per iteration: the flank the update changed (both on a run's
-        # first) and the two centre second divided differences, and one
+        # first), the two centre second divided differences, and one
         # max-model minimization per condition check, none left for the
         # step; the concavity threshold only when the first check fails
         counts = Counter()
         targets = {
             "divided_diff2": divided_diff2,
+            "flank_coeffs": flank_coeffs,
             "argmin_max_quadratics": argmin_max_quadratics,
             "intersection_condition": intersection_condition,
             "escalate_alpha": escalate_alpha,
@@ -270,7 +289,8 @@ class TestFlanks:
                 iterations += res.iterations
                 runs += 1
         assert counts["escalate_alpha"] == iterations > 0
-        assert counts["divided_diff2"] <= 3 * iterations + runs
+        assert counts["flank_coeffs"] == iterations + runs
+        assert counts["divided_diff2"] == 2 * iterations
         assert counts["argmin_max_quadratics"] == counts["intersection_condition"]
         assert counts["alpha_plus"] == counts["escalations with more than one check"] > 0
 

@@ -4,8 +4,10 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import bits
 from kinkline.brackets import (
     apply_update,
+    inner5,
     inner_length,
     make_extended5,
     outer_length,
@@ -22,9 +24,10 @@ from kinkline.eupm import (
     gap_inner,
     gap_sequence_ratios,
 )
-from kinkline.harness import random_bracket5, sample_simplex
+from kinkline.harness import generate_bracket, random_bracket5, random_bracket7, sample_simplex
 from kinkline.result import Status
 from kinkline.supm import default_delta
+from kinkline.testfuncs import list_functions
 
 EPS = sys.float_info.epsilon
 
@@ -74,6 +77,21 @@ class TestBracketCheck:
         for _ in range(2000):
             b = random_bracket5(rng)
             assert bracket_check(reflect(b)) == -bracket_check(b)
+
+    def test_seven_points_read_as_their_inner_five(self):
+        # the offsets are read around the centre, so a seven-point bracket
+        # gives, bit for bit, what its inner five give
+        rng = np.random.default_rng(14)
+        brackets = [random_bracket7(rng) for _ in range(500)]
+        brackets += [
+            random_bracket7(rng, gap_range=(1e-7, 1e-6), centre_range=(1e8 - 1.0, 1e8 + 1.0))
+            for _ in range(200)
+        ]
+        for t, func in enumerate(list_functions()):
+            brackets += [generate_bracket(func, np.random.default_rng([14, t, k])) for k in range(20)]
+        for b in brackets:
+            assert bits(bracket_check(b)) == bits(bracket_check(inner5(b)))
+            assert bits(eupm_step(b)) == bits(eupm_step(inner5(b)))
 
 
 class TestReflectionIdentities:

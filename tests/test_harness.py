@@ -270,6 +270,84 @@ class TestMinimizeOnce:
         assert first[0] == "0" and float(first[4]) == res.trace[0][1]
 
 
+def _ref_write_trace_csv(result, out, header=""):
+    """The trace writer before carried text: every value formatted afresh,
+    one f-string and one write per row."""
+    if header:
+        out.write(f"# {header}\n")
+    out.write("iteration,xl1,xm,xr1,d,fm\n")
+    for (i, d, fm), br in zip(result.trace, result.bracket_trace):
+        out.write(f"{i},{br.xl1!r},{br.xm!r},{br.xr1!r},{d!r},{fm!r}\n")
+
+
+def _trace_text(writer, result, header=""):
+    buf = io.StringIO()
+    writer(result, buf, header=header)
+    return buf.getvalue()
+
+
+def _recorded(rows):
+    """A recorded result from ``(points, incumbent value)`` rows."""
+    brackets = [make_extended7(x, (3, 2, 1, fm, 1, 2, 3)) for x, fm in rows]
+    trace = [(i, b.xr1 - b.xl1, b.fm) for i, b in enumerate(brackets)]
+    n = len(rows) - 1
+    return SolverResult(brackets[-1], n, n, trace, Status.CONVERGED, bracket_trace=brackets)
+
+
+class TestTraceCsv:
+    """The writer reuses a carried value's text; the bytes are the
+    reference writer's."""
+
+    @pytest.mark.parametrize("spec", [*PAPER_ALGORITHMS, "golden"])
+    def test_bytes_match_the_reference_writer(self, spec):
+        for fid in ("NU2", "NU5", "SU1", "SM4"):
+            func = get_function(fid)
+            for t in range(3):
+                b = generate_bracket(func, np.random.default_rng([72, t]))
+                oracle = testfuncs.oracle_for(func)
+                res = run_algorithm(spec, oracle, b, 1e-8, 500, record_brackets=True)
+                for header in ("", f"{fid} {spec}"):
+                    got = _trace_text(write_trace_csv, res, header)
+                    assert got == _trace_text(_ref_write_trace_csv, res, header)
+
+    def test_signed_zeros_keep_their_own_text(self):
+        # 0.0 leaves the bracket and -0.0 arrives two rows later; then 0.0
+        # takes the left point as -0.0 leaves the centre.  Each equals the
+        # other, but their reprs differ
+        res = _recorded(
+            [
+                ((-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0), 0.0),
+                ((0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5), 1.0),
+                ((-1.5, -1.0, -0.5, -0.0, 0.5, 1.0, 1.5), -0.0),
+                ((-1.0, -0.5, float("0"), 0.25, 0.5, 1.0, 1.5), float("0")),
+            ]
+        )
+        text = _trace_text(write_trace_csv, res)
+        assert text == _trace_text(_ref_write_trace_csv, res)
+        assert text.splitlines()[3:] == ["2,-0.5,-0.0,0.5,1.0,-0.0", "3,0.0,0.25,0.5,0.5,0.0"]
+
+    def test_ints_keep_their_own_text(self):
+        # a bracket of Python ints: carried ints print as ints, and a float
+        # equal to a carried int prints as a float
+        res = _recorded(
+            [
+                ((-3, -2, -1, 0, 1, 2, 3), 0),
+                ((-3, -2, -1, 0.0, 1, 2, 3), 0),
+                ((-2, -1, 0.0, 0.5, 1, 2, 3), 0.0),
+            ]
+        )
+        text = _trace_text(write_trace_csv, res, "ints")
+        assert text == _trace_text(_ref_write_trace_csv, res, "ints")
+        assert text.splitlines()[2:] == ["0,-1,0,1,2,0", "1,-1,0.0,1,2,0", "2,0.0,0.5,1,1.0,0.0"]
+
+    @pytest.mark.parametrize("spec", [*PAPER_ALGORITHMS, "golden"])
+    def test_runs_from_int_brackets_match_the_reference_writer(self, spec):
+        b = make_extended7((-3, -2, -1, 0, 1, 2, 3), (9, 4, 1, 0, 1, 4, 9))
+        res = run_algorithm(spec, lambda x: x * x, b, 1e-8, 500, record_brackets=True)
+        assert res.iterations > 0
+        assert _trace_text(write_trace_csv, res) == _trace_text(_ref_write_trace_csv, res)
+
+
 @st.composite
 def ill_scaled_problems(draw):
     """A seven-point bracket centred up to 1e8 from zero, with gaps from 1e-6

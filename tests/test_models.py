@@ -3,16 +3,17 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import kink_bracket, kink_objective
+from conftest import bits, kink_bracket, kink_objective
 from kinkline.brackets import make_extended7
 from kinkline.models import (
     CoincidentPointsError,
     build_model,
     divided_diff1,
     divided_diff2,
+    flank_coeffs,
     model_value,
     scaling_h,
 )
@@ -56,6 +57,66 @@ class TestDividedDifferences:
         ref = divided_diff2(f(0.4), f(1.3), f(-2.2), 0.4, 1.3, -2.2)
         got = divided_diff2(f(a), f(b), f(c), a, b, c)
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+def _ref_divided_diff2(fa, fb, fc, a, b, c):
+    """The two-call form: the difference of two first divided differences."""
+    if a == b or a == c or b == c:
+        raise CoincidentPointsError(f"points not pairwise distinct: {a!r}, {b!r}, {c!r}")
+    return (divided_diff1(fa, fb, a, b) - divided_diff1(fa, fc, a, c)) / (b - c)
+
+
+def _ref_flank_coeffs(x, fv, i1, i2, i3):
+    """The three-call form: the slope and both of the curvature's slopes
+    computed afresh."""
+    return (
+        fv[i1],
+        divided_diff1(fv[i1], fv[i2], x[i1], x[i2]),
+        _ref_divided_diff2(fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3]),
+    )
+
+
+# small integers make coincident points, and exact ties, common
+_finite = st.one_of(
+    st.integers(-3, 3).map(float), st.floats(allow_nan=False, allow_infinity=False)
+)
+_triples = st.tuples(_finite, _finite, _finite)
+
+
+class TestOneCallForms:
+    """divided_diff2 and flank_coeffs are one expression each: the same
+    operations in the same order as the forms that called divided_diff1,
+    so the same bits, and the same refusal of coincident points."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(x=_triples, fv=_triples, order=st.permutations([0, 1, 2]))
+    # 0.0 and -0.0 coincide
+    @example(x=(0.0, -0.0, 1.0), fv=(1.0, 2.0, 3.0), order=[0, 2, 1])
+    # overflowing differences: inf - inf in the curvature
+    @example(x=(-1e308, 1e308, 0.0), fv=(1e308, -1e308, 1.0), order=[2, 0, 1])
+    # subnormal gaps
+    @example(x=(0.0, 5e-324, 1e-323), fv=(1.0, 0.0, 1.0), order=[1, 0, 2])
+    def test_bits_match_the_reference_forms(self, x, fv, order):
+        i1, i2, i3 = order
+        args = (fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3])
+        try:
+            want2 = _ref_divided_diff2(*args)
+            want = _ref_flank_coeffs(x, fv, i1, i2, i3)
+        except CoincidentPointsError:
+            with pytest.raises(CoincidentPointsError):
+                divided_diff2(*args)
+            with pytest.raises(CoincidentPointsError):
+                flank_coeffs(x, fv, i1, i2, i3)
+            return
+        assert bits(divided_diff2(*args)) == bits(want2)
+        assert [bits(v) for v in flank_coeffs(x, fv, i1, i2, i3)] == [bits(v) for v in want]
+
+    def test_coincident_points_refused_at_every_pair(self):
+        for x in ((1.0, 1.0, 2.0), (1.0, 2.0, 1.0), (2.0, 1.0, 1.0), (0.0, -0.0, 1.0)):
+            with pytest.raises(CoincidentPointsError):
+                divided_diff2(1.0, 2.0, 3.0, *x)
+            with pytest.raises(CoincidentPointsError):
+                flank_coeffs(x, (1.0, 2.0, 3.0), 0, 1, 2)
 
 
 class TestScaling:
