@@ -435,18 +435,18 @@ def write_trace_csv(result: SolverResult, out: IO[str], header: str = "") -> Non
         raise ValueError("run the solver with record_brackets=True to dump a trace")
     lines = [f"# {header}\n"] if header else []
     lines.append("iteration,xl1,xm,xr1,d,fm\n")
-    pl = pm = pr = pf = None  # the previous row's values; tl.. their text
+    pl = pm = pr = pf = None  # the previous row's values; tl, tm, tr, tf hold their text
     tl = tm = tr = tf = ""
     for (i, d, fm), br in zip(result.trace, result.bracket_trace):
         x, c = br.x, br._CENTRE
-        l, m, r = x[c - 1], x[c], x[c + 1]
-        nl = tl if l is pl else tm if l is pm else repr(l)
-        nr = tr if r is pr else tm if r is pm else repr(r)
-        if m is not pm:
-            tm = repr(m)
+        xl, xm, xr = x[c - 1], x[c], x[c + 1]
+        nl = tl if xl is pl else tm if xl is pm else repr(xl)
+        nr = tr if xr is pr else tm if xr is pm else repr(xr)
+        if xm is not pm:
+            tm = repr(xm)
         tl, tr = nl, nr
         tf = tf if fm is pf else repr(fm)
-        pl, pm, pr, pf = l, m, r, fm
+        pl, pm, pr, pf = xl, xm, xr, fm
         lines.append(f"{i},{tl},{tm},{tr},{d!r},{tf}\n")
     out.write("".join(lines))
 
