@@ -125,7 +125,7 @@ def _cmd_minimize(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.functions:
-        functions = tuple(tok.strip().upper() for tok in args.functions.split(","))
+        functions = tuple(tok.strip() for tok in args.functions.split(","))
     else:
         functions = SUITES[args.suite]
     algorithms = tuple(s for s in PAPER_ALGORITHMS if s not in (args.skip or ()))
@@ -140,6 +140,8 @@ def _cmd_bench(args) -> int:
         )
     except UnknownFunctionError as exc:
         raise _UsageError(f"--functions: unknown function {exc.args[0]!r}") from exc
+    except ValueError as exc:  # a repeated id: argparse has checked the numbers
+        raise _UsageError(f"--functions: {exc}") from exc
     with _open_out("--out", args.out) as out:
         report = run_benchmark(cfg, jobs=args.jobs)
         write_benchmark_csv(report, out, latex_labels=args.latex_labels)
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=count,
         default=1,
-        help="parallel workers over (function, trial range) units; same output",
+        help="parallel workers over (function, trial) units; same output",
     )
     p.set_defaults(func=_cmd_bench)
 

@@ -1,7 +1,8 @@
 """Benchmark harness: bracket generation, rate metric, experiment runners.
 
 Everything here is deterministic given a seed: per-trial random streams
-are derived from (seed, stream tag, function index, trial index), so runs
+are derived from (seed, stream tag, function index, trial index).  The
+benchmark's unit of work is that stream's (function, trial) pair, so runs
 can be parallelized or re-ordered without changing a single output byte.
 """
 
@@ -83,20 +84,11 @@ class BracketPointsError(ValueError):
     points, or values failing the centre condition."""
 
 
-def column_name(spec: str) -> str:
-    return _COLUMN_NAMES.get(spec, spec)
+#: Full draws :func:`generate_bracket` makes before it gives up.
+_BRACKET_ATTEMPTS = 1000
 
 
-def _function_index(fid: str) -> int:
-    for i, f in enumerate(list_functions()):
-        if f.fid == fid:
-            return i
-    raise KeyError(fid)
-
-
-def generate_bracket(
-    f: TestFunction, rng: np.random.Generator, max_attempts: int = 1000
-) -> ExtendedBracket7:
+def generate_bracket(f: TestFunction, rng: np.random.Generator) -> ExtendedBracket7:
     """Random seven-point bracket by the two-cluster sampling scheme.
 
     Four points are drawn uniformly from the first fifth of the domain and
@@ -108,7 +100,7 @@ def generate_bracket(
     """
     a, b = f.domain
     span = b - a
-    for _ in range(max_attempts):
+    for _ in range(_BRACKET_ATTEMPTS):
         pts = np.concatenate(
             [
                 rng.uniform(a, a + span / 5.0, 4),
@@ -132,7 +124,7 @@ def generate_bracket(
         except BracketError:
             continue
     raise ResampleLimitExceededError(
-        f"no valid bracket for {f.fid} in {max_attempts} attempts"
+        f"no valid bracket for {f.fid} in {_BRACKET_ATTEMPTS} attempts"
     )
 
 
@@ -204,6 +196,10 @@ def run_algorithm(
 
 @dataclass(frozen=True)
 class TrialConfig:
+    """Settings of one benchmark run.  Functions are stored as the
+    registry's canonical ids (``"nu3"`` becomes ``"NU3"``); a function or
+    an algorithm spec listed twice is refused with :class:`ValueError`."""
+
     functions: tuple[str, ...]
     algorithms: tuple[str, ...] = PAPER_ALGORITHMS
     trials: int = 1000
@@ -217,8 +213,12 @@ class TrialConfig:
         check_stop_rule(self.eps, self.budget)
         for spec in self.algorithms:
             parse_algorithm(spec)
-        for fid in self.functions:
-            get_function(fid)
+        fids = tuple(get_function(f).fid for f in self.functions)
+        object.__setattr__(self, "functions", fids)
+        for kind, names in (("function", fids), ("algorithm", self.algorithms)):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValueError(f"{kind} {name!r} listed twice")
 
 
 @dataclass(frozen=True)
@@ -243,71 +243,49 @@ class BenchmarkReport:
         return self.cells[(fid, spec)]
 
 
-def _bench_rates(cfg: TrialConfig, fid: str, trials: range) -> dict[str, list[float]]:
-    """Per-algorithm convergence rates of ``fid`` over ``trials``, in order."""
+def _trial_rates(cfg: TrialConfig, fid: str, t: int) -> list[float]:
+    """Convergence rates of trial ``t`` on ``fid``, one per configured
+    algorithm in config order, all started from the trial's bracket."""
     func = get_function(fid)
-    fidx = _function_index(fid)
-    rates: dict[str, list[float]] = {spec: [] for spec in cfg.algorithms}
-    for t in trials:
-        rng = np.random.default_rng([cfg.seed, _BENCH_STREAM, fidx, t])
-        bracket = generate_bracket(func, rng)
-        for spec in cfg.algorithms:
-            res = run_algorithm(spec, oracle_for(func), bracket, cfg.eps, cfg.budget)
-            rates[spec].append(convergence_rate(res))
-    return rates
-
-
-def _bench_chunks(cfg: TrialConfig, jobs: int) -> list[tuple[str, range]]:
-    """(function, trial range) work units for ``jobs`` workers, functions in
-    order and each function's ranges in trial order.
-
-    A function's trials split into ranges small enough that there are
-    about eight units per worker, so that no worker idles long at the end
-    when some functions' trials cost far more than others'.
-    """
-    size = -(-cfg.trials * len(cfg.functions) // (8 * jobs))
+    rng = np.random.default_rng([cfg.seed, _BENCH_STREAM, list_functions().index(func), t])
+    bracket = generate_bracket(func, rng)
     return [
-        (fid, range(t, min(t + size, cfg.trials)))
-        for fid in cfg.functions
-        for t in range(0, cfg.trials, size)
+        convergence_rate(run_algorithm(spec, oracle_for(func), bracket, cfg.eps, cfg.budget))
+        for spec in cfg.algorithms
     ]
 
 
 def run_benchmark(cfg: TrialConfig, jobs: int = 1) -> BenchmarkReport:
     """Run every configured algorithm on every function.
 
-    Within a trial all algorithms start from the same bracket but get
-    independent oracles and counters.  With ``jobs > 1`` the (function,
-    trial range) units of :func:`_bench_chunks` run in separate processes,
-    and each cell is built from its rates concatenated in trial order, so
-    the outputs are identical either way.
+    The unit of work is one (function, trial) pair, the key of its random
+    stream.  Within a trial all algorithms start from the same bracket but
+    get independent oracles and counters.  With ``jobs > 1`` the units run
+    in separate processes, about eight chunks of them per worker, so that
+    no worker idles long at the end when some functions' trials cost far
+    more than others'.  Each cell takes its rates in trial order, so the
+    outputs are identical either way.
     """
-    fids, ranges = zip(*_bench_chunks(cfg, jobs))
+    fids, trials = zip(*itertools.product(cfg.functions, range(cfg.trials)))
+    cfgs = itertools.repeat(cfg)
     if jobs > 1 and len(fids) > 1:
+        chunk = -(-len(fids) // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_bench_rates, itertools.repeat(cfg), fids, ranges))
+            parts = list(pool.map(_trial_rates, cfgs, fids, trials, chunksize=chunk))
     else:
-        parts = list(map(_bench_rates, itertools.repeat(cfg), fids, ranges))
-    rates: dict[tuple[str, str], list[float]] = {}
-    for fid, part in zip(fids, parts):
-        for spec, rs in part.items():
-            rates.setdefault((fid, spec), []).extend(rs)
+        parts = list(map(_trial_rates, cfgs, fids, trials))
     cells = {}
-    for key, rs in rates.items():
-        failures = sum(1 for r in rs if math.isinf(r))
-        mean = math.inf if failures else sum(rs) / len(rs)
-        cells[key] = CellStats(mean, len(rs), failures)
+    for k, fid in enumerate(cfg.functions):
+        per_spec = zip(*parts[k * cfg.trials : (k + 1) * cfg.trials])
+        for spec, rs in zip(cfg.algorithms, per_spec):
+            failures = sum(1 for r in rs if math.isinf(r))
+            mean = math.inf if failures else sum(rs) / len(rs)
+            cells[(fid, spec)] = CellStats(mean, len(rs), failures)
     return BenchmarkReport(cfg, cells)
 
 
 def _format_rate(r: float) -> str:
     return "inf" if math.isinf(r) else f"{r:.6f}"
-
-
-def _row_label(fid: str, latex: bool) -> str:
-    if not latex:
-        return fid
-    return f"$f^{{{fid[:2]}}}_{fid[2:]}$"
 
 
 def write_benchmark_csv(
@@ -323,9 +301,9 @@ def write_benchmark_csv(
         f"# kinkline bench seed={cfg.seed} trials={cfg.trials} "
         f"eps={cfg.eps:g} budget={cfg.budget}\n"
     )
-    out.write("Functions," + ",".join(column_name(s) for s in cfg.algorithms) + "\n")
+    out.write("Functions," + ",".join(_COLUMN_NAMES.get(s, s) for s in cfg.algorithms) + "\n")
     for fid in cfg.functions:
-        row = [_row_label(fid, latex_labels)]
+        row = [f"$f^{{{fid[:2]}}}_{fid[2:]}$" if latex_labels else fid]
         row += [_format_rate(report.cell(fid, s).mean_rate) for s in cfg.algorithms]
         out.write(",".join(row) + "\n")
 
@@ -393,10 +371,9 @@ def minimize_once(
     hull); the values must still satisfy the centre condition.
     """
     func = get_function(fid)
-    fidx = _function_index(func.fid)
     a, b = func.domain
     if bracket_points is None:
-        rng = np.random.default_rng([seed, _ONCE_STREAM, fidx])
+        rng = np.random.default_rng([seed, _ONCE_STREAM, list_functions().index(func)])
         bracket = generate_bracket(func, rng)
     else:
         pts = sorted(float(x) for x in bracket_points)

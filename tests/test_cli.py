@@ -3,6 +3,7 @@ import os
 import pytest
 
 from kinkline.cli import main
+from test_seeded_outputs import BENCH_ALL_3_TRIALS_SEED_0
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,11 @@ class TestMinimize:
             (
                 ("SM3", "--bracket=-0.5,0.1,0.2,0.25,0.3,0.5,0.9"),
                 "--bracket: SM3 cannot be evaluated at x=-0.5 (TypeError: ",
+            ),
+            (
+                ("SM5", "--bracket=1e200,2e200,3e200,4e200,5e200,6e200,7e200"),
+                "--bracket: SM5 cannot be evaluated at x=1e+200 "
+                "(ValueError: value inf is not finite)",
             ),
         ],
     )
@@ -161,6 +167,17 @@ class TestBench:
         code, out, err = run_cli(capsys, "bench", "--functions", functions, "--trials", "1")
         assert code == 2 and out == ""
         assert err == f"kinkline bench: error: --functions: unknown function {fid!r}\n"
+
+    def test_repeated_function_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--functions", "NU1,nu1", "--trials", "1")
+        assert code == 2 and out == ""
+        assert err == "kinkline bench: error: --functions: function 'NU1' listed twice\n"
+
+    def test_parallel_run_prints_the_pinned_csv(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bench", "--suite", "all", "--trials", "3", "--seed", "0", "--jobs", "2"
+        )
+        assert code == 0 and out == BENCH_ALL_3_TRIALS_SEED_0
 
 
     def test_unwritable_out_fails_before_the_run(self, capsys, tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from kinkline.eupm import (
     bracket_check,
     eupm_minimize,
     eupm_step,
+    gap_apply,
     gap_check,
     gap_inner,
     gap_sequence_ratios,
@@ -177,6 +178,14 @@ class TestSequences:
         b = b5((0, 1, 1.8, 2, 3), (big + 512, big + 256, big, big + 256, big + 512))
         with pytest.raises(ValueError, match="made update 4, not 1"):
             apply_sequence(b, [1])
+
+    def test_element_outside_one_to_four_refused(self):
+        b = b5((0, 1, 1.8, 2, 3))
+        with pytest.raises(ValueError, match="^sequence elements must be in 1..4, got 5$"):
+            apply_sequence(b, [1, 5])
+        p = sample_simplex(np.random.default_rng(20), 3)
+        with pytest.raises(ValueError, match="^branch must be 1..4, got 0$"):
+            gap_apply(p, 0)
 
     def test_infeasible_start_stops_the_walk(self):
         b = b5((0, 1, 1.5, 3, 4))  # check > 0: left-family start impossible

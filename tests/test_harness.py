@@ -14,7 +14,6 @@ from kinkline.harness import (
     PAPER_ALGORITHMS,
     ResampleLimitExceededError,
     TrialConfig,
-    _bench_chunks,
     convergence_rate,
     generate_bracket,
     minimize_once,
@@ -61,8 +60,8 @@ class TestGenerateBracket:
         ramp = testfuncs.TestFunction(
             "TMP", Category.SMOOTH_UNIMODAL, (0.0, 1.0), lambda x: x, "x"
         )
-        with pytest.raises(ResampleLimitExceededError):
-            generate_bracket(ramp, np.random.default_rng(3), max_attempts=50)
+        with pytest.raises(ResampleLimitExceededError, match="in 1000 attempts"):
+            generate_bracket(ramp, np.random.default_rng(3))
 
 
 def test_random_brackets_hold_builtin_floats():
@@ -174,22 +173,45 @@ class TestBenchmark:
         assert buf.getvalue().splitlines()[2].startswith("$f^{SU}_2$,")
 
     def test_parallel_jobs_match_serial(self):
-        # 8 trials on 2 workers: each function splits into one unit per
-        # trial, so every cell joins the rates of several units, and a sum
-        # taken out of trial order would change the last bits of a mean
+        # 40 (function, trial) units: on 2 workers they go in chunks of 3,
+        # so one chunk holds trials of both functions, and every cell joins
+        # the rates of several chunks; a sum taken out of trial order would
+        # change the last bits of a mean
         cfg = TrialConfig(
             functions=("NU3", "NU5"),
             algorithms=("eupm", "golden", "supm:0", "dupm"),
-            trials=8,
+            trials=20,
             seed=3,
         )
-        units = _bench_chunks(cfg, 2)
-        assert [fid for fid, _ in units] == ["NU3"] * 8 + ["NU5"] * 8
-        assert [t for _, r in units for t in r] == list(range(8)) * 2
         serial = run_benchmark(cfg, jobs=1)
-        parallel = run_benchmark(cfg, jobs=2)
-        assert serial.cells == parallel.cells
-        assert [c.trials for c in parallel.cells.values()] == [8] * 8
+        assert [c.trials for c in serial.cells.values()] == [20] * 8
+        for jobs in (2, 3):
+            assert run_benchmark(cfg, jobs=jobs).cells == serial.cells
+
+    def test_lower_case_ids_write_the_same_csv(self):
+        outs = []
+        for fid in ("nu3", "NU3"):
+            cfg = TrialConfig(functions=(fid,), algorithms=("eupm", "brent"), trials=2)
+            assert cfg.functions == ("NU3",)
+            buf = io.StringIO()
+            write_benchmark_csv(run_benchmark(cfg), buf)
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"functions": ("nu1", "NU1")}, "^function 'NU1' listed twice$"),
+            (
+                {"functions": ("NU1",), "algorithms": ("eupm", "supm:1", "eupm")},
+                "^algorithm 'eupm' listed twice$",
+            ),
+            ({"functions": ("NU1",), "trials": 0}, "^trials must be >= 1$"),
+        ],
+    )
+    def test_config_refuses(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            TrialConfig(**fields)
 
 
 class TestSequenceExperiment:
@@ -217,6 +239,14 @@ class TestSequenceExperiment:
         lines = buf.getvalue().splitlines()
         assert lines[0].startswith("#") and lines[1] == "sequence,bits,eupm_rate,golden_rate"
         assert len(lines) == 2 + 8
+
+    @pytest.mark.parametrize(
+        "bits, samples, message",
+        [(0, 10, "^bits must be >= 1$"), (3, 0, "^samples must be >= 1$")],
+    )
+    def test_sizes_below_one_refused(self, bits, samples, message):
+        with pytest.raises(ValueError, match=message):
+            run_sequence_experiment(bits=bits, samples=samples)
 
     def test_simplex_sampler_is_uniform_on_the_simplex(self):
         p = sample_simplex(np.random.default_rng(4), 100000)
@@ -257,6 +287,10 @@ class TestMinimizeOnce:
         for _ in range(50):
             g = intersection_condition(Flanks(random_bracket7(rng)), 0.0)
             assert type(g) in (float, type(None))
+
+    def test_trace_csv_needs_recorded_brackets(self):
+        with pytest.raises(ValueError, match="record_brackets=True"):
+            write_trace_csv(fake_result([1.0, 0.5]), io.StringIO())
 
     def test_trace_csv_columns(self):
         res, _ = minimize_once("NU2", "eupm", seed=1)

@@ -163,6 +163,11 @@ class TestModels:
         g = supm_step(Flanks(b), 0.0)
         assert abs(g - 0.005) <= 1e-3
 
+    def test_unknown_side_refused(self):
+        b, _ = fig1_bracket()
+        with pytest.raises(ValueError, match="^side must be 'L' or 'R', got 'M'$"):
+            build_model("M", b, 0.0)
+
     def test_large_alpha_makes_models_concave(self):
         b, _ = fig1_bracket()
         for side in ("L", "R"):

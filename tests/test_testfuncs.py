@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kinkline import testfuncs
 from kinkline.testfuncs import (
     Category,
     CountingOracle,
@@ -30,6 +31,11 @@ class TestRegistry:
     def test_unknown_id_rejected(self):
         with pytest.raises(UnknownFunctionError):
             get_function("SU9")
+
+    @pytest.mark.parametrize("domain", [(1.0, 1.0), (2.0, 1.0)])
+    def test_degenerate_domain_refused(self, domain):
+        with pytest.raises(ValueError, match=r"^degenerate domain \("):
+            testfuncs.TestFunction("TMP", Category.SMOOTH_UNIMODAL, domain, abs, "|x|")
 
     def test_lookup_is_case_insensitive(self):
         assert get_function("nu3").fid == "NU3"
