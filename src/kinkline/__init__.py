@@ -35,6 +35,7 @@ from .models import (
 )
 from .result import SolverResult, Status
 from .supm import (
+    AdjustmentOverflowError,
     BracketTooSmallError,
     NonFiniteValueError,
     check_stop_rule,
@@ -45,7 +46,6 @@ from .supm import (
 )
 from .eupm import (
     MINIMAL_SEQUENCES,
-    apply_sequence,
     bracket_check,
     eupm_minimize,
     eupm_step,

@@ -35,6 +35,7 @@ from .harness import (
     write_sequence_csv,
     write_trace_csv,
 )
+from .supm import AdjustmentOverflowError
 from .testfuncs import UnknownFunctionError, list_functions
 
 
@@ -102,6 +103,8 @@ def _cmd_minimize(args) -> int:
         raise _UsageError(f"--function: unknown function {exc.args[0]!r}") from exc
     except BracketPointsError as exc:
         raise _UsageError(f"--bracket: {exc}") from exc
+    except AdjustmentOverflowError as exc:
+        raise _UsageError(f"--algorithm: {exc}") from exc
     # opened after the run, which takes milliseconds, so that a bad
     # --function or --bracket leaves an existing trace file as it was
     if args.trace:

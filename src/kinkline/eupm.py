@@ -17,11 +17,11 @@ the per-sequence contraction ratios by direct enumeration.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .brackets import ExtendedBracket5, ExtendedBracket7, apply_update
+from .brackets import ExtendedBracket5, ExtendedBracket7
 from .result import SolverResult
 from .supm import run_bracket_solver
 
@@ -87,128 +87,97 @@ def eupm_minimize(
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
 
 
-def apply_sequence(
-    b: ExtendedBracket5, seq: Iterable[int]
-) -> tuple[ExtendedBracket5, bool]:
-    """Apply a sequence of update indices with the closed-form step.
-
-    No oracle is involved: the step depends only on the points, and the
-    improving / non-improving bit is implied by the branch index, so values
-    at inserted points are synthesized one unit below or above the current
-    incumbent value; a ``ValueError`` if the unit rounds away and the value
-    reads back as another rule.  An element is feasible when its branch
-    family matches the sign of :func:`bracket_check` at that moment (an
-    exact zero counts as the left family; a trial that lands on the
-    incumbent raises ``TrialAtCenterError``).  On the first infeasible
-    element the walk stops and the bracket reached so far is returned with
-    ``feasible = False``.
-
-    No minimum-separation projection is applied here; the contraction
-    algebra is verified unperturbed.
-    """
-    feasible = True
-    for br in seq:
-        if br not in (1, 2, 3, 4):
-            raise ValueError(f"sequence elements must be in 1..4, got {br!r}")
-        c = bracket_check(b)
-        if (c <= 0.0) != (br in (1, 4)):
-            feasible = False
-            break
-        ft = b.fm - 1.0 if br in (1, 2) else b.fm + 1.0
-        rule, b = apply_update(b.xm + c, ft, b)
-        if rule != br:
-            raise ValueError(f"value {ft!r} made update {rule}, not {br}")
-    return b, feasible
-
-
 def all_branch_sequences(length: int) -> list[tuple[int, ...]]:
     """Every update-index sequence of the given length (4**length of them)."""
     return list(itertools.product((1, 2, 3, 4), repeat=length))
 
 
 # ---------------------------------------------------------------------------
-# Vectorized gap-coordinate engine.
+# Vectorized gap-coordinate engine, in column form.
 #
 # A five-point bracket modulo translation is its gap vector
-# (p1, p2, p3, p4) = (xl1-xl2, xm-xl1, xr1-xm, xr2-xr1), and the step
-# offset and all four updates are rational maps on it:
+# (p1, p2, p3, p4) = (xl1-xl2, xm-xl1, xr1-xm, xr2-xr1).  The engine holds
+# a batch of them as four 1-D columns, one entry per row, from start to
+# finish; the step offset and all four updates are rational maps on them:
 #
 #     c  = (p3*(p3+p4) - p2*(p1+p2)) / (p1 + 2*(p2+p3) + p4)
-#     U1 -> (p1, p2+c, -c, p3)        needs c < 0
+#     U1 -> (p1, p2+c, -c, p3)        needs c <= 0
 #     U2 -> (p2, c, p3-c, p4)         needs c > 0
 #     U3 -> (p1, p2, c, p3-c)         needs c > 0
-#     U4 -> (p2+c, -c, p3, p4)        needs c < 0
+#     U4 -> (p2+c, -c, p3, p4)        needs c <= 0
 #
-# with inner length p2 + p3.  Applying a map outside its sign condition is
-# meaningful as formal algebra (some gaps go negative); the enumeration
-# masks those rows out, while the ratio-identity checks rely on the formal
-# values.
+# with inner length p2 + p3.  An exact zero offset, a trial on the
+# incumbent that the bracket form refuses, counts as the left family.
+# A map builds only the columns it changes and passes the others through.
+# Applying a map outside its sign condition is meaningful as formal
+# algebra (some gaps go negative); the enumeration masks those rows out,
+# while the ratio-identity checks rely on the formal values.
 # ---------------------------------------------------------------------------
 
 
-def gap_check(p: np.ndarray) -> np.ndarray:
-    """Step offset from the incumbent for an (n, 4) array of gap rows."""
-    p1, p2, p3, p4 = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
+def gap_offset(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray) -> np.ndarray:
+    """Step offset from the incumbent of every gap row, given as columns."""
     return (p3 * (p3 + p4) - p2 * (p1 + p2)) / (p1 + 2.0 * (p2 + p3) + p4)
 
 
-def gap_apply(p: np.ndarray, branch: int, c: np.ndarray | None = None) -> np.ndarray:
-    """Apply one update map to every gap row (formal, no sign enforcement)."""
-    if c is None:
-        c = gap_check(p)
-    p1, p2, p3, p4 = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
+def gap_map(
+    branch: int, c: np.ndarray, p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The four gap columns after update ``branch`` at step offset ``c``
+    (formal, no sign enforcement)."""
     if branch == 1:
-        cols = (p1, p2 + c, -c, p3)
-    elif branch == 2:
-        cols = (p2, c, p3 - c, p4)
-    elif branch == 3:
-        cols = (p1, p2, c, p3 - c)
-    elif branch == 4:
-        cols = (p2 + c, -c, p3, p4)
-    else:
-        raise ValueError(f"branch must be 1..4, got {branch!r}")
-    return np.stack(cols, axis=1)
-
-
-def gap_inner(p: np.ndarray) -> np.ndarray:
-    return p[:, 1] + p[:, 2]
+        return p1, p2 + c, -c, p3
+    if branch == 2:
+        return p2, c, p3 - c, p4
+    if branch == 3:
+        return p1, p2, c, p3 - c
+    if branch == 4:
+        return p2 + c, -c, p3, p4
+    raise ValueError(f"branch must be 1..4, got {branch!r}")
 
 
 def gap_sequence_ratios(
     p: np.ndarray, seq: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Contraction ratios and feasibility mask of ``seq`` over gap rows.
+    """Contraction ratios and feasibility mask of ``seq`` over the rows of
+    the (n, 4) gap array ``p``.
 
     Ratios are computed for every row by formal application; the mask
     flags the rows on which the sequence is actually realizable (branch
     family matches the sign of the step offset at every stage, zero
     counting as left).
     """
-    d0 = gap_inner(p)
+    cols = p.T
+    d0 = cols[1] + cols[2]
     feasible = np.ones(len(p), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for br in seq:
-            c = gap_check(p)
+            c = gap_offset(*cols)
             if br in (1, 4):
                 feasible &= c <= 0.0
             else:
                 feasible &= c > 0.0
-            p = gap_apply(p, br, c)
-        ratios = gap_inner(p) / d0
+            cols = gap_map(br, c, *cols)
+        ratios = (cols[1] + cols[2]) / d0
     return ratios, feasible
 
 
-def gap_apply_binary(p: np.ndarray, improving: bool) -> np.ndarray:
-    """One oracle-free iteration for every gap row given the improving bit.
+def gap_apply_binary(
+    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray, improving: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One oracle-free iteration of every gap row given the improving bit;
+    four columns in, four columns out.
 
-    The side is decided per row by the sign of the step offset; the bit
-    selects between the improving updates (1 left, 2 right) and the
-    non-improving ones (4 left, 3 right).
+    The side is decided per row by the sign of the step offset, zero
+    counting as left; the bit selects between the improving updates (1
+    left, 2 right) and the non-improving ones (4 left, 3 right).  Both
+    candidate maps share the one offset, and each output column picks
+    between their columns row by row.
     """
-    c = gap_check(p)
-    left = (c <= 0.0)[:, None]
-    if improving:
-        out = np.where(left, gap_apply(p, 1, c), gap_apply(p, 2, c))
-    else:
-        out = np.where(left, gap_apply(p, 4, c), gap_apply(p, 3, c))
-    return out
+    c = gap_offset(p1, p2, p3, p4)
+    left = c <= 0.0
+    lmap, rmap = (1, 2) if improving else (4, 3)
+    return tuple(
+        np.where(left, a, b)
+        for a, b in zip(gap_map(lmap, c, p1, p2, p3, p4), gap_map(rmap, c, p1, p2, p3, p4))
+    )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -32,7 +31,7 @@ from .brackets import (
     make_extended7,
 )
 from .dupm import dupm_minimize
-from .eupm import eupm_minimize, gap_apply_binary, gap_inner
+from .eupm import eupm_minimize, gap_apply_binary
 from .result import SolverResult, Status
 from .supm import check_stop_rule, supm_minimize
 from .testfuncs import CountingOracle, TestFunction, get_function, list_functions, oracle_for
@@ -197,8 +196,9 @@ def run_algorithm(
 @dataclass(frozen=True)
 class TrialConfig:
     """Settings of one benchmark run.  Functions are stored as the
-    registry's canonical ids (``"nu3"`` becomes ``"NU3"``); a function or
-    an algorithm spec listed twice is refused with :class:`ValueError`."""
+    registry's canonical ids (``"nu3"`` becomes ``"NU3"``); an empty
+    function list, or a function or an algorithm spec listed twice, is
+    refused with :class:`ValueError`."""
 
     functions: tuple[str, ...]
     algorithms: tuple[str, ...] = PAPER_ALGORITHMS
@@ -213,6 +213,8 @@ class TrialConfig:
         check_stop_rule(self.eps, self.budget)
         for spec in self.algorithms:
             parse_algorithm(spec)
+        if not self.functions:
+            raise ValueError("functions must name at least one function")
         fids = tuple(get_function(f).fid for f in self.functions)
         object.__setattr__(self, "functions", fids)
         for kind, names in (("function", fids), ("algorithm", self.algorithms)):
@@ -269,6 +271,9 @@ def run_benchmark(cfg: TrialConfig, jobs: int = 1) -> BenchmarkReport:
     fids, trials = zip(*itertools.product(cfg.functions, range(cfg.trials)))
     cfgs = itertools.repeat(cfg)
     if jobs > 1 and len(fids) > 1:
+        # imported here, so that commands without a pool skip its ~20 ms import
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = -(-len(fids) // (8 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_trial_rates, cfgs, fids, trials, chunksize=chunk))
@@ -320,9 +325,10 @@ def run_sequence_experiment(
     """Mean oracle-free contraction rate for every improving/non-improving
     bit pattern of the given length.
 
-    Each pattern drives the five-point update machinery from ``samples``
-    random unit-sum gap vectors (1 = the trial improved, 0 = it did not;
-    the side is decided by the step offset's sign as in a real run).  The
+    Each pattern drives the oracle-free gap engine from ``samples`` random
+    unit-sum gap vectors, held as four columns from the draw to the rate
+    (1 = the trial improved, 0 = it did not; the side is decided by the
+    step offset's sign as in a real run, zero counting as left).  The
     returned rows are (pattern, bits, mean rate, golden reference rate),
     slowest patterns first.  The golden reference is its constant
     reduction ratio, which no bit pattern can alter.
@@ -334,11 +340,11 @@ def run_sequence_experiment(
     rows = []
     for idx, pattern in enumerate(itertools.product((1, 0), repeat=bits)):
         rng = np.random.default_rng([seed, _SEQEXP_STREAM, idx])
-        p = sample_simplex(rng, samples)
-        d0 = gap_inner(p)
+        p1, p2, p3, p4 = sample_simplex(rng, samples).T
+        d0 = p2 + p3
         for bit in pattern:
-            p = gap_apply_binary(p, bit == 1)
-        rates = (gap_inner(p) / d0) ** (1.0 / bits)
+            p1, p2, p3, p4 = gap_apply_binary(p1, p2, p3, p4, bit == 1)
+        rates = ((p2 + p3) / d0) ** (1.0 / bits)
         rows.append(("".join(map(str, pattern)), bits, float(rates.mean()), INVPHI))
     rows.sort(key=lambda r: (-r[2], r[0]))
     return rows

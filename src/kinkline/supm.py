@@ -47,6 +47,10 @@ class NonFiniteValueError(ValueError):
     """The oracle returned NaN or an infinity at a trial point."""
 
 
+class AdjustmentOverflowError(ValueError):
+    """The adjustment ``alpha * h`` of the starting bracket is not finite."""
+
+
 def default_delta(eps: float, xl1: float, xr1: float) -> float:
     """Separation floor: below the termination scale, above rounding noise."""
     return max(eps / 4.0, 64.0 * _EPS * (abs(xl1) + abs(xr1)))
@@ -364,10 +368,19 @@ def supm_minimize(
     adjustment ``alpha * h`` comes off a curvature in the units of f, so
     ``alpha`` carries those units and scaling f changes the trials; with
     ``alpha == 0``, scaling f by a power of two changes no bit.
+
+    An ``alpha`` whose adjustment overflows on ``b0`` is refused with
+    :class:`AdjustmentOverflowError`; ``h`` only shrinks as the bracket
+    does, so a finite start stays finite.
     """
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")
     fl = Flanks(b0)
+    if not math.isfinite(alpha * fl.h):
+        raise AdjustmentOverflowError(
+            f"alpha {alpha!r} overflows: alpha * h is not finite on the starting "
+            f"bracket (h = {fl.h!r})"
+        )
 
     def next_trial(b, branches):
         if branches:

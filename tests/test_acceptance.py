@@ -16,7 +16,7 @@ from conftest import kink_bracket, kink_objective
 from kinkline import verify
 from kinkline.baselines import INVPHI, golden_section_minimize
 from kinkline.brackets import inner3, inner5, inner_length, make_extended7, reflect
-from kinkline.eupm import eupm_step, gap_apply, gap_check, gap_sequence_ratios
+from kinkline.eupm import eupm_step, gap_map, gap_offset, gap_sequence_ratios
 from kinkline.harness import (
     PAPER_ALGORITHMS,
     TrialConfig,
@@ -66,15 +66,15 @@ def test_02_minimal_sequence_ratios_and_pair_identities():
     # disjoint past the shared prefix, so they are checked by formal
     # composition of the update maps after a feasible prefix
     p = sample_simplex(rng, 60000)
-    p = p[gap_check(p) < 0.0][:10000]
+    p = p[gap_offset(*p.T) < 0.0][:10000]
     r44, _ = gap_sequence_ratios(p, (4, 4))
     r422, _ = gap_sequence_ratios(p, (4, 2, 2))
     d1 = float(np.max(np.abs(r44 - r422)))
 
     p = sample_simplex(rng, 200000)
-    p = p[gap_check(p) < 0.0]
-    p4 = gap_apply(p, 4)
-    p = p[gap_check(p4) > 0.0][:10000]
+    p = p[gap_offset(*p.T) < 0.0]
+    p4 = gap_map(4, gap_offset(*p.T), *p.T)
+    p = p[gap_offset(*p4) > 0.0][:10000]
     r434, _ = gap_sequence_ratios(p, (4, 3, 4))
     r4322, _ = gap_sequence_ratios(p, (4, 3, 2, 2))
     d2 = float(np.max(np.abs(r434 - r4322)))

@@ -87,6 +87,11 @@ class TestMinimize:
                 "--bracket: SM5 cannot be evaluated at x=1e+200 "
                 "(ValueError: value inf is not finite)",
             ),
+            (
+                ("NU3", "--algorithm", "supm:1e308"),
+                "--algorithm: alpha 1e+308 overflows: alpha * h is not finite on the "
+                "starting bracket (h = 2.9602858795804474)",
+            ),
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):

@@ -16,13 +16,12 @@ from kinkline.brackets import (
 from kinkline.eupm import (
     MINIMAL_SEQUENCES,
     all_branch_sequences,
-    apply_sequence,
     bracket_check,
     eupm_minimize,
     eupm_step,
-    gap_apply,
-    gap_check,
-    gap_inner,
+    gap_apply_binary,
+    gap_map,
+    gap_offset,
     gap_sequence_ratios,
 )
 from kinkline.harness import generate_bracket, random_bracket5, random_bracket7, sample_simplex
@@ -35,6 +34,98 @@ EPS = sys.float_info.epsilon
 
 def b5(points, values=(5.0, 2.0, 0.0, 3.0, 9.0)):
     return make_extended5(points, values)
+
+
+def apply_sequence(b, seq):
+    """Bracket-form twin of the gap algebra: apply update indices to ``b``
+    with the closed-form step, returning (bracket reached, feasible).
+
+    No oracle is involved: values at inserted points are synthesized one
+    unit below or above the incumbent value, and a unit that rounds away
+    so that the value decides another rule is a ``ValueError``.  An element
+    is feasible when its branch family matches the sign of
+    :func:`bracket_check` (an exact zero counts as left; a trial on the
+    incumbent raises ``TrialAtCenterError``); the walk stops at the first
+    infeasible one.  No minimum-separation projection is applied.
+    """
+    feasible = True
+    for br in seq:
+        if br not in (1, 2, 3, 4):
+            raise ValueError(f"sequence elements must be in 1..4, got {br!r}")
+        c = bracket_check(b)
+        if (c <= 0.0) != (br in (1, 4)):
+            feasible = False
+            break
+        ft = b.fm - 1.0 if br in (1, 2) else b.fm + 1.0
+        rule, b = apply_update(b.xm + c, ft, b)
+        if rule != br:
+            raise ValueError(f"value {ft!r} made update {rule}, not {br}")
+    return b, feasible
+
+
+# Reference forms of the gap engine on (n, 4) arrays: each map stacks a
+# new array, and the binary step builds both candidate maps in full and
+# selects between them with a 2-D where.  The column form does the same
+# arithmetic, so it must give the same bits.
+
+
+def _ref_gap_check(p):
+    p1, p2, p3, p4 = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
+    return (p3 * (p3 + p4) - p2 * (p1 + p2)) / (p1 + 2.0 * (p2 + p3) + p4)
+
+
+def _ref_gap_apply(p, branch, c=None):
+    if c is None:
+        c = _ref_gap_check(p)
+    p1, p2, p3, p4 = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
+    cols = {
+        1: (p1, p2 + c, -c, p3),
+        2: (p2, c, p3 - c, p4),
+        3: (p1, p2, c, p3 - c),
+        4: (p2 + c, -c, p3, p4),
+    }[branch]
+    return np.stack(cols, axis=1)
+
+
+def _ref_gap_apply_binary(p, improving):
+    c = _ref_gap_check(p)
+    left = (c <= 0.0)[:, None]
+    if improving:
+        return np.where(left, _ref_gap_apply(p, 1, c), _ref_gap_apply(p, 2, c))
+    return np.where(left, _ref_gap_apply(p, 4, c), _ref_gap_apply(p, 3, c))
+
+
+def _ref_gap_sequence_ratios(p, seq):
+    d0 = p[:, 1] + p[:, 2]
+    feasible = np.ones(len(p), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for br in seq:
+            c = _ref_gap_check(p)
+            feasible &= (c <= 0.0) if br in (1, 4) else (c > 0.0)
+            p = _ref_gap_apply(p, br, c)
+        ratios = (p[:, 1] + p[:, 2]) / d0
+    return ratios, feasible
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal float bits, so ``0.0`` differs from ``-0.0``."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _gap_rows():
+    """Simplex draws plus rows whose step offset is exactly zero."""
+    zero = np.array(
+        [
+            [0.25, 0.25, 0.25, 0.25],
+            [1.0, 1.0, 1.0, 1.0],
+            [0.1, 0.4, 0.4, 0.1],
+            [3.0, 0.5, 0.5, 3.0],
+            [2.5, 2.0, 1.5, 4.5],  # 1.5 * 6 == 2 * 4.5 without symmetry
+        ]
+    )
+    assert np.all(gap_offset(*zero.T) == 0.0)
+    return np.concatenate([sample_simplex(np.random.default_rng(21), 3000), zero]), zero
 
 
 class TestStep:
@@ -185,7 +276,9 @@ class TestSequences:
             apply_sequence(b, [1, 5])
         p = sample_simplex(np.random.default_rng(20), 3)
         with pytest.raises(ValueError, match="^branch must be 1..4, got 0$"):
-            gap_apply(p, 0)
+            gap_map(0, gap_offset(*p.T), *p.T)
+        with pytest.raises(ValueError, match="^branch must be 1..4, got 5$"):
+            gap_sequence_ratios(p, (1, 5))
 
     def test_infeasible_start_stops_the_walk(self):
         b = b5((0, 1, 1.5, 3, 4))  # check > 0: left-family start impossible
@@ -219,7 +312,7 @@ class TestSequences:
     def test_pair_identity_44_equals_422(self):
         rng = np.random.default_rng(18)
         p = sample_simplex(rng, 20000)
-        p = p[gap_check(p) < 0.0]
+        p = p[gap_offset(*p.T) < 0.0]
         r1, _ = gap_sequence_ratios(p, (4, 4))
         r2, _ = gap_sequence_ratios(p, (4, 2, 2))
         assert float(np.max(np.abs(r1 - r2))) <= 1e-12
@@ -257,3 +350,45 @@ class TestSequences:
                 want = inner_length(b2) / inner_length(b)
                 assert ratios[0] == pytest.approx(want, rel=1e-9, abs=1e-12)
                 checked += 1
+
+
+class TestColumnForm:
+    # the column form keeps the arithmetic of the stacked form operation
+    # for operation, so every output bit must agree with the reference
+
+    def test_offset_and_every_map_match_the_stacked_form(self):
+        p, _ = _gap_rows()
+        c = gap_offset(*p.T)
+        assert _same_bits(c, _ref_gap_check(p))
+        for br in (1, 2, 3, 4):
+            ref = _ref_gap_apply(p, br)
+            cols = gap_map(br, c, *p.T)
+            assert len(cols) == 4
+            for k in range(4):
+                assert _same_bits(cols[k], ref[:, k]), (br, k)
+
+    @pytest.mark.parametrize("improving", [True, False])
+    def test_binary_step_matches_the_two_dimensional_where(self, improving):
+        p, zero = _gap_rows()
+        ref, cols = p, tuple(p.T)
+        for _ in range(6):
+            ref = _ref_gap_apply_binary(ref, improving)
+            cols = gap_apply_binary(*cols, improving)
+            for k in range(4):
+                assert _same_bits(cols[k], ref[:, k]), k
+        # zero counts as left: update 1 (improving) or 4 (not) on every zero row
+        left = gap_map(1 if improving else 4, gap_offset(*zero.T), *zero.T)
+        for got, want in zip(gap_apply_binary(*zero.T, improving), left):
+            assert _same_bits(got, want)
+
+    def test_every_three_step_sequence_matches_the_stacked_walk(self):
+        p, zero = _gap_rows()
+        for seq in all_branch_sequences(3):
+            ratios, feasible = gap_sequence_ratios(p, seq)
+            ref_ratios, ref_feasible = _ref_gap_sequence_ratios(p, seq)
+            assert _same_bits(ratios, ref_ratios), seq
+            assert np.array_equal(feasible, ref_feasible), seq
+        # zero counts as left: every left update is feasible there, no right one
+        for br in (1, 2, 3, 4):
+            _, feasible = gap_sequence_ratios(zero, (br,))
+            assert np.all(feasible == (br in (1, 4))), br

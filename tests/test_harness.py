@@ -1,6 +1,9 @@
 import io
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from kinkline.harness import (
 )
 from kinkline.result import SolverResult, Status
 from kinkline.supm import Flanks
-from kinkline import testfuncs
+from kinkline import harness, testfuncs
 from kinkline.testfuncs import Category, get_function
 
 
@@ -188,6 +191,22 @@ class TestBenchmark:
         for jobs in (2, 3):
             assert run_benchmark(cfg, jobs=jobs).cells == serial.cells
 
+    def test_serial_runs_import_no_process_pool(self):
+        # the pool's module takes about 20 ms to import, which only a
+        # parallel bench should pay
+        code = (
+            "import sys, kinkline\n"
+            "kinkline.run_sequence_experiment(bits=2, samples=5)\n"
+            "kinkline.run_benchmark(kinkline.TrialConfig(functions=('NU3',), trials=2))\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        path = [str(Path(harness.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (run.returncode, run.stderr, run.stdout) == (0, "", "False\n")
+
     def test_lower_case_ids_write_the_same_csv(self):
         outs = []
         for fid in ("nu3", "NU3"):
@@ -207,6 +226,7 @@ class TestBenchmark:
                 "^algorithm 'eupm' listed twice$",
             ),
             ({"functions": ("NU1",), "trials": 0}, "^trials must be >= 1$"),
+            ({"functions": ()}, "^functions must name at least one function$"),
         ],
     )
     def test_config_refuses(self, fields, message):

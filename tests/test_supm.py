@@ -25,6 +25,7 @@ from kinkline.harness import PAPER_ALGORITHMS, generate_bracket, random_bracket7
 from kinkline.models import flank_coeffs, model_value
 from kinkline.result import Status
 from kinkline.supm import (
+    AdjustmentOverflowError,
     BracketTooSmallError,
     Flanks,
     NonFiniteValueError,
@@ -627,6 +628,15 @@ class TestConfig:
                     run_algorithm(f"supm:{bad}", oracle, b, 1e-8, 500)
                 with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
                     supm_minimize(oracle, b, alpha=float(bad))
+            # finite, but alpha * h overflows on this bracket (h = xr3 - xl1 = 4)
+            message = (
+                r"^alpha 1e\+308 overflows: alpha \* h is not finite on the starting "
+                r"bracket \(h = 4\)$"
+            )
+            with pytest.raises(AdjustmentOverflowError, match=message):
+                run_algorithm("supm:1e308", oracle, b, 1e-8, 500)
+            with pytest.raises(ValueError, match=message):
+                supm_minimize(oracle, b, alpha=1e308)
 
     def test_default_delta_scales(self):
         assert default_delta(1e-8, 0.0, 1.0) == pytest.approx(2.5e-9)
