@@ -8,10 +8,12 @@ updates the affected entries and lists them in CHANGES.md.
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
+from kinkline import harness
 from kinkline.cli import main
-from kinkline.harness import PAPER_ALGORITHMS, minimize_once, write_trace_csv
+from kinkline.harness import PAPER_ALGORITHMS, generate_bracket, minimize_once, write_trace_csv
 from kinkline.testfuncs import list_functions
 
 BENCH_ALL_3_TRIALS_SEED_0 = """\
@@ -59,6 +61,13 @@ ALL_RUNS_SEED_0_SHA256 = "477ea99f19df627511d282b1af4f374f62f644785b5be5b63e921a
 #: DUPM run at seed 0 (19 runs, 574 constants, in registry order).
 DUPM_ALPHAS_SEED_0_SHA256 = "557bcb26582948e403aa3df0bd18d60d5ab3bae37fff38ad1da855732c644ecf"
 
+#: SHA-256 over ``repr(b.x)`` and ``repr(b.fv)`` of every starting bracket of
+#: ``bench --suite all --trials 30 --seed 0`` (19 x 30 brackets, functions in
+#: registry order, trials ascending), then of every function's
+#: ``minimize_once`` bracket at seed 0.  The bench CSV prints six decimals,
+#: so it can hide a last-bit change in a bracket; this cannot.
+BRACKET_STREAM_SEED_0_SHA256 = "bbe542295ca3019790b92d0d2904f47afcf9b5d8bccc53a256f012461650fedb"
+
 #: SHA-256 of the stdout of the oracle-free commands ``verify --seed 0`` and
 #: ``seqexp --seed 0`` at their default sample counts.
 ORACLE_FREE_SEED_0_SHA256 = {
@@ -91,6 +100,20 @@ def test_every_function_and_algorithm_at_seed_0():
             h.update(f"{f.fid} {spec} {res.status.value} {res.evaluations}\n".encode())
             h.update(buf.getvalue().encode())
     assert h.hexdigest() == ALL_RUNS_SEED_0_SHA256
+
+
+def test_bracket_stream_at_seed_0():
+    h = hashlib.sha256()
+    functions = list_functions()
+    for k, f in enumerate(functions):
+        for t in range(30):
+            rng = np.random.default_rng([0, harness._BENCH_STREAM, k, t])
+            b = generate_bracket(f, rng)
+            h.update(f"{b.x!r}{b.fv!r}\n".encode())
+    for f in functions:
+        _, b = minimize_once(f.fid, "golden", seed=0)
+        h.update(f"{b.x!r}{b.fv!r}\n".encode())
+    assert h.hexdigest() == BRACKET_STREAM_SEED_0_SHA256
 
 
 def test_dupm_alphas_at_seed_0():
