@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -74,7 +75,17 @@ SUITES["all"] = SUITES["su"] + SUITES["nu"] + SUITES["sm"]
 
 class ResampleLimitExceededError(RuntimeError):
     """Bracket generation kept failing; the function/domain pair does not
-    admit the sampling scheme (e.g. the minimum sits on the boundary)."""
+    admit the sampling scheme (e.g. the minimum sits on the boundary).
+
+    ``short_side`` counts the attempts whose incumbent had fewer than three
+    points on a side, ``invalid`` those whose seven points failed bracket
+    validation.
+    """
+
+    def __init__(self, message: str, short_side: int = 0, invalid: int = 0):
+        super().__init__(message)
+        self.short_side = short_side
+        self.invalid = invalid
 
 
 class BracketPointsError(ValueError):
@@ -90,40 +101,49 @@ _BRACKET_ATTEMPTS = 1000
 def generate_bracket(f: TestFunction, rng: np.random.Generator) -> ExtendedBracket7:
     """Random seven-point bracket by the two-cluster sampling scheme.
 
-    Four points are drawn uniformly from the first fifth of the domain and
-    four from its upper half; the sample with the smallest value becomes
-    the incumbent and the three nearest remaining points on each side
-    become its flanks (the eighth point is dropped).  The centre condition
-    holds by construction; the full draw is repeated whenever the incumbent
-    has fewer than three points on either side.
+    Each attempt draws exactly eight doubles from ``rng``: one uniform draw
+    of four points from the first fifth of the domain, then one of four
+    from its upper half.  The sample with the smallest value becomes the
+    incumbent, the first one on a tie; a NaN value wins over every number
+    (the first NaN, as ``np.argmin`` rules), so its attempt fails the centre
+    condition.  The three nearest points on each side become its flanks,
+    taken from a stable sort of the eight points, so of two equal abscissae
+    the one drawn first lies left; a point at the incumbent's abscissa is
+    on neither side.  The centre condition holds by construction for
+    numbers.  The full draw is repeated whenever the incumbent has fewer
+    than three points on either side or the seven points fail bracket
+    validation, at most ``_BRACKET_ATTEMPTS`` times.
     """
     a, b = f.domain
     span = b - a
+    short_side = invalid = 0
     for _ in range(_BRACKET_ATTEMPTS):
-        pts = np.concatenate(
-            [
-                rng.uniform(a, a + span / 5.0, 4),
-                rng.uniform(b - span / 2.0, b, 4),
-            ]
-        )
-        vals = [f.evaluator(float(x)) for x in pts]
-        k = int(np.argmin(vals))
-        xm, fm = float(pts[k]), vals[k]
-        rest = sorted(
-            ((float(x), v) for j, (x, v) in enumerate(zip(pts, vals)) if j != k),
-            key=lambda p: p[0],
-        )
-        lefts = [p for p in rest if p[0] < xm]
-        rights = [p for p in rest if p[0] > xm]
-        if len(lefts) < 3 or len(rights) < 3:
+        pts = rng.uniform(a, a + span / 5.0, 4).tolist()
+        pts += rng.uniform(b - span / 2.0, b, 4).tolist()
+        vals = list(map(f.evaluator, pts))
+        k = 0
+        for j, v in enumerate(vals):
+            if v != v:
+                k = j
+                break
+            if v < vals[k]:
+                k = j
+        order = sorted(range(8), key=pts.__getitem__)
+        lo = bisect_left(order, pts[k], key=pts.__getitem__)
+        hi = bisect_right(order, pts[k], key=pts.__getitem__)
+        if lo < 3 or hi > 5:
+            short_side += 1
             continue
-        chosen = lefts[-3:] + [(xm, fm)] + rights[:3]
+        chosen = order[lo - 3 : lo] + [k] + order[hi : hi + 3]
         try:
-            return make_extended7([p[0] for p in chosen], [p[1] for p in chosen])
+            return make_extended7(map(pts.__getitem__, chosen), map(vals.__getitem__, chosen))
         except BracketError:
-            continue
+            invalid += 1
     raise ResampleLimitExceededError(
-        f"no valid bracket for {f.fid} in {_BRACKET_ATTEMPTS} attempts"
+        f"no valid bracket for {f.fid} in {_BRACKET_ATTEMPTS} attempts "
+        f"({short_side} with fewer than three points on a side, {invalid} invalid)",
+        short_side,
+        invalid,
     )
 
 
@@ -314,9 +334,16 @@ def write_benchmark_csv(
 
 
 def sample_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform samples from the positive unit-sum 4-simplex (n, 4)."""
-    e = rng.standard_exponential((n, 4))
-    return e / e.sum(axis=1, keepdims=True)
+    """Uniform samples from the positive unit-sum 4-simplex (n, 4).
+
+    Each row is four standard exponentials divided by their sum, added
+    left to right.  The result is the transposed view of a (4, n) array,
+    so ``p.T`` hands out four contiguous columns.
+    """
+    e = rng.standard_exponential((n, 4)).T
+    p = np.empty((4, n))
+    np.divide(e, ((e[0] + e[1]) + e[2]) + e[3], out=p)
+    return p.T
 
 
 def run_sequence_experiment(

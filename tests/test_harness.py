@@ -1,6 +1,8 @@
 import io
+import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -60,11 +62,153 @@ class TestGenerateBracket:
             assert b.fv[3] == min(b.fv)
 
     def test_monotone_function_exhausts_resampling(self):
-        ramp = testfuncs.TestFunction(
-            "TMP", Category.SMOOTH_UNIMODAL, (0.0, 1.0), lambda x: x, "x"
-        )
-        with pytest.raises(ResampleLimitExceededError, match="in 1000 attempts"):
+        ramp = _function(lambda x: x)
+        with pytest.raises(ResampleLimitExceededError, match="in 1000 attempts") as info:
             generate_bracket(ramp, np.random.default_rng(3))
+        # the incumbent is always the leftmost sample
+        assert (info.value.short_side, info.value.invalid) == (1000, 0)
+        back = pickle.loads(pickle.dumps(info.value))
+        assert (str(back), back.short_side, back.invalid) == (str(info.value), 1000, 0)
+
+    def test_nan_values_fail_as_invalid_brackets(self):
+        # the first NaN is the incumbent, so an attempt fails for a short
+        # side unless that sample has three points on each side
+        with pytest.raises(ResampleLimitExceededError, match="in 1000 attempts") as info:
+            generate_bracket(_function(lambda x: math.nan), np.random.default_rng(3))
+        err = info.value
+        assert err.short_side + err.invalid == 1000
+        assert 0 < err.invalid < err.short_side
+        assert f"({err.short_side} with fewer than three points on a side, " in str(err)
+
+
+def _function(evaluator, domain=(0.0, 1.0)):
+    return testfuncs.TestFunction("TMP", Category.SMOOTH_UNIMODAL, domain, evaluator, "x")
+
+
+def _ref_generate_bracket(f, rng):
+    """generate_bracket in its NumPy form: the eight draws concatenated,
+    the incumbent by ``np.argmin``, the flanks from sorted (point, value)
+    pairs."""
+    a, b = f.domain
+    span = b - a
+    for _ in range(1000):
+        pts = np.concatenate(
+            [
+                rng.uniform(a, a + span / 5.0, 4),
+                rng.uniform(b - span / 2.0, b, 4),
+            ]
+        )
+        vals = [f.evaluator(float(x)) for x in pts]
+        k = int(np.argmin(vals))
+        xm, fm = float(pts[k]), vals[k]
+        rest = sorted(
+            ((float(x), v) for j, (x, v) in enumerate(zip(pts, vals)) if j != k),
+            key=lambda p: p[0],
+        )
+        lefts = [p for p in rest if p[0] < xm]
+        rights = [p for p in rest if p[0] > xm]
+        if len(lefts) < 3 or len(rights) < 3:
+            continue
+        chosen = lefts[-3:] + [(xm, fm)] + rights[:3]
+        try:
+            return make_extended7([p[0] for p in chosen], [p[1] for p in chosen])
+        except BracketError:
+            continue
+    raise ResampleLimitExceededError(f"no valid bracket for {f.fid} in 1000 attempts")
+
+
+def _outcome(generate, func, rng):
+    """The exact text of the bracket's points and values, or the exception."""
+    try:
+        b = generate(func, rng)
+    except ResampleLimitExceededError as exc:
+        return None, None, exc
+    return repr(b.x), repr(b.fv), None
+
+
+class _ScriptedRng:
+    """A generator stand-in: its ``uniform`` calls return the given draws
+    of four points in turn, cycling, and are counted."""
+
+    def __init__(self, draws):
+        self._draws = itertools.cycle(draws)
+        self.calls = 0
+
+    def uniform(self, low, high, size):
+        assert size == 4
+        self.calls += 1
+        return np.array(next(self._draws), dtype=float)
+
+
+_LOW, _HIGH = (0.01, 0.05, 0.1, 0.15), (0.3, 0.35, 0.6, 0.7)
+_LOW2, _HIGH2 = (0.02, 0.06, 0.11, 0.16), (0.31, 0.36, 0.61, 0.71)
+_V, _V2 = (5.0, 4.0, 3.0, 0.0, 1.0, 2.0, 3.0, 4.0), (5.0, 4.0, 3.0, 1.0, 2.0, 2.5, 3.0, 4.0)
+
+#: Scripted draws, values by abscissa, and the incumbent's (x, value) text,
+#: or None where every attempt fails.
+_SCRIPTED_CASES = {
+    # 0.15 and 0.3 share the smallest value (0.0 == -0.0): the first wins
+    "value tie": (
+        [_LOW, _HIGH],
+        dict(zip(_LOW + _HIGH, (5.0, 4.0, 3.0, 0.0, -0.0, 2.0, 3.0, 4.0))),
+        ("0.15", "0.0"),
+    ),
+    # the NaN at 0.6 is the incumbent, with one point on its right, so the
+    # second attempt gives the bracket; passing over it, the first attempt
+    # would give a bracket around 0.15
+    "nan after the minimum": (
+        [_LOW, _HIGH, _LOW2, _HIGH2],
+        dict(zip(_LOW + _HIGH, _V[:6] + (math.nan, 4.0))) | dict(zip(_LOW2 + _HIGH2, _V2)),
+        ("0.16", "1.0"),
+    ),
+    # the second sample at 0.2 lies on neither side of the incumbent
+    "abscissa at the incumbent's": (
+        [(0.01, 0.05, 0.1, 0.2), (0.2, 0.3, 0.4, 0.5)],
+        {0.01: 3.0, 0.05: 2.0, 0.1: 1.0, 0.2: 0.0, 0.3: 1.0, 0.4: 2.0, 0.5: 3.0},
+        ("0.2", "0.0"),
+    ),
+    # the first incumbent, 0.05, has one point on its left
+    "short side, then a bracket": (
+        [_LOW, _HIGH, _LOW2, _HIGH2],
+        dict(zip(_LOW + _HIGH, (5.0, 0.0, 3.0, 1.0) + _V[4:])) | dict(zip(_LOW2 + _HIGH2, _V2)),
+        ("0.16", "1.0"),
+    ),
+    "every attempt short": (
+        [_LOW, _HIGH],
+        dict(zip(_LOW + _HIGH, (5.0, 0.0, 3.0, 1.0) + _V[4:])),
+        None,
+    ),
+}
+
+
+class TestGenerateBracketMatchesReference:
+    """The bracket, the exception and the generator's state after the call
+    are those of the NumPy form."""
+
+    def test_every_function(self):
+        for k, func in enumerate(testfuncs.list_functions()):
+            for t in range(200):
+                ref_rng, rng = (np.random.default_rng([81, k, t]) for _ in range(2))
+                ref = _outcome(_ref_generate_bracket, func, ref_rng)
+                assert ref[2] is None
+                assert _outcome(generate_bracket, func, rng) == ref
+                assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("case", sorted(_SCRIPTED_CASES))
+    def test_scripted_draws(self, case):
+        draws, table, incumbent = _SCRIPTED_CASES[case]
+        func = _function(table.__getitem__)
+        ref_rng, rng = _ScriptedRng(draws), _ScriptedRng(draws)
+        ref_x, ref_fv, ref_exc = _outcome(_ref_generate_bracket, func, ref_rng)
+        x, fv, exc = _outcome(generate_bracket, func, rng)
+        assert rng.calls == ref_rng.calls
+        if incumbent is None:
+            assert rng.calls == 2000
+            assert str(exc).startswith(str(ref_exc) + " (")
+            assert (exc.short_side, exc.invalid) == (1000, 0)
+        else:
+            assert (x, fv, exc) == (ref_x, ref_fv, None)
+            assert (x[1:-1].split(", ")[3], fv[1:-1].split(", ")[3]) == incumbent
 
 
 def test_random_brackets_hold_builtin_floats():
@@ -267,6 +411,15 @@ class TestSequenceExperiment:
     def test_sizes_below_one_refused(self, bits, samples, message):
         with pytest.raises(ValueError, match=message):
             run_sequence_experiment(bits=bits, samples=samples)
+
+    def test_simplex_sampler_adds_each_row_left_to_right(self):
+        ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+        rows = ref_rng.standard_exponential((300, 4)).tolist()
+        ref = np.array([[v / (((a + b) + c) + d) for v in (a, b, c, d)] for a, b, c, d in rows])
+        p = sample_simplex(rng, 300)
+        assert p.shape == (300, 4) and p.T.flags.c_contiguous
+        assert p.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
 
     def test_simplex_sampler_is_uniform_on_the_simplex(self):
         p = sample_simplex(np.random.default_rng(4), 100000)
