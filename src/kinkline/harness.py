@@ -82,6 +82,8 @@ class ResampleLimitExceededError(RuntimeError):
     validation.
     """
 
+    # the counts default to 0, so that the error rebuilds from its message
+    # alone when a pool worker's error is unpickled; they travel in __dict__
     def __init__(self, message: str, short_side: int = 0, invalid: int = 0):
         super().__init__(message)
         self.short_side = short_side
@@ -105,14 +107,14 @@ def generate_bracket(f: TestFunction, rng: np.random.Generator) -> ExtendedBrack
     of four points from the first fifth of the domain, then one of four
     from its upper half.  The sample with the smallest value becomes the
     incumbent, the first one on a tie; a NaN value wins over every number
-    (the first NaN, as ``np.argmin`` rules), so its attempt fails the centre
-    condition.  The three nearest points on each side become its flanks,
-    taken from a stable sort of the eight points, so of two equal abscissae
-    the one drawn first lies left; a point at the incumbent's abscissa is
-    on neither side.  The centre condition holds by construction for
-    numbers.  The full draw is repeated whenever the incumbent has fewer
-    than three points on either side or the seven points fail bracket
-    validation, at most ``_BRACKET_ATTEMPTS`` times.
+    (the first NaN, as ``np.argmin`` rules), so an attempt with a NaN value
+    never gives a bracket.  The three nearest points on each side become
+    its flanks, taken from a stable sort of the eight points, so of two
+    equal abscissae the one drawn first lies left; a point at the
+    incumbent's abscissa is on neither side.  The centre condition holds by
+    construction for numbers.  The full draw is repeated whenever the
+    incumbent has fewer than three points on either side or the seven
+    points fail bracket validation, at most ``_BRACKET_ATTEMPTS`` times.
     """
     a, b = f.domain
     span = b - a

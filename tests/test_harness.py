@@ -70,7 +70,7 @@ class TestGenerateBracket:
         back = pickle.loads(pickle.dumps(info.value))
         assert (str(back), back.short_side, back.invalid) == (str(info.value), 1000, 0)
 
-    def test_nan_values_fail_as_invalid_brackets(self):
+    def test_nan_values_exhaust_resampling_by_either_cause(self):
         # the first NaN is the incumbent, so an attempt fails for a short
         # side unless that sample has three points on each side
         with pytest.raises(ResampleLimitExceededError, match="in 1000 attempts") as info:
@@ -81,8 +81,8 @@ class TestGenerateBracket:
         assert f"({err.short_side} with fewer than three points on a side, " in str(err)
 
 
-def _function(evaluator, domain=(0.0, 1.0)):
-    return testfuncs.TestFunction("TMP", Category.SMOOTH_UNIMODAL, domain, evaluator, "x")
+def _function(evaluator):
+    return testfuncs.TestFunction("TMP", Category.SMOOTH_UNIMODAL, (0.0, 1.0), evaluator, "x")
 
 
 def _ref_generate_bracket(f, rng):
