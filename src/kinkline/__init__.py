@@ -22,7 +22,6 @@ from .brackets import (
     inner_length,
     make_extended5,
     make_extended7,
-    outer_length,
     reflect,
 )
 from .models import (

@@ -243,11 +243,6 @@ def inner_length(b: Bracket) -> float:
     return b.xr1 - b.xl1
 
 
-def outer_length(b: Bracket) -> float:
-    """Diameter of the bracket's convex hull (first to last point)."""
-    return b.x[-1] - b.x[0]
-
-
 def inner5(b: ExtendedBracket7) -> ExtendedBracket5:
     """Drop the outermost pair of a seven-point bracket."""
     return ExtendedBracket5(b.x[1:6], b.fv[1:6])

@@ -106,8 +106,11 @@ def all_branch_sequences(length: int) -> list[tuple[int, ...]]:
 #     U3 -> (p1, p2, c, p3-c)         needs c > 0
 #     U4 -> (p2+c, -c, p3, p4)        needs c <= 0
 #
-# with inner length p2 + p3.  An exact zero offset, a trial on the
-# incumbent that the bracket form refuses, counts as the left family.
+# with inner length p2 + p3.  The contract is the operations of ``c`` as
+# written and their order, operand for operand: ``gap_offset`` keeps them
+# while working in place, so its bits equal the expression's, NaN
+# payloads included.  An exact zero offset, a trial on the incumbent that
+# the bracket form refuses, counts as the left family.
 # A map builds only the columns it changes and passes the others through.
 # Applying a map outside its sign condition is meaningful as formal
 # algebra (some gaps go negative); the enumeration masks those rows out,
@@ -116,8 +119,24 @@ def all_branch_sequences(length: int) -> list[tuple[int, ...]]:
 
 
 def gap_offset(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray) -> np.ndarray:
-    """Step offset from the incumbent of every gap row, given as columns."""
-    return (p3 * (p3 + p4) - p2 * (p1 + p2)) / (p1 + 2.0 * (p2 + p3) + p4)
+    """Step offset from the incumbent of every gap row, given as columns.
+
+    The steps are those of ``(p3*(p3+p4) - p2*(p1+p2)) / (p1 + 2*(p2+p3) + p4)``,
+    operand for operand, worked in place on three fresh temporaries; no
+    input column is written.  Python floats or 0-d arrays make one row, and
+    give a NumPy scalar.
+    """
+    num = np.asarray(p3 + p4)
+    np.multiply(p3, num, num)
+    t = np.asarray(p1 + p2)
+    np.multiply(p2, t, t)
+    num -= t
+    den = np.asarray(p2 + p3)
+    np.multiply(2.0, den, den)
+    np.add(p1, den, den)
+    den += p4
+    num /= den
+    return num if num.ndim else num[()]
 
 
 def gap_map(

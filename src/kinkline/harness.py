@@ -348,6 +348,12 @@ def sample_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return p.T
 
 
+#: Rows the sequence experiment steps together.  Per row, a gap step is
+#: cheapest near 4,000 rows: at 1,000 the per-call overhead weighs more,
+#: and from 8,000 rows up it costs more again.
+_BLOCK_ROWS = 4000
+
+
 def run_sequence_experiment(
     bits: int = 10, samples: int = 1000, seed: int = 0
 ) -> list[tuple[str, int, float, float]]:
@@ -361,20 +367,50 @@ def run_sequence_experiment(
     returned rows are (pattern, bits, mean rate, golden reference rate),
     slowest patterns first.  The golden reference is its constant
     reduction ratio, which no bit pattern can alter.
+
+    Patterns are stepped in blocks of 2**m consecutive indices, the largest
+    power of two whose rows fit in :data:`_BLOCK_ROWS` (one pattern from
+    4,000 samples up), capped at 2**bits.  A block's patterns agree on all
+    but their last m bits: each bit is applied once to every run of
+    patterns that agree on it and all before it, so the first bits - m
+    bits go to the whole block, and then the runs halve bit by bit.  Each
+    pattern keeps its own stream ``[seed, 2, index]`` and its rate is the
+    mean over its own rows, so the rows do not depend on the block size.
     """
     if bits < 1:
         raise ValueError("bits must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    m = min(bits, max(0, (_BLOCK_ROWS // samples).bit_length() - 1))
+    width = 1 << m
+    patterns = itertools.product((1, 0), repeat=bits)
     rows = []
-    for idx, pattern in enumerate(itertools.product((1, 0), repeat=bits)):
-        rng = np.random.default_rng([seed, _SEQEXP_STREAM, idx])
-        p1, p2, p3, p4 = sample_simplex(rng, samples).T
-        d0 = p2 + p3
-        for bit in pattern:
-            p1, p2, p3, p4 = gap_apply_binary(p1, p2, p3, p4, bit == 1)
-        rates = ((p2 + p3) / d0) ** (1.0 / bits)
-        rows.append(("".join(map(str, pattern)), bits, float(rates.mean()), INVPHI))
+
+    def draw(i: int) -> np.ndarray:
+        return sample_simplex(np.random.default_rng([seed, _SEQEXP_STREAM, i]), samples).T
+
+    for first in range(0, 1 << bits, width):
+        block = list(itertools.islice(patterns, width))
+        # runs of ``size`` patterns each, in block order, as their four columns;
+        # only the first run names the block's draws, so they go after one step
+        runs, size = [tuple(np.hstack([draw(i) for i in range(first, first + width)]))], width
+        d0 = runs[0][1] + runs[0][2]
+        for k in range(bits):
+            if k >= bits - m:  # a run's patterns part at bit k: halve it
+                size //= 2
+                n = size * samples
+                runs = [tuple(c[i : i + n] for c in cols) for cols in runs for i in (0, n)]
+            runs = [
+                gap_apply_binary(*cols, block[r * size][k] == 1) for r, cols in enumerate(runs)
+            ]
+        rates = [
+            ((p2 + p3) / d) ** (1.0 / bits)
+            for (_, p2, p3, _), d in zip(runs, d0.reshape(width, samples))
+        ]
+        rows += [
+            ("".join(map(str, pattern)), bits, float(r.mean()), INVPHI)
+            for pattern, r in zip(block, rates)
+        ]
     rows.sort(key=lambda r: (-r[2], r[0]))
     return rows
 
@@ -464,7 +500,7 @@ def write_trace_csv(result: SolverResult, out: IO[str], header: str = "") -> Non
 
 
 # ---------------------------------------------------------------------------
-# Random brackets for verification and property tests.
+# Random five-point brackets for the reflection check.
 # ---------------------------------------------------------------------------
 
 
@@ -488,25 +524,3 @@ def random_bracket5(
     )
     return make_extended5(map(float, x), map(float, fv))
 
-
-def random_bracket7(
-    rng: np.random.Generator,
-    gap_range: tuple[float, float] = (0.1, 2.0),
-    centre_range: tuple[float, float] = (-10.0, 10.0),
-) -> ExtendedBracket7:
-    """Seven-point bracket of builtin floats with uniform gaps and uniform
-    cached values, centre value pushed below its neighbours."""
-    g = rng.uniform(*gap_range, 6)
-    xm = rng.uniform(*centre_range)
-    x = (
-        xm - g[2] - g[1] - g[0],
-        xm - g[2] - g[1],
-        xm - g[2],
-        xm,
-        xm + g[3],
-        xm + g[3] + g[4],
-        xm + g[3] + g[4] + g[5],
-    )
-    fv = list(rng.uniform(0.0, 1.0, 7))
-    fv[3] = min(fv[2], fv[4]) - rng.uniform(0.0, 0.5)
-    return make_extended7(map(float, x), map(float, fv))

@@ -55,3 +55,31 @@ def kink_bracket(rng: np.random.Generator, f, k: float, radius: float):
             return make_extended7(pts, tuple(float(f(p)) for p in pts))
         except BracketError:
             continue
+
+
+def outer_length(b) -> float:
+    """Diameter of the bracket's convex hull (first to last point)."""
+    return b.x[-1] - b.x[0]
+
+
+def random_bracket7(
+    rng: np.random.Generator,
+    gap_range: tuple[float, float] = (0.1, 2.0),
+    centre_range: tuple[float, float] = (-10.0, 10.0),
+):
+    """Seven-point bracket of builtin floats with uniform gaps and uniform
+    cached values, centre value pushed below its neighbours."""
+    g = rng.uniform(*gap_range, 6)
+    xm = rng.uniform(*centre_range)
+    x = (
+        xm - g[2] - g[1] - g[0],
+        xm - g[2] - g[1],
+        xm - g[2],
+        xm,
+        xm + g[3],
+        xm + g[3] + g[4],
+        xm + g[3] + g[4] + g[5],
+    )
+    fv = list(rng.uniform(0.0, 1.0, 7))
+    fv[3] = min(fv[2], fv[4]) - rng.uniform(0.0, 0.5)
+    return make_extended7(map(float, x), map(float, fv))

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import kink_bracket, kink_objective
+from conftest import kink_bracket, kink_objective, random_bracket7
 from kinkline import verify
 from kinkline.baselines import INVPHI, golden_section_minimize
 from kinkline.brackets import inner3, inner5, inner_length, make_extended7, reflect
@@ -24,7 +24,6 @@ from kinkline.harness import (
     generate_bracket,
     minimize_once,
     random_bracket5,
-    random_bracket7,
     run_algorithm,
     run_benchmark,
     sample_simplex,

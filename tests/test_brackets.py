@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import outer_length, random_bracket7
 from kinkline.brackets import (
     Bracket,
     Bracket3,
@@ -19,10 +20,9 @@ from kinkline.brackets import (
     inner_length,
     make_extended5,
     make_extended7,
-    outer_length,
     reflect,
 )
-from kinkline.harness import random_bracket5, random_bracket7
+from kinkline.harness import random_bracket5
 
 SEVEN = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import kink_bracket, kink_objective
+from conftest import kink_bracket, kink_objective, random_bracket7
 from kinkline.brackets import apply_update, inner5, inner_length, make_extended7
 from kinkline.dupm import (
     ChiConditionError,
@@ -18,7 +18,7 @@ from kinkline.dupm import (
     intersection_condition,
 )
 from kinkline.eupm import eupm_step
-from kinkline.harness import generate_bracket, random_bracket7
+from kinkline.harness import generate_bracket
 from kinkline.models import build_model, divided_diff2, flank_coeffs, scaling_h
 from kinkline.result import Status
 from kinkline.supm import Flanks, argmin_max_quadratics, supm_step

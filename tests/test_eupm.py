@@ -1,16 +1,16 @@
+import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import bits
+from conftest import bits, outer_length, random_bracket7
 from kinkline.brackets import (
     apply_update,
     inner5,
     inner_length,
     make_extended5,
-    outer_length,
     reflect,
 )
 from kinkline.eupm import (
@@ -24,7 +24,7 @@ from kinkline.eupm import (
     gap_offset,
     gap_sequence_ratios,
 )
-from kinkline.harness import generate_bracket, random_bracket5, random_bracket7, sample_simplex
+from kinkline.harness import generate_bracket, random_bracket5, sample_simplex
 from kinkline.result import Status
 from kinkline.supm import default_delta
 from kinkline.testfuncs import list_functions
@@ -366,6 +366,31 @@ class TestColumnForm:
             assert len(cols) == 4
             for k in range(4):
                 assert _same_bits(cols[k], ref[:, k]), (br, k)
+
+    def test_offset_leaves_its_input_columns_as_they_were(self):
+        p, _ = _gap_rows()
+        cols = tuple(np.ascontiguousarray(p.T))
+        before = [col.view(np.int64).copy() for col in cols]
+        c = gap_offset(*cols)
+        assert all(c is not col and not np.shares_memory(c, col) for col in cols)
+        assert all(np.array_equal(col.view(np.int64), was) for col, was in zip(cols, before))
+
+    def test_offset_of_signed_zeros_infinities_and_nans_matches_bit_for_bit(self):
+        # every row over these values, NaNs of both signs included: the
+        # in-place steps must keep the expression's operand order, since
+        # NumPy picks which NaN operand to pass on by position
+        vals = (0.0, -0.0, 1.0, 0.5, 2.0, -1.0, math.inf, -math.inf, math.nan, -math.nan)
+        p = np.array(list(itertools.product(vals, repeat=4)))
+        with np.errstate(all="ignore"):
+            want = _ref_gap_check(p)
+            assert _same_bits(gap_offset(*p.T), want)
+            # the same rows one at a time, as Python floats and as 0-d arrays
+            for row, w in zip(p.tolist(), want):
+                for args in (row, [np.array(v) for v in row]):
+                    got = gap_offset(*args)
+                    assert np.ndim(got) == 0 and _same_bits(got, w), args
+        assert np.any(want == 0.0) and np.any(np.signbit(want[want == 0.0]))
+        assert np.any(np.isinf(want)) and np.any(np.isnan(want))
 
     @pytest.mark.parametrize("improving", [True, False])
     def test_binary_step_matches_the_two_dimensional_where(self, improving):

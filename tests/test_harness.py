@@ -12,9 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_bracket7
 from kinkline.baselines import INVPHI
 from kinkline.brackets import MIN_GAP_FACTOR, Bracket3, BracketError, inner_length, make_extended7
 from kinkline.dupm import alpha_floor, alpha_plus, chi, intersection_condition
+from kinkline.eupm import gap_apply_binary
 from kinkline.harness import (
     PAPER_ALGORITHMS,
     ResampleLimitExceededError,
@@ -24,7 +26,6 @@ from kinkline.harness import (
     minimize_once,
     parse_algorithm,
     random_bracket5,
-    random_bracket7,
     run_algorithm,
     run_benchmark,
     run_sequence_experiment,
@@ -378,6 +379,26 @@ class TestBenchmark:
             TrialConfig(**fields)
 
 
+def _ref_run_sequence_experiment(bits=10, samples=1000, seed=0):
+    """The sequence experiment one pattern at a time: the reference for
+    the blocked form, which must give the same rows in the same order."""
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    rows = []
+    for idx, pattern in enumerate(itertools.product((1, 0), repeat=bits)):
+        rng = np.random.default_rng([seed, harness._SEQEXP_STREAM, idx])
+        p1, p2, p3, p4 = sample_simplex(rng, samples).T
+        d0 = p2 + p3
+        for bit in pattern:
+            p1, p2, p3, p4 = gap_apply_binary(p1, p2, p3, p4, bit == 1)
+        rates = ((p2 + p3) / d0) ** (1.0 / bits)
+        rows.append(("".join(map(str, pattern)), bits, float(rates.mean()), INVPHI))
+    rows.sort(key=lambda r: (-r[2], r[0]))
+    return rows
+
+
 class TestSequenceExperiment:
     def test_rates_below_one_and_sorted(self):
         rows = run_sequence_experiment(bits=4, samples=50, seed=0)
@@ -386,6 +407,19 @@ class TestSequenceExperiment:
         assert rates == sorted(rates, reverse=True)
         assert all(0.0 < r < 1.0 for r in rates)
         assert all(r[3] == INVPHI for r in rows)
+
+    # at 1 and 7 samples all 2**bits patterns fit in one block, 1,000
+    # samples make blocks of four patterns and 4,000 blocks of one
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("samples", [1, 7, 1000, 4000])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 6])
+    def test_blocks_give_the_rows_of_one_pattern_at_a_time(self, bits, samples, seed):
+        got = run_sequence_experiment(bits=bits, samples=samples, seed=seed)
+        want = _ref_run_sequence_experiment(bits=bits, samples=samples, seed=seed)
+        # float.hex tells 0.0 from -0.0
+        assert [(s, b, r.hex(), g) for s, b, r, g in got] == [
+            (s, b, r.hex(), g) for s, b, r, g in want
+        ]
 
     def test_deterministic(self):
         a = run_sequence_experiment(bits=4, samples=30, seed=7)

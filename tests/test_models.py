@@ -131,8 +131,7 @@ class TestScaling:
         assert scaling_h(b) == pytest.approx(1.7, abs=0)
 
     def test_bounded_by_outer_length(self):
-        from kinkline.brackets import outer_length
-        from kinkline.harness import random_bracket7
+        from conftest import outer_length, random_bracket7
 
         rng = np.random.default_rng(5)
         for _ in range(300):

@@ -1,5 +1,5 @@
 """The package's modules reach each other through public names only, and
-every private top-level name is read somewhere in the package."""
+every top-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -31,21 +31,32 @@ def _top_level_names(tree):
             yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
 
 
-def test_every_private_top_level_name_is_used():
-    # a module-level ``_name`` is reachable only from the package itself,
-    # so one that no Name or Attribute read in src/ mentions is dead code
+def _defined_and_read():
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
-    private = {
-        name
-        for tree in trees
-        for name in _top_level_names(tree)
-        if name.startswith("_") and not name.startswith("__")
-    }
+    defined = {name for tree in trees for name in _top_level_names(tree)}
     read = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
+    return defined, read
+
+
+def test_every_private_top_level_name_is_used():
+    # a module-level ``_name`` is reachable only from the package itself,
+    # so one that no Name or Attribute read in src/ mentions is dead code
+    defined, read = _defined_and_read()
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert len(private) > 40
     assert sorted(private - read) == []
+
+
+def test_every_public_top_level_name_is_used():
+    # a public name that nothing in src/ reads serves only the tests, and
+    # belongs with them; an import or re-export is not a read.  The one
+    # exception, ``models.build_model``, is looked up by perfbench's tracer.
+    defined, read = _defined_and_read()
+    public = {name for name in defined if not name.startswith("_")}
+    assert len(public) > 80
+    assert sorted(public - read) == ["build_model"]

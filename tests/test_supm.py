@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits
+from conftest import bits, random_bracket7
 from kinkline.brackets import (
     BracketError,
     ExtendedBracket5,
@@ -21,7 +21,7 @@ from kinkline.brackets import (
 )
 from kinkline.dupm import dupm_step
 from kinkline.eupm import eupm_step
-from kinkline.harness import PAPER_ALGORITHMS, generate_bracket, random_bracket7, run_algorithm
+from kinkline.harness import PAPER_ALGORITHMS, generate_bracket, run_algorithm
 from kinkline.models import flank_coeffs, model_value
 from kinkline.result import Status
 from kinkline.supm import (
