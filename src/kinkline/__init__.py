@@ -5,6 +5,11 @@ underestimators (fixed-constant, closed-form extremal and dynamically
 escalated variants), the classic reference solvers they are benchmarked
 against, a registry of scaled test functions, and a reproducible
 benchmark harness.
+
+The package namespace holds the entry points: the solvers, the bracket
+types, the registry and the harness, with their errors.  The steps inside
+the solvers, the model algebra and the gap engine are reached through
+their modules, e.g. :func:`kinkline.brackets.apply_update`.
 """
 
 from .brackets import (
@@ -16,48 +21,21 @@ from .brackets import (
     NotABracketError,
     NotAscendingError,
     TrialAtCenterError,
-    apply_update,
     inner3,
     inner5,
-    inner_length,
     make_extended5,
     make_extended7,
-    reflect,
 )
-from .models import (
-    CoincidentPointsError,
-    build_model,
-    divided_diff1,
-    divided_diff2,
-    model_value,
-    scaling_h,
-)
+from .models import CoincidentPointsError
 from .result import SolverResult, Status
 from .supm import (
     AdjustmentOverflowError,
     BracketTooSmallError,
     NonFiniteValueError,
-    check_stop_rule,
-    run_bracket_solver,
-    run_solver,
     supm_minimize,
-    supm_step,
 )
-from .eupm import (
-    MINIMAL_SEQUENCES,
-    bracket_check,
-    eupm_minimize,
-    eupm_step,
-)
-from .dupm import (
-    ChiConditionError,
-    alpha_floor,
-    alpha_plus,
-    chi,
-    dupm_minimize,
-    dupm_step,
-    intersection_condition,
-)
+from .eupm import eupm_minimize
+from .dupm import ChiConditionError, dupm_minimize
 from .baselines import (
     brent_minimize,
     golden_section_minimize,

@@ -43,9 +43,9 @@ class BracketError(ValueError):
 class NotAscendingError(BracketError):
     """Point ``index`` does not lie strictly above its predecessor."""
 
-    def __init__(self, index: int, message: str | None = None):
+    def __init__(self, index: int):
         self.index = index
-        super().__init__(message or f"points not strictly ascending at index {index}")
+        super().__init__(f"points not strictly ascending at index {index}")
 
 
 class NotABracketError(BracketError):

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import verify
 from .harness import (
+    MAX_BITS,
     PAPER_ALGORITHMS,
     SUITES,
     BracketPointsError,
@@ -248,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("seqexp", help="bit-pattern contraction experiment")
-    p.add_argument("--bits", type=count, default=10)
+    bits = _checked(int, lambda n: 1 <= n <= MAX_BITS, f"an integer from 1 to {MAX_BITS}")
+    p.add_argument("--bits", type=bits, default=10)
     p.add_argument("--samples", type=count, default=1000)
     p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("--out", help="output CSV path (default stdout)")

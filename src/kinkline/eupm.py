@@ -123,20 +123,19 @@ def gap_offset(p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray) -
 
     The steps are those of ``(p3*(p3+p4) - p2*(p1+p2)) / (p1 + 2*(p2+p3) + p4)``,
     operand for operand, worked in place on three fresh temporaries; no
-    input column is written.  Python floats or 0-d arrays make one row, and
-    give a NumPy scalar.
+    input column is written.  The inputs are 1-D arrays of one length.
     """
-    num = np.asarray(p3 + p4)
+    num = p3 + p4
     np.multiply(p3, num, num)
-    t = np.asarray(p1 + p2)
+    t = p1 + p2
     np.multiply(p2, t, t)
     num -= t
-    den = np.asarray(p2 + p3)
+    den = p2 + p3
     np.multiply(2.0, den, den)
     np.add(p1, den, den)
     den += p4
     num /= den
-    return num if num.ndim else num[()]
+    return num
 
 
 def gap_map(

@@ -52,8 +52,11 @@ class AdjustmentOverflowError(ValueError):
 
 
 def default_delta(eps: float, xl1: float, xr1: float) -> float:
-    """Separation floor: below the termination scale, above rounding noise."""
-    return max(eps / 4.0, 64.0 * _EPS * (abs(xl1) + abs(xr1)))
+    """Separation floor: a quarter of the termination scale ``eps``, or one
+    unit of the float grid at the larger inner endpoint where that is
+    coarser, so a trial lands on a distinct float and a bracket can still
+    shrink to ``2 * eps`` wherever the grid allows."""
+    return max(eps / 4.0, math.ulp(max(abs(xl1), abs(xr1))))
 
 
 def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:

@@ -215,28 +215,25 @@ def list_functions() -> list[TestFunction]:
 
 
 class CountingOracle:
-    """Wrap an evaluator, counting every call in ``evaluations``.
+    """Wrap an evaluator over ``domain``, counting every call in
+    ``evaluations``.
 
-    With a ``domain``, queries outside it raise :class:`OutOfDomainError`;
-    a relative slack of 1e-12 of the domain width absorbs endpoint
-    rounding.
+    Queries outside the domain raise :class:`OutOfDomainError`; a relative
+    slack of 1e-12 of the domain width absorbs endpoint rounding.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[float], float],
-        domain: tuple[float, float] | None = None,
-    ):
+    def __init__(self, fn: Callable[[float], float], domain: tuple[float, float]):
+        a, b = domain
         self._fn = fn
+        self._lo = a - 1e-12 * (b - a)
+        self._hi = b + 1e-12 * (b - a)
         self._domain = domain
         self.evaluations = 0
 
     def __call__(self, x: float) -> float:
-        if self._domain is not None:
+        if not self._lo <= x <= self._hi:
             a, b = self._domain
-            slack = 1e-12 * (b - a)
-            if not a - slack <= x <= b + slack:
-                raise OutOfDomainError(f"x={x!r} outside [{a}, {b}]")
+            raise OutOfDomainError(f"x={x!r} outside [{a}, {b}]")
         v = self._fn(x)
         self.evaluations += 1
         return v

@@ -242,6 +242,7 @@ class TestVerify:
         (("verify", "--contraction", "--samples", "0"), None, "--samples"),
         (("verify", "--sequences", "--samples", "0"), None, "--samples"),
         (("seqexp", "--bits", "0"), None, "--bits"),
+        (("seqexp", "--bits", "21"), None, "--bits"),
         (("seqexp", "--samples", "0"), None, "--samples"),
         (("bench", "--trials", "0"), None, "--trials"),
         (("bench", "--budget", "-5"), None, "--budget"),

@@ -93,10 +93,11 @@ class TestStep:
                     assert x <= br.xm - delta or x >= br.xm + delta
 
     def test_no_room_raises(self):
-        # both inner gaps are below 2 * delta: the loop's separation rule
-        # raises BracketTooSmallError before any oracle call, and the run
-        # ends as a stall
-        pts = tuple(1e8 + d for d in (-3, -2, -1e-6, 0, 1e-6, 2, 3))
+        # both inner gaps are one ulp of 1e8, below 2 * delta: the loop's
+        # separation rule raises BracketTooSmallError before any oracle
+        # call, and the run ends as a stall
+        inner = (math.nextafter(1e8, -math.inf), 1e8, math.nextafter(1e8, math.inf))
+        pts = (1e8 - 3, 1e8 - 2, *inner, 1e8 + 2, 1e8 + 3)
         f = lambda x: (x - 1e8) ** 2
         b = with_values(pts, f)
         assert 2.0 * default_delta(1e-9, b.xl1, b.xr1) > b.xr1 - b.xm

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,7 +121,7 @@ class TestCountingOracle:
     def test_every_call_counts(self):
         # no memo: a repeated abscissa is evaluated and counted again
         calls = []
-        oracle = CountingOracle(lambda x: (calls.append(x), x * x)[1])
+        oracle = CountingOracle(lambda x: (calls.append(x), x * x)[1], domain=(0.0, 5.0))
         assert (oracle(2.0), oracle(2.0), oracle(3.0)) == (4.0, 4.0, 9.0)
         assert oracle.evaluations == 3 and calls == [2.0, 2.0, 3.0]
 
@@ -130,6 +131,22 @@ class TestCountingOracle:
             oracle(0.05)
         assert math.isfinite(oracle(0.1))  # endpoints are allowed
 
+    def test_domain_is_required(self):
+        with pytest.raises(TypeError):
+            CountingOracle(lambda x: x)
+
     def test_endpoint_rounding_slack(self):
         oracle = CountingOracle(lambda x: x, domain=(0.0, 1.0))
         assert oracle(1.0 + 1e-14) == pytest.approx(1.0)
+
+    def test_slack_edges_at_both_ends(self):
+        # the slack reaches 1e-12 of the width past each end, inclusive;
+        # the next float out is refused without an evaluation
+        oracle = CountingOracle(lambda x: x, domain=(0.0, 1.0))
+        for edge, outward in ((-1e-12, -math.inf), (1.0 + 1e-12, math.inf)):
+            assert oracle(edge) == edge
+            out = math.nextafter(edge, outward)
+            message = rf"^x={re.escape(repr(out))} outside \[0\.0, 1\.0\]$"
+            with pytest.raises(OutOfDomainError, match=message):
+                oracle(out)
+        assert oracle.evaluations == 2
