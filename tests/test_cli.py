@@ -242,7 +242,6 @@ class TestVerify:
         (("verify", "--contraction", "--samples", "0"), None, "--samples"),
         (("verify", "--sequences", "--samples", "0"), None, "--samples"),
         (("seqexp", "--bits", "0"), None, "--bits"),
-        (("seqexp", "--bits", "21"), None, "--bits"),
         (("seqexp", "--samples", "0"), None, "--samples"),
         (("bench", "--trials", "0"), None, "--trials"),
         (("bench", "--budget", "-5"), None, "--budget"),
@@ -257,6 +256,7 @@ class TestVerify:
         (("minimize", "--function", "NU3", "--algorithm", "supm:nan"), None, "--algorithm"),
         (("minimize", "--function", "NU3", "--algorithm", "supm:inf"), None, "--algorithm"),
         (("minimize", "--function", "NU3", "--eps", "inf"), None, "--eps"),
+        (("seqexp", "--bits", "21"), None, "--bits"),
     ],
 )
 def test_out_of_range_number_is_usage_error(capsys, monkeypatch, argv, env_seed, flag):
