@@ -51,12 +51,19 @@ class AdjustmentOverflowError(ValueError):
     """The adjustment ``alpha * h`` of the starting bracket is not finite."""
 
 
-def default_delta(eps: float, xl1: float, xr1: float) -> float:
-    """Separation floor: a quarter of the termination scale ``eps``, or one
-    unit of the float grid at the larger inner endpoint where that is
-    coarser, so a trial lands on a distinct float and a bracket can still
-    shrink to ``2 * eps`` wherever the grid allows."""
-    return max(eps / 4.0, math.ulp(max(abs(xl1), abs(xr1))))
+def default_delta(eps: float, b: Bracket) -> float:
+    """Separation floor on bracket ``b``: a quarter of the termination
+    scale ``eps``, or, where coarser, ``b``'s minimum gap between adjacent
+    points plus one unit of the float grid at the larger inner endpoint.
+
+    The grid unit lands a trial on a distinct float; the gap, with half
+    that unit to spare for the clip's rounding, keeps the update from
+    refusing the trial, whose new bracket spans no more.  Neither term
+    grows as the bracket shrinks.
+    """
+    x, c = b.x, b._CENTRE
+    gap = b._GAP_FACTOR * _EPS * (x[-1] - x[0])
+    return max(eps / 4.0, gap + math.ulp(max(abs(x[c - 1]), abs(x[c + 1]))))
 
 
 def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
@@ -320,21 +327,23 @@ def run_bracket_solver(
 
     Each iteration asks ``next_trial(bracket, branches)`` for the solver's
     proposed trial point, where ``branches`` lists the update rules applied
-    so far, oldest first, and keeps it ``delta`` (:func:`default_delta` at
-    solve start) away from the incumbent and the inner endpoints, or stalls
-    if there is no room.  A NaN proposal raises
+    so far, oldest first, and keeps it ``delta`` (:func:`default_delta` of
+    the current bracket, which stays ``eps / 4`` once it gets there) away
+    from the incumbent and the inner endpoints, or stalls if there is no
+    room.  A NaN proposal raises
     :class:`~kinkline.brackets.InvariantBrokenError` before the oracle is
     called.  It evaluates the trial once and inserts it by
     :func:`~kinkline.brackets.apply_update`, which picks the update rule.
     The applied rules are returned in ``branches``.
     """
-    delta = default_delta(eps, b0.xl1, b0.xr1)
+    quarter = eps / 4.0
     branches: list[int] = []
     c = b0._CENTRE
     lo, hi = c - 1, c + 1
 
     def iterate(evaluate):
         b = b0
+        delta = default_delta(eps, b)
         snapshot = lambda: b
         yield inner_length(b), b.fm, snapshot
         while True:
@@ -344,6 +353,8 @@ def run_bracket_solver(
                 raise InvariantBrokenError(f"the solver proposed trial {xt!r}")
             br, b = apply_update(xt, evaluate(xt), b)
             branches.append(br)
+            if delta > quarter:
+                delta = default_delta(eps, b)
             yield b.x[hi] - b.x[lo], b.fv[c], snapshot
 
     result = run_solver(oracle, b0, eps, budget, iterate, record_brackets)

@@ -230,7 +230,7 @@ class TestSolver:
         # minimum-separation perturbation near termination
         for f in (abs, lambda x: x * x, lambda x: max(math.exp(x) - 1.0, -x)):
             b = b5((-2.0, -0.7, 0.29, 1.1, 2.3), tuple(f(x) for x in (-2.0, -0.7, 0.29, 1.1, 2.3)))
-            delta = default_delta(1e-8, b.xl1, b.xr1)
+            delta = default_delta(1e-8, b)
             res = eupm_minimize(f, b)
             ds = [row[1] for row in res.trace]
             for i in range(len(ds) - 5):

@@ -12,6 +12,7 @@ from kinkline.brackets import (
     BracketError,
     ExtendedBracket5,
     ExtendedBracket7,
+    MIN_GAP_FACTOR,
     InvariantBrokenError,
     TrialAtCenterError,
     apply_update,
@@ -63,7 +64,7 @@ class TestStep:
         assert supm_step(Flanks(b), 0.0) == 0.0
         trials = []
         run_algorithm("supm:0", recording(abs, trials), b, 1e-8, 500)
-        assert trials[0] == -default_delta(1e-8, b.xl1, b.xr1)
+        assert trials[0] == -default_delta(1e-8, b)
 
     def test_large_alpha_matches_closed_form(self):
         rng = np.random.default_rng(7)
@@ -86,9 +87,9 @@ class TestStep:
                 res = run_algorithm(
                     spec, recording(oracle_for(func), trials), b, 1e-8, 500, record_brackets=True
                 )
-                delta = default_delta(1e-8, b.xl1, b.xr1)
                 assert len(trials) == res.iterations > 0
                 for br, x in zip(res.bracket_trace, trials):
+                    delta = default_delta(1e-8, br)
                     assert br.xl1 + delta <= x <= br.xr1 - delta
                     assert x <= br.xm - delta or x >= br.xm + delta
 
@@ -100,7 +101,7 @@ class TestStep:
         pts = (1e8 - 3, 1e8 - 2, *inner, 1e8 + 2, 1e8 + 3)
         f = lambda x: (x - 1e8) ** 2
         b = with_values(pts, f)
-        assert 2.0 * default_delta(1e-9, b.xl1, b.xr1) > b.xr1 - b.xm
+        assert 2.0 * default_delta(1e-9, b) > b.xr1 - b.xm
         res = supm_minimize(f, b, 1e-9)
         assert res.status is Status.STALLED
         assert res.iterations == res.evaluations == 0
@@ -457,6 +458,24 @@ class TestSolver:
         if spec == "dupm":
             assert len(res.alphas) == res.iterations
 
+    @pytest.mark.parametrize("spec", ["supm:0", "supm:1", "eupm", "dupm", "mifflin"])
+    def test_wide_bracket_far_from_zero_ends_cleanly(self, spec):
+        # the minimum gap, 16 eps of a span of 2e7, is far coarser than the
+        # grid at the incumbent; an exact quadratic proposes the incumbent,
+        # and the separation floor keeps each clipped trial clear of the
+        # minimum gap of the bracket it was chosen on
+        pts = (1e7, 1.2e7, 1.9e7, 2e7, 2.1e7, 2.8e7, 3e7)
+        f = lambda x: (x - 2e7) ** 2
+        trials = []
+        res = run_algorithm(
+            spec, recording(f, trials), with_values(pts, f), 1e-8, 100, record_brackets=True
+        )
+        assert res.status in (Status.CONVERGED, Status.BUDGET_EXHAUSTED, Status.STALLED)
+        assert len(trials) == res.iterations > 0
+        for br, x in zip(res.bracket_trace, trials):
+            gap = MIN_GAP_FACTOR * sys.float_info.epsilon * (br.x[-1] - br.x[0])
+            assert min(x - br.xl1, abs(x - br.xm), br.xr1 - x) > gap
+
     def test_trace_monotone(self):
         from conftest import kink_bracket, kink_objective
 
@@ -497,14 +516,13 @@ class TestSolver:
                 res = run_algorithm(
                     spec, recording(oracle, trials), b, 1e-8, 500, record_brackets=True
                 )
-                delta = default_delta(1e-8, b.xl1, b.xr1)
                 assert len(trials) == res.iterations > 0
                 for i, (br, xt) in enumerate(zip(res.bracket_trace, trials)):
                     if spec == "dupm":
                         g = dupm_step(br, supm_step(Flanks(br), res.alphas[i]), res.branches[:i])
                     else:
                         g = supm_step(Flanks(br), float(spec.split(":")[1]))
-                    assert xt == _min_separation(g, br.xl1, br.xm, br.xr1, delta)
+                    assert xt == _min_separation(g, br.xl1, br.xm, br.xr1, default_delta(1e-8, br))
 
     def test_one_flank_is_recomputed_per_iteration(self, monkeypatch):
         # the first iteration computes both flanks' coefficients; each later
@@ -640,5 +658,14 @@ class TestConfig:
                 supm_minimize(oracle, b, alpha=1e308)
 
     def test_default_delta_scales(self):
-        assert default_delta(1e-8, 0.0, 1.0) == pytest.approx(2.5e-9)
-        assert default_delta(1e-8, 1e8, 1.00001e8) > 1e-8 / 4
+        # a quarter of eps near zero; far from zero, the minimum gap plus
+        # one grid unit at the larger inner endpoint
+        near = with_values((-3, -2, -1, 0, 1, 2, 3), abs)
+        assert default_delta(1e-8, near) == 2.5e-9
+        far = with_values(tuple(1e8 + d for d in (-3, -2, -1, 0, 1, 2, 3)), lambda x: abs(x - 1e8))
+        gap = MIN_GAP_FACTOR * sys.float_info.epsilon * 6.0
+        assert default_delta(1e-8, far) == gap + math.ulp(1e8 + 1)
+        pts = (1e7, 1.2e7, 1.9e7, 2e7, 2.1e7, 2.8e7, 3e7)
+        wide = with_values(pts, lambda x: abs(x - 2e7))
+        gap = MIN_GAP_FACTOR * sys.float_info.epsilon * 2e7
+        assert default_delta(1e-8, wide) == gap + math.ulp(2.1e7) > 1e-8 / 4
