@@ -197,8 +197,7 @@ def mifflin_strodiot_minimize(
     (in particular multimodal) objectives.
     """
 
-    def next_trial(b, branches):
-        x, fv = b.x, b.fv
+    def next_trial(x, fv, branches):
         ql = (fv[1], divided_diff1(fv[1], fv[0], x[1], x[0]), 0.0, x[1], x[0])
         qr = (fv[3], divided_diff1(fv[3], fv[4], x[3], x[4]), 0.0, x[3], x[4])
         return minimize_max_quadratics(ql, qr, x[1], x[3], x[2])

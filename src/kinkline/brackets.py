@@ -14,18 +14,19 @@ Every bracket caches the objective value at each point.  Solvers never
 re-query the oracle at a point the bracket already holds; fresh oracle calls
 happen only at new trial points.
 
-Every construction validates the whole bracket, with two exceptions that
-skip ``__post_init__`` through the trusted build ``_trusted``:
-:meth:`Bracket3.unchecked`, which checks only the ordering, and
-:func:`apply_update`, the one bracket-update step, which picks the update
-rule (it owns their numbering) and checks only what that rule can break.
-Nothing else may use the trusted build.
+A validated :class:`Bracket` crosses the edges: solver inputs, results and
+recorded brackets.  Inside the update-rule loop a bracket is its point and
+value tuples, which :func:`apply_update`, the one update step, maps to the
+next pair, checking only what its rule (it owns their numbering) can break.
+Only :meth:`Bracket3.unchecked` and that loop, handing out tuples
+:func:`apply_update` made, may skip validation through :func:`trusted_build`.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 _EPS = sys.float_info.epsilon
@@ -75,8 +76,8 @@ def _check_centre(fv: Sequence[float], c: int) -> None:
         )
 
 
-def _trusted(cls: type[Bracket], x: tuple[float, ...], fv: tuple[float, ...]) -> Bracket:
-    """The trusted build: a ``cls`` holding ``x`` and ``fv``, unchecked."""
+def trusted_build(cls: type[Bracket], x: tuple[float, ...], fv: tuple[float, ...]) -> Bracket:
+    """The trusted build: an unchecked ``cls`` of ``x`` and ``fv``; see the module docstring."""
     b = object.__new__(cls)
     object.__setattr__(b, "x", x)
     object.__setattr__(b, "fv", fv)
@@ -155,7 +156,7 @@ class Bracket3(Bracket):
         an incumbent whose value exceeds a stale endpoint value; their final
         state is positional, not value-ordered.
         """
-        obj = _trusted(cls, (xl, xm, xr), (fl, fm, fr))
+        obj = trusted_build(cls, (xl, xm, xr), (fl, fm, fr))
         _check_points(obj.x, 0.0)
         return obj
 
@@ -188,49 +189,59 @@ def make_extended5(points: Iterable[float], values: Iterable[float]) -> Extended
     return ExtendedBracket5(tuple(points), tuple(values))
 
 
-def apply_update(xtrial: float, ftrial: float, b: Bracket) -> tuple[int, Bracket]:
-    """Insert a trial into the five- or seven-point bracket ``b`` by the
-    update rule it calls for; return the rule and the new bracket.
+#: Per point count n and update rule 1-4: the picker keeping points s..k-1,
+#: the trial (appended at index n), then k..n-2+s; and the trial's new index.
+_PICKERS = {
+    n: (None,) + tuple(
+        (itemgetter(*range(s, k), n, *range(k, n - 1 + s)), k - s)
+        for s, k in ((0, c), (1, c + 1), (0, c + 1), (1, c))
+    )
+    for n, c in ((5, 2), (7, 3))
+}
+_MIN_GAP = MIN_GAP_FACTOR * _EPS
+
+
+def apply_update(xtrial: float, ftrial: float, x: tuple, fv: tuple) -> tuple[int, tuple, tuple]:
+    """Insert a trial into the five- or seven-point bracket with points
+    ``x`` and values ``fv`` by the update rule it calls for; return the
+    rule and the new points and values.
 
     The rule is fixed by the trial's side of the incumbent and whether its
     value improves on the incumbent's: 1 left and improving, 2 right and
     improving, 3 right and not, 4 left and not.  A value tie counts as not
     improving, keeping the incumbent in place; a trial at the incumbent
     raises :class:`TrialAtCenterError`.  The trial slots in next to the
-    incumbent and the far point on the opposite side drops off; cached
-    values travel with their points.
+    incumbent and the far point on the opposite side drops off; every kept
+    point and value is the same float object as before.
 
     Only what that can break is checked: the gaps on either side of the
-    trial and the new centre triple.  The new ends are points of ``b``, so
-    the span cannot grow (float subtraction is monotone) and every gap kept
-    from ``b`` still clears the minimum gap.  So a refusal is exactly the
-    error, index and message included, that the full check of the new
-    points raises, wrapped in :class:`InvariantBrokenError`; the argument
-    rests on ``b`` having passed a check itself.
+    trial and the new centre triple.  The new ends are old points, so the
+    span cannot grow (float subtraction is monotone) and every kept gap of
+    a checked ``x`` still clears the minimum gap.  A refusal raises the
+    full check's error, wrapped in :class:`InvariantBrokenError`.
     """
-    x, fv, c = b.x, b.fv, b._CENTRE
-    if xtrial == x[c]:
+    n = len(x)
+    c = n >> 1
+    xm = x[c]
+    if xtrial == xm:
         raise TrialAtCenterError(f"trial coincides with incumbent at {xtrial!r}")
-    # keep x[s:k] + trial + x[k:e]: the trial lands at index i = k - s
-    if xtrial < x[c]:
-        rule, s, k = (1, 0, c) if ftrial < fv[c] else (4, 1, c)
+    if xtrial < xm:
+        rule = 1 if ftrial < fv[c] else 4
     else:
-        rule, s, k = (2, 1, c + 1) if ftrial < fv[c] else (3, 0, c + 1)
-    e, i = len(x) - 1 + s, k - s
-    nx = x[s:k] + (xtrial,) + x[k:e]
-    nf = fv[s:k] + (ftrial,) + fv[k:e]
-    gap = b._GAP_FACTOR * _EPS * (nx[-1] - nx[0])
-    try:
-        if not nx[i] - nx[i - 1] > gap:
-            raise NotAscendingError(i)
-        if not nx[i + 1] - nx[i] > gap:
-            raise NotAscendingError(i + 1)
+        rule = 2 if ftrial < fv[c] else 3
+    pick, i = _PICKERS[n][rule]
+    nx = pick(x + (xtrial,))
+    nf = pick(fv + (ftrial,))
+    gap = _MIN_GAP * (nx[-1] - nx[0])
+    if nx[i] - nx[i - 1] > gap and nx[i + 1] - nx[i] > gap and nf[c - 1] >= nf[c] <= nf[c + 1]:
+        return rule, nx, nf
+    try:  # refused: the full check of the new points names the failure
+        _check_points(nx, gap)
         _check_centre(nf, c)
     except BracketError as exc:
         raise InvariantBrokenError(
             f"update {rule} with trial {xtrial!r} broke the bracket: {exc}"
         ) from exc
-    return rule, _trusted(type(b), nx, nf)
 
 
 def inner_length(b: Bracket) -> float:

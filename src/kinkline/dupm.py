@@ -63,7 +63,7 @@ def alpha_floor(fl: Flanks) -> float:
     divided difference through the incumbent and the flank's two inner
     points.
     """
-    x, fv = fl.b.x, fl.b.fv
+    x, fv = fl.x, fl.fv
     dl = divided_diff2(fv[3], fv[2], fv[1], x[3], x[2], x[1])
     dr = divided_diff2(fv[3], fv[4], fv[5], x[3], x[4], x[5])
     return max(fl.left[2] - dl, fl.right[2] - dr) / fl.h
@@ -89,7 +89,7 @@ def intersection_condition(fl: Flanks, alpha: float) -> float | None:
     ql, qr, g, kind = fl.solve(alpha)
     if kind == "vertex":
         vl, vr = model_value(ql, g), model_value(qr, g)
-        if not abs(vl - vr) <= INTERSECTION_RTOL * (abs(vl) + abs(vr) + abs(fl.b.fm)):
+        if not abs(vl - vr) <= INTERSECTION_RTOL * (abs(vl) + abs(vr) + abs(fl.fv[3])):
             return None
     return g
 
@@ -132,20 +132,20 @@ def escalate_alpha(fl: Flanks, alpha: float) -> tuple[float, float]:
     return chi(fl, max(alpha, alpha_floor(fl)))
 
 
-def dupm_step(b: ExtendedBracket7, g: float, branches: Sequence[int]) -> float:
+def dupm_step(x: Sequence[float], g: float, branches: Sequence[int]) -> float:
     """Proposed trial point: the closed-form step when the last three
     updates all replaced the same flank's inner point, otherwise ``g``,
-    the max-model minimizer the escalation accepted on ``b``.
-    :func:`~kinkline.supm.run_bracket_solver` keeps it the minimum
+    the max-model minimizer the escalation accepted on the seven points
+    ``x``.  :func:`~kinkline.supm.run_bracket_solver` keeps it the minimum
     separation away from the incumbent and the inner endpoints.
 
     ``branches`` lists the update rules applied so far, oldest first;
     updates 1 and 3 replace the right inner point, 2 and 4 the left one,
     so a rule's parity names its flank.  The closed-form step reads only
-    the inner five points, so it takes the seven-point ``b`` as it is.
+    the inner five points, so it takes the seven points ``x`` as they are.
     """
     if len(branches) > 2 and branches[-1] % 2 == branches[-2] % 2 == branches[-3] % 2:
-        return eupm_step(b)
+        return eupm_step(x)
     return g
 
 
@@ -168,15 +168,15 @@ def dupm_minimize(
     """
     alpha = 0.0
     alphas: list[float] = []
-    fl = Flanks(b0)
+    fl = Flanks(b0.x, b0.fv)
 
-    def next_trial(b, branches):
+    def next_trial(x, fv, branches):
         nonlocal alpha
         if branches:
-            fl.advance(b, branches[-1])
+            fl.advance(x, fv, branches[-1])
         alpha, g = escalate_alpha(fl, alpha)
         alphas.append(alpha)
-        return dupm_step(b, g, branches)
+        return dupm_step(x, g, branches)
 
     result = run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
     # a proposal that found no room for its trial completed no iteration

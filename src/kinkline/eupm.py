@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .brackets import ExtendedBracket5, ExtendedBracket7
+from .brackets import ExtendedBracket5
 from .result import SolverResult
 from .supm import run_bracket_solver
 
@@ -44,22 +44,22 @@ MINIMAL_SEQUENCES = (
 )
 
 
-def eupm_step(b: ExtendedBracket5 | ExtendedBracket7) -> float:
-    """Closed-form trial point; always strictly inside (xl1, xr1).  ``b``
-    has five or seven points, read as :func:`bracket_check` reads them."""
-    return b.xm + bracket_check(b)
+def eupm_step(x: Sequence[float]) -> float:
+    """Closed-form trial point; always strictly inside (xl1, xr1).  The
+    points ``x`` are read as :func:`bracket_check` reads them."""
+    return x[len(x) // 2] + bracket_check(x)
 
 
-def bracket_check(b: ExtendedBracket5 | ExtendedBracket7) -> float:
-    """Signed offset of the trial from the incumbent.
+def bracket_check(x: Sequence[float]) -> float:
+    """Signed offset of the trial from the incumbent, on the points ``x``.
 
     Negative means the next trial falls left of the incumbent (branch
     family {1, 4}), positive means right ({2, 3}).  Computed in
     incumbent-centred coordinates to dodge cancellation when the bracket
     sits far from zero.  Points are read one and two places either side
-    of the centre, so a seven-point bracket gives its inner five's bits.
+    of the centre, so seven points give their inner five's bits.
     """
-    x, c = b.x, b._CENTRE
+    c = len(x) // 2
     l2 = x[c - 2] - x[c]
     l1 = x[c - 1] - x[c]
     r1 = x[c + 1] - x[c]
@@ -81,9 +81,7 @@ def eupm_minimize(
     :func:`~kinkline.supm.run_bracket_solver`'s.
     """
 
-    def next_trial(b, branches):
-        return eupm_step(b)
-
+    next_trial = lambda x, fv, branches: eupm_step(x)
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
 
 

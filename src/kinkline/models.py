@@ -2,7 +2,7 @@
 
 Each flank of a seven-point bracket carries three points; through them we
 put a quadratic in Newton form, then pull its curvature down by
-``alpha * scaling_h(bracket)``.  With ``alpha`` large enough relative to the
+``alpha * scaling_h(x)``.  With ``alpha`` large enough relative to the
 curvature variation of the underlying smooth piece, the adjusted quadratic
 underestimates that piece across the inner interval, which is what makes
 the intersection of the two side models a safe next trial point.
@@ -20,7 +20,7 @@ Each divided difference is one expression, computed in one call.
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import Literal, Sequence
 
 from .brackets import ExtendedBracket7
 
@@ -50,13 +50,12 @@ def divided_diff2(fa: float, fb: float, fc: float, a: float, b: float, c: float)
     return ((fa - fb) / (a - b) - (fa - fc) / (a - c)) / (b - c)
 
 
-def scaling_h(b: ExtendedBracket7) -> float:
-    """Curvature-adjustment scale max(xr3 - xl1, xr1 - xl3).
+def scaling_h(x: Sequence[float]) -> float:
+    """Curvature-adjustment scale max(xr3 - xl1, xr1 - xl3) of the seven points ``x``.
 
     Positive, shrinks to zero with the bracket, and never exceeds the outer
     diameter, so the adjustment term vanishes as the bracket collapses.
     """
-    x = b.x
     return max(x[6] - x[2], x[4] - x[0])
 
 
@@ -92,4 +91,4 @@ def build_model(side: Side, b: ExtendedBracket7, alpha: float) -> Model:
         raise ValueError(f"side must be 'L' or 'R', got {side!r}")
     x = b.x
     c0, c1, c2 = flank_coeffs(x, b.fv, i1, i2, i3)
-    return c0, c1, c2 - alpha * scaling_h(b), x[i1], x[i2]
+    return c0, c1, c2 - alpha * scaling_h(x), x[i1], x[i2]

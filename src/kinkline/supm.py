@@ -27,11 +27,13 @@ import sys
 from typing import Callable, Iterator, Literal
 
 from .brackets import (
+    MIN_GAP_FACTOR,
     Bracket,
     ExtendedBracket7,
     InvariantBrokenError,
     apply_update,
     inner_length,
+    trusted_build,
 )
 from .models import Model, flank_coeffs, scaling_h
 from .result import SolverResult, Status
@@ -51,45 +53,20 @@ class AdjustmentOverflowError(ValueError):
     """The adjustment ``alpha * h`` of the starting bracket is not finite."""
 
 
-def default_delta(eps: float, b: Bracket) -> float:
-    """Separation floor on bracket ``b``: a quarter of the termination
-    scale ``eps``, or, where coarser, ``b``'s minimum gap between adjacent
-    points plus one unit of the float grid at the larger inner endpoint.
+def default_delta(eps: float, x: tuple[float, ...]) -> float:
+    """Separation floor on the five- or seven-point bracket with points
+    ``x``: a quarter of the termination scale ``eps``, or, where coarser,
+    the bracket's minimum gap between adjacent points plus one unit of the
+    float grid at the larger inner endpoint.
 
     The grid unit lands a trial on a distinct float; the gap, with half
     that unit to spare for the clip's rounding, keeps the update from
     refusing the trial, whose new bracket spans no more.  Neither term
     grows as the bracket shrinks.
     """
-    x, c = b.x, b._CENTRE
-    gap = b._GAP_FACTOR * _EPS * (x[-1] - x[0])
+    c = len(x) // 2
+    gap = MIN_GAP_FACTOR * _EPS * (x[-1] - x[0])
     return max(eps / 4.0, gap + math.ulp(max(abs(x[c - 1]), abs(x[c + 1]))))
-
-
-def _real_roots(a: float, b: float, c: float) -> tuple[float, ...]:
-    """Real roots of a*u^2 + b*u + c, via the cancellation-safe formula.
-
-    A discriminant within a few rounding units of zero is treated as zero
-    so grazing intersections are kept.
-    """
-    if a == 0.0:
-        if b == 0.0:
-            return ()
-        return (-c / b,)
-    disc = b * b - 4.0 * a * c
-    scale = b * b + abs(4.0 * a * c)
-    if disc < 0.0:
-        if disc >= -4.0 * _EPS * scale:
-            disc = 0.0
-        else:
-            return ()
-    sq = math.sqrt(disc)
-    if b == 0.0:
-        r = sq / (2.0 * abs(a))
-        return (-r, r) if r != 0.0 else (0.0,)
-    q = -0.5 * (b + math.copysign(sq, b))
-    # q is 0 only when b is subnormal and 4ac underflowed: take c as 0
-    return (q / a, c / q) if q != 0.0 else (0.0, -b / a)
 
 
 #: Kinds of candidate that can minimize the max of two quadratics.
@@ -125,7 +102,24 @@ def argmin_max_quadratics(
     da = l2 - r2
     db = (l1 - l2 * (a1l + a2l)) - (r1 - r2 * (a1r + a2r))
     dc = (l0 - l1 * a1l + l2 * a1l * a2l) - (r0 - r1 * a1r + r2 * a1r * a2r)
-    for u in _real_roots(da, db, dc):
+    # its real roots, cancellation-safe; a discriminant a few rounding units
+    # below zero counts as zero, so a grazing intersection is kept
+    if da == 0.0:
+        roots = (-dc / db,) if db != 0.0 else ()
+    else:
+        disc = db * db - 4.0 * da * dc
+        if disc < 0.0 and disc >= -4.0 * _EPS * (db * db + abs(4.0 * da * dc)):
+            disc = 0.0
+        if disc < 0.0:
+            roots = ()
+        elif db == 0.0:
+            r = math.sqrt(disc) / (2.0 * abs(da))
+            roots = (-r, r) if r != 0.0 else (0.0,)
+        else:
+            q = -0.5 * (db + math.copysign(math.sqrt(disc), db))
+            # q is 0 only when db is subnormal and 4 da dc underflowed: dc as 0
+            roots = (q / da, dc / q) if q != 0.0 else (0.0, -db / da)
+    for u in roots:
         if lo <= u <= hi:
             cands.append(u)
     n_cross = len(cands)
@@ -198,32 +192,29 @@ class Flanks:
     """A seven-point bracket's flank data, carried across iterations by the
     fixed-constant and dynamic solvers.
 
-    ``b`` is the bracket and ``h`` its :func:`~kinkline.models.scaling_h`;
-    ``left`` and ``right`` are the :func:`~kinkline.models.flank_coeffs`
-    of points 2, 1, 0 and 4, 5, 6, each flank's model before adjustment,
-    anchored at the flank's two inner points of ``b``.  Nothing in it
-    depends on the adjustment constant; :meth:`solve` applies one.
+    ``x``, ``fv`` are the bracket's points and values, ``h`` its
+    :func:`~kinkline.models.scaling_h`; ``left`` and ``right`` are the
+    :func:`~kinkline.models.flank_coeffs` of points 2, 1, 0 and 4, 5, 6,
+    each flank's model before adjustment, anchored at its two inner points.
+    Nothing in it depends on the adjustment constant; :meth:`solve` applies
+    one.
     """
 
-    __slots__ = ("b", "h", "left", "right")
+    __slots__ = ("x", "fv", "h", "left", "right")
 
-    def __init__(self, b: ExtendedBracket7):
-        x, fv = b.x, b.fv
-        self.b = b
-        self.h = scaling_h(b)
+    def __init__(self, x: tuple[float, ...], fv: tuple[float, ...]):
+        self.x, self.fv, self.h = x, fv, scaling_h(x)
         self.left = flank_coeffs(x, fv, 2, 1, 0)
         self.right = flank_coeffs(x, fv, 4, 5, 6)
 
-    def advance(self, b: ExtendedBracket7, branch: int) -> None:
-        """Move the record in place to ``b``, which update rule ``branch``
-        (numbered as :func:`~kinkline.brackets.apply_update` numbers them)
-        made from the record's bracket.  Rules 1 and 3 keep the left flank's
-        points and rules 2 and 4 the right's, so that flank's coefficients
-        stay, exactly as recomputing them would give; the other flank and
-        ``h`` are recomputed."""
-        x, fv = b.x, b.fv
-        self.b = b
-        self.h = scaling_h(b)
+    def advance(self, x: tuple[float, ...], fv: tuple[float, ...], branch: int) -> None:
+        """Move the record in place to the bracket ``x, fv``, which update
+        rule ``branch`` (numbered as :func:`~kinkline.brackets.apply_update`
+        numbers them) made from the record's bracket.  Rules 1 and 3 keep
+        the left flank's points and rules 2 and 4 the right's, so that
+        flank's coefficients stay, exactly as recomputing them would give;
+        the other flank and ``h`` are recomputed."""
+        self.x, self.fv, self.h = x, fv, scaling_h(x)
         if branch == 1 or branch == 3:
             self.right = flank_coeffs(x, fv, 4, 5, 6)
         else:
@@ -233,7 +224,7 @@ class Flanks:
         """Both flank models at ``alpha``, the tuples
         :func:`~kinkline.models.build_model` returns, and the minimizer of
         their max over the inner interval with its kind."""
-        x, ah = self.b.x, alpha * self.h
+        x, ah = self.x, alpha * self.h
         l0, l1, l2 = self.left
         r0, r1, r2 = self.right
         ql = (l0, l1, l2 - ah, x[2], x[1])
@@ -319,43 +310,43 @@ def run_bracket_solver(
     b0: Bracket,
     eps: float,
     budget: int,
-    next_trial: Callable[[Bracket, list[int]], float],
+    next_trial: Callable[[tuple[float, ...], tuple[float, ...], list[int]], float],
     record_brackets: bool = False,
 ) -> SolverResult:
     """Run a solver that moves a five- or seven-point bracket by the four
     update rules, through :func:`run_solver`.
 
-    Each iteration asks ``next_trial(bracket, branches)`` for the solver's
+    The loop carries the bracket as its point and value tuples ``x, fv``.
+    Each iteration asks ``next_trial(x, fv, branches)`` for the solver's
     proposed trial point, where ``branches`` lists the update rules applied
     so far, oldest first, and keeps it ``delta`` (:func:`default_delta` of
-    the current bracket, which stays ``eps / 4`` once it gets there) away
-    from the incumbent and the inner endpoints, or stalls if there is no
-    room.  A NaN proposal raises
-    :class:`~kinkline.brackets.InvariantBrokenError` before the oracle is
-    called.  It evaluates the trial once and inserts it by
-    :func:`~kinkline.brackets.apply_update`, which picks the update rule.
-    The applied rules are returned in ``branches``.
+    ``x``, which stays ``eps / 4`` once it gets there) away from the
+    incumbent and the inner endpoints, or stalls if there is no room.  A
+    NaN proposal raises :class:`~kinkline.brackets.InvariantBrokenError`
+    before the oracle is called.  It evaluates the trial once and inserts it
+    by :func:`~kinkline.brackets.apply_update`, which picks the update rule.
+    Only a recorded row and the result get a bracket of ``b0``'s type, by
+    the trusted build.  The applied rules are returned in ``branches``.
     """
     quarter = eps / 4.0
     branches: list[int] = []
-    c = b0._CENTRE
+    cls, c = type(b0), b0._CENTRE
     lo, hi = c - 1, c + 1
 
     def iterate(evaluate):
-        b = b0
-        delta = default_delta(eps, b)
-        snapshot = lambda: b
-        yield inner_length(b), b.fm, snapshot
+        x, fv = b0.x, b0.fv
+        delta = default_delta(eps, x)
+        snapshot = lambda: trusted_build(cls, x, fv)
+        yield inner_length(b0), b0.fm, snapshot
         while True:
-            x = b.x
-            xt = _min_separation(next_trial(b, branches), x[lo], x[c], x[hi], delta)
+            xt = _min_separation(next_trial(x, fv, branches), x[lo], x[c], x[hi], delta)
             if xt != xt:
                 raise InvariantBrokenError(f"the solver proposed trial {xt!r}")
-            br, b = apply_update(xt, evaluate(xt), b)
+            br, x, fv = apply_update(xt, evaluate(xt), x, fv)
             branches.append(br)
             if delta > quarter:
-                delta = default_delta(eps, b)
-            yield b.x[hi] - b.x[lo], b.fv[c], snapshot
+                delta = default_delta(eps, x)
+            yield x[hi] - x[lo], fv[c], snapshot
 
     result = run_solver(oracle, b0, eps, budget, iterate, record_brackets)
     result.branches = branches
@@ -389,16 +380,16 @@ def supm_minimize(
     """
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")
-    fl = Flanks(b0)
+    fl = Flanks(b0.x, b0.fv)
     if not math.isfinite(alpha * fl.h):
         raise AdjustmentOverflowError(
             f"alpha {alpha!r} overflows: alpha * h is not finite on the starting "
             f"bracket (h = {fl.h!r})"
         )
 
-    def next_trial(b, branches):
+    def next_trial(x, fv, branches):
         if branches:
-            fl.advance(b, branches[-1])
+            fl.advance(x, fv, branches[-1])
         return supm_step(fl, alpha)
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

@@ -84,14 +84,15 @@ def reflection_deviation(b: ExtendedBracket5) -> float:
     """
     tol = 4.0 * sys.float_info.epsilon * (b.x[-1] - b.x[0])
     rb = reflect(b)
-    err = abs(eupm_step(rb) + eupm_step(b))
+    err = abs(eupm_step(rb.x) + eupm_step(b.x))
     err = max(err, max(abs(u - v) for u, v in zip(reflect(rb).x, b.x)))
-    if bracket_check(b) > 0.0:
+    if bracket_check(b.x) > 0.0:
         b, rb = rb, b
-    if bracket_check(b) < 0.0:
+    if bracket_check(b.x) < 0.0:
         # the synthesized value picks update 1 then 4 on b, 2 then 3 on rb
         for df in (-1.0, 1.0):
-            _, direct = apply_update(eupm_step(b), b.fm + df, b)
-            _, mirror = apply_update(eupm_step(rb), rb.fm + df, rb)
-            err = max(err, max(abs(u - v) for u, v in zip(direct.x, reflect(mirror).x)))
+            _, direct, _ = apply_update(eupm_step(b.x), b.fm + df, b.x, b.fv)
+            _, mx, mf = apply_update(eupm_step(rb.x), rb.fm + df, rb.x, rb.fv)
+            mirror = reflect(ExtendedBracket5(mx, mf)).x
+            err = max(err, max(abs(u - v) for u, v in zip(direct, mirror)))
     return err / tol

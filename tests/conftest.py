@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import settings
 
-from kinkline.brackets import BracketError, make_extended7
+from kinkline.brackets import BracketError, apply_update, make_extended7
 
 # Property tests draw the same examples on every run, so a red run can be
 # rerun as it was; pass --hypothesis-profile=default to explore afresh.
@@ -17,6 +17,13 @@ def bits(x):
     """A float's exact bits as hex text (other values as they are), so an
     equality also tells ``0.0`` from ``-0.0``."""
     return x.hex() if isinstance(x, float) else x
+
+
+def update(xtrial, ftrial, b):
+    """:func:`~kinkline.brackets.apply_update` on the bracket ``b``: the
+    rule it applied and the new bracket, of ``b``'s type and validated."""
+    rule, x, fv = apply_update(xtrial, ftrial, b.x, b.fv)
+    return rule, type(b)(x, fv)
 
 
 def kink_objective(rng: np.random.Generator):

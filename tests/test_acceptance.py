@@ -118,7 +118,7 @@ def test_04_underestimation_and_interior_selection():
         xs_left = b.xl1 + span * (grid + 1) / 1000.0     # (xl1, xr1]
         below_ok &= bool(np.all(model_value(qr, xs_right) < fr(xs_right)))
         below_ok &= bool(np.all(model_value(ql, xs_left) < fl(xs_left)))
-        g = supm_step(Flanks(b), alpha)
+        g = supm_step(Flanks(b.x, b.fv), alpha)
         interior_ok &= b.xl1 < g < b.xr1
     ok = below_ok and interior_ok
     report(
@@ -134,7 +134,7 @@ def test_05_extremal_limit_of_the_adjusted_step():
     worst = 0.0
     for _ in range(10000):
         b = random_bracket7(rng, gap_range=(2.0, 4.0), centre_range=(-5.0, 5.0))
-        err = abs(supm_step(Flanks(b), 1e8) - eupm_step(inner5(b))) / inner_length(b)
+        err = abs(supm_step(Flanks(b.x, b.fv), 1e8) - eupm_step(inner5(b).x)) / inner_length(b)
         worst = max(worst, err)
     ok = worst <= 1e-8
     report(5, "huge-constant step matches the closed form", ok, f"worst {worst:.2e} of d")
@@ -222,7 +222,7 @@ def test_10_model_intersection_anchor():
     f = lambda x: max(-math.sin(0.5 * math.pi * x), 1.0 - math.cos(0.5 * math.pi * x))
     pts = (-1.0, -0.9, -0.75, 0.0, 0.6, 0.8, 0.95)
     b = make_extended7(pts, tuple(f(p) for p in pts))
-    g = supm_step(Flanks(b), 0.0)
+    g = supm_step(Flanks(b.x, b.fv), 0.0)
     ql = build_model("L", b, 0.0)
     qr = build_model("R", b, 0.0)
     xs = np.linspace(b.xl1, b.xr1, 10**6)

@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import kink_bracket, kink_objective, random_bracket7
-from kinkline.brackets import apply_update, inner5, inner_length, make_extended7
+from conftest import kink_bracket, kink_objective, random_bracket7, update
+from kinkline.brackets import inner5, inner_length, make_extended7
 from kinkline.dupm import (
     ChiConditionError,
     alpha_floor,
@@ -38,11 +38,11 @@ def polyfit_dd2(xs, fs):
 class TestAlphaFloor:
     def test_zero_for_global_quadratic(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: 2 * x * x + x - 1)
-        assert alpha_floor(Flanks(b)) == pytest.approx(0.0, abs=1e-12)
+        assert alpha_floor(Flanks(b.x, b.fv)) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_for_piecewise_affine_sides(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: max(-x, 2 * x))
-        assert alpha_floor(Flanks(b)) == pytest.approx(0.0, abs=1e-12)
+        assert alpha_floor(Flanks(b.x, b.fv)) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_polyfit_oracle(self):
         rng = np.random.default_rng(21)
@@ -54,28 +54,28 @@ class TestAlphaFloor:
                     polyfit_dd2(x[:3], fv[:3]) - polyfit_dd2((x[3], x[2], x[1]), (fv[3], fv[2], fv[1])),
                     polyfit_dd2(x[4:], fv[4:]) - polyfit_dd2((x[3], x[4], x[5]), (fv[3], fv[4], fv[5])),
                 )
-                / scaling_h(b)
+                / scaling_h(b.x)
             )
-            assert alpha_floor(Flanks(b)) == pytest.approx(want, rel=1e-6, abs=1e-9)
+            assert alpha_floor(Flanks(b.x, b.fv)) == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
 class TestAlphaPlus:
     def test_negative_when_both_sides_concave(self):
         b = with_values((-3, -2, -1, 0.0, 1, 2, 3), lambda x: -(x * x) + 9.5 * abs(x))
-        assert alpha_plus(Flanks(b)) < 0.0
+        assert alpha_plus(Flanks(b.x, b.fv)) < 0.0
 
     def test_square_data(self):
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
-        assert alpha_plus(Flanks(b)) == pytest.approx(1.0 / scaling_h(b), rel=1e-12)
+        assert alpha_plus(Flanks(b.x, b.fv)) == pytest.approx(1.0 / scaling_h(b.x), rel=1e-12)
 
     def test_chi_never_exceeds_alpha_plus_by_much(self):
         rng = np.random.default_rng(22)
         checked = 0
         for _ in range(100):
             b = random_bracket7(rng)
-            ap = alpha_plus(Flanks(b))
+            ap = alpha_plus(Flanks(b.x, b.fv))
             tol = 1e-3 * max(1.0, abs(ap))
-            got, _ = chi(Flanks(b), 0.0)
+            got, _ = chi(Flanks(b.x, b.fv), 0.0)
             assert got <= max(0.0, ap) + 2.0 * tol
             checked += 1
         assert checked == 100
@@ -86,8 +86,8 @@ class TestIntersectionCondition:
         rng = np.random.default_rng(23)
         for _ in range(100):
             b = random_bracket7(rng)
-            alpha = max(0.0, alpha_plus(Flanks(b))) + 1.0
-            assert intersection_condition(Flanks(b), alpha) is not None
+            alpha = max(0.0, alpha_plus(Flanks(b.x, b.fv))) + 1.0
+            assert intersection_condition(Flanks(b.x, b.fv), alpha) is not None
 
     def test_false_when_a_convex_vertex_wins(self):
         # right side strongly convex with an interior vertex far below the
@@ -95,7 +95,7 @@ class TestIntersectionCondition:
         f = lambda x: 5.0 * (x - 0.8) ** 2 if x > 0 else 4.0 - 6.0 * x
         # xm off the mirror point of xr1 about 0.8, so f(xm) < f(xr1)
         b = with_values((-3.0, -2.0, -1.0, 0.5, 1.2, 2.0, 3.0), f)
-        assert intersection_condition(Flanks(b), 0.0) is None
+        assert intersection_condition(Flanks(b.x, b.fv), 0.0) is None
 
     def test_true_when_an_endpoint_wins(self):
         # left line 10 - x stays above the convex right model on most of
@@ -105,8 +105,8 @@ class TestIntersectionCondition:
         ql, qr = build_model("L", b, 0.0), build_model("R", b, 0.0)
         assert qr[2] > 0.0
         assert argmin_max_quadratics(ql, qr, b.xl1, b.xr1, b.xm) == (1.0, "endpoint")
-        assert intersection_condition(Flanks(b), 0.0) == 1.0
-        assert chi(Flanks(b), 0.0) == (0.0, 1.0)
+        assert intersection_condition(Flanks(b.x, b.fv), 0.0) == 1.0
+        assert chi(Flanks(b.x, b.fv), 0.0) == (0.0, 1.0)
 
     def test_true_above_threshold_on_ill_scaled_brackets(self):
         # centre near 1e8 with gaps of tens of ulps: the models' values at a
@@ -115,14 +115,14 @@ class TestIntersectionCondition:
         rng = np.random.default_rng(31)
         for _ in range(100):
             b = random_bracket7(rng, gap_range=(1e-7, 1e-6), centre_range=(1e8 - 1.0, 1e8 + 1.0))
-            alpha = max(0.0, alpha_plus(Flanks(b))) + 1.0
-            assert intersection_condition(Flanks(b), alpha) is not None
+            alpha = max(0.0, alpha_plus(Flanks(b.x, b.fv))) + 1.0
+            assert intersection_condition(Flanks(b.x, b.fv), alpha) is not None
 
 
 class TestChi:
     def test_returns_lo_when_condition_already_holds(self):
         b = with_values((-3, -2, -1, 0.0, 1, 2, 3), lambda x: -(x * x) + 9.5 * abs(x))
-        assert chi(Flanks(b), 0.0)[0] == 0.0
+        assert chi(Flanks(b.x, b.fv), 0.0)[0] == 0.0
 
     def test_bisection_matches_linear_scan(self):
         rng = np.random.default_rng(24)
@@ -133,13 +133,14 @@ class TestChi:
             if checked >= 20:
                 break
             b = random_bracket7(rng)
-            tol = 1e-3 * max(1.0, abs(alpha_plus(Flanks(b))))
-            if intersection_condition(Flanks(b), 0.0) is not None:
+            fl = Flanks(b.x, b.fv)
+            tol = 1e-3 * max(1.0, abs(alpha_plus(fl)))
+            if intersection_condition(fl, 0.0) is not None:
                 continue
-            got, _ = chi(Flanks(b), 0.0)
+            got, _ = chi(fl, 0.0)
             # scan at a tenth of the bisection tolerance for the flip point
             alphas = np.arange(0.0, got + 2 * tol, tol / 10.0)
-            held = [intersection_condition(Flanks(b), float(a)) is not None for a in alphas]
+            held = [intersection_condition(fl, float(a)) is not None for a in alphas]
             assert any(held), "scan never saw the condition hold"
             first = held.index(True)
             if not all(held[first:]):
@@ -156,68 +157,68 @@ class TestChi:
         monkeypatch.setattr(kinkline.dupm, "intersection_condition", lambda b, alpha: None)
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
         with pytest.raises(ChiConditionError):
-            escalate_alpha(Flanks(b), 0.0)
+            escalate_alpha(Flanks(b.x, b.fv), 0.0)
 
 
 class TestStepAndUpdate:
     def test_same_flank_streak_forces_closed_form(self):
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        got = dupm_step(b, supm_step(Flanks(b), 0.0), [1, 3, 1])  # right, right, right
-        assert got == eupm_step(inner5(b))
+        got = dupm_step(b.x, supm_step(Flanks(b.x, b.fv), 0.0), [1, 3, 1])  # right, right, right
+        assert got == eupm_step(inner5(b).x)
 
     def test_mixed_history_takes_adjusted_step(self):
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        adjusted = supm_step(Flanks(b), 0.7)
-        assert dupm_step(b, adjusted, [4, 3, 2, 1]) == adjusted
+        adjusted = supm_step(Flanks(b.x, b.fv), 0.7)
+        assert dupm_step(b.x, adjusted, [4, 3, 2, 1]) == adjusted
 
     def test_update_flags(self):
         # updates 1 and 3 replace the right inner point, 2 and 4 the left
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        closed = eupm_step(inner5(b))
-        adjusted = supm_step(Flanks(b), 0.7)
+        closed = eupm_step(inner5(b).x)
+        adjusted = supm_step(Flanks(b.x, b.fv), 0.7)
         for last in ((1, 3, 3), (3, 1, 1), (2, 4, 4), (4, 2, 2)):
-            assert dupm_step(b, adjusted, [2, *last]) == closed
+            assert dupm_step(b.x, adjusted, [2, *last]) == closed
         for last in ((1, 2, 1), (3, 4, 3), (2, 3, 2), (4, 1, 4)):
-            assert dupm_step(b, adjusted, [2, *last]) == adjusted
+            assert dupm_step(b.x, adjusted, [2, *last]) == adjusted
 
     def test_two_updates_decide_alike_on_either_flank(self):
         # a left/right mirror must not change the decision: no streak is
         # complete before three real updates, on either flank
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        adjusted = supm_step(Flanks(b), 0.7)
-        assert adjusted != eupm_step(inner5(b))
+        adjusted = supm_step(Flanks(b.x, b.fv), 0.7)
+        assert adjusted != eupm_step(inner5(b).x)
         for two in ([2, 4], [4, 2], [1, 3], [3, 1]):
-            assert dupm_step(b, adjusted, two) == adjusted
+            assert dupm_step(b.x, adjusted, two) == adjusted
 
     def test_fewer_than_three_updates_take_the_adjusted_step(self):
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        adjusted = supm_step(Flanks(b), 0.7)
+        adjusted = supm_step(Flanks(b.x, b.fv), 0.7)
         for history in ([], [1], [2], [3], [4], [1, 1], [4, 2], [3, 1], [2, 3]):
-            assert dupm_step(b, adjusted, history) is adjusted
+            assert dupm_step(b.x, adjusted, history) is adjusted
 
     def test_override_takes_the_seven_point_bracket(self, monkeypatch):
-        # the closed-form step reads the bracket itself, through the
-        # module's own eupm_step binding, with no inner five built for it
+        # the closed-form step reads the seven points themselves, through
+        # the module's own eupm_step binding, with no inner five built for it
         import kinkline.dupm
 
         seen = []
         monkeypatch.setattr(kinkline.dupm, "eupm_step", lambda b: seen.append(b) or 0.25)
         b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
-        assert dupm_step(b, 2.0, [2, 4, 2]) == 0.25
-        assert len(seen) == 1 and seen[0] is b
+        assert dupm_step(b.x, 2.0, [2, 4, 2]) == 0.25
+        assert len(seen) == 1 and seen[0] is b.x
         assert not hasattr(kinkline.dupm, "inner5")
 
     def test_three_same_side_updates_then_closed_form(self):
         b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
         branches = []
         for xt, ft in ((4.5, 0.5), (4.3, 0.4), (4.2, 0.3)):
-            br, b = apply_update(xt, ft, b)
+            br, b = update(xt, ft, b)
             assert br == 3  # right of the incumbent, not improving
             branches.append(br)
-            adjusted = supm_step(Flanks(b), 0.0)
+            adjusted = supm_step(Flanks(b.x, b.fv), 0.0)
             if len(branches) < 3:
-                assert dupm_step(b, adjusted, branches) == adjusted
-        assert dupm_step(b, adjusted, branches) == eupm_step(inner5(b))
+                assert dupm_step(b.x, adjusted, branches) == adjusted
+        assert dupm_step(b.x, adjusted, branches) == eupm_step(inner5(b).x)
 
 
 class TestFlanks:
@@ -230,12 +231,12 @@ class TestFlanks:
             func = get_function(fid)
             brackets += [generate_bracket(func, np.random.default_rng([33, t, k])) for k in range(20)]
         for b in brackets:
-            ap = alpha_plus(Flanks(b))
+            ap = alpha_plus(Flanks(b.x, b.fv))
             zero_l, zero_r = build_model("L", b, 0.0), build_model("R", b, 0.0)
-            assert ap == max(zero_l[2], zero_r[2]) / scaling_h(b)
+            assert ap == max(zero_l[2], zero_r[2]) / scaling_h(b.x)
             tol = 1e-3 * max(1.0, abs(ap))
-            for alpha in (0.0, alpha_floor(Flanks(b)), ap, ap + tol, 1e8):
-                ql, qr, g, kind = Flanks(b).solve(alpha)
+            for alpha in (0.0, alpha_floor(Flanks(b.x, b.fv)), ap, ap + tol, 1e8):
+                ql, qr, g, kind = Flanks(b.x, b.fv).solve(alpha)
                 want_l, want_r = build_model("L", b, alpha), build_model("R", b, alpha)
                 assert (ql, qr) == (want_l, want_r)
                 assert (g, kind) == argmin_max_quadratics(want_l, want_r, b.xl1, b.xr1, b.xm)
@@ -244,8 +245,9 @@ class TestFlanks:
         rng = np.random.default_rng(34)
         for _ in range(100):
             b = random_bracket7(rng)
-            alpha, g = escalate_alpha(Flanks(b), 0.0)
-            assert g == supm_step(Flanks(b), alpha) == intersection_condition(Flanks(b), alpha)
+            fl = Flanks(b.x, b.fv)
+            alpha, g = escalate_alpha(fl, 0.0)
+            assert g == supm_step(fl, alpha) == intersection_condition(fl, alpha)
 
     def test_flank_data_is_computed_once_per_iteration(self, monkeypatch):
         # per iteration: the flank the update changed (both on a run's
@@ -320,7 +322,7 @@ class TestSolver:
             assert all(a2 >= a1 for a1, a2 in zip(res.alphas, res.alphas[1:]))
             # after escalation, the floor is covered at every iteration
             for br, a in zip(res.bracket_trace[:-1], res.alphas):
-                assert alpha_floor(Flanks(br)) <= a + 1e-9 * max(1.0, abs(a))
+                assert alpha_floor(Flanks(br.x, br.fv)) <= a + 1e-9 * max(1.0, abs(a))
 
     def test_nonsmooth_unimodal_never_exhausts(self):
         for fid in ("NU1", "NU2", "NU3", "NU4", "NU5"):
@@ -342,19 +344,19 @@ class TestSolver:
         for i, br in enumerate(res.branches):
             bracket = res.bracket_trace[i]
             if len(flanks) >= 3 and len(set(flanks[-3:])) == 1:
-                g = eupm_step(inner5(bracket))
+                g = eupm_step(inner5(bracket).x)
                 delta = 2.5e-9
                 if (
                     abs(g - bracket.xm) >= delta
                     and bracket.xl1 + delta <= g <= bracket.xr1 - delta
                 ):
-                    adjusted = supm_step(Flanks(bracket), res.alphas[i])
-                    assert dupm_step(bracket, adjusted, res.branches[:i]) == g
+                    adjusted = supm_step(Flanks(bracket.x, bracket.fv), res.alphas[i])
+                    assert dupm_step(bracket.x, adjusted, res.branches[:i]) == g
             flanks.append("R" if br in (1, 3) else "L")
 
 
 class TestConfig:
     def test_escalate_clamps_negative_floor(self):
         b = with_values((-3, -2, -1, 0.0, 1, 2, 3), lambda x: -(x * x) + 9.5 * abs(x))
-        assert alpha_floor(Flanks(b)) <= 0.0
-        assert escalate_alpha(Flanks(b), 0.3)[0] >= 0.3
+        assert alpha_floor(Flanks(b.x, b.fv)) <= 0.0
+        assert escalate_alpha(Flanks(b.x, b.fv), 0.3)[0] >= 0.3

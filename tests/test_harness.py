@@ -218,7 +218,7 @@ def test_random_brackets_hold_builtin_floats():
         b5, b7 = random_bracket5(rng), random_bracket7(rng)
         for v in b5.x + b5.fv + b7.x + b7.fv:
             assert type(v) is float
-        fl = Flanks(b7)
+        fl = Flanks(b7.x, b7.fv)
         floor = alpha_floor(fl)
         for v in (floor, alpha_plus(fl), *chi(fl, max(0.0, floor))):
             assert type(v) is float
@@ -493,10 +493,11 @@ class TestMinimizeOnce:
                 values += [v for row in res.trace for v in row[1:]] + (res.alphas or [])
                 assert all(type(v) is float for v in values), (func.fid, spec)
                 assert all(type(row[0]) is int for row in res.trace)
-            assert type(intersection_condition(Flanks(b0), 0.0)) in (float, type(None))
+            assert type(intersection_condition(Flanks(b0.x, b0.fv), 0.0)) in (float, type(None))
         rng = np.random.default_rng(36)
         for _ in range(50):
-            g = intersection_condition(Flanks(random_bracket7(rng)), 0.0)
+            b = random_bracket7(rng)
+            g = intersection_condition(Flanks(b.x, b.fv), 0.0)
             assert type(g) in (float, type(None))
 
     def test_trace_csv_needs_recorded_brackets(self):

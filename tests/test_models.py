@@ -124,11 +124,11 @@ class TestScaling:
         b = make_extended7(
             (-3, -2, -1, 0, 1, 2, 3), tuple(v * v for v in (-3, -2, -1, 0, 1, 2, 3))
         )
-        assert scaling_h(b) == 4.0
+        assert scaling_h(b.x) == 4.0
 
     def test_uneven(self):
         b = make_extended7((-1, -0.9, -0.75, 0, 0.6, 0.8, 0.95), (1, 1, 1, 0, 1, 1, 1))
-        assert scaling_h(b) == pytest.approx(1.7, abs=0)
+        assert scaling_h(b.x) == pytest.approx(1.7, abs=0)
 
     def test_bounded_by_outer_length(self):
         from conftest import outer_length, random_bracket7
@@ -136,7 +136,7 @@ class TestScaling:
         rng = np.random.default_rng(5)
         for _ in range(300):
             b = random_bracket7(rng)
-            assert scaling_h(b) <= outer_length(b)
+            assert scaling_h(b.x) <= outer_length(b)
 
 
 def fig1_bracket():
@@ -159,7 +159,7 @@ class TestModels:
 
     def test_fig1_models_cross_near_half_percent(self):
         b, _ = fig1_bracket()
-        g = supm_step(Flanks(b), 0.0)
+        g = supm_step(Flanks(b.x, b.fv), 0.0)
         assert abs(g - 0.005) <= 1e-3
 
     def test_unknown_side_refused(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bits, random_bracket7
+from conftest import bits, random_bracket7, update
 from kinkline.brackets import (
     BracketError,
     ExtendedBracket5,
@@ -31,10 +31,10 @@ from kinkline.supm import (
     Flanks,
     NonFiniteValueError,
     _min_separation,
-    _real_roots,
     argmin_max_quadratics,
     default_delta,
     run_bracket_solver,
+    run_solver,
     supm_minimize,
     supm_step,
 )
@@ -56,22 +56,22 @@ def recording(oracle, trials):
 class TestStep:
     def test_affine_kink_lands_on_the_kink(self):
         b = with_values((-3, -2, -1, 0.25, 1, 2, 3), lambda x: max(-x, 2 * x))
-        assert supm_step(Flanks(b), 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert supm_step(Flanks(b.x, b.fv), 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_exact_centre_tie_resolves_left(self):
         # the proposal is the incumbent itself; the loop moves it left
         b = with_values((-3, -2, -1, 0, 1, 2, 3), abs)
-        assert supm_step(Flanks(b), 0.0) == 0.0
+        assert supm_step(Flanks(b.x, b.fv), 0.0) == 0.0
         trials = []
         run_algorithm("supm:0", recording(abs, trials), b, 1e-8, 500)
-        assert trials[0] == -default_delta(1e-8, b)
+        assert trials[0] == -default_delta(1e-8, b.x)
 
     def test_large_alpha_matches_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             b = random_bracket7(rng, gap_range=(2.0, 4.0), centre_range=(-5.0, 5.0))
-            g = supm_step(Flanks(b), 1e8)
-            ge = eupm_step(inner5(b))
+            g = supm_step(Flanks(b.x, b.fv), 1e8)
+            ge = eupm_step(inner5(b).x)
             assert abs(g - ge) <= 1e-8 * inner_length(b)
 
     @pytest.mark.parametrize("spec", ["supm:0", "supm:1", "eupm", "dupm", "mifflin"])
@@ -89,7 +89,7 @@ class TestStep:
                 )
                 assert len(trials) == res.iterations > 0
                 for br, x in zip(res.bracket_trace, trials):
-                    delta = default_delta(1e-8, br)
+                    delta = default_delta(1e-8, br.x)
                     assert br.xl1 + delta <= x <= br.xr1 - delta
                     assert x <= br.xm - delta or x >= br.xm + delta
 
@@ -101,7 +101,7 @@ class TestStep:
         pts = (1e8 - 3, 1e8 - 2, *inner, 1e8 + 2, 1e8 + 3)
         f = lambda x: (x - 1e8) ** 2
         b = with_values(pts, f)
-        assert 2.0 * default_delta(1e-9, b) > b.xr1 - b.xm
+        assert 2.0 * default_delta(1e-9, b.x) > b.xr1 - b.xm
         res = supm_minimize(f, b, 1e-9)
         assert res.status is Status.STALLED
         assert res.iterations == res.evaluations == 0
@@ -123,6 +123,32 @@ def _ref_vertex(q):
     nonzero."""
     _, c1, c2, x1, x2 = q
     return 0.5 * (x1 + x2) - c1 / (2.0 * c2)
+
+
+def _real_roots(a, b, c):
+    """Reference: the real roots of a*u^2 + b*u + c, by the
+    cancellation-safe formula, as the kernel solved them in a helper of its
+    own.  A discriminant within a few rounding units of zero counts as
+    zero, so grazing intersections are kept."""
+    eps = sys.float_info.epsilon
+    if a == 0.0:
+        if b == 0.0:
+            return ()
+        return (-c / b,)
+    disc = b * b - 4.0 * a * c
+    scale = b * b + abs(4.0 * a * c)
+    if disc < 0.0:
+        if disc >= -4.0 * eps * scale:
+            disc = 0.0
+        else:
+            return ()
+    sq = math.sqrt(disc)
+    if b == 0.0:
+        r = sq / (2.0 * abs(a))
+        return (-r, r) if r != 0.0 else (0.0,)
+    q = -0.5 * (b + math.copysign(sq, b))
+    # q is 0 only when b is subnormal and 4ac underflowed: take c as 0
+    return (q / a, c / q) if q != 0.0 else (0.0, -b / a)
 
 
 def _ref_argmin_max_quadratics(ql, qr, left, right, centre):
@@ -254,6 +280,12 @@ class TestScoringMatchesReference:
         roots = _real_roots(1.0, -2.0, 1.0 + 2.0 * eps)
         assert len(roots) == 2
         assert all(abs(u - 1.0) <= 4.0 * eps for u in roots)
+        # the same difference through the kernel: ql - qr is that quadratic
+        # in u = x, so the grazing point is a crossing; without the kept
+        # root, ql's vertex at the same point would win as a "vertex"
+        ql = (1.0 + 2.0 * eps, -2.0, 1.0, 0.0, 0.0)
+        qr = (0.0, 0.0, 0.0, 0.0, 0.0)
+        assert argmin_max_quadratics(ql, qr, -1.0, 3.0, 0.0) == (1.0, "crossing")
 
 
 def _ref_rule(xtrial, ftrial, b):
@@ -348,7 +380,7 @@ class TestLocalValidation:
         b, xt, ft = case
         if xt == b.xm:
             with pytest.raises(TrialAtCenterError):
-                apply_update(xt, ft, b)
+                apply_update(xt, ft, b.x, b.fv)
             return
         rule = _ref_rule(xt, ft, b)
         nx, nf = _ref_layout(rule, xt, ft, b)
@@ -356,16 +388,16 @@ class TestLocalValidation:
             want = type(b)(nx, nf)
         except BracketError as exc:
             with pytest.raises(InvariantBrokenError) as info:
-                apply_update(xt, ft, b)
+                apply_update(xt, ft, b.x, b.fv)
             assert str(info.value) == f"update {rule} with trial {xt!r} broke the bracket: {exc}"
             assert type(info.value.__cause__) is type(exc)
             assert getattr(info.value.__cause__, "index", None) == getattr(exc, "index", None)
         else:
-            got_rule, got = apply_update(xt, ft, b)
+            got_rule, gx, gf = apply_update(xt, ft, b.x, b.fv)
             assert got_rule == rule
-            assert type(got) is type(want)
-            assert [bits(v) for v in got.x + got.fv] == [bits(v) for v in want.x + want.fv]
-            assert got == want and hash(got) == hash(want)
+            assert type(gx) is type(gf) is tuple
+            assert [bits(v) for v in gx + gf] == [bits(v) for v in want.x + want.fv]
+            assert type(b)(gx, gf) == want
 
 
 class TestClassification:
@@ -373,24 +405,24 @@ class TestClassification:
         self.b = with_values((1, 2, 3, 4, 5, 6, 7), lambda x: (x - 4.0) ** 2)
 
     def test_left_improving(self):
-        assert apply_update(3.5, -1.0, self.b)[0] == 1
+        assert update(3.5, -1.0, self.b)[0] == 1
 
     def test_right_improving(self):
-        assert apply_update(4.5, -1.0, self.b)[0] == 2
+        assert update(4.5, -1.0, self.b)[0] == 2
 
     def test_right_non_improving(self):
-        assert apply_update(4.5, 1.0, self.b)[0] == 3
+        assert update(4.5, 1.0, self.b)[0] == 3
 
     def test_left_non_improving(self):
-        assert apply_update(3.5, 1.0, self.b)[0] == 4
+        assert update(3.5, 1.0, self.b)[0] == 4
 
     def test_value_tie_counts_as_non_improving(self):
-        assert apply_update(4.5, self.b.fm, self.b)[0] == 3
-        assert apply_update(3.5, self.b.fm, self.b)[0] == 4
+        assert update(4.5, self.b.fm, self.b)[0] == 3
+        assert update(3.5, self.b.fm, self.b)[0] == 4
 
     def test_trial_at_centre_rejected(self):
         with pytest.raises(TrialAtCenterError):
-            apply_update(4.0, 0.0, self.b)
+            update(4.0, 0.0, self.b)
 
 
 class TestUpdates:
@@ -398,29 +430,29 @@ class TestUpdates:
         self.b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
 
     def test_branch1_layout(self):
-        nb = apply_update(3.5, -1.0, self.b)[1]
+        nb = update(3.5, -1.0, self.b)[1]
         assert nb.x == (1, 2, 3, 3.5, 4, 5, 6)
         assert nb.fv == (9, 4, 1, -1.0, 0, 1, 4)
 
     def test_branch2_layout(self):
-        nb = apply_update(4.5, -1.0, self.b)[1]
+        nb = update(4.5, -1.0, self.b)[1]
         assert nb.x == (2, 3, 4, 4.5, 5, 6, 7)
 
     def test_branch3_layout(self):
-        nb = apply_update(4.5, 0.5, self.b)[1]
+        nb = update(4.5, 0.5, self.b)[1]
         assert nb.x == (1, 2, 3, 4, 4.5, 5, 6)
 
     def test_branch4_layout(self):
-        nb = apply_update(3.5, 0.5, self.b)[1]
+        nb = update(3.5, 0.5, self.b)[1]
         assert nb.x == (2, 3, 3.5, 4, 5, 6, 7)
 
     def test_inner_length_strictly_decreases(self):
         for xt, ft in ((3.5, -1.0), (4.5, -1.0), (4.5, 0.5), (3.5, 0.5)):
-            nb = apply_update(xt, ft, self.b)[1]
+            nb = update(xt, ft, self.b)[1]
             assert inner_length(nb) < inner_length(self.b)
 
     def test_values_carried_over(self):
-        nb = apply_update(4.5, 0.5, self.b)[1]
+        nb = update(4.5, 0.5, self.b)[1]
         assert nb.fv == (9, 4, 1, 0, 0.5, 1, 4)
 
 
@@ -518,11 +550,13 @@ class TestSolver:
                 )
                 assert len(trials) == res.iterations > 0
                 for i, (br, xt) in enumerate(zip(res.bracket_trace, trials)):
+                    fl = Flanks(br.x, br.fv)
                     if spec == "dupm":
-                        g = dupm_step(br, supm_step(Flanks(br), res.alphas[i]), res.branches[:i])
+                        g = dupm_step(br.x, supm_step(fl, res.alphas[i]), res.branches[:i])
                     else:
-                        g = supm_step(Flanks(br), float(spec.split(":")[1]))
-                    assert xt == _min_separation(g, br.xl1, br.xm, br.xr1, default_delta(1e-8, br))
+                        g = supm_step(fl, float(spec.split(":")[1]))
+                    delta = default_delta(1e-8, br.x)
+                    assert xt == _min_separation(g, br.xl1, br.xm, br.xr1, delta)
 
     def test_one_flank_is_recomputed_per_iteration(self, monkeypatch):
         # the first iteration computes both flanks' coefficients; each later
@@ -599,9 +633,126 @@ class TestSolver:
         trials = []
         with pytest.raises(InvariantBrokenError, match="proposed trial nan"):
             run_bracket_solver(
-                recording(lambda x: x * x, trials), b, 1e-8, 500, lambda b, br: math.nan
+                recording(lambda x: x * x, trials), b, 1e-8, 500, lambda x, fv, br: math.nan
             )
         assert trials == []
+
+
+def _ref_run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets=False):
+    """Reference: run_bracket_solver as it was, carrying a bracket that the
+    slice-form update (_ref_rule, _ref_layout) rebuilds, validated, on
+    every iteration; only the proposal contract is the current one."""
+    quarter = eps / 4.0
+    branches = []
+    c = b0._CENTRE
+
+    def iterate(evaluate):
+        b = b0
+        delta = default_delta(eps, b.x)
+        yield inner_length(b), b.fm, lambda: b
+        while True:
+            x = b.x
+            g = next_trial(x, b.fv, branches)
+            xt = _min_separation(g, x[c - 1], x[c], x[c + 1], delta)
+            if xt != xt:
+                raise InvariantBrokenError(f"the solver proposed trial {xt!r}")
+            ft = evaluate(xt)
+            if xt == b.xm:
+                raise TrialAtCenterError(f"trial coincides with incumbent at {xt!r}")
+            br = _ref_rule(xt, ft, b)
+            b = type(b)(*_ref_layout(br, xt, ft, b))
+            branches.append(br)
+            if delta > quarter:
+                delta = default_delta(eps, b.x)
+            yield inner_length(b), b.fm, lambda: b
+
+    result = run_solver(oracle, b0, eps, budget, iterate, record_brackets)
+    result.branches = branches
+    return result
+
+
+def _ill_scaled_problem(rng):
+    """A seven-point bracket centred within 1 of 1e8 with gaps of 1e-6 to
+    1e-3, from tens to tens of thousands of ulps, on a kinked objective
+    whose minimum is near the incumbent."""
+    while True:
+        x = random_bracket7(rng, gap_range=(1e-6, 1e-3), centre_range=(1e8 - 1.0, 1e8 + 1.0)).x
+        m = x[3] + float(rng.uniform(-0.25, 0.25)) * min(x[3] - x[2], x[4] - x[3])
+        a, b = (float(v) for v in rng.uniform(0.2, 2.0, 2))
+        f = lambda t, m=m, a=a, b=b: max(-a * (t - m), b * (t - m)) + (t - m) ** 2
+        try:
+            return make_extended7(x, [f(t) for t in x]), f
+        except BracketError:
+            continue
+
+
+def _loop_problems():
+    """Two seeded bench draws per registry function, ten ill-scaled draws
+    near 1e8 and the wide bracket far from zero of
+    test_wide_bracket_far_from_zero_ends_cleanly: (label, bracket, oracle
+    factory)."""
+    for func in list_functions():
+        for t in range(2):
+            b = generate_bracket(func, np.random.default_rng([65, t]))
+            yield f"{func.fid}/{t}", b, lambda func=func: oracle_for(func)
+    rng = np.random.default_rng(66)
+    for t in range(10):
+        b, f = _ill_scaled_problem(rng)
+        yield f"1e8/{t}", b, lambda f=f: f
+    pts = (1e7, 1.2e7, 1.9e7, 2e7, 2.1e7, 2.8e7, 3e7)
+    f = lambda x: (x - 2e7) ** 2
+    yield "wide", with_values(pts, f), lambda: f
+
+
+class TestLoopMatchesReference:
+    @pytest.mark.parametrize(
+        "spec", ["supm:0", "supm:0.1", "supm:1", "supm:10", "eupm", "dupm", "mifflin"]
+    )
+    def test_tuple_loop_equals_the_bracket_loop(self, spec, monkeypatch):
+        # the loop on point and value tuples makes every decision of the
+        # loop that rebuilt a bracket per iteration, bit for bit
+        real = run_bracket_solver
+        runs = []
+        for label, b, oracle in _loop_problems():
+            got = run_algorithm(spec, oracle(), b, 1e-8, 500, record_brackets=True)
+            with monkeypatch.context() as m:
+                for modname, mod in list(sys.modules.items()):
+                    if modname == "kinkline" or modname.startswith("kinkline."):
+                        for key, value in list(vars(mod).items()):
+                            if value is real:
+                                m.setattr(mod, key, _ref_run_bracket_solver)
+                want = run_algorithm(spec, oracle(), b, 1e-8, 500, record_brackets=True)
+            runs.append(got.iterations)
+            assert (got.status, got.iterations, got.evaluations) == (
+                want.status, want.iterations, want.evaluations
+            ), label
+            assert [tuple(map(bits, row)) for row in got.trace] == [
+                tuple(map(bits, row)) for row in want.trace
+            ], label
+            assert got.branches == want.branches, label
+            assert [bits(a) for a in got.alphas or []] == [bits(a) for a in want.alphas or []]
+            assert len(got.bracket_trace) == len(want.bracket_trace), label
+            pairs = zip(got.bracket_trace + [got.bracket], want.bracket_trace + [want.bracket])
+            for gb, wb in pairs:
+                assert type(gb) is type(wb), label
+                assert [bits(v) for v in gb.x + gb.fv] == [bits(v) for v in wb.x + wb.fv], label
+        assert sum(runs) > 500
+
+    @pytest.mark.parametrize("spec", ["supm:0", "supm:1", "eupm", "dupm", "mifflin"])
+    def test_recorded_rows_keep_the_kept_floats(self, spec):
+        # write_trace_csv reuses a row's text by identity: each update keeps
+        # all but one of the previous row's points and values as the same
+        # objects, in order, with one end dropped
+        for func in list_functions():
+            b = generate_bracket(func, np.random.default_rng([67, 0]))
+            res = run_algorithm(spec, oracle_for(func), b, 1e-8, 500, record_brackets=True)
+            rows = res.bracket_trace
+            assert len(rows) == res.iterations + 1 > 1
+            for prev, row in zip(rows, rows[1:]):
+                for old, new in ((prev.x, row.x), (prev.fv, row.fv)):
+                    kept = [v for v in new if any(v is u for u in old)]
+                    assert len(kept) == len(new) - 1
+                    assert any(all(v is u for v, u in zip(kept, old[s:])) for s in (0, 1))
 
 
 class TestFlanks:
@@ -617,12 +768,12 @@ class TestFlanks:
                 on_left = branch in (1, 4)
                 xt = float(rng.uniform(x[2], x[3]) if on_left else rng.uniform(x[3], x[4]))
                 ft = fm - 0.5 if branch in (1, 2) else fm + 0.5
-                rule, nb = apply_update(xt, ft, b)
+                rule, nb = update(xt, ft, b)
                 assert rule == branch
-                fl = Flanks(b)
+                fl = Flanks(b.x, b.fv)
                 kept = fl.left if branch in (1, 3) else fl.right
-                fl.advance(nb, branch)
-                fresh = Flanks(nb)
+                fl.advance(nb.x, nb.fv, branch)
+                fresh = Flanks(nb.x, nb.fv)
                 assert [getattr(fl, f) for f in Flanks.__slots__] == [
                     getattr(fresh, f) for f in Flanks.__slots__
                 ]
@@ -661,11 +812,11 @@ class TestConfig:
         # a quarter of eps near zero; far from zero, the minimum gap plus
         # one grid unit at the larger inner endpoint
         near = with_values((-3, -2, -1, 0, 1, 2, 3), abs)
-        assert default_delta(1e-8, near) == 2.5e-9
+        assert default_delta(1e-8, near.x) == 2.5e-9
         far = with_values(tuple(1e8 + d for d in (-3, -2, -1, 0, 1, 2, 3)), lambda x: abs(x - 1e8))
         gap = MIN_GAP_FACTOR * sys.float_info.epsilon * 6.0
-        assert default_delta(1e-8, far) == gap + math.ulp(1e8 + 1)
+        assert default_delta(1e-8, far.x) == gap + math.ulp(1e8 + 1)
         pts = (1e7, 1.2e7, 1.9e7, 2e7, 2.1e7, 2.8e7, 3e7)
         wide = with_values(pts, lambda x: abs(x - 2e7))
         gap = MIN_GAP_FACTOR * sys.float_info.epsilon * 2e7
-        assert default_delta(1e-8, wide) == gap + math.ulp(2.1e7) > 1e-8 / 4
+        assert default_delta(1e-8, wide.x) == gap + math.ulp(2.1e7) > 1e-8 / 4
