@@ -23,8 +23,6 @@ from .brackets import (
     TrialAtCenterError,
     inner3,
     inner5,
-    make_extended5,
-    make_extended7,
 )
 from .models import CoincidentPointsError
 from .result import SolverResult, Status

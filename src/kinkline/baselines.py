@@ -16,8 +16,7 @@ import math
 import sys
 from typing import Callable
 
-from .brackets import Bracket3, ExtendedBracket5
-from .models import divided_diff1
+from .brackets import Bracket3, ExtendedBracket5, require, trusted_build
 from .result import SolverResult
 from .supm import BracketTooSmallError, minimize_max_quadratics
 from .supm import run_bracket_solver, run_solver
@@ -49,11 +48,13 @@ def golden_section_minimize(
     the time a unit interval is down to 1e-8.
 
     The incumbent value in the trace is the best value seen so far; on a
-    multimodal objective the final interval need not contain it, so the
-    returned bracket is positional only.  The run stalls, in
-    :func:`~kinkline.supm.run_solver`, before a fresh probe that would not
-    lie strictly between the kept endpoint and the carried probe.
+    multimodal objective the final interval need not contain it, so its
+    brackets are positional only: strictly ascending, but not validated.
+    The run stalls, in :func:`~kinkline.supm.run_solver`, before a fresh
+    probe that would not lie strictly between the kept endpoint and the
+    carried probe.
     """
+    require(b0, Bracket3)
 
     def iterate(evaluate):
         a, b = b0.xl, b0.xr
@@ -69,8 +70,8 @@ def golden_section_minimize(
 
         def snapshot():
             if f1 <= f2:
-                return Bracket3.unchecked(a, x1, b, fa, f1, fb)
-            return Bracket3.unchecked(a, x2, b, fa, f2, fb)
+                return trusted_build(Bracket3, (a, x1, b), (fa, f1, fb))
+            return trusted_build(Bracket3, (a, x2, b), (fa, f2, fb))
 
         yield b - a, b0.fm, snapshot
         while True:
@@ -110,8 +111,11 @@ def brent_minimize(
     ago; otherwise a golden step into the larger sub-interval is taken.
     A minimum spacing keeps the parabola denominators alive; a probe that
     spacing would put outside the open interval ends the run as stalled,
-    before it is evaluated.  Runs in :func:`~kinkline.supm.run_solver`.
+    before it is evaluated.  Runs in :func:`~kinkline.supm.run_solver`;
+    its brackets are validated, as the incumbent's value never exceeds an
+    end's.
     """
+    require(b0, Bracket3)
 
     def iterate(evaluate):
         a, b = b0.xl, b0.xr
@@ -119,7 +123,7 @@ def brent_minimize(
         x = w = v = b0.xm
         fx = fw = fv = b0.fm
         d = e = 0.0
-        snapshot = lambda: Bracket3.unchecked(a, x, b, fa, fx, fb)
+        snapshot = lambda: Bracket3(a, x, b, fa, fx, fb)
         yield b - a, fx, snapshot
         while True:
             mid = 0.5 * (a + b)
@@ -196,10 +200,11 @@ def mifflin_strodiot_minimize(
     creeps at the minimum separation and exhausts its budget on non-convex
     (in particular multimodal) objectives.
     """
+    require(b0, ExtendedBracket5)
 
     def next_trial(x, fv, branches):
-        ql = (fv[1], divided_diff1(fv[1], fv[0], x[1], x[0]), 0.0, x[1], x[0])
-        qr = (fv[3], divided_diff1(fv[3], fv[4], x[3], x[4]), 0.0, x[3], x[4])
+        ql = (fv[1], (fv[1] - fv[0]) / (x[1] - x[0]), 0.0, x[1], x[0])
+        qr = (fv[3], (fv[3] - fv[4]) / (x[3] - x[4]), 0.0, x[3], x[4])
         return minimize_max_quadratics(ql, qr, x[1], x[3], x[2])
 
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)

@@ -18,8 +18,9 @@ A validated :class:`Bracket` crosses the edges: solver inputs, results and
 recorded brackets.  Inside the update-rule loop a bracket is its point and
 value tuples, which :func:`apply_update`, the one update step, maps to the
 next pair, checking only what its rule (it owns their numbering) can break.
-Only :meth:`Bracket3.unchecked` and that loop, handing out tuples
-:func:`apply_update` made, may skip validation through :func:`trusted_build`.
+Only that loop, handing out tuples :func:`apply_update` made, and golden
+section, whose strictly ascending triples are positional only, may skip
+validation through :func:`trusted_build`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _EPS = sys.float_info.epsilon
 
@@ -77,7 +78,8 @@ def _check_centre(fv: Sequence[float], c: int) -> None:
 
 
 def trusted_build(cls: type[Bracket], x: tuple[float, ...], fv: tuple[float, ...]) -> Bracket:
-    """The trusted build: an unchecked ``cls`` of ``x`` and ``fv``; see the module docstring."""
+    """The trusted build: an unchecked ``cls`` of the tuples ``x`` and ``fv``,
+    for the update-rule loop and golden section; see the module docstring."""
     b = object.__new__(cls)
     object.__setattr__(b, "x", x)
     object.__setattr__(b, "fv", fv)
@@ -88,6 +90,7 @@ def trusted_build(cls: type[Bracket], x: tuple[float, ...], fv: tuple[float, ...
 class Bracket:
     """Ascending points ``x`` with cached values ``fv``, centre at index
     ``len(x) // 2`` carrying the smallest of the inner value triple.
+    ``x`` and ``fv`` may be any iterables; they are stored as tuples.
 
     A subclass sets the point count ``_N``, which fixes the centre index
     ``_CENTRE``; adjacent points must lie more than ``_GAP_FACTOR`` times
@@ -107,11 +110,13 @@ class Bracket:
         cls._CENTRE = cls._N // 2
 
     def __post_init__(self):
-        x, n = self.x, self._N
-        if len(x) != n or len(self.fv) != n:
+        x, fv, n = tuple(self.x), tuple(self.fv), self._N
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "fv", fv)
+        if len(x) != n or len(fv) != n:
             raise BracketError(f"need exactly {n} points and {n} values")
         _check_points(x, self._GAP_FACTOR * _EPS * (x[-1] - x[0]))
-        _check_centre(self.fv, self._CENTRE)
+        _check_centre(fv, self._CENTRE)
 
     @property
     def xl1(self) -> float:
@@ -148,18 +153,6 @@ class Bracket3(Bracket):
     fl = property(lambda self: self.fv[0])
     fr = property(lambda self: self.fv[2])
 
-    @classmethod
-    def unchecked(cls, xl, xm, xr, fl, fm, fr) -> "Bracket3":
-        """Build without the centre-value check (ordering is still required).
-
-        Interval solvers on multimodal objectives can legitimately end with
-        an incumbent whose value exceeds a stale endpoint value; their final
-        state is positional, not value-ordered.
-        """
-        obj = trusted_build(cls, (xl, xm, xr), (fl, fm, fr))
-        _check_points(obj.x, 0.0)
-        return obj
-
 
 class ExtendedBracket7(Bracket):
     """Seven points ``(xl3, xl2, xl1, xm, xr1, xr2, xr3)``: three side
@@ -179,14 +172,11 @@ class ExtendedBracket5(Bracket):
     _N = 5
 
 
-def make_extended7(points: Iterable[float], values: Iterable[float]) -> ExtendedBracket7:
-    """Validate seven (point, value) pairs into an :class:`ExtendedBracket7`."""
-    return ExtendedBracket7(tuple(points), tuple(values))
-
-
-def make_extended5(points: Iterable[float], values: Iterable[float]) -> ExtendedBracket5:
-    """Validate five (point, value) pairs into an :class:`ExtendedBracket5`."""
-    return ExtendedBracket5(tuple(points), tuple(values))
+def require(b: object, cls: type[Bracket]) -> None:
+    """Refuse, with :class:`TypeError`, a solver's starting bracket ``b``
+    that is not of the size ``cls`` the solver runs on."""
+    if not isinstance(b, cls):
+        raise TypeError(f"expected {cls.__name__}, got {type(b).__name__}")
 
 
 #: Per point count n and update rule 1-4: the picker keeping points s..k-1,

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .brackets import ExtendedBracket7
+from .brackets import ExtendedBracket7, require
 from .eupm import eupm_step
 from .models import divided_diff2, model_value
 # Not called here (the models come from the carried Flanks record), but
@@ -166,6 +166,7 @@ def dupm_minimize(
     :func:`dupm_step`.  The per-iteration constants are returned in
     ``alphas`` (one entry per completed iteration).
     """
+    require(b0, ExtendedBracket7)
     alpha = 0.0
     alphas: list[float] = []
     fl = Flanks(b0.x, b0.fv)

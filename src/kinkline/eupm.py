@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .brackets import ExtendedBracket5
+from .brackets import ExtendedBracket5, require
 from .result import SolverResult
 from .supm import run_bracket_solver
 
@@ -80,7 +80,7 @@ def eupm_minimize(
     separation, the run and its stop rule are
     :func:`~kinkline.supm.run_bracket_solver`'s.
     """
-
+    require(b0, ExtendedBracket5)
     next_trial = lambda x, fv, branches: eupm_step(x)
     return run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets)
 

@@ -22,15 +22,7 @@ from .baselines import (
     golden_section_minimize,
     mifflin_strodiot_minimize,
 )
-from .brackets import (
-    BracketError,
-    ExtendedBracket5,
-    ExtendedBracket7,
-    inner3,
-    inner5,
-    make_extended5,
-    make_extended7,
-)
+from .brackets import BracketError, ExtendedBracket5, ExtendedBracket7, inner3, inner5
 from .dupm import dupm_minimize
 from .eupm import eupm_minimize, gap_apply_binary
 from .result import SolverResult, Status
@@ -138,7 +130,7 @@ def generate_bracket(f: TestFunction, rng: np.random.Generator) -> ExtendedBrack
             continue
         chosen = order[lo - 3 : lo] + [k] + order[hi : hi + 3]
         try:
-            return make_extended7(map(pts.__getitem__, chosen), map(vals.__getitem__, chosen))
+            return ExtendedBracket7(map(pts.__getitem__, chosen), map(vals.__getitem__, chosen))
         except BracketError:
             invalid += 1
     raise ResampleLimitExceededError(
@@ -183,12 +175,13 @@ SOLVERS = {
 
 def parse_algorithm(spec: str) -> tuple[str, float]:
     """Split an algorithm spec into (kind, alpha); alpha only for supm,
-    where it must be finite and >= 0."""
+    spelt ``supm`` (alpha 0) or ``supm:<alpha>``, where it must be finite
+    and >= 0."""
     s = spec.strip().lower()
-    if s.startswith("supm"):
-        rest = s[4:].lstrip(":")
+    kind, colon, rest = s.partition(":")
+    if kind == "supm" and colon:
         try:
-            alpha = float(rest) if rest else 0.0
+            alpha = float(rest)
         except ValueError:
             alpha = math.nan  # refused below, with the documented message
         if not (alpha >= 0.0 and math.isfinite(alpha)):
@@ -219,8 +212,9 @@ def run_algorithm(
 class TrialConfig:
     """Settings of one benchmark run.  Functions are stored as the
     registry's canonical ids (``"nu3"`` becomes ``"NU3"``); an empty
-    function list, or a function or an algorithm spec listed twice, is
-    refused with :class:`ValueError`."""
+    function or algorithm list, a function listed twice, or two algorithm
+    specs naming one (kind, alpha) pair, is refused with
+    :class:`ValueError`."""
 
     functions: tuple[str, ...]
     algorithms: tuple[str, ...] = PAPER_ALGORITHMS
@@ -233,16 +227,18 @@ class TrialConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_stop_rule(self.eps, self.budget)
-        for spec in self.algorithms:
-            parse_algorithm(spec)
+        parsed = [parse_algorithm(spec) for spec in self.algorithms]
         if not self.functions:
             raise ValueError("functions must name at least one function")
+        if not parsed:
+            raise ValueError("algorithms must name at least one algorithm")
         fids = tuple(get_function(f).fid for f in self.functions)
         object.__setattr__(self, "functions", fids)
-        for kind, names in (("function", fids), ("algorithm", self.algorithms)):
-            for i, name in enumerate(names):
-                if name in names[:i]:
-                    raise ValueError(f"{kind} {name!r} listed twice")
+        listed = (("function", fids, fids), ("algorithm", self.algorithms, parsed))
+        for kind, names, keys in listed:
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ValueError(f"{kind} {names[i]!r} listed twice")
 
 
 @dataclass(frozen=True)
@@ -471,7 +467,7 @@ def minimize_once(
                 ) from exc
             values.append(fx)
         try:
-            bracket = make_extended7(pts, values)
+            bracket = ExtendedBracket7(pts, values)
         except BracketError as exc:
             raise BracketPointsError(f"not a seven-point bracket: {exc}") from exc
         a, b = min(a, pts[0]), max(b, pts[-1])
@@ -528,5 +524,5 @@ def random_bracket5(rng: np.random.Generator) -> ExtendedBracket5:
         fm + rng.uniform(0.0, 1.0),
         rng.uniform(-1.0, 1.0),
     )
-    return make_extended5(map(float, x), map(float, fv))
+    return ExtendedBracket5(map(float, x), map(float, fv))
 

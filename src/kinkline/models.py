@@ -33,13 +33,6 @@ class CoincidentPointsError(ValueError):
     """Divided differences need pairwise distinct abscissae."""
 
 
-def divided_diff1(fa: float, fb: float, a: float, b: float) -> float:
-    """First divided difference (f(a) - f(b)) / (a - b); slope estimate."""
-    if a == b:
-        raise CoincidentPointsError(f"a == b == {a!r}")
-    return (fa - fb) / (a - b)
-
-
 def divided_diff2(fa: float, fb: float, fc: float, a: float, b: float, c: float) -> float:
     """Second divided difference; equals f''/2 exactly on quadratics.
 

@@ -11,13 +11,15 @@ shares, and recomputes only the other's.
 
 Every solver runs in one loop, :func:`run_solver`, which owns the stop
 rule, the budget, the oracle-call count, the non-finite value check and
-the trace; a solver supplies only its iterations.  Those that move a five-
-or seven-point bracket by the four update rules (fixed-constant,
-extremal, dynamic and Mifflin-Strodiot) share :func:`run_bracket_solver`
-and supply only a proposed trial point.  That loop then keeps the trial a
-minimum separation ``delta`` away from the incumbent and the inner
-endpoints, which guarantees the bracket strictly shrinks even when the
-models misbehave: the solvers propose, the loop clips.
+the trace; a solver supplies only its iterations, and refuses a bracket of
+another size than its own (:func:`~kinkline.brackets.require`).  Those
+that move a five- or seven-point bracket by the four update rules
+(fixed-constant, extremal, dynamic and Mifflin-Strodiot) share
+:func:`run_bracket_solver` and supply only a proposed trial point.  That
+loop then keeps the trial a minimum separation ``delta`` away from the
+incumbent and the inner endpoints, which guarantees the bracket strictly
+shrinks even when the models misbehave: the solvers propose, the loop
+clips.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .brackets import (
     InvariantBrokenError,
     apply_update,
     inner_length,
+    require,
     trusted_build,
 )
 from .models import Model, flank_coeffs, scaling_h
@@ -378,6 +381,7 @@ def supm_minimize(
     :class:`AdjustmentOverflowError`; ``h`` only shrinks as the bracket
     does, so a finite start stays finite.
     """
+    require(b0, ExtendedBracket7)
     if not (alpha >= 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be finite and >= 0")
     fl = Flanks(b0.x, b0.fv)

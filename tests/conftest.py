@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import settings
 
-from kinkline.brackets import BracketError, apply_update, make_extended7
+from kinkline.brackets import BracketError, ExtendedBracket7, apply_update
 
 # Property tests draw the same examples on every run, so a red run can be
 # rerun as it was; pass --hypothesis-profile=default to explore afresh.
@@ -59,7 +59,7 @@ def kink_bracket(rng: np.random.Generator, f, k: float, radius: float):
         xm = rng.uniform(k - radius / 100.0, k + radius / 100.0)
         pts = (*lefts, xm, *rights)
         try:
-            return make_extended7(pts, tuple(float(f(p)) for p in pts))
+            return ExtendedBracket7(pts, tuple(float(f(p)) for p in pts))
         except BracketError:
             continue
 
@@ -89,4 +89,4 @@ def random_bracket7(
     )
     fv = list(rng.uniform(0.0, 1.0, 7))
     fv[3] = min(fv[2], fv[4]) - rng.uniform(0.0, 0.5)
-    return make_extended7(map(float, x), map(float, fv))
+    return ExtendedBracket7(map(float, x), map(float, fv))

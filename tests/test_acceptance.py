@@ -15,7 +15,7 @@ import pytest
 from conftest import kink_bracket, kink_objective, random_bracket7
 from kinkline import verify
 from kinkline.baselines import INVPHI, golden_section_minimize
-from kinkline.brackets import inner3, inner5, inner_length, make_extended7, reflect
+from kinkline.brackets import ExtendedBracket7, inner3, inner5, inner_length, reflect
 from kinkline.eupm import eupm_step, gap_map, gap_offset, gap_sequence_ratios
 from kinkline.harness import (
     PAPER_ALGORITHMS,
@@ -221,7 +221,7 @@ def test_10_model_intersection_anchor():
     # stated crossing; see the figure-1 sign entry in CHANGES.md)
     f = lambda x: max(-math.sin(0.5 * math.pi * x), 1.0 - math.cos(0.5 * math.pi * x))
     pts = (-1.0, -0.9, -0.75, 0.0, 0.6, 0.8, 0.95)
-    b = make_extended7(pts, tuple(f(p) for p in pts))
+    b = ExtendedBracket7(pts, tuple(f(p) for p in pts))
     g = supm_step(Flanks(b.x, b.fv), 0.0)
     ql = build_model("L", b, 0.0)
     qr = build_model("R", b, 0.0)

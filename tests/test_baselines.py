@@ -10,10 +10,10 @@ from kinkline.baselines import (
     golden_section_minimize,
     mifflin_strodiot_minimize,
 )
-from kinkline.brackets import Bracket3, inner3, inner5, make_extended5, make_extended7
+from kinkline.brackets import Bracket3, ExtendedBracket7, inner3, inner5
 from kinkline.harness import convergence_rate, generate_bracket
 from kinkline.result import Status
-from kinkline.testfuncs import get_function, oracle_for
+from kinkline.testfuncs import get_function, list_functions, oracle_for
 
 EPS = sys.float_info.epsilon
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -133,6 +133,25 @@ class TestBrent:
         assert sum(rates) / len(rates) >= 0.3  # nowhere near its smooth-case speed
 
 
+def test_brent_brackets_validate_and_golden_triples_ascend():
+    # Brent's brackets come from the validating constructor, so each one
+    # re-validates; golden section's skip validation and are positional
+    # only, but their points stay strictly ascending
+    centre_broken = 0
+    for i, func in enumerate(list_functions()):
+        rng = np.random.default_rng([0, i])
+        for _ in range(40):
+            t = inner3(generate_bracket(func, rng))
+            res = brent_minimize(oracle_for(func), t, record_brackets=True)
+            for b in res.bracket_trace + [res.bracket]:
+                assert Bracket3(*b.x, *b.fv) == b
+            res = golden_section_minimize(oracle_for(func), t, record_brackets=True)
+            for b in res.bracket_trace + [res.bracket]:
+                assert b.x[0] < b.x[1] < b.x[2]
+                centre_broken += not b.fv[0] >= b.fv[1] <= b.fv[2]
+    assert centre_broken > 0  # why golden section's brackets are not validated
+
+
 class TestMifflinStrodiot:
     def test_convex_kink_converges(self):
         func = get_function("NU5")
@@ -145,7 +164,7 @@ class TestMifflinStrodiot:
     def test_smooth_convex_converges(self):
         f = lambda x: (x - 0.4) ** 2
         pts = (-3.0, -2.0, -1.0, 0.5, 1.0, 2.0, 3.0)
-        b = make_extended7(pts, tuple(f(p) for p in pts))
+        b = ExtendedBracket7(pts, tuple(f(p) for p in pts))
         res = mifflin_strodiot_minimize(f, inner5(b))
         assert res.status is Status.CONVERGED
 

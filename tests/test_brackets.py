@@ -18,8 +18,6 @@ from kinkline.brackets import (
     inner3,
     inner5,
     inner_length,
-    make_extended5,
-    make_extended7,
     reflect,
 )
 from kinkline.harness import random_bracket5
@@ -28,7 +26,7 @@ SEVEN = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 
 
 def quad7():
-    return make_extended7(SEVEN, tuple(v * v for v in SEVEN))
+    return ExtendedBracket7(SEVEN, tuple(v * v for v in SEVEN))
 
 
 gaps5 = st.tuples(*(st.floats(0.01, 10.0) for _ in range(4)))
@@ -38,7 +36,7 @@ centres = st.floats(-100.0, 100.0)
 def bracket5_from(gaps, xm):
     p1, p2, p3, p4 = gaps
     x = (xm - p2 - p1, xm - p2, xm, xm + p3, xm + p3 + p4)
-    return make_extended5(x, (0.3, 1.0, 0.0, 2.0, 0.7))
+    return ExtendedBracket5(x, (0.3, 1.0, 0.0, 2.0, 0.7))
 
 
 class TestConstruction:
@@ -48,17 +46,17 @@ class TestConstruction:
 
     def test_monotone_values_rejected(self):
         with pytest.raises(NotABracketError):
-            make_extended7(SEVEN, SEVEN)
+            ExtendedBracket7(SEVEN, SEVEN)
 
     def test_disorder_reports_index(self):
         with pytest.raises(NotAscendingError) as exc:
-            make_extended7((0, 2, 1, 3, 4, 5, 6), (9, 4, 1, 0, 1, 4, 9))
+            ExtendedBracket7((0, 2, 1, 3, 4, 5, 6), (9, 4, 1, 0, 1, 4, 9))
         assert exc.value.index == 2
 
     def test_near_coincident_points_rejected(self):
         pts = (-3.0, -2.0, -1.0, -1.0 + 1e-17, 1.0, 2.0, 3.0)
         with pytest.raises(NotAscendingError):
-            make_extended7(pts, (9, 4, 1, 0, 1, 4, 9))
+            ExtendedBracket7(pts, (9, 4, 1, 0, 1, 4, 9))
 
     def test_bracket3_centre_condition(self):
         with pytest.raises(NotABracketError):
@@ -118,19 +116,20 @@ class TestOneBracketType:
             b.fv = b.fv
 
 
-class TestBracket3:
-    def test_unchecked_skips_only_the_centre_check(self):
-        b = Bracket3.unchecked(0.0, 1.0, 2.0, 0.0, 1.0, 2.0)
-        assert (b.xl, b.xm, b.xr, b.fl, b.fm, b.fr) == (0.0, 1.0, 2.0, 0.0, 1.0, 2.0)
-        assert Bracket3.unchecked(0.0, 1.0, 2.0, 1.0, 0.0, 1.0) == Bracket3(
-            0.0, 1.0, 2.0, 1.0, 0.0, 1.0
-        )
-        with pytest.raises(NotAscendingError) as exc:
-            Bracket3.unchecked(0.0, 2.0, 1.0, 0.0, 1.0, 2.0)
-        assert exc.value.index == 2
-        with pytest.raises(NotAscendingError):
-            Bracket3.unchecked(0.0, 0.0, 1.0, 0.0, 1.0, 2.0)
+@pytest.mark.parametrize("cls, n", SIZES[1:])
+def test_any_sequences_are_stored_as_tuples(cls, n):
+    x, fv = parabola(n)
+    for px, pf in ((x, fv), (iter(x), (v for v in fv)), (tuple(x), tuple(fv))):
+        b = cls(px, pf)
+        assert type(b.x) is tuple and type(b.fv) is tuple
+        assert b.x == tuple(x) and b.fv == tuple(fv)
+    # a tuple is kept as it is, so every point and value keeps its identity
+    tx, tf = tuple(x), tuple(fv)
+    b = cls(tx, tf)
+    assert b.x is tx and b.fv is tf
 
+
+class TestBracket3:
     def test_ends_are_the_inner_neighbours(self):
         b = Bracket3(-0.5, 0.25, 2.0, 3.0, 1.0, 4.0)
         assert (b.xl1, b.xr1) == (b.xl, b.xr) == (-0.5, 2.0)
@@ -143,14 +142,14 @@ class TestLengths:
         assert inner_length(quad7()) == 2.0
 
     def test_inner_uneven(self):
-        b = make_extended7((-1, -0.9, -0.75, 0, 0.6, 0.8, 0.95), (1, 1, 1, 0, 1, 1, 1))
+        b = ExtendedBracket7((-1, -0.9, -0.75, 0, 0.6, 0.8, 0.95), (1, 1, 1, 0, 1, 1, 1))
         assert inner_length(b) == pytest.approx(1.35, abs=0)
 
     def test_outer_symmetric(self):
         assert outer_length(quad7()) == 6.0
 
     def test_outer_uneven(self):
-        b = make_extended7((-1, -0.9, -0.75, 0, 0.6, 0.8, 0.95), (1, 1, 1, 0, 1, 1, 1))
+        b = ExtendedBracket7((-1, -0.9, -0.75, 0, 0.6, 0.8, 0.95), (1, 1, 1, 0, 1, 1, 1))
         assert outer_length(b) == pytest.approx(1.95, abs=0)
 
     def test_outer_exceeds_inner(self):
@@ -168,11 +167,11 @@ class TestLengths:
 
 class TestReflect:
     def test_symmetric_fixed_point(self):
-        b = make_extended5((-2, -1, 0, 1, 2), (4, 1, 0, 1, 4))
+        b = ExtendedBracket5((-2, -1, 0, 1, 2), (4, 1, 0, 1, 4))
         assert reflect(b).x == b.x
 
     def test_uneven_example(self):
-        b = make_extended5((0, 1, 1.5, 3, 4), (5, 2, 0, 3, 9))
+        b = ExtendedBracket5((0, 1, 1.5, 3, 4), (5, 2, 0, 3, 9))
         r = reflect(b)
         assert r.x == (-4, -3, -1.5, -1, 0)
         assert r.fv == (9, 3, 0, 2, 5)

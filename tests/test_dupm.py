@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import kink_bracket, kink_objective, random_bracket7, update
-from kinkline.brackets import inner5, inner_length, make_extended7
+from kinkline.brackets import ExtendedBracket7, inner5, inner_length
 from kinkline.dupm import (
     ChiConditionError,
     alpha_floor,
@@ -26,7 +26,7 @@ from kinkline.testfuncs import get_function, oracle_for
 
 
 def with_values(points, f):
-    return make_extended7(points, tuple(f(p) for p in points))
+    return ExtendedBracket7(points, tuple(f(p) for p in points))
 
 
 def polyfit_dd2(xs, fs):
@@ -101,7 +101,7 @@ class TestIntersectionCondition:
         # left line 10 - x stays above the convex right model on most of
         # [-1, 1] and keeps falling, so the max-model minimum is at xr1 = 1
         # even though the right model's vertex (at 3) makes it convex
-        b = make_extended7((-3, -2, -1, 0.5, 1, 2, 3), (13, 12, 11, 0, 4, 1, 0))
+        b = ExtendedBracket7((-3, -2, -1, 0.5, 1, 2, 3), (13, 12, 11, 0, 4, 1, 0))
         ql, qr = build_model("L", b, 0.0), build_model("R", b, 0.0)
         assert qr[2] > 0.0
         assert argmin_max_quadratics(ql, qr, b.xl1, b.xr1, b.xm) == (1.0, "endpoint")
@@ -162,18 +162,18 @@ class TestChi:
 
 class TestStepAndUpdate:
     def test_same_flank_streak_forces_closed_form(self):
-        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        b = ExtendedBracket7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
         got = dupm_step(b.x, supm_step(Flanks(b.x, b.fv), 0.0), [1, 3, 1])  # right, right, right
         assert got == eupm_step(inner5(b).x)
 
     def test_mixed_history_takes_adjusted_step(self):
-        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        b = ExtendedBracket7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
         adjusted = supm_step(Flanks(b.x, b.fv), 0.7)
         assert dupm_step(b.x, adjusted, [4, 3, 2, 1]) == adjusted
 
     def test_update_flags(self):
         # updates 1 and 3 replace the right inner point, 2 and 4 the left
-        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        b = ExtendedBracket7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
         closed = eupm_step(inner5(b).x)
         adjusted = supm_step(Flanks(b.x, b.fv), 0.7)
         for last in ((1, 3, 3), (3, 1, 1), (2, 4, 4), (4, 2, 2)):
@@ -184,14 +184,14 @@ class TestStepAndUpdate:
     def test_two_updates_decide_alike_on_either_flank(self):
         # a left/right mirror must not change the decision: no streak is
         # complete before three real updates, on either flank
-        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        b = ExtendedBracket7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
         adjusted = supm_step(Flanks(b.x, b.fv), 0.7)
         assert adjusted != eupm_step(inner5(b).x)
         for two in ([2, 4], [4, 2], [1, 3], [3, 1]):
             assert dupm_step(b.x, adjusted, two) == adjusted
 
     def test_fewer_than_three_updates_take_the_adjusted_step(self):
-        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        b = ExtendedBracket7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
         adjusted = supm_step(Flanks(b.x, b.fv), 0.7)
         for history in ([], [1], [2], [3], [4], [1, 1], [4, 2], [3, 1], [2, 3]):
             assert dupm_step(b.x, adjusted, history) is adjusted
@@ -203,13 +203,13 @@ class TestStepAndUpdate:
 
         seen = []
         monkeypatch.setattr(kinkline.dupm, "eupm_step", lambda b: seen.append(b) or 0.25)
-        b = make_extended7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
+        b = ExtendedBracket7((-1, 0, 1, 1.5, 3, 4, 5), (9, 5, 2, 0, 3, 9, 11))
         assert dupm_step(b.x, 2.0, [2, 4, 2]) == 0.25
         assert len(seen) == 1 and seen[0] is b.x
         assert not hasattr(kinkline.dupm, "inner5")
 
     def test_three_same_side_updates_then_closed_form(self):
-        b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
+        b = ExtendedBracket7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
         branches = []
         for xt, ft in ((4.5, 0.5), (4.3, 0.4), (4.2, 0.3)):
             br, b = update(xt, ft, b)

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bits, outer_length, random_bracket7, update
-from kinkline.brackets import (
-    inner5,
-    inner_length,
-    make_extended5,
-    reflect,
-)
+from kinkline.brackets import ExtendedBracket5, inner5, inner_length, reflect
 from kinkline.eupm import (
     MINIMAL_SEQUENCES,
     all_branch_sequences,
@@ -32,7 +27,7 @@ EPS = sys.float_info.epsilon
 
 
 def b5(points, values=(5.0, 2.0, 0.0, 3.0, 9.0)):
-    return make_extended5(points, values)
+    return ExtendedBracket5(points, values)
 
 
 def apply_sequence(b, seq):
@@ -150,7 +145,7 @@ class TestStep:
             b = random_bracket5(rng)
             s = rng.uniform(0.1, 10.0)
             t = rng.uniform(-50.0, 50.0)
-            moved = make_extended5(tuple(s * x + t for x in b.x), b.fv)
+            moved = ExtendedBracket5(tuple(s * x + t for x in b.x), b.fv)
             g = eupm_step(moved.x)
             want = s * eupm_step(b.x) + t
             assert g == pytest.approx(want, abs=1e-10 * (abs(want) + s * outer_length(b)))

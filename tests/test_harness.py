@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 from conftest import random_bracket7
 from kinkline.baselines import INVPHI
-from kinkline.brackets import MIN_GAP_FACTOR, Bracket3, BracketError, inner_length, make_extended7
+from kinkline.brackets import (
+    MIN_GAP_FACTOR,
+    Bracket3,
+    BracketError,
+    ExtendedBracket5,
+    ExtendedBracket7,
+    inner3,
+    inner5,
+    inner_length,
+)
 from kinkline.dupm import alpha_floor, alpha_plus, chi, intersection_condition
 from kinkline.eupm import gap_apply_binary
 from kinkline.harness import (
@@ -112,7 +121,7 @@ def _ref_generate_bracket(f, rng):
             continue
         chosen = lefts[-3:] + [(xm, fm)] + rights[:3]
         try:
-            return make_extended7([p[0] for p in chosen], [p[1] for p in chosen])
+            return ExtendedBracket7([p[0] for p in chosen], [p[1] for p in chosen])
         except BracketError:
             continue
     raise ResampleLimitExceededError(f"no valid bracket for {f.fid} in 1000 attempts")
@@ -226,7 +235,7 @@ def test_random_brackets_hold_builtin_floats():
 
 def fake_result(d_values, status=Status.CONVERGED):
     trace = [(i, d, 0.0) for i, d in enumerate(d_values)]
-    b = make_extended7(
+    b = ExtendedBracket7(
         (-3, -2, -1, 0, 1, 2, 3), (9, 4, 1, 0, 1, 4, 9)
     )
     return SolverResult(b, len(d_values) - 1, len(d_values) - 1, trace, status)
@@ -260,13 +269,35 @@ class TestAlgorithmSpecs:
             assert parse_algorithm(spec) == (spec, 0.0)
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            parse_algorithm("newton")
+        # supm takes its constant only after one colon
+        for spec in ("newton", "supm1", "eupm:1"):
+            with pytest.raises(ValueError, match=f"^unknown algorithm spec {spec!r}$"):
+                parse_algorithm(spec)
 
     def test_non_numeric_supm_constant_is_named(self):
-        message = "^expected a finite alpha >= 0 after 'supm:', got 'x'$"
-        with pytest.raises(ValueError, match=message):
-            parse_algorithm("supm:x")
+        for rest in ("x", ":2", ""):
+            message = f"^expected a finite alpha >= 0 after 'supm:', got {rest!r}$"
+            with pytest.raises(ValueError, match=message):
+                parse_algorithm("supm:" + rest)
+
+
+_OWN_SIZE = {"supm": 7, "dupm": 7, "eupm": 5, "mifflin": 5, "brent": 3, "golden": 3}
+
+
+@pytest.mark.parametrize(
+    "kind, size", [(k, n) for k, own in _OWN_SIZE.items() for n in (7, 5, 3) if n != own]
+)
+def test_a_solver_refuses_a_bracket_of_another_size(kind, size):
+    solve, view = harness.SOLVERS[kind]
+    f = get_function("NU3")
+    b7 = generate_bracket(f, np.random.default_rng([0, 3, 9]))
+    given = {7: b7, 5: inner5(b7), 3: inner3(b7)}[size]
+    expected = {7: ExtendedBracket7, 5: ExtendedBracket5, 3: Bracket3}[_OWN_SIZE[kind]]
+    assert type(view(b7)) is expected
+    oracle = testfuncs.oracle_for(f)
+    with pytest.raises(TypeError, match=f"^expected {expected.__name__}, got "):
+        solve(oracle, given)
+    assert oracle.evaluations == 0
 
 
 class TestBenchmark:
@@ -372,6 +403,22 @@ class TestBenchmark:
             ),
             ({"functions": ("NU1",), "trials": 0}, "^trials must be >= 1$"),
             ({"functions": ()}, "^functions must name at least one function$"),
+            (
+                {"functions": ("SU1",), "algorithms": ("supm:1", "SUPM:1.0")},
+                "^algorithm 'SUPM:1.0' listed twice$",
+            ),
+            (
+                {"functions": ("SU1",), "algorithms": ("supm", "supm:0")},
+                "^algorithm 'supm:0' listed twice$",
+            ),
+            (
+                {"functions": ("SU1",), "algorithms": ("supm:1", "SUPM:1", "supm1")},
+                "^unknown algorithm spec 'supm1'$",
+            ),
+            (
+                {"functions": ("SU1",), "algorithms": ()},
+                "^algorithms must name at least one algorithm$",
+            ),
         ],
     )
     def test_config_refuses(self, fields, message):
@@ -534,7 +581,7 @@ def _trace_text(writer, result, header=""):
 
 def _recorded(rows):
     """A recorded result from ``(points, incumbent value)`` rows."""
-    brackets = [make_extended7(x, (3, 2, 1, fm, 1, 2, 3)) for x, fm in rows]
+    brackets = [ExtendedBracket7(x, (3, 2, 1, fm, 1, 2, 3)) for x, fm in rows]
     trace = [(i, b.xr1 - b.xl1, b.fm) for i, b in enumerate(brackets)]
     n = len(rows) - 1
     return SolverResult(brackets[-1], n, n, trace, Status.CONVERGED, bracket_trace=brackets)
@@ -588,7 +635,7 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize("spec", [*PAPER_ALGORITHMS, "golden"])
     def test_runs_from_int_brackets_match_the_reference_writer(self, spec):
-        b = make_extended7((-3, -2, -1, 0, 1, 2, 3), (9, 4, 1, 0, 1, 4, 9))
+        b = ExtendedBracket7((-3, -2, -1, 0, 1, 2, 3), (9, 4, 1, 0, 1, 4, 9))
         res = run_algorithm(spec, lambda x: x * x, b, 1e-8, 500, record_brackets=True)
         assert res.iterations > 0
         assert _trace_text(write_trace_csv, res) == _trace_text(_ref_write_trace_csv, res)
@@ -623,7 +670,7 @@ def ill_scaled_problems(draw):
         a, b, q = (draw(st.floats(0.2, 2.0)) for _ in range(3))
         f = lambda t: max(-a * (t - m), b * (t - m)) + q * (t - m) ** 2
     try:
-        bracket = make_extended7(x, [f(t) for t in x])
+        bracket = ExtendedBracket7(x, [f(t) for t in x])
     except BracketError:
         assume(False)
     return bracket, f

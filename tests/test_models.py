@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, kink_bracket, kink_objective
-from kinkline.brackets import make_extended7
+from kinkline.brackets import ExtendedBracket7
 from kinkline.models import (
     CoincidentPointsError,
     build_model,
-    divided_diff1,
     divided_diff2,
     flank_coeffs,
     model_value,
@@ -23,16 +22,7 @@ EPS = sys.float_info.epsilon
 
 
 class TestDividedDifferences:
-    def test_square_slopes(self):
-        assert divided_diff1(0.0, 1.0, 0.0, 1.0) == 1.0
-        assert divided_diff1(4.0, 1.0, 2.0, 1.0) == 3.0
-
-    def test_symmetry_first(self):
-        assert divided_diff1(3.0, 7.0, 1.0, 2.5) == divided_diff1(7.0, 3.0, 2.5, 1.0)
-
     def test_coincident_rejected(self):
-        with pytest.raises(CoincidentPointsError):
-            divided_diff1(1.0, 2.0, 3.0, 3.0)
         with pytest.raises(CoincidentPointsError):
             divided_diff2(1.0, 2.0, 3.0, 0.0, 1.0, 0.0)
 
@@ -60,20 +50,17 @@ class TestDividedDifferences:
 
 
 def _ref_divided_diff2(fa, fb, fc, a, b, c):
-    """The two-call form: the difference of two first divided differences."""
+    """The difference of two first divided differences, each written out."""
     if a == b or a == c or b == c:
         raise CoincidentPointsError(f"points not pairwise distinct: {a!r}, {b!r}, {c!r}")
-    return (divided_diff1(fa, fb, a, b) - divided_diff1(fa, fc, a, c)) / (b - c)
+    return ((fa - fb) / (a - b) - (fa - fc) / (a - c)) / (b - c)
 
 
 def _ref_flank_coeffs(x, fv, i1, i2, i3):
-    """The three-call form: the slope and both of the curvature's slopes
-    computed afresh."""
-    return (
-        fv[i1],
-        divided_diff1(fv[i1], fv[i2], x[i1], x[i2]),
-        _ref_divided_diff2(fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3]),
-    )
+    """The slope and both of the curvature's slopes computed afresh; the
+    curvature first, so coincident points are refused before a division."""
+    c2 = _ref_divided_diff2(fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3])
+    return fv[i1], (fv[i1] - fv[i2]) / (x[i1] - x[i2]), c2
 
 
 # small integers make coincident points, and exact ties, common
@@ -85,8 +72,9 @@ _triples = st.tuples(_finite, _finite, _finite)
 
 class TestOneCallForms:
     """divided_diff2 and flank_coeffs are one expression each: the same
-    operations in the same order as the forms that called divided_diff1,
-    so the same bits, and the same refusal of coincident points."""
+    operations in the same order as the reference forms, which compute
+    every first difference afresh, so the same bits, and the same refusal
+    of coincident points."""
 
     @settings(max_examples=1000, deadline=None)
     @given(x=_triples, fv=_triples, order=st.permutations([0, 1, 2]))
@@ -121,13 +109,13 @@ class TestOneCallForms:
 
 class TestScaling:
     def test_symmetric(self):
-        b = make_extended7(
+        b = ExtendedBracket7(
             (-3, -2, -1, 0, 1, 2, 3), tuple(v * v for v in (-3, -2, -1, 0, 1, 2, 3))
         )
         assert scaling_h(b.x) == 4.0
 
     def test_uneven(self):
-        b = make_extended7((-1, -0.9, -0.75, 0, 0.6, 0.8, 0.95), (1, 1, 1, 0, 1, 1, 1))
+        b = ExtendedBracket7((-1, -0.9, -0.75, 0, 0.6, 0.8, 0.95), (1, 1, 1, 0, 1, 1, 1))
         assert scaling_h(b.x) == pytest.approx(1.7, abs=0)
 
     def test_bounded_by_outer_length(self):
@@ -145,7 +133,7 @@ def fig1_bracket():
     # -sin(pi x/2) (see the figure-1 sign entry in CHANGES.md)
     f = lambda x: max(-math.sin(0.5 * math.pi * x), 1.0 - math.cos(0.5 * math.pi * x))
     pts = (-1.0, -0.9, -0.75, 0.0, 0.6, 0.8, 0.95)
-    return make_extended7(pts, tuple(f(p) for p in pts)), f
+    return ExtendedBracket7(pts, tuple(f(p) for p in pts)), f
 
 
 class TestModels:

@@ -60,3 +60,27 @@ def test_every_public_top_level_name_is_used():
     public = {name for name in defined if not name.startswith("_")}
     assert len(public) > 80
     assert sorted(public - read) == ["build_model"]
+
+
+def test_every_imported_name_is_read():
+    # a name a module imports but never reads is a dead import; the package
+    # namespace's re-exports and ``annotations`` are not reads.  The one
+    # exception, ``dupm.build_model``, is checked by perfbench's tests.
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read - {"annotations"})]
+    assert unread == ["dupm.build_model"]

@@ -18,7 +18,6 @@ from kinkline.brackets import (
     apply_update,
     inner5,
     inner_length,
-    make_extended7,
 )
 from kinkline.dupm import dupm_step
 from kinkline.eupm import eupm_step
@@ -42,7 +41,7 @@ from kinkline.testfuncs import list_functions, oracle_for
 
 
 def with_values(points, f):
-    return make_extended7(points, tuple(f(p) for p in points))
+    return ExtendedBracket7(points, tuple(f(p) for p in points))
 
 
 def recording(oracle, trials):
@@ -348,9 +347,9 @@ def _update_cases(draw):
     return b, xt, ft
 
 
-_SQUARE7 = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
-_TIGHT7 = make_extended7([1.0 + k * 1e-15 for k in range(7)], (3, 2, 1, 0, 1, 2, 3))
-_FAR7 = make_extended7((-1e9, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
+_SQUARE7 = ExtendedBracket7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
+_TIGHT7 = ExtendedBracket7([1.0 + k * 1e-15 for k in range(7)], (3, 2, 1, 0, 1, 2, 3))
+_FAR7 = ExtendedBracket7((-1e9, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
 
 
 class TestLocalValidation:
@@ -427,7 +426,7 @@ class TestClassification:
 
 class TestUpdates:
     def setup_method(self):
-        self.b = make_extended7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
+        self.b = ExtendedBracket7((1, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
 
     def test_branch1_layout(self):
         nb = update(3.5, -1.0, self.b)[1]
@@ -605,7 +604,7 @@ class TestSolver:
         for func in list_functions():
             for t in range(3):
                 b = generate_bracket(func, np.random.default_rng([64, t]))
-                scaled = make_extended7(b.x, tuple(4.0 * v for v in b.fv))
+                scaled = ExtendedBracket7(b.x, tuple(4.0 * v for v in b.fv))
                 oracle = oracle_for(func)
                 res = run_algorithm(spec, oracle, b, 1e-8, 500, record_brackets=True)
                 res4 = run_algorithm(
@@ -681,7 +680,7 @@ def _ill_scaled_problem(rng):
         a, b = (float(v) for v in rng.uniform(0.2, 2.0, 2))
         f = lambda t, m=m, a=a, b=b: max(-a * (t - m), b * (t - m)) + (t - m) ** 2
         try:
-            return make_extended7(x, [f(t) for t in x]), f
+            return ExtendedBracket7(x, [f(t) for t in x]), f
         except BracketError:
             continue
 
