@@ -5,8 +5,10 @@ Subcommands: ``minimize`` (one seeded run with optional trace dump),
 experiment), ``verify`` (contraction and symmetry checks) and
 ``list-functions``.  Every subcommand is deterministic for a given
 ``--seed``; the ``KINKLINE_SEED`` environment variable supplies a
-fallback seed.  Exit codes: 0 success, 1 solver or check failure,
-2 usage error.
+fallback seed.  Output spells functions and algorithms one way: registry
+ids and :func:`~kinkline.harness.canonical_algorithm` specs.  Exit codes:
+0 success, 1 solver or check failure, 2 usage error, 141 stdout closed
+early (``| head``; 128 + SIGPIPE, as a shell reports a command it ended).
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from . import verify
 from .harness import (
     MAX_BITS,
     PAPER_ALGORITHMS,
+    SOLVERS,
     SUITES,
     BracketPointsError,
     TrialConfig,
+    canonical_algorithm,
     minimize_once,
-    parse_algorithm,
     random_bracket5,
     run_benchmark,
     run_sequence_experiment,
@@ -37,7 +40,7 @@ from .harness import (
     write_trace_csv,
 )
 from .supm import AdjustmentOverflowError
-from .testfuncs import UnknownFunctionError, list_functions
+from .testfuncs import UnknownFunctionError, get_function, list_functions
 
 
 def _checked(convert, ok, wanted: str):
@@ -88,13 +91,13 @@ def _cmd_minimize(args) -> int:
         except ValueError as exc:
             raise _UsageError(f"--bracket: {exc}") from exc
     try:
-        parse_algorithm(args.algorithm)
+        algorithm = canonical_algorithm(args.algorithm)
     except ValueError as exc:
         raise _UsageError(f"--algorithm: {exc}") from exc
     try:
         result, bracket = minimize_once(
             args.function,
-            args.algorithm,
+            algorithm,
             seed=args.seed,
             eps=args.eps,
             budget=args.budget,
@@ -106,6 +109,7 @@ def _cmd_minimize(args) -> int:
         raise _UsageError(f"--bracket: {exc}") from exc
     except AdjustmentOverflowError as exc:
         raise _UsageError(f"--algorithm: {exc}") from exc
+    fid = get_function(args.function).fid
     # opened after the run, which takes milliseconds, so that a bad
     # --function or --bracket leaves an existing trace file as it was
     if args.trace:
@@ -113,14 +117,13 @@ def _cmd_minimize(args) -> int:
             write_trace_csv(
                 result,
                 out,
-                header=f"kinkline minimize function={args.function} "
-                f"algorithm={args.algorithm} seed={args.seed} eps={args.eps:g} "
+                header=f"kinkline minimize function={fid} "
+                f"algorithm={algorithm} seed={args.seed} eps={args.eps:g} "
                 f"budget={args.budget}",
             )
-    d = result.trace[-1][1]
-    fm = result.trace[-1][2]
+    _, d, fm = result.trace[-1]
     print(
-        f"{args.function} {args.algorithm}: {result.status.value} "
+        f"{fid} {algorithm}: {result.status.value} "
         f"iterations={result.iterations} evaluations={result.evaluations} "
         f"d={d:.3e} f={fm:.10g}"
     )
@@ -213,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         default="dupm",
-        help="dupm, eupm, brent, golden, mifflin or supm:<alpha>",
+        help=f"{', '.join(SOLVERS)} or supm:<alpha> (alpha finite, >= 0), any case",
     )
     p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("--eps", type=positive, default=1e-8)
@@ -294,10 +297,15 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_attach_bracket_value(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
     except _UsageError as exc:
         print(f"kinkline {args.command}: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left early: drop the rest of the output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

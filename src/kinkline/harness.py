@@ -45,24 +45,9 @@ PAPER_ALGORITHMS = (
     "mifflin",
 )
 
-_COLUMN_NAMES = {
-    "supm:0": "0",
-    "supm:0.1": "0.1",
-    "supm:1": "1",
-    "supm:10": "10",
-    "eupm": "EUPM",
-    "dupm": "DUPM",
-    "brent": "Brent",
-    "mifflin": "Mifflin",
-    "golden": "Golden",
-}
-
-SUITES = {
-    "su": ("SU1", "SU2", "SU3", "SU4", "SU5", "SU6", "SU7"),
-    "nu": ("NU1", "NU2", "NU3", "NU4", "NU5"),
-    "sm": ("SM1", "SM2", "SM3", "SM4", "SM5", "SM6", "SM7"),
-}
-SUITES["all"] = SUITES["su"] + SUITES["nu"] + SUITES["sm"]
+_IDS = tuple(f.fid for f in list_functions())
+#: ``bench --suite`` choices: one suite per id prefix, and ``all`` in registry order.
+SUITES = {i[:2].lower(): tuple(j for j in _IDS if j[:2] == i[:2]) for i in _IDS} | {"all": _IDS}
 
 
 class ResampleLimitExceededError(RuntimeError):
@@ -160,23 +145,24 @@ def convergence_rate(result: SolverResult) -> float:
 
 
 #: Algorithm kind -> (solver, the part of a seven-point bracket it runs
-#: on): all seven points for the underestimator solvers, the inner five
-#: for the extremal and Mifflin-Strodiot ones, the inner triple for golden
-#: section and Brent.
+#: on, its column label): all seven points for the underestimator solvers,
+#: the inner five for the extremal and Mifflin-Strodiot ones, the inner
+#: triple for golden section and Brent.  A supm column is labelled by its
+#: constant instead.
 SOLVERS = {
-    "supm": (supm_minimize, lambda b: b),
-    "eupm": (eupm_minimize, inner5),
-    "dupm": (dupm_minimize, lambda b: b),
-    "brent": (brent_minimize, inner3),
-    "golden": (golden_section_minimize, inner3),
-    "mifflin": (mifflin_strodiot_minimize, inner5),
+    "supm": (supm_minimize, lambda b: b, "SUPM"),
+    "eupm": (eupm_minimize, inner5, "EUPM"),
+    "dupm": (dupm_minimize, lambda b: b, "DUPM"),
+    "brent": (brent_minimize, inner3, "Brent"),
+    "golden": (golden_section_minimize, inner3, "Golden"),
+    "mifflin": (mifflin_strodiot_minimize, inner5, "Mifflin"),
 }
 
 
 def parse_algorithm(spec: str) -> tuple[str, float]:
     """Split an algorithm spec into (kind, alpha); alpha only for supm,
     spelt ``supm`` (alpha 0) or ``supm:<alpha>``, where it must be finite
-    and >= 0."""
+    and >= 0.  Case is ignored."""
     s = spec.strip().lower()
     kind, colon, rest = s.partition(":")
     if kind == "supm" and colon:
@@ -192,6 +178,14 @@ def parse_algorithm(spec: str) -> tuple[str, float]:
     raise ValueError(f"unknown algorithm spec {spec!r}")
 
 
+def canonical_algorithm(spec: str) -> str:
+    """The spelling of ``spec`` that every output prints: the kind, or
+    ``supm:`` and the shortest repr of alpha, ``-0`` as ``0`` and without a
+    trailing ``.0`` (``SUPM:1.0`` becomes ``supm:1``, ``supm`` ``supm:0``)."""
+    kind, alpha = parse_algorithm(spec)
+    return f"supm:{alpha + 0.0!r}".removesuffix(".0") if kind == "supm" else kind
+
+
 def run_algorithm(
     spec: str,
     oracle,
@@ -203,7 +197,7 @@ def run_algorithm(
     """Run one algorithm from the part of a shared seven-point bracket it
     is defined on (see :data:`SOLVERS`)."""
     kind, alpha = parse_algorithm(spec)
-    solve, view = SOLVERS[kind]
+    solve, view, _ = SOLVERS[kind]
     extra = {"alpha": alpha} if kind == "supm" else {}
     return solve(oracle, view(bracket), eps, budget, record_brackets, **extra)
 
@@ -211,9 +205,9 @@ def run_algorithm(
 @dataclass(frozen=True)
 class TrialConfig:
     """Settings of one benchmark run.  Functions are stored as the
-    registry's canonical ids (``"nu3"`` becomes ``"NU3"``); an empty
-    function or algorithm list, a function listed twice, or two algorithm
-    specs naming one (kind, alpha) pair, is refused with
+    registry's canonical ids (``"nu3"`` becomes ``"NU3"``) and algorithms
+    as :func:`canonical_algorithm` specs; an empty function or algorithm
+    list, or one that names a function or algorithm twice, is refused with
     :class:`ValueError`."""
 
     functions: tuple[str, ...]
@@ -227,18 +221,18 @@ class TrialConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         check_stop_rule(self.eps, self.budget)
-        parsed = [parse_algorithm(spec) for spec in self.algorithms]
+        specs = tuple(map(canonical_algorithm, self.algorithms))
         if not self.functions:
             raise ValueError("functions must name at least one function")
-        if not parsed:
+        if not specs:
             raise ValueError("algorithms must name at least one algorithm")
         fids = tuple(get_function(f).fid for f in self.functions)
         object.__setattr__(self, "functions", fids)
-        listed = (("function", fids, fids), ("algorithm", self.algorithms, parsed))
-        for kind, names, keys in listed:
-            for i, key in enumerate(keys):
-                if key in keys[:i]:
-                    raise ValueError(f"{kind} {names[i]!r} listed twice")
+        object.__setattr__(self, "algorithms", specs)
+        for kind, names in (("function", fids), ("algorithm", specs)):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValueError(f"{kind} {name!r} listed twice")
 
 
 @dataclass(frozen=True)
@@ -260,7 +254,7 @@ class BenchmarkReport:
     cells: dict[tuple[str, str], CellStats]
 
     def cell(self, fid: str, spec: str) -> CellStats:
-        return self.cells[(fid, spec)]
+        return self.cells[(get_function(fid).fid, canonical_algorithm(spec))]
 
 
 def _trial_rates(cfg: TrialConfig, fid: str, t: int) -> list[float]:
@@ -307,10 +301,6 @@ def run_benchmark(cfg: TrialConfig, jobs: int = 1) -> BenchmarkReport:
     return BenchmarkReport(cfg, cells)
 
 
-def _format_rate(r: float) -> str:
-    return "inf" if math.isinf(r) else f"{r:.6f}"
-
-
 def write_benchmark_csv(
     report: BenchmarkReport, out: IO[str], latex_labels: bool = False
 ) -> None:
@@ -324,10 +314,11 @@ def write_benchmark_csv(
         f"# kinkline bench seed={cfg.seed} trials={cfg.trials} "
         f"eps={cfg.eps:g} budget={cfg.budget}\n"
     )
-    out.write("Functions," + ",".join(_COLUMN_NAMES.get(s, s) for s in cfg.algorithms) + "\n")
+    labels = (s.partition(":")[2] or SOLVERS[s][2] for s in cfg.algorithms)
+    out.write("Functions," + ",".join(labels) + "\n")
     for fid in cfg.functions:
         row = [f"$f^{{{fid[:2]}}}_{fid[2:]}$" if latex_labels else fid]
-        row += [_format_rate(report.cell(fid, s).mean_rate) for s in cfg.algorithms]
+        row += [f"{report.cells[fid, s].mean_rate:.6f}" for s in cfg.algorithms]
         out.write(",".join(row) + "\n")
 
 
@@ -472,10 +463,7 @@ def minimize_once(
             raise BracketPointsError(f"not a seven-point bracket: {exc}") from exc
         a, b = min(a, pts[0]), max(b, pts[-1])
     oracle = CountingOracle(func.evaluator, (a, b))
-    result = run_algorithm(
-        algorithm, oracle, bracket, eps, budget, record_brackets=True
-    )
-    return result, bracket
+    return run_algorithm(algorithm, oracle, bracket, eps, budget, record_brackets=True), bracket
 
 
 def write_trace_csv(result: SolverResult, out: IO[str], header: str = "") -> None:

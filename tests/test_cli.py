@@ -1,7 +1,12 @@
 import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kinkline
 from kinkline.cli import main
 from test_seeded_outputs import BENCH_ALL_3_TRIALS_SEED_0
 
@@ -117,6 +122,15 @@ class TestMinimize:
         )
         assert main() == 2
         assert "NU3 cannot be evaluated at x=3.0" in capsys.readouterr().err
+
+    def test_output_spells_function_and_algorithm_as_bench_does(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "minimize", "--function", "nu2", "--algorithm", "SUPM:1.0", "--trace", "-"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("# kinkline minimize function=NU2 algorithm=supm:1 seed=0 ")
+        assert lines[-1].startswith("NU2 supm:1: converged ")
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("KINKLINE_SEED", "11")
@@ -272,3 +286,53 @@ def test_out_of_range_number_is_usage_error(capsys, monkeypatch, argv, env_seed,
     assert code == 2 and out.out == ""
     errors = [l for l in out.err.splitlines() if l.startswith(f"kinkline {argv[0]}: error:")]
     assert len(errors) == 1 and f"{flag}: expected " in errors[0]
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("seqexp", "--bits", "8", "--samples", "10"), ("verify", "--sequences", "--samples", "300")],
+    ids=["seqexp", "verify"],
+)
+def test_closed_stdout_ends_without_traceback(argv, buffered):
+    # the reading end is closed before the child starts, as ``| head -1``
+    # closes it after one line, so the child's first write to it fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = [str(Path(kinkline.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "kinkline.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (141, "")
+
+
+def test_readme_commands_exit_zero(monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in readme.split("```")[1::2]
+        for line in block.splitlines()
+        if "python -m kinkline.cli " in line
+    ]
+    assert len(lines) >= 6
+    for line in lines:
+        words = shlex.split(line)
+        at = words.index("kinkline.cli")
+        for word in words[: at - 2]:  # the environment assignments before ``python -m``
+            name, value = word.split("=", 1)
+            if name != "PYTHONPATH":
+                monkeypatch.setenv(name, value)
+        assert main(words[at + 1 :]) == 0, line
+        monkeypatch.undo()

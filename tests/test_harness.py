@@ -28,8 +28,10 @@ from kinkline.dupm import alpha_floor, alpha_plus, chi, intersection_condition
 from kinkline.eupm import gap_apply_binary
 from kinkline.harness import (
     PAPER_ALGORITHMS,
+    SUITES,
     ResampleLimitExceededError,
     TrialConfig,
+    canonical_algorithm,
     convergence_rate,
     generate_bracket,
     minimize_once,
@@ -274,6 +276,17 @@ class TestAlgorithmSpecs:
             with pytest.raises(ValueError, match=f"^unknown algorithm spec {spec!r}$"):
                 parse_algorithm(spec)
 
+    @pytest.mark.parametrize(
+        "spec, canonical",
+        [("SUPM:1.0", "supm:1"), ("supm:1e22", "supm:1e+22"), (" Brent ", "brent")],
+    )
+    def test_canonical_spelling(self, spec, canonical):
+        assert canonical_algorithm(spec) == canonical
+
+    def test_table_specs_are_canonical(self):
+        specs = PAPER_ALGORITHMS + ("golden",)
+        assert tuple(map(canonical_algorithm, specs)) == specs
+
     def test_non_numeric_supm_constant_is_named(self):
         for rest in ("x", ":2", ""):
             message = f"^expected a finite alpha >= 0 after 'supm:', got {rest!r}$"
@@ -288,7 +301,7 @@ _OWN_SIZE = {"supm": 7, "dupm": 7, "eupm": 5, "mifflin": 5, "brent": 3, "golden"
     "kind, size", [(k, n) for k, own in _OWN_SIZE.items() for n in (7, 5, 3) if n != own]
 )
 def test_a_solver_refuses_a_bracket_of_another_size(kind, size):
-    solve, view = harness.SOLVERS[kind]
+    solve, view, _ = harness.SOLVERS[kind]
     f = get_function("NU3")
     b7 = generate_bracket(f, np.random.default_rng([0, 3, 9]))
     given = {7: b7, 5: inner5(b7), 3: inner3(b7)}[size]
@@ -393,6 +406,36 @@ class TestBenchmark:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
+    # one alpha, one column label, however the spec spells it
+    @pytest.mark.parametrize(
+        "spec, label",
+        [
+            ("supm:1_0", "10"),
+            ("supm:1e1", "10"),
+            ("supm: 1", "1"),
+            ("supm:+1", "1"),
+            ("SUPM:0.10", "0.1"),
+            ("supm", "0"),
+            ("supm:-0", "0"),
+        ],
+    )
+    def test_header_spells_a_supm_constant_once(self, spec, label):
+        cfg = TrialConfig(functions=("SU1",), algorithms=(spec, "eupm"), trials=1)
+        assert cfg.algorithms == (f"supm:{label}", "eupm")
+        report = run_benchmark(cfg)
+        assert report.cell("su1", spec) is report.cells[("SU1", f"supm:{label}")]
+        buf = io.StringIO()
+        write_benchmark_csv(report, buf)
+        assert buf.getvalue().splitlines()[1] == f"Functions,{label},EUPM"
+
+    def test_suites_follow_the_registry(self):
+        fids = [f.fid for f in testfuncs.list_functions()]
+        assert SUITES["all"] == tuple(fids)
+        assert SUITES["su"] + SUITES["nu"] + SUITES["sm"] == SUITES["all"]
+        assert sorted(SUITES) == ["all", "nu", "sm", "su"]
+        for name in ("su", "nu", "sm"):
+            assert len({get_function(f).category for f in SUITES[name]}) == 1
+
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -405,7 +448,7 @@ class TestBenchmark:
             ({"functions": ()}, "^functions must name at least one function$"),
             (
                 {"functions": ("SU1",), "algorithms": ("supm:1", "SUPM:1.0")},
-                "^algorithm 'SUPM:1.0' listed twice$",
+                "^algorithm 'supm:1' listed twice$",
             ),
             (
                 {"functions": ("SU1",), "algorithms": ("supm", "supm:0")},
@@ -418,6 +461,10 @@ class TestBenchmark:
             (
                 {"functions": ("SU1",), "algorithms": ()},
                 "^algorithms must name at least one algorithm$",
+            ),
+            (
+                {"functions": ("SU1",), "algorithms": ("supm:-0", "supm:0")},
+                "^algorithm 'supm:0' listed twice$",
             ),
         ],
     )
