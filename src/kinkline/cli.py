@@ -32,7 +32,6 @@ from .harness import (
     TrialConfig,
     canonical_algorithm,
     minimize_once,
-    random_bracket5,
     run_benchmark,
     run_sequence_experiment,
     write_benchmark_csv,
@@ -171,25 +170,22 @@ def _cmd_verify(args) -> int:
         for seq, (got, worst) in verify.minimal_sequence_ratios(
             rng, args.samples, args.samples
         ).items():
-            good = worst < 0.5
+            good = worst < verify.SEQUENCE_BOUND
             ok &= good
             label = "".join(map(str, seq))
             print(f"{label:<10} {got:>8}  {worst:.12f}  {'ok' if good else 'FAIL'}")
     if args.contraction or run_all:
         rng = np.random.default_rng([args.seed, 5])
         worst, worst_seq, _ = verify.five_step_contraction(rng, args.samples)
-        good = worst <= 0.5 + 1e-12
+        good = worst <= verify.CONTRACTION_BOUND
         ok &= good
         print(
             f"five-step contraction: max ratio {worst:.12f} "
             f"at {''.join(map(str, worst_seq))}  {'ok' if good else 'FAIL'}"
         )
     if args.symmetry or run_all:
-        rng = np.random.default_rng([args.seed, 6])
-        worst = 0.0
-        for _ in range(min(args.samples, 20000)):
-            worst = max(worst, verify.reflection_deviation(random_bracket5(rng)))
-        good = worst <= 1.0
+        worst = verify.reflection_symmetry(np.random.default_rng([args.seed, 6]), args.samples)
+        good = worst <= verify.REFLECTION_BOUND
         ok &= good
         print(f"reflection identities: worst deviation {worst:.3f} of tolerance  "
               f"{'ok' if good else 'FAIL'}")

@@ -10,8 +10,8 @@ The step never consults the objective, so the whole iteration is driven by
 one bit per step (did the trial improve on the incumbent?) plus the sign of
 ``g - xm``.  That makes exhaustive verification possible: this module also
 provides an oracle-free engine that applies update sequences to brackets
-expressed as gap vectors, used to check the five-step halving guarantee and
-the per-sequence contraction ratios by direct enumeration.
+expressed as gap vectors.  The checks that enumerate with it, the sequences
+they sample and the reflection check's bracket draw are :mod:`kinkline.verify`'s.
 """
 
 from __future__ import annotations
@@ -24,25 +24,6 @@ import numpy as np
 from .brackets import ExtendedBracket5, require
 from .result import SolverResult
 from .supm import run_bracket_solver
-
-#: Update sequences whose contraction ratios bound every realizable
-#: five-step sequence (the remaining ones reduce to these by substring
-#: containment or the left/right mirror symmetry).
-MINIMAL_SEQUENCES = (
-    (4, 4),
-    (1, 1, 1),
-    (1, 4, 3),
-    (4, 2, 2),
-    (4, 1, 4),
-    (4, 3, 4),
-    (1, 4, 1, 1),
-    (1, 1, 4, 1),
-    (1, 4, 2, 3),
-    (4, 3, 2, 2),
-    (4, 3, 1, 4),
-    (4, 1, 1, 4),
-)
-
 
 def eupm_step(x: Sequence[float]) -> float:
     """Closed-form trial point; always strictly inside (xl1, xr1).  The

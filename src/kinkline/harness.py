@@ -22,7 +22,7 @@ from .baselines import (
     golden_section_minimize,
     mifflin_strodiot_minimize,
 )
-from .brackets import BracketError, ExtendedBracket5, ExtendedBracket7, inner3, inner5
+from .brackets import BracketError, ExtendedBracket7, inner3, inner5
 from .dupm import dupm_minimize
 from .eupm import eupm_minimize, gap_apply_binary
 from .result import SolverResult, Status
@@ -490,27 +490,4 @@ def write_trace_csv(result: SolverResult, out: IO[str], header: str = "") -> Non
         pl, pm, pr, pf = xl, xm, xr, fm
         lines.append(f"{i},{tl},{tm},{tr},{d!r},{tf}\n")
     out.write("".join(lines))
-
-
-# ---------------------------------------------------------------------------
-# Random five-point brackets for the reflection check.
-# ---------------------------------------------------------------------------
-
-
-def random_bracket5(rng: np.random.Generator) -> ExtendedBracket5:
-    """Five-point bracket of builtin floats with gaps uniform in [0.1, 2),
-    the incumbent uniform in [-10, 10) and arbitrary cached values
-    satisfying the centre condition."""
-    g = rng.uniform(0.1, 2.0, 4)
-    xm = rng.uniform(-10.0, 10.0)
-    x = (xm - g[1] - g[0], xm - g[1], xm, xm + g[2], xm + g[2] + g[3])
-    fm = rng.uniform(-1.0, 1.0)
-    fv = (
-        rng.uniform(-1.0, 1.0),
-        fm + rng.uniform(0.0, 1.0),
-        fm,
-        fm + rng.uniform(0.0, 1.0),
-        rng.uniform(-1.0, 1.0),
-    )
-    return ExtendedBracket5(map(float, x), map(float, fv))
 

@@ -1,7 +1,9 @@
-"""Oracle-free checks of the closed-form step: contraction and symmetry.
+"""Oracle-free checks of the closed-form step: per-sequence ratios, the
+five-step contraction and reflection symmetry.
 
-Each check returns what it measured; the caller chooses the random stream,
-the sample sizes and the bound, and decides pass or fail.
+Each check lives here whole: what it samples, its loop and its bound.  It
+takes a random stream and a sample size and returns what it measured; the
+caller compares that with the bound and decides pass or fail.
 """
 
 from __future__ import annotations
@@ -12,18 +14,38 @@ import sys
 import numpy as np
 
 from .brackets import ExtendedBracket5, apply_update, reflect
-from .eupm import (
-    MINIMAL_SEQUENCES,
-    all_branch_sequences,
-    bracket_check,
-    eupm_step,
-    gap_sequence_ratios,
-)
+from .eupm import all_branch_sequences, bracket_check, eupm_step, gap_sequence_ratios
 from .harness import sample_simplex
+
+#: Update sequences whose contraction ratios bound every realizable
+#: five-step sequence (the remaining ones reduce to these by substring
+#: containment or the left/right mirror symmetry), one length a line.
+MINIMAL_SEQUENCES = (
+    (4, 4),
+    (1, 1, 1), (1, 4, 3), (4, 2, 2), (4, 1, 4), (4, 3, 4),
+    (1, 4, 1, 1), (1, 1, 4, 1), (1, 4, 2, 3), (4, 3, 2, 2), (4, 3, 1, 4), (4, 1, 1, 4),
+)
+
+#: Each minimal sequence's largest ratio must be strictly below this.
+SEQUENCE_BOUND = 0.5
+#: The largest five-step ratio may reach this, one half and rounding.
+CONTRACTION_BOUND = 0.5 + 1e-12
+#: The worst reflection deviation may reach this, in units of tolerance.
+REFLECTION_BOUND = 1.0
 
 #: Draws per sequence after which :func:`minimal_sequence_ratios` stops
 #: short of the requested feasible count.
 MAX_DRAWS = 200
+#: Brackets :func:`reflection_symmetry` draws at most, whatever it is asked.
+MAX_BRACKETS = 20000
+
+
+def _largest_feasible_ratio(rng: np.random.Generator, n: int, seq) -> tuple[float, int]:
+    """Largest ratio of ``seq`` over ``n`` fresh gap vectors from which it
+    is feasible (``-inf`` if none is), and the number of those."""
+    ratios, feas = gap_sequence_ratios(sample_simplex(rng, n), seq)
+    count = int(feas.sum())
+    return (float(np.max(ratios[feas])) if count else -math.inf), count
 
 
 def minimal_sequence_ratios(
@@ -44,10 +66,9 @@ def minimal_sequence_ratios(
         for _ in range(MAX_DRAWS):
             if got >= samples:
                 break
-            ratios, feas = gap_sequence_ratios(sample_simplex(rng, draw), seq)
-            if feas.any():
-                worst = max(worst, float(np.max(ratios[feas])))
-                got += int(feas.sum())
+            ratio, count = _largest_feasible_ratio(rng, draw, seq)
+            worst = max(worst, ratio)
+            got += count
         out[seq] = (got, worst)
     return out
 
@@ -65,13 +86,29 @@ def five_step_contraction(
     worst_seq = None
     feasible = 0
     for seq in all_branch_sequences(5):
-        ratios, feas = gap_sequence_ratios(sample_simplex(rng, samples), seq)
-        feasible += int(feas.sum())
-        if feas.any():
-            m = float(np.max(ratios[feas]))
-            if m > worst:
-                worst, worst_seq = m, seq
+        ratio, count = _largest_feasible_ratio(rng, samples, seq)
+        feasible += count
+        if ratio > worst:
+            worst, worst_seq = ratio, seq
     return worst, worst_seq, feasible
+
+
+def random_bracket5(rng: np.random.Generator) -> ExtendedBracket5:
+    """Five-point bracket of builtin floats with gaps uniform in [0.1, 2),
+    the incumbent uniform in [-10, 10) and arbitrary cached values
+    satisfying the centre condition."""
+    g = rng.uniform(0.1, 2.0, 4)
+    xm = rng.uniform(-10.0, 10.0)
+    x = (xm - g[1] - g[0], xm - g[1], xm, xm + g[2], xm + g[2] + g[3])
+    fm = rng.uniform(-1.0, 1.0)
+    fv = (
+        rng.uniform(-1.0, 1.0),
+        fm + rng.uniform(0.0, 1.0),
+        fm,
+        fm + rng.uniform(0.0, 1.0),
+        rng.uniform(-1.0, 1.0),
+    )
+    return ExtendedBracket5(map(float, x), map(float, fv))
 
 
 def reflection_deviation(b: ExtendedBracket5) -> float:
@@ -96,3 +133,10 @@ def reflection_deviation(b: ExtendedBracket5) -> float:
             mirror = reflect(ExtendedBracket5(mx, mf)).x
             err = max(err, max(abs(u - v) for u, v in zip(direct, mirror)))
     return err / tol
+
+
+def reflection_symmetry(rng: np.random.Generator, samples: int) -> float:
+    """Worst :func:`reflection_deviation` over ``samples`` random brackets,
+    at most :data:`MAX_BRACKETS` of them; 0 when none is drawn."""
+    brackets = (random_bracket5(rng) for _ in range(min(samples, MAX_BRACKETS)))
+    return max(map(reflection_deviation, brackets), default=0.0)

@@ -23,7 +23,6 @@ from kinkline.harness import (
     convergence_rate,
     generate_bracket,
     minimize_once,
-    random_bracket5,
     run_algorithm,
     run_benchmark,
     sample_simplex,
@@ -32,6 +31,7 @@ from kinkline.models import build_model, model_value
 from kinkline.result import Status
 from kinkline.supm import Flanks, supm_step
 from kinkline.testfuncs import get_function, list_functions, oracle_for
+from kinkline.verify import random_bracket5
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"

@@ -20,7 +20,7 @@ from kinkline.brackets import (
     inner_length,
     reflect,
 )
-from kinkline.harness import random_bracket5
+from kinkline.verify import random_bracket5
 
 SEVEN = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
 

@@ -8,7 +8,6 @@ import pytest
 from conftest import bits, outer_length, random_bracket7, update
 from kinkline.brackets import ExtendedBracket5, inner5, inner_length, reflect
 from kinkline.eupm import (
-    MINIMAL_SEQUENCES,
     all_branch_sequences,
     bracket_check,
     eupm_minimize,
@@ -18,10 +17,11 @@ from kinkline.eupm import (
     gap_offset,
     gap_sequence_ratios,
 )
-from kinkline.harness import generate_bracket, random_bracket5, sample_simplex
+from kinkline.harness import generate_bracket, sample_simplex
 from kinkline.result import Status
 from kinkline.supm import default_delta
 from kinkline.testfuncs import list_functions
+from kinkline.verify import MINIMAL_SEQUENCES, random_bracket5
 
 EPS = sys.float_info.epsilon
 

@@ -36,7 +36,6 @@ from kinkline.harness import (
     generate_bracket,
     minimize_once,
     parse_algorithm,
-    random_bracket5,
     run_algorithm,
     run_benchmark,
     run_sequence_experiment,
@@ -49,6 +48,7 @@ from kinkline.result import SolverResult, Status
 from kinkline.supm import Flanks
 from kinkline import harness, testfuncs
 from kinkline.testfuncs import Category, get_function
+from kinkline.verify import random_bracket5
 
 
 class TestGenerateBracket:
