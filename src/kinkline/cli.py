@@ -2,13 +2,15 @@
 
 Subcommands: ``minimize`` (one seeded run with optional trace dump),
 ``bench`` (the rate tables), ``seqexp`` (the oracle-free bit-pattern
-experiment), ``verify`` (contraction and symmetry checks) and
-``list-functions``.  Every subcommand is deterministic for a given
-``--seed``; the ``KINKLINE_SEED`` environment variable supplies a
-fallback seed.  Output spells functions and algorithms one way: registry
-ids and :func:`~kinkline.harness.canonical_algorithm` specs.  Exit codes:
-0 success, 1 solver or check failure, 2 usage error, 141 stdout closed
-early (``| head``; 128 + SIGPIPE, as a shell reports a command it ended).
+experiment), ``verify`` (the per-sequence ratio, contraction and symmetry
+checks of :mod:`kinkline.verify`) and ``list-functions``.  Every subcommand
+is deterministic for a given ``--seed``; the ``KINKLINE_SEED`` environment
+variable supplies a fallback seed.  Output spells functions and algorithms
+one way: registry ids and :func:`~kinkline.harness.canonical_algorithm`
+specs.  Exit codes: 0 success, 1 solver or check failure, 2 usage error or
+a failed write to stdout, ``--out`` or ``--trace`` (one ``cannot write``
+line on stderr, such as on a full disk), 141 stdout closed early
+(``| head``; 128 + SIGPIPE, as a shell reports a command it ended).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from . import verify
 from .harness import (
     MAX_BITS,
+    MAX_SAMPLES,
     PAPER_ALGORITHMS,
     SOLVERS,
     SUITES,
@@ -63,14 +66,17 @@ class _UsageError(Exception):
     the usage exit code 2."""
 
 
+@contextlib.contextmanager
 def _open_out(flag: str, path: str | None):
     """Context manager for an output option: stdout for no path or ``-``,
-    else the file opened for writing, or a :class:`_UsageError` if it cannot
-    be."""
+    else the file opened for writing.  A file that cannot be opened or
+    written raises :class:`_UsageError`; a failed stdout is :func:`main`'s."""
     if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w")
+        with open(path, "w") as out:
+            yield out
     except OSError as exc:
         raise _UsageError(f"{flag}: cannot write {path!r}: {exc.strerror}") from exc
 
@@ -84,7 +90,7 @@ def _cmd_list_functions(args) -> int:
 
 def _cmd_minimize(args) -> int:
     points = None
-    if args.bracket:
+    if args.bracket is not None:
         try:
             points = [float(tok) for tok in args.bracket.split(",")]
         except ValueError as exc:
@@ -111,7 +117,7 @@ def _cmd_minimize(args) -> int:
     fid = get_function(args.function).fid
     # opened after the run, which takes milliseconds, so that a bad
     # --function or --bracket leaves an existing trace file as it was
-    if args.trace:
+    if args.trace is not None:
         with _open_out("--trace", args.trace) as out:
             write_trace_csv(
                 result,
@@ -130,7 +136,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.functions:
+    if args.functions is not None:
         functions = tuple(tok.strip() for tok in args.functions.split(","))
     else:
         functions = SUITES[args.suite]
@@ -201,6 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     count = _checked(int, lambda n: n >= 1, "an integer >= 1")
     seed = _checked(int, lambda n: n >= 0, "an integer >= 0 (--seed or KINKLINE_SEED)")
     positive = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+    samples = _checked(
+        int, lambda n: 1 <= n <= MAX_SAMPLES, f"an integer from 1 to {MAX_SAMPLES}"
+    )
     # argparse passes a string default through ``type``: KINKLINE_SEED is checked as --seed
     seed_default = os.environ.get("KINKLINE_SEED", "0")
 
@@ -250,16 +259,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seqexp", help="bit-pattern contraction experiment")
     bits = _checked(int, lambda n: 1 <= n <= MAX_BITS, f"an integer from 1 to {MAX_BITS}")
     p.add_argument("--bits", type=bits, default=10)
-    p.add_argument("--samples", type=count, default=1000)
+    p.add_argument(
+        "--samples",
+        type=samples,
+        default=1000,
+        help=f"gap vectors per bit pattern, 1 to {MAX_SAMPLES:,}",
+    )
     p.add_argument("--seed", type=seed, default=seed_default)
     p.add_argument("--out", help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_seqexp)
 
-    p = sub.add_parser("verify", help="contraction and symmetry checks")
+    p = sub.add_parser(
+        "verify",
+        help="per-sequence ratio, contraction and symmetry checks",
+        description="Oracle-free checks of the closed-form step; all three "
+        "when none is chosen.",
+    )
     p.add_argument("--sequences", action="store_true", help="per-sequence ratio bounds")
     p.add_argument("--contraction", action="store_true", help="exhaustive five-step bound")
     p.add_argument("--symmetry", action="store_true", help="reflection identities")
-    p.add_argument("--samples", type=count, default=10000)
+    p.add_argument(
+        "--samples",
+        type=samples,
+        default=10000,
+        help="--sequences: feasible gap vectors sought per sequence, and the draw "
+        "size; --contraction: gap vectors drawn per five-step sequence; "
+        f"--symmetry: brackets, at most {verify.MAX_BRACKETS:,} "
+        f"(1 to {MAX_SAMPLES:,})",
+    )
     p.add_argument("--seed", type=seed, default=seed_default)
     p.set_defaults(func=_cmd_verify)
 
@@ -298,9 +325,13 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"kinkline {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:  # the reader left early: drop the rest of the output
+    except OSError as exc:  # stdout failed: drop the rest of the output
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):  # the reader left early
+            return 141
+        print(f"kinkline {args.command}: error: cannot write stdout: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     return code
 
 

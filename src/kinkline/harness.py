@@ -345,6 +345,11 @@ _BLOCK_ROWS = 4000
 #: step 23 and reach zero inner length after about 30.
 MAX_BITS = 20
 
+#: The most gap vectors the sequence experiment draws per pattern, and
+#: ``kinkline verify`` per draw.  A draw holds several arrays of that many
+#: rows at once: ``seqexp --bits 1`` at this bound peaks near 170 MB.
+MAX_SAMPLES = 1_000_000
+
 
 def run_sequence_experiment(
     bits: int = 10, samples: int = 1000, seed: int = 0
@@ -369,7 +374,8 @@ def run_sequence_experiment(
     pattern keeps its own stream ``[seed, 2, index]`` and its rate is the
     mean over its own rows, so the rows do not depend on the block size.
 
-    ``bits`` runs from 1 to :data:`MAX_BITS`.
+    ``bits`` runs from 1 to :data:`MAX_BITS`, ``samples`` from 1 to
+    :data:`MAX_SAMPLES`.
     """
     if bits < 1:
         raise ValueError("bits must be >= 1")
@@ -377,6 +383,8 @@ def run_sequence_experiment(
         raise ValueError(f"bits must be <= {MAX_BITS}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}")
     m = min(bits, max(0, (_BLOCK_ROWS // samples).bit_length() - 1))
     width = 1 << m
     patterns = itertools.product((1, 0), repeat=bits)
@@ -490,4 +498,3 @@ def write_trace_csv(result: SolverResult, out: IO[str], header: str = "") -> Non
         pl, pm, pr, pf = xl, xm, xr, fm
         lines.append(f"{i},{tl},{tm},{tr},{d!r},{tf}\n")
     out.write("".join(lines))
-

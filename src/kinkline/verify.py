@@ -1,9 +1,10 @@
 """Oracle-free checks of the closed-form step: per-sequence ratios, the
 five-step contraction and reflection symmetry.
 
-Each check lives here whole: what it samples, its loop and its bound.  It
-takes a random stream and a sample size and returns what it measured; the
-caller compares that with the bound and decides pass or fail.
+Each check lives here whole: what it samples (:data:`MINIMAL_SEQUENCES`,
+:func:`random_bracket5`), its loop and its bound.  It takes a random stream
+and a sample size and returns what it measured; the caller compares that
+with the bound and decides pass or fail.
 """
 
 from __future__ import annotations

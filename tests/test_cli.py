@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import kinkline
+from kinkline import verify
 from kinkline.cli import main
 from test_seeded_outputs import BENCH_ALL_3_TRIALS_SEED_0
 
@@ -97,6 +98,8 @@ class TestMinimize:
                 "--algorithm: alpha 1e+308 overflows: alpha * h is not finite on the "
                 "starting bracket (h = 2.9602858795804474)",
             ),
+            (("NU3", "--bracket", ""), "--bracket: could not convert string to float: ''"),
+            (("NU3", "--trace", ""), "--trace: cannot write '': No such file or directory"),
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):
@@ -181,7 +184,9 @@ class TestBench:
             main(["bench", "--nope"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("functions, fid", [("XX1", "XX1"), ("SU1,,", "")])
+    @pytest.mark.parametrize(
+        "functions, fid", [("XX1", "XX1"), ("SU1,,", ""), pytest.param("", "", id="empty")]
+    )
     def test_unknown_function_is_usage_error(self, capsys, functions, fid):
         code, out, err = run_cli(capsys, "bench", "--functions", functions, "--trials", "1")
         assert code == 2 and out == ""
@@ -249,6 +254,22 @@ class TestVerify:
         assert code == 0
         assert "five-step contraction" in out and "reflection identities" in out
 
+    @pytest.mark.parametrize(
+        "check, bound, value",
+        [
+            ("--sequences", "SEQUENCE_BOUND", 0.1),
+            ("--contraction", "CONTRACTION_BOUND", 0.1),
+            ("--symmetry", "REFLECTION_BOUND", -1.0),
+        ],
+    )
+    def test_reads_its_bounds_from_verify(self, capsys, monkeypatch, check, bound, value):
+        # every ratio at 300 samples is above 0.1 and no deviation is below 0
+        monkeypatch.setattr(verify, bound, value)
+        code, out, _ = run_cli(capsys, "verify", check, "--samples", "300", "--seed", "0")
+        body = [l for l in out.splitlines() if not l.startswith("sequence ")]
+        assert code == 1
+        assert body and all(line.endswith("  FAIL") for line in body)
+
 
 @pytest.mark.parametrize(
     "argv, env_seed, flag",
@@ -271,6 +292,8 @@ class TestVerify:
         (("minimize", "--function", "NU3", "--algorithm", "supm:inf"), None, "--algorithm"),
         (("minimize", "--function", "NU3", "--eps", "inf"), None, "--eps"),
         (("seqexp", "--bits", "21"), None, "--bits"),
+        (("seqexp", "--bits", "1", "--samples", "1000000000"), None, "--samples"),
+        (("verify", "--contraction", "--samples", "1000000000"), None, "--samples"),
     ],
 )
 def test_out_of_range_number_is_usage_error(capsys, monkeypatch, argv, env_seed, flag):
@@ -288,6 +311,25 @@ def test_out_of_range_number_is_usage_error(capsys, monkeypatch, argv, env_seed,
     assert len(errors) == 1 and f"{flag}: expected " in errors[0]
 
 
+def run_cli_process(argv, stdout, buffered):
+    """Run the CLI in a child process with stdout on ``stdout``; return
+    its exit code and stderr."""
+    path = [str(Path(kinkline.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    run = subprocess.run(
+        [sys.executable, "-m", "kinkline.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    return run.returncode, run.stderr
+
+
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize(
     "argv",
@@ -299,23 +341,36 @@ def test_closed_stdout_ends_without_traceback(argv, buffered):
     # closes it after one line, so the child's first write to it fails
     read_end, write_end = os.pipe()
     os.close(read_end)
-    path = [str(Path(kinkline.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
     try:
-        run = subprocess.run(
-            [sys.executable, "-m", "kinkline.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            env=env,
-            text=True,
-            timeout=60,
-        )
+        assert run_cli_process(argv, write_end, buffered) == (141, "")
     finally:
         os.close(write_end)
-    assert (run.returncode, run.stderr) == (141, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("list-functions",), "cannot write stdout"),
+        (("verify", "--sequences", "--samples", "30"), "cannot write stdout"),
+        (
+            ("bench", "--functions", "NU1", "--trials", "1", "--out", "/dev/full"),
+            "--out: cannot write '/dev/full'",
+        ),
+        (
+            ("minimize", "--function", "NU2", "--trace", "/dev/full"),
+            "--trace: cannot write '/dev/full'",
+        ),
+    ],
+    ids=["stdout-list-functions", "stdout-verify", "bench-out", "minimize-trace"],
+)
+def test_failed_write_is_one_error_line(argv, message, buffered):
+    # a full device: every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        code, err = run_cli_process(argv, full, buffered)
+    assert code == 2
+    assert err == f"kinkline {argv[0]}: error: {message}: No space left on device\n"
 
 
 def test_readme_commands_exit_zero(monkeypatch):

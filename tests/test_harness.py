@@ -538,6 +538,7 @@ class TestSequenceExperiment:
             (0, 10, "^bits must be >= 1$"),
             (3, 0, "^samples must be >= 1$"),
             (21, 10, "^bits must be <= 20$"),
+            (1, 1_000_001, "^samples must be <= 1000000$"),
         ],
     )
     def test_sizes_below_one_refused(self, bits, samples, message):
