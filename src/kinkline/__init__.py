@@ -15,6 +15,7 @@ their modules, e.g. :func:`kinkline.brackets.apply_update`.
 from .brackets import (
     Bracket3,
     BracketError,
+    BracketTooSmallError,
     ExtendedBracket5,
     ExtendedBracket7,
     InvariantBrokenError,
@@ -28,7 +29,6 @@ from .models import CoincidentPointsError
 from .result import SolverResult, Status
 from .supm import (
     AdjustmentOverflowError,
-    BracketTooSmallError,
     NonFiniteValueError,
     supm_minimize,
 )

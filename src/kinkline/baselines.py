@@ -16,10 +16,9 @@ import math
 import sys
 from typing import Callable
 
-from .brackets import Bracket3, ExtendedBracket5, require, trusted_build
+from .brackets import Bracket3, BracketTooSmallError, ExtendedBracket5, require, trusted_build
 from .result import SolverResult
-from .supm import BracketTooSmallError, minimize_max_quadratics
-from .supm import run_bracket_solver, run_solver
+from .supm import minimize_max_quadratics, run_bracket_solver, run_solver
 
 _EPS = sys.float_info.epsilon
 

@@ -1,14 +1,16 @@
-"""The bracket type and its geometry.
+"""The bracket type, its geometry and its arithmetic.
 
 A bracket is an ascending tuple of abscissae whose centre point carries
 the smallest value of the inner triple, so a local minimum is pinned
 inside the incumbent's two neighbours.  One frozen type, :class:`Bracket`,
-holds the points and their values, validates them and names the inner
-triple; it comes in three sizes.  :class:`ExtendedBracket7` carries three
-side points on each flank, enough to fit one quadratic model per side;
-:class:`ExtendedBracket5` is its inner five, which the closed-form step
-needs; :class:`Bracket3` is the inner triple that the classic solvers
-move, with the names ``xl``, ``xr``, ``fl`` and ``fr`` for its ends.
+holds the points and their values as builtin floats, whatever numbers it
+is built from, so no solver computes in NumPy scalars; it validates them
+and names the inner triple, and comes in three sizes.
+:class:`ExtendedBracket7` carries three side points on each flank, enough
+to fit one quadratic model per side; :class:`ExtendedBracket5` is its
+inner five, which the closed-form step needs; :class:`Bracket3` is the
+inner triple that the classic solvers move, with the names ``xl``, ``xr``,
+``fl`` and ``fr`` for its ends.
 
 Every bracket caches the objective value at each point.  Solvers never
 re-query the oracle at a point the bracket already holds; fresh oracle calls
@@ -20,14 +22,18 @@ value tuples, which :func:`apply_update`, the one update step, maps to the
 next pair, checking only what its rule (it owns their numbering) can break.
 Only that loop, handing out tuples :func:`apply_update` made, and golden
 section, whose strictly ascending triples are positional only, may skip
-validation through :func:`trusted_build`.
+validation through :func:`trusted_build`.  The rule that admits a trial
+sits beside the gap check it must clear: :func:`min_separation` keeps it
+:func:`default_delta` away from the incumbent and the inner endpoints, more
+than the :func:`min_gap` that :func:`apply_update` checks.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import is_, itemgetter, pos
 from typing import Sequence
 
 _EPS = sys.float_info.epsilon
@@ -64,9 +70,13 @@ class InvariantBrokenError(RuntimeError):
     NaN trial point; either indicates a bug."""
 
 
-def _check_points(x: Sequence[float], min_gap: float) -> None:
+class BracketTooSmallError(RuntimeError):
+    """No room left for a trial point respecting the minimum separation."""
+
+
+def _check_points(x: Sequence[float], gap: float) -> None:
     for i in range(1, len(x)):
-        if not x[i] - x[i - 1] > min_gap:
+        if not x[i] - x[i - 1] > gap:
             raise NotAscendingError(i)
 
 
@@ -75,6 +85,13 @@ def _check_centre(fv: Sequence[float], c: int) -> None:
         raise NotABracketError(
             f"centre condition violated: f={fv[c - 1]!r}, {fv[c]!r}, {fv[c + 1]!r}"
         )
+
+
+def _floats(v) -> tuple[float, ...]:
+    """``v`` as a tuple of builtin floats; one it holds stays the same object,
+    as does a tuple of only them.  ``+p`` refuses a string ``float`` parses."""
+    t = tuple(map(float, map(pos, v)))
+    return v if type(v) is tuple and all(map(is_, t, v)) else t
 
 
 def trusted_build(cls: type[Bracket], x: tuple[float, ...], fv: tuple[float, ...]) -> Bracket:
@@ -90,7 +107,8 @@ def trusted_build(cls: type[Bracket], x: tuple[float, ...], fv: tuple[float, ...
 class Bracket:
     """Ascending points ``x`` with cached values ``fv``, centre at index
     ``len(x) // 2`` carrying the smallest of the inner value triple.
-    ``x`` and ``fv`` may be any iterables; they are stored as tuples.
+    ``x`` and ``fv`` may be any iterables of real numbers, NumPy's
+    included; they are stored as tuples of builtin floats.
 
     A subclass sets the point count ``_N``, which fixes the centre index
     ``_CENTRE``; adjacent points must lie more than ``_GAP_FACTOR`` times
@@ -110,7 +128,7 @@ class Bracket:
         cls._CENTRE = cls._N // 2
 
     def __post_init__(self):
-        x, fv, n = tuple(self.x), tuple(self.fv), self._N
+        x, fv, n = _floats(self.x), _floats(self.fv), self._N
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "fv", fv)
         if len(x) != n or len(fv) != n:
@@ -118,21 +136,10 @@ class Bracket:
         _check_points(x, self._GAP_FACTOR * _EPS * (x[-1] - x[0]))
         _check_centre(fv, self._CENTRE)
 
-    @property
-    def xl1(self) -> float:
-        return self.x[self._CENTRE - 1]
-
-    @property
-    def xm(self) -> float:
-        return self.x[self._CENTRE]
-
-    @property
-    def xr1(self) -> float:
-        return self.x[self._CENTRE + 1]
-
-    @property
-    def fm(self) -> float:
-        return self.fv[self._CENTRE]
+    xl1 = property(lambda self: self.x[self._CENTRE - 1])
+    xm = property(lambda self: self.x[self._CENTRE])
+    xr1 = property(lambda self: self.x[self._CENTRE + 1])
+    fm = property(lambda self: self.fv[self._CENTRE])
 
 
 class Bracket3(Bracket):
@@ -191,6 +198,60 @@ _PICKERS = {
 _MIN_GAP = MIN_GAP_FACTOR * _EPS
 
 
+def min_gap(x: Sequence[float]) -> float:
+    """The gap adjacent points of the five- or seven-point bracket with
+    points ``x`` must exceed: :data:`MIN_GAP_FACTOR` epsilons of its span."""
+    return _MIN_GAP * (x[-1] - x[0])
+
+
+def default_delta(eps: float, x: Sequence[float]) -> float:
+    """Separation floor on the five- or seven-point bracket with points
+    ``x``: a quarter of the termination scale ``eps``, or, where coarser,
+    its :func:`min_gap` plus one unit of the float grid at the larger inner
+    endpoint.  The grid unit lands a trial on a distinct float; the gap,
+    with half that unit to spare for the clip's rounding, keeps
+    :func:`apply_update` from refusing the trial, whose new bracket spans
+    no more.  Neither term grows as the bracket shrinks."""
+    c = len(x) // 2
+    return max(eps / 4.0, min_gap(x) + math.ulp(max(abs(x[c - 1]), abs(x[c + 1]))))
+
+
+def min_separation(g: float, lo: float, mid: float, hi: float, delta: float) -> float:
+    """Project the proposal ``g`` onto [lo+delta, hi-delta] minus the
+    delta-ball at mid: the trial the update-rule loop evaluates.  Rounding
+    may leave a clipped trial up to half an ulp of itself short of
+    ``delta``.  When both side slots are open, the projection nearer ``g``
+    wins, the left one on a tie, and ``mid - delta`` on an exact tie at the
+    incumbent.  Raises :class:`BracketTooSmallError` when both side slots
+    are empty, and else :class:`InvariantBrokenError` for a NaN ``g``."""
+    # min, max, abs and the key (dq, q) < (dp, p) are spelt out as the
+    # comparisons they make, faster than the calls and, NaN and signed
+    # zeros included, giving what the calls give.
+    lo_in, mid_lo, mid_hi, hi_in = lo + delta, mid - delta, mid + delta, hi - delta
+    left_ok = mid_lo >= lo_in
+    right_ok = hi_in >= mid_hi
+    if not left_ok and not right_ok:
+        raise BracketTooSmallError(
+            f"no admissible trial point in ({lo}, {hi}) with separation {delta}"
+        )
+    if g != g:
+        raise InvariantBrokenError(f"the solver proposed trial {g!r}")
+    if g == mid:
+        return mid_lo if left_ok else mid_hi
+    if left_ok:
+        p = lo_in if lo_in > g else g
+        p = mid_lo if mid_lo < p else p
+        if not right_ok:
+            return p
+    q = mid_hi if mid_hi > g else g
+    q = hi_in if hi_in < q else q
+    if not left_ok:
+        return q
+    dq = q - g if q > g else g - q
+    dp = p - g if p > g else g - p
+    return q if dq < dp or (dq == dp and q < p) else p
+
+
 def apply_update(xtrial: float, ftrial: float, x: tuple, fv: tuple) -> tuple[int, tuple, tuple]:
     """Insert a trial into the five- or seven-point bracket with points
     ``x`` and values ``fv`` by the update rule it calls for; return the
@@ -222,7 +283,7 @@ def apply_update(xtrial: float, ftrial: float, x: tuple, fv: tuple) -> tuple[int
     pick, i = _PICKERS[n][rule]
     nx = pick(x + (xtrial,))
     nf = pick(fv + (ftrial,))
-    gap = _MIN_GAP * (nx[-1] - nx[0])
+    gap = min_gap(nx)
     if nx[i] - nx[i - 1] > gap and nx[i + 1] - nx[i] > gap and nf[c - 1] >= nf[c] <= nf[c + 1]:
         return rule, nx, nf
     try:  # refused: the full check of the new points names the failure

@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=count,
         default=1,
-        help="parallel workers over (function, trial) units; same output",
+        help="parallel workers over (function, trial) units, at most one per unit "
+        "and per usable CPU; same output",
     )
     p.set_defaults(func=_cmd_bench)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -277,17 +278,20 @@ def run_benchmark(cfg: TrialConfig, jobs: int = 1) -> BenchmarkReport:
     get independent oracles and counters.  With ``jobs > 1`` the units run
     in separate processes, about eight chunks of them per worker, so that
     no worker idles long at the end when some functions' trials cost far
-    more than others'.  Each cell takes its rates in trial order, so the
-    outputs are identical either way.
+    more than others'.  A pool starts all its workers at once, so there are
+    at most as many as units and usable CPUs.  Each cell takes its rates in
+    trial order, so the outputs are identical either way.
     """
     fids, trials = zip(*itertools.product(cfg.functions, range(cfg.trials)))
     cfgs = itertools.repeat(cfg)
-    if jobs > 1 and len(fids) > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs, len(fids), cpus or 1)
+    if workers > 1:
         # imported here, so that commands without a pool skip its ~20 ms import
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = -(-len(fids) // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = -(-len(fids) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_trial_rates, cfgs, fids, trials, chunksize=chunk))
     else:
         parts = list(map(_trial_rates, cfgs, fids, trials))

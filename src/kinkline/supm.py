@@ -19,7 +19,8 @@ that move a five- or seven-point bracket by the four update rules
 loop then keeps the trial a minimum separation ``delta`` away from the
 incumbent and the inner endpoints, which guarantees the bracket strictly
 shrinks even when the models misbehave: the solvers propose, the loop
-clips.
+clips.  The clip, like the builtin floats brackets hold, is in
+:mod:`~kinkline.brackets`.
 """
 
 from __future__ import annotations
@@ -28,24 +29,12 @@ import math
 import sys
 from typing import Callable, Iterator, Literal
 
-from .brackets import (
-    MIN_GAP_FACTOR,
-    Bracket,
-    ExtendedBracket7,
-    InvariantBrokenError,
-    apply_update,
-    inner_length,
-    require,
-    trusted_build,
-)
+from .brackets import Bracket, BracketTooSmallError, ExtendedBracket7, apply_update, require
+from .brackets import default_delta, inner_length, min_separation, trusted_build
 from .models import Model, flank_coeffs, scaling_h
 from .result import SolverResult, Status
 
 _EPS = sys.float_info.epsilon
-
-
-class BracketTooSmallError(RuntimeError):
-    """No room left for a trial point respecting the minimum separation."""
 
 
 class NonFiniteValueError(ValueError):
@@ -54,22 +43,6 @@ class NonFiniteValueError(ValueError):
 
 class AdjustmentOverflowError(ValueError):
     """The adjustment ``alpha * h`` of the starting bracket is not finite."""
-
-
-def default_delta(eps: float, x: tuple[float, ...]) -> float:
-    """Separation floor on the five- or seven-point bracket with points
-    ``x``: a quarter of the termination scale ``eps``, or, where coarser,
-    the bracket's minimum gap between adjacent points plus one unit of the
-    float grid at the larger inner endpoint.
-
-    The grid unit lands a trial on a distinct float; the gap, with half
-    that unit to spare for the clip's rounding, keeps the update from
-    refusing the trial, whose new bracket spans no more.  Neither term
-    grows as the bracket shrinks.
-    """
-    c = len(x) // 2
-    gap = MIN_GAP_FACTOR * _EPS * (x[-1] - x[0])
-    return max(eps / 4.0, gap + math.ulp(max(abs(x[c - 1]), abs(x[c + 1]))))
 
 
 #: Kinds of candidate that can minimize the max of two quadratics.
@@ -151,44 +124,6 @@ def minimize_max_quadratics(
     """Minimizer over [left, right] of the pointwise max of two flank
     models; see :func:`argmin_max_quadratics`."""
     return argmin_max_quadratics(ql, qr, left, right, centre)[0]
-
-
-def _min_separation(g: float, lo: float, mid: float, hi: float, delta: float) -> float:
-    """Project ``g`` onto [lo+delta, hi-delta] minus the delta-ball at mid.
-
-    A trial clipped to the float ``mid - delta`` or ``mid + delta`` can lie
-    up to half an ulp of ``mid`` short of ``delta`` from ``mid``.  When
-    both side slots are open, the projection nearer ``g`` wins, and the
-    left one on a tie.  An exact tie at the incumbent resolves to the
-    left, ``mid - delta``.  Raises :class:`BracketTooSmallError` when both
-    side slots are empty.
-    """
-    # The builtins min, max and abs and the tuple key are spelt out as the
-    # comparisons they make, which are faster than the calls: "a if a > g
-    # else g" is max(g, a) and "b if b < p else p" is min(p, b), NaN and
-    # signed zeros included; "q - g if q > g else g - q" is abs(q - g); and
-    # "dq < dp or (dq == dp and q < p)" is (dq, q) < (dp, p).
-    lo_in, mid_lo, mid_hi, hi_in = lo + delta, mid - delta, mid + delta, hi - delta
-    left_ok = mid_lo >= lo_in
-    right_ok = hi_in >= mid_hi
-    if not left_ok and not right_ok:
-        raise BracketTooSmallError(
-            f"no admissible trial point in ({lo}, {hi}) with separation {delta}"
-        )
-    if g == mid:
-        return mid_lo if left_ok else mid_hi
-    if left_ok:
-        p = lo_in if lo_in > g else g
-        p = mid_lo if mid_lo < p else p
-        if not right_ok:
-            return p
-    q = mid_hi if mid_hi > g else g
-    q = hi_in if hi_in < q else q
-    if not left_ok:
-        return q
-    dq = q - g if q > g else g - q
-    dp = p - g if p > g else g - p
-    return q if dq < dp or (dq == dp and q < p) else p
 
 
 class Flanks:
@@ -322,14 +257,14 @@ def run_bracket_solver(
     The loop carries the bracket as its point and value tuples ``x, fv``.
     Each iteration asks ``next_trial(x, fv, branches)`` for the solver's
     proposed trial point, where ``branches`` lists the update rules applied
-    so far, oldest first, and keeps it ``delta`` (:func:`default_delta` of
-    ``x``, which stays ``eps / 4`` once it gets there) away from the
-    incumbent and the inner endpoints, or stalls if there is no room.  A
-    NaN proposal raises :class:`~kinkline.brackets.InvariantBrokenError`
-    before the oracle is called.  It evaluates the trial once and inserts it
-    by :func:`~kinkline.brackets.apply_update`, which picks the update rule.
-    Only a recorded row and the result get a bracket of ``b0``'s type, by
-    the trusted build.  The applied rules are returned in ``branches``.
+    so far, oldest first.  The brackets module admits it: ``min_separation``
+    clips it ``delta`` (``default_delta`` of ``x``, which stays ``eps / 4``
+    once it gets there) away from the incumbent and the inner endpoints,
+    stalls the run if there is no room, and refuses a NaN before the oracle
+    is called.  The loop evaluates the trial once and inserts it by
+    ``apply_update``, which picks the update rule.  Only a recorded row and
+    the result get a bracket of ``b0``'s type, by the trusted build.  The
+    applied rules are returned in ``branches``.
     """
     quarter = eps / 4.0
     branches: list[int] = []
@@ -342,9 +277,7 @@ def run_bracket_solver(
         snapshot = lambda: trusted_build(cls, x, fv)
         yield inner_length(b0), b0.fm, snapshot
         while True:
-            xt = _min_separation(next_trial(x, fv, branches), x[lo], x[c], x[hi], delta)
-            if xt != xt:
-                raise InvariantBrokenError(f"the solver proposed trial {xt!r}")
+            xt = min_separation(next_trial(x, fv, branches), x[lo], x[c], x[hi], delta)
             br, x, fv = apply_update(xt, evaluate(xt), x, fv)
             branches.append(br)
             if delta > quarter:

@@ -109,7 +109,7 @@ def random_bracket5(rng: np.random.Generator) -> ExtendedBracket5:
         fm + rng.uniform(0.0, 1.0),
         rng.uniform(-1.0, 1.0),
     )
-    return ExtendedBracket5(map(float, x), map(float, fv))
+    return ExtendedBracket5(x, fv)
 
 
 def reflection_deviation(b: ExtendedBracket5) -> float:

@@ -59,7 +59,7 @@ def kink_bracket(rng: np.random.Generator, f, k: float, radius: float):
         xm = rng.uniform(k - radius / 100.0, k + radius / 100.0)
         pts = (*lefts, xm, *rights)
         try:
-            return ExtendedBracket7(pts, tuple(float(f(p)) for p in pts))
+            return ExtendedBracket7(pts, map(f, pts))
         except BracketError:
             continue
 
@@ -89,4 +89,4 @@ def random_bracket7(
     )
     fv = list(rng.uniform(0.0, 1.0, 7))
     fv[3] = min(fv[2], fv[4]) - rng.uniform(0.0, 0.5)
-    return ExtendedBracket7(map(float, x), map(float, fv))
+    return ExtendedBracket7(x, fv)

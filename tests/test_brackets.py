@@ -1,25 +1,35 @@
 import dataclasses
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import outer_length, random_bracket7
+from conftest import bits, outer_length, random_bracket7
 from kinkline.brackets import (
     Bracket,
     Bracket3,
     BracketError,
+    BracketTooSmallError,
     ExtendedBracket5,
     ExtendedBracket7,
+    InvariantBrokenError,
     NotABracketError,
     NotAscendingError,
+    apply_update,
+    default_delta,
     inner3,
     inner5,
     inner_length,
+    min_gap,
+    min_separation,
     reflect,
 )
+from kinkline.harness import SOLVERS, generate_bracket, run_algorithm
+from kinkline.testfuncs import list_functions
 from kinkline.verify import random_bracket5
 
 SEVEN = (-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0)
@@ -127,6 +137,122 @@ def test_any_sequences_are_stored_as_tuples(cls, n):
     tx, tf = tuple(x), tuple(fv)
     b = cls(tx, tf)
     assert b.x is tx and b.fv is tf
+
+
+class TestNumberType:
+    """A bracket holds builtin floats, whatever numbers it is built from."""
+
+    X = np.linspace(-3.0, 3.0, 7)
+
+    @staticmethod
+    def f(x):
+        return abs(x - 0.1) + 0.05 * (x - 0.1) ** 2
+
+    def test_numpy_input_is_stored_as_builtin_floats(self):
+        b = ExtendedBracket7(self.X, np.array([self.f(v) for v in self.X]))
+        assert all(type(v) is float for v in b.x + b.fv)
+        assert b == ExtendedBracket7(self.X.tolist(), [self.f(v) for v in self.X.tolist()])
+        t = Bracket3(*self.X[2:5], *map(self.f, self.X[2:5]))
+        assert all(type(v) is float for v in t.x + t.fv)
+
+    @pytest.mark.parametrize("kind", sorted(SOLVERS))
+    def test_every_solver_computes_in_builtin_floats(self, kind):
+        # the same run, bit for bit, from a bracket of NumPy scalars as from
+        # one of builtin floats, and every number it reports a builtin float
+        x = self.X.copy()
+        x[3] = 0.25
+        runs = [
+            run_algorithm(kind, self.f, ExtendedBracket7(pts, vals), 1e-8, 200, True)
+            for pts, vals in (
+                (x, np.array([self.f(v) for v in x])),
+                (x.tolist(), [self.f(v) for v in x.tolist()]),
+            )
+        ]
+        numbers = []
+        for res in runs:
+            brackets = [res.bracket, *res.bracket_trace]
+            numbers.append([v for _, d, fm in res.trace for v in (d, fm)])
+            numbers[-1] += [v for br in brackets for v in br.x + br.fv]
+            assert all(type(v) is float for v in numbers[-1]), kind
+        assert runs[0].iterations == runs[1].iterations > 0
+        assert list(map(bits, numbers[0])) == list(map(bits, numbers[1]))
+
+    @pytest.mark.parametrize("bad", ["0.0", None, b"0.0"])
+    def test_a_point_that_is_no_number_is_refused(self, bad):
+        x, fv = list(SEVEN), [v * v for v in SEVEN]
+        x[3] = bad
+        with pytest.raises(TypeError):
+            ExtendedBracket7(x, fv)
+        with pytest.raises(TypeError):
+            Bracket3(-1.0, bad, 1.0, 1.0, 0.0, 1.0)
+
+
+#: The wide bracket far from zero on which every update-rule spec once
+#: raised: its minimum gap is far coarser than the float grid at 2e7.
+_WIDE = ExtendedBracket7(
+    (1e7, 1.2e7, 1.9e7, 2e7, 2.1e7, 2.8e7, 3e7),
+    [(v - 2e7) ** 2 for v in (1e7, 1.2e7, 1.9e7, 2e7, 2.1e7, 2.8e7, 3e7)],
+)
+
+_seeds = st.integers(0, 2**32 - 1)
+_admission_brackets = st.one_of(
+    st.builds(
+        lambda f, s: generate_bracket(f, np.random.default_rng(s)),
+        st.sampled_from(list_functions()),
+        _seeds,
+    ),
+    _seeds.map(lambda s: random_bracket7(np.random.default_rng(s))),
+    # ill-scaled: gaps of 1e-6 to 1e-3 on an incumbent of 1e7 to 1e8
+    _seeds.map(
+        lambda s: random_bracket7(
+            np.random.default_rng(s), gap_range=(1e-6, 1e-3), centre_range=(1e7, 1e8)
+        )
+    ),
+)
+#: Where a proposal lies: a named point of the bracket, an infinity, or a
+#: fraction of the way from the left inner endpoint to the right one.
+_proposals = st.one_of(
+    st.sampled_from(["xl1", "xm", "xr1", math.inf, -math.inf]), st.floats(-0.5, 1.5)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b=_admission_brackets,
+    five=st.booleans(),
+    where=_proposals,
+    eps=st.sampled_from([1e-8, 1e-3, 1e-14]),
+)
+@example(b=_WIDE, five=False, where="xm", eps=1e-8)
+@example(b=_WIDE, five=True, where="xm", eps=1e-8)
+@example(b=_WIDE, five=False, where=0.5, eps=1e-8)
+def test_admitted_trial_clears_the_gap_check(b, five, where, eps):
+    # the trial-admission rule: a clipped trial lies delta from the
+    # incumbent and the inner endpoints, short by at most half an ulp of
+    # the trial, and the update inserting it accepts it, improving or not
+    if five:
+        b = inner5(b)
+    x, fv, c = b.x, b.fv, b._CENTRE
+    lo, mid, hi = x[c - 1], x[c], x[c + 1]
+    if isinstance(where, str):
+        g = getattr(b, where)
+    else:
+        g = where if math.isinf(where) else lo + where * (hi - lo)
+    delta = default_delta(eps, x)
+    try:
+        xt = min_separation(g, lo, mid, hi, delta)
+    except BracketTooSmallError:  # no room on either side, up to rounding
+        assert max(mid - lo, hi - mid) < 2.0 * delta + 4.0 * math.ulp(max(-lo, hi))
+        return
+    with pytest.raises(InvariantBrokenError, match="proposed trial nan"):
+        min_separation(math.nan, lo, mid, hi, delta)
+    short = Fraction(delta) - Fraction(math.ulp(xt)) / 2
+    for end in (lo, mid, hi):
+        assert abs(Fraction(xt) - Fraction(end)) >= short
+    assert min(xt - lo, abs(xt - mid), hi - xt) > min_gap(x)
+    for ft in (b.fm - 1.0, b.fm + 1.0):
+        _, nx, nf = apply_update(xt, ft, x, fv)
+        type(b)(nx, nf)
 
 
 class TestBracket3:

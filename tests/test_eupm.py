@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bits, outer_length, random_bracket7, update
-from kinkline.brackets import ExtendedBracket5, inner5, inner_length, reflect
+from kinkline.brackets import ExtendedBracket5, default_delta, inner5, inner_length, reflect
 from kinkline.eupm import (
     all_branch_sequences,
     bracket_check,
@@ -19,7 +19,6 @@ from kinkline.eupm import (
 )
 from kinkline.harness import generate_bracket, sample_simplex
 from kinkline.result import Status
-from kinkline.supm import default_delta
 from kinkline.testfuncs import list_functions
 from kinkline.verify import MINIMAL_SEQUENCES, random_bracket5
 

@@ -23,6 +23,8 @@ from kinkline.brackets import (
     inner3,
     inner5,
     inner_length,
+    min_gap,
+    trusted_build,
 )
 from kinkline.dupm import alpha_floor, alpha_plus, chi, intersection_condition
 from kinkline.eupm import gap_apply_binary
@@ -380,6 +382,48 @@ class TestBenchmark:
         for jobs in (2, 3):
             assert run_benchmark(cfg, jobs=jobs).cells == serial.cells
 
+    def test_jobs_start_no_more_workers_than_units_or_cpus(self, monkeypatch):
+        # a process pool forks all its workers at the first submit, so
+        # --jobs 5000 must not ask for 5,000 of them; a stand-in executor
+        # records what is asked for and maps serially
+        import concurrent.futures
+
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                assert chunksize >= 1
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        cfg = TrialConfig(functions=("NU3", "NU5"), algorithms=("golden",), trials=3)
+        serial = run_benchmark(cfg).cells
+        for cpus, jobs, want in [
+            (64, 5000, [6]),  # 2 functions x 3 trials
+            (4, 5000, [4]),
+            (64, 3, [3]),
+            (1, 5000, []),  # one usable CPU: no pool at all
+            (64, 1, []),
+        ]:
+            usable = lambda pid, n=cpus: set(range(n))
+            monkeypatch.setattr(os, "sched_getaffinity", usable, raising=False)
+            asked.clear()
+            assert run_benchmark(cfg, jobs=jobs).cells == serial
+            assert asked == want, (cpus, jobs)
+        one = TrialConfig(functions=("NU3",), algorithms=("golden",), trials=1)
+        asked.clear()
+        assert run_benchmark(one, jobs=5000).cells == run_benchmark(one).cells
+        assert asked == []
+
     def test_serial_runs_import_no_process_pool(self):
         # the pool's module takes about 20 ms to import, which only a
         # parallel bench should pay
@@ -627,9 +671,10 @@ def _trace_text(writer, result, header=""):
     return buf.getvalue()
 
 
-def _recorded(rows):
-    """A recorded result from ``(points, incumbent value)`` rows."""
-    brackets = [ExtendedBracket7(x, (3, 2, 1, fm, 1, 2, 3)) for x, fm in rows]
+def _recorded(rows, build=ExtendedBracket7):
+    """A recorded result from ``(points, incumbent value)`` rows, each
+    bracket made by ``build(points, values)``."""
+    brackets = [build(x, (3, 2, 1, fm, 1, 2, 3)) for x, fm in rows]
     trace = [(i, b.xr1 - b.xl1, b.fm) for i, b in enumerate(brackets)]
     n = len(rows) - 1
     return SolverResult(brackets[-1], n, n, trace, Status.CONVERGED, bracket_trace=brackets)
@@ -669,13 +714,16 @@ class TestTraceCsv:
 
     def test_ints_keep_their_own_text(self):
         # a bracket of Python ints: carried ints print as ints, and a float
-        # equal to a carried int prints as a float
+        # equal to a carried int prints as a float.  A validated bracket
+        # stores floats, so these go in by the trusted build: the writer
+        # itself takes whatever numbers a bracket holds
         res = _recorded(
             [
                 ((-3, -2, -1, 0, 1, 2, 3), 0),
                 ((-3, -2, -1, 0.0, 1, 2, 3), 0),
                 ((-2, -1, 0.0, 0.5, 1, 2, 3), 0.0),
-            ]
+            ],
+            build=lambda x, fv: trusted_build(ExtendedBracket7, x, fv),
         )
         text = _trace_text(write_trace_csv, res, "ints")
         assert text == _trace_text(_ref_write_trace_csv, res, "ints")
@@ -747,7 +795,6 @@ def test_ill_scaled_brackets_end_cleanly(problem):
     # wherever the float grid lets golden section converge and the minimum
     # gap is finer than eps / 16, the separation floor leaves every spec but
     # Brent room not to stall
-    gap = MIN_GAP_FACTOR * sys.float_info.epsilon * (bracket.x[-1] - bracket.x[0])
-    if status.pop("golden") is Status.CONVERGED and gap < 1e-8 / 16:
+    if status.pop("golden") is Status.CONVERGED and min_gap(bracket.x) < 1e-8 / 16:
         del status["brent"]
         assert Status.STALLED not in status.values(), status

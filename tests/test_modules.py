@@ -84,3 +84,19 @@ def test_every_imported_name_is_read():
         }
         unread += [f"{path.stem}.{name}" for name in sorted(imported - read - {"annotations"})]
     assert unread == ["dupm.build_model"]
+
+
+def test_only_brackets_reads_the_minimum_gap_factor():
+    # the trial-admission rule and the gap check it must clear state the
+    # minimum gap once, in brackets; another module calls brackets.min_gap
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "brackets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name == "MIN_GAP_FACTOR":
+                readers.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert readers == []

@@ -10,14 +10,18 @@ from hypothesis import strategies as st
 from conftest import bits, random_bracket7, update
 from kinkline.brackets import (
     BracketError,
+    BracketTooSmallError,
     ExtendedBracket5,
     ExtendedBracket7,
     MIN_GAP_FACTOR,
     InvariantBrokenError,
     TrialAtCenterError,
     apply_update,
+    default_delta,
     inner5,
     inner_length,
+    min_gap,
+    min_separation,
 )
 from kinkline.dupm import dupm_step
 from kinkline.eupm import eupm_step
@@ -26,12 +30,9 @@ from kinkline.models import flank_coeffs, model_value
 from kinkline.result import Status
 from kinkline.supm import (
     AdjustmentOverflowError,
-    BracketTooSmallError,
     Flanks,
     NonFiniteValueError,
-    _min_separation,
     argmin_max_quadratics,
-    default_delta,
     run_bracket_solver,
     run_solver,
     supm_minimize,
@@ -175,7 +176,7 @@ def _ref_argmin_max_quadratics(ql, qr, left, right, centre):
 
 
 def _ref_min_separation(g, lo, mid, hi, delta):
-    """Reference: the list-and-lambda projection _min_separation replaced."""
+    """Reference: the list-and-lambda projection min_separation replaced."""
     left_ok = mid - delta >= lo + delta
     right_ok = hi - delta >= mid + delta
     if not left_ok and not right_ok:
@@ -263,14 +264,18 @@ class TestScoringMatchesReference:
             want = bits(_ref_min_separation(g, lo, mid, hi, delta))
         except BracketTooSmallError:
             with pytest.raises(BracketTooSmallError):
-                _min_separation(g, lo, mid, hi, delta)
+                min_separation(g, lo, mid, hi, delta)
         else:
-            assert bits(_min_separation(g, lo, mid, hi, delta)) == want
+            if g != g:  # the reference passes a NaN on; the clip refuses it
+                with pytest.raises(InvariantBrokenError, match="proposed trial nan"):
+                    min_separation(g, lo, mid, hi, delta)
+            else:
+                assert bits(min_separation(g, lo, mid, hi, delta)) == want
 
     def test_min_separation_ties(self):
-        assert _min_separation(1e-20, -4.0, 0.0, 4.0, 1.0) == -1.0
-        assert _min_separation(0.0, -4.0, 0.0, 4.0, 1.0) == -1.0
-        assert _min_separation(0.0, -1.5, 0.0, 4.0, 1.0) == 1.0
+        assert min_separation(1e-20, -4.0, 0.0, 4.0, 1.0) == -1.0
+        assert min_separation(0.0, -4.0, 0.0, 4.0, 1.0) == -1.0
+        assert min_separation(0.0, -1.5, 0.0, 4.0, 1.0) == 1.0
 
     def test_real_roots_keeps_a_grazing_intersection(self):
         # (u - 1)^2 lifted by 2 ulps: the discriminant is -8 eps, rounding
@@ -504,8 +509,7 @@ class TestSolver:
         assert res.status in (Status.CONVERGED, Status.BUDGET_EXHAUSTED, Status.STALLED)
         assert len(trials) == res.iterations > 0
         for br, x in zip(res.bracket_trace, trials):
-            gap = MIN_GAP_FACTOR * sys.float_info.epsilon * (br.x[-1] - br.x[0])
-            assert min(x - br.xl1, abs(x - br.xm), br.xr1 - x) > gap
+            assert min(x - br.xl1, abs(x - br.xm), br.xr1 - x) > min_gap(br.x)
 
     def test_trace_monotone(self):
         from conftest import kink_bracket, kink_objective
@@ -555,7 +559,7 @@ class TestSolver:
                     else:
                         g = supm_step(fl, float(spec.split(":")[1]))
                     delta = default_delta(1e-8, br.x)
-                    assert xt == _min_separation(g, br.xl1, br.xm, br.xr1, delta)
+                    assert xt == min_separation(g, br.xl1, br.xm, br.xr1, delta)
 
     def test_one_flank_is_recomputed_per_iteration(self, monkeypatch):
         # the first iteration computes both flanks' coefficients; each later
@@ -626,8 +630,8 @@ class TestSolver:
         assert b.xl1 < float(str(exc.value).split("x=")[1]) < b.xr1
 
     def test_nan_proposal_is_refused_before_the_oracle(self):
-        # a NaN proposal passes the separation rule unchanged; the loop
-        # names it rather than handing it to the oracle
+        # the separation rule names a NaN proposal rather than letting the
+        # loop hand it to the oracle
         b = with_values((-3, -2, -1, 0.5, 1, 2, 3), lambda x: x * x)
         trials = []
         with pytest.raises(InvariantBrokenError, match="proposed trial nan"):
@@ -652,9 +656,7 @@ def _ref_run_bracket_solver(oracle, b0, eps, budget, next_trial, record_brackets
         while True:
             x = b.x
             g = next_trial(x, b.fv, branches)
-            xt = _min_separation(g, x[c - 1], x[c], x[c + 1], delta)
-            if xt != xt:
-                raise InvariantBrokenError(f"the solver proposed trial {xt!r}")
+            xt = min_separation(g, x[c - 1], x[c], x[c + 1], delta)
             ft = evaluate(xt)
             if xt == b.xm:
                 raise TrialAtCenterError(f"trial coincides with incumbent at {xt!r}")
@@ -797,10 +799,11 @@ class TestConfig:
                     run_algorithm(f"supm:{bad}", oracle, b, 1e-8, 500)
                 with pytest.raises(ValueError, match="alpha must be finite and >= 0"):
                     supm_minimize(oracle, b, alpha=float(bad))
-            # finite, but alpha * h overflows on this bracket (h = xr3 - xl1 = 4)
+            # finite, but alpha * h overflows on this bracket (h = xr3 - xl1 = 4,
+            # a float: the bracket stores its integer points as floats)
             message = (
                 r"^alpha 1e\+308 overflows: alpha \* h is not finite on the starting "
-                r"bracket \(h = 4\)$"
+                r"bracket \(h = 4\.0\)$"
             )
             with pytest.raises(AdjustmentOverflowError, match=message):
                 run_algorithm("supm:1e308", oracle, b, 1e-8, 500)
