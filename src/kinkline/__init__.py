@@ -21,6 +21,7 @@ from .brackets import (
     InvariantBrokenError,
     NotABracketError,
     NotAscendingError,
+    NotFiniteError,
     TrialAtCenterError,
     inner3,
     inner5,

@@ -3,9 +3,9 @@
 A bracket is an ascending tuple of abscissae whose centre point carries
 the smallest value of the inner triple, so a local minimum is pinned
 inside the incumbent's two neighbours.  One frozen type, :class:`Bracket`,
-holds the points and their values as builtin floats, whatever numbers it
-is built from, so no solver computes in NumPy scalars; it validates them
-and names the inner triple, and comes in three sizes.
+holds the points and their values as finite builtin floats, whatever
+numbers it is built from, so no solver computes in NumPy scalars; it
+validates them and names the inner triple, and comes in three sizes.
 :class:`ExtendedBracket7` carries three side points on each flank, enough
 to fit one quadratic model per side; :class:`ExtendedBracket5` is its
 inner five, which the closed-form step needs; :class:`Bracket3` is the
@@ -14,7 +14,10 @@ inner triple that the classic solvers move, with the names ``xl``, ``xr``,
 
 Every bracket caches the objective value at each point.  Solvers never
 re-query the oracle at a point the bracket already holds; fresh oracle calls
-happen only at new trial points.
+happen only at new trial points.  Two tuples of builtin floats are kept as
+they are; other numbers are converted by ``float(+e)``, which refuses a
+string, bytes or None.  Validation refuses, in this order, a NaN or
+infinite point or value, a gap too small and a centre that is not minimal.
 
 A validated :class:`Bracket` crosses the edges: solver inputs, results and
 recorded brackets.  Inside the update-rule loop a bracket is its point and
@@ -33,10 +36,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from operator import is_, itemgetter, pos
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 _EPS = sys.float_info.epsilon
+_FLOAT = frozenset([float])
 
 #: Adjacent points of a five- or seven-point bracket closer than this
 #: multiple of machine epsilon times the bracket diameter are rejected:
@@ -60,6 +64,10 @@ class NotABracketError(BracketError):
     """The centre point is not a minimum of the inner value triple."""
 
 
+class NotFiniteError(BracketError):
+    """A point or value is NaN or infinite; the message names its index."""
+
+
 class TrialAtCenterError(ValueError):
     """A trial point coincided with the incumbent; the separation rule
     should have prevented this."""
@@ -74,40 +82,43 @@ class BracketTooSmallError(RuntimeError):
     """No room left for a trial point respecting the minimum separation."""
 
 
-def _check_points(x: Sequence[float], gap: float) -> None:
+def _check(x: tuple, fv: tuple, c: int, gap: float) -> None:
+    """Refuse points ``x`` and values ``fv`` (centre ``c``) by the first rule they break."""
+    a = x[0]
+    for b in x[1:]:
+        if not b - a > gap:
+            break
+        a = b
+    else:  # no gap failed, so every point is finite (the sum may still overflow)
+        if math.isfinite(sum(fv)) and fv[c - 1] >= fv[c] <= fv[c + 1]:
+            return
+    for what, v in (("point", x), ("value", fv)):
+        for i, e in enumerate(v):
+            if not math.isfinite(e):
+                raise NotFiniteError(f"{what} {i} is not finite: {e!r}")
     for i in range(1, len(x)):
         if not x[i] - x[i - 1] > gap:
             raise NotAscendingError(i)
-
-
-def _check_centre(fv: Sequence[float], c: int) -> None:
     if not (fv[c - 1] >= fv[c] <= fv[c + 1]):
         raise NotABracketError(
             f"centre condition violated: f={fv[c - 1]!r}, {fv[c]!r}, {fv[c + 1]!r}"
         )
 
 
-def _floats(v) -> tuple[float, ...]:
-    """``v`` as a tuple of builtin floats; one it holds stays the same object,
-    as does a tuple of only them.  ``+p`` refuses a string ``float`` parses."""
-    t = tuple(map(float, map(pos, v)))
-    return v if type(v) is tuple and all(map(is_, t, v)) else t
-
-
 def trusted_build(cls: type[Bracket], x: tuple[float, ...], fv: tuple[float, ...]) -> Bracket:
     """The trusted build: an unchecked ``cls`` of the tuples ``x`` and ``fv``,
     for the update-rule loop and golden section; see the module docstring."""
     b = object.__new__(cls)
-    object.__setattr__(b, "x", x)
-    object.__setattr__(b, "fv", fv)
+    d = b.__dict__
+    d["x"], d["fv"] = x, fv
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Bracket:
     """Ascending points ``x`` with cached values ``fv``, centre at index
     ``len(x) // 2`` carrying the smallest of the inner value triple.
-    ``x`` and ``fv`` may be any iterables of real numbers, NumPy's
+    ``x`` and ``fv`` may be any iterables of finite real numbers, NumPy's
     included; they are stored as tuples of builtin floats.
 
     A subclass sets the point count ``_N``, which fixes the centre index
@@ -127,14 +138,14 @@ class Bracket:
         super().__init_subclass__(**kwargs)
         cls._CENTRE = cls._N // 2
 
-    def __post_init__(self):
-        x, fv, n = _floats(self.x), _floats(self.fv), self._N
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "fv", fv)
-        if len(x) != n or len(fv) != n:
-            raise BracketError(f"need exactly {n} points and {n} values")
-        _check_points(x, self._GAP_FACTOR * _EPS * (x[-1] - x[0]))
-        _check_centre(fv, self._CENTRE)
+    def __init__(self, x: Iterable[float], fv: Iterable[float]):
+        if not (type(x) is type(fv) is tuple and _FLOAT.issuperset(map(type, x + fv))):
+            x, fv = tuple([float(+e) for e in x]), tuple([float(+e) for e in fv])
+        if not len(x) == len(fv) == self._N:
+            raise BracketError(f"need exactly {self._N} points and {self._N} values")
+        _check(x, fv, self._CENTRE, self._GAP_FACTOR * _EPS * (x[-1] - x[0]))
+        d = self.__dict__  # frozen: the fields go straight into the instance dict
+        d["x"], d["fv"] = x, fv
 
     xl1 = property(lambda self: self.x[self._CENTRE - 1])
     xm = property(lambda self: self.x[self._CENTRE])
@@ -145,8 +156,8 @@ class Bracket:
 class Bracket3(Bracket):
     """Three points ``xl < xm < xr`` with ``f(xl) >= f(xm) <= f(xr)``.
 
-    Guarantees a local minimum in ``(xl, xr)``.  Only coincident points
-    are refused: the classic solvers divide by no gap.
+    Guarantees a local minimum in ``(xl, xr)``.  Its gap rule refuses only
+    coincident points: the classic solvers divide by no gap.
     """
 
     _N = 3
@@ -269,7 +280,8 @@ def apply_update(xtrial: float, ftrial: float, x: tuple, fv: tuple) -> tuple[int
     trial and the new centre triple.  The new ends are old points, so the
     span cannot grow (float subtraction is monotone) and every kept gap of
     a checked ``x`` still clears the minimum gap.  A refusal raises the
-    full check's error, wrapped in :class:`InvariantBrokenError`.
+    full check's error, wrapped in :class:`InvariantBrokenError`.  It
+    takes no infinite ``ftrial``, which the solver loop never passes.
     """
     n = len(x)
     c = n >> 1
@@ -286,9 +298,8 @@ def apply_update(xtrial: float, ftrial: float, x: tuple, fv: tuple) -> tuple[int
     gap = min_gap(nx)
     if nx[i] - nx[i - 1] > gap and nx[i + 1] - nx[i] > gap and nf[c - 1] >= nf[c] <= nf[c + 1]:
         return rule, nx, nf
-    try:  # refused: the full check of the new points names the failure
-        _check_points(nx, gap)
-        _check_centre(nf, c)
+    try:  # refused: the full check of the new bracket names the failure
+        _check(nx, nf, c, gap)
     except BracketError as exc:
         raise InvariantBrokenError(
             f"update {rule} with trial {xtrial!r} broke the bracket: {exc}"

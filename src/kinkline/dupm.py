@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 from .brackets import ExtendedBracket7, require
 from .eupm import eupm_step
-from .models import divided_diff2, model_value
+from .models import flank_coeffs, model_value
 # Not called here (the models come from the carried Flanks record), but
 # perfbench/test_perfbench.py checks that tracing restores this binding.
 from .models import build_model  # noqa: F401
@@ -61,11 +61,11 @@ def alpha_floor(fl: Flanks) -> float:
     is a bracket's :class:`~kinkline.supm.Flanks`, as for the functions
     below.  Each flank's curvature is compared with the centre second
     divided difference through the incumbent and the flank's two inner
-    points.
+    points: the ``c2`` of :func:`~kinkline.models.flank_coeffs` on them.
     """
     x, fv = fl.x, fl.fv
-    dl = divided_diff2(fv[3], fv[2], fv[1], x[3], x[2], x[1])
-    dr = divided_diff2(fv[3], fv[4], fv[5], x[3], x[4], x[5])
+    dl = flank_coeffs(x, fv, 3, 2, 1)[2]
+    dr = flank_coeffs(x, fv, 3, 4, 5)[2]
     return max(fl.left[2] - dl, fl.right[2] - dr) / fl.h
 
 

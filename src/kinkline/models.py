@@ -14,8 +14,8 @@ Newton form; expanding to monomials loses accuracy once the bracket is
 tiny and far from zero.  A flank's unadjusted coefficients
 (:func:`flank_coeffs`) depend on its own three points and values alone, so
 a solver may carry them, bit for bit, across an update that leaves that
-flank's points in place.
-Each divided difference is one expression, computed in one call.
+flank's points in place.  :func:`flank_coeffs` is the one divided-difference
+function; each of its differences is one expression, computed in one call.
 """
 
 from __future__ import annotations
@@ -31,19 +31,6 @@ Model = tuple[float, float, float, float, float]
 
 class CoincidentPointsError(ValueError):
     """Divided differences need pairwise distinct abscissae."""
-
-
-def divided_diff2(fa: float, fb: float, fc: float, a: float, b: float, c: float) -> float:
-    """Second divided difference; equals f''/2 exactly on quadratics.
-
-    Symmetric in all three points.  Kept beside :func:`flank_coeffs`, whose
-    ``(x, fv, 3, 2, 1)[2]`` has the same bits, for ``dupm.alpha_floor``: 430
-    ns a call against 620 ns (``timeit``, 2-core Xeon), 0.4 µs of a 20 µs
-    DUPM iteration.
-    """
-    if a == b or a == c or b == c:
-        raise CoincidentPointsError(f"points not pairwise distinct: {a!r}, {b!r}, {c!r}")
-    return ((fa - fb) / (a - b) - (fa - fc) / (a - c)) / (b - c)
 
 
 def scaling_h(x: Sequence[float]) -> float:
@@ -64,8 +51,8 @@ def model_value(m: Model, x):
 def flank_coeffs(x, fv, i1: int, i2: int, i3: int) -> tuple[float, float, float]:
     """Newton coefficients ``(c0, c1, c2)`` of the quadratic through points
     i1, i2, i3 (inner first) of the abscissae ``x`` and values ``fv``,
-    before any curvature adjustment.  ``c2`` reuses the slope ``c1``: the
-    same operations, in the same order, as :func:`divided_diff2`."""
+    before any curvature adjustment.  ``c2``, the second divided difference,
+    reuses the slope ``c1``; it equals f''/2 exactly on quadratics."""
     x1, x2, x3, f1, f3 = x[i1], x[i2], x[i3], fv[i1], fv[i3]
     if x1 == x2 or x1 == x3 or x2 == x3:
         raise CoincidentPointsError(f"points not pairwise distinct: {x1!r}, {x2!r}, {x3!r}")

@@ -19,6 +19,7 @@ from kinkline.brackets import (
     InvariantBrokenError,
     NotABracketError,
     NotAscendingError,
+    NotFiniteError,
     apply_update,
     default_delta,
     inner3,
@@ -117,6 +118,27 @@ class TestOneBracketType:
             with pytest.raises(NotAscendingError) as exc:
                 build(cls, x, fv)
             assert exc.value.index == n - 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_number_is_refused_by_its_index(self, cls, n, bad):
+        # every point and every value, with the gap check (which a
+        # non-finite point fails at another index) made to fail too
+        for what in ("point", "value"):
+            for i in range(n):
+                for gap_ok in (True, False):
+                    x, fv = parabola(n)
+                    (x if what == "point" else fv)[i] = bad
+                    if not gap_ok:  # the last point other than i onto the first
+                        others = [j for j in range(n) if j != i]
+                        x[others[-1]] = x[others[0]]
+                    with pytest.raises(NotFiniteError) as exc:
+                        build(cls, x, fv)
+                    assert str(exc.value) == f"{what} {i} is not finite: {bad!r}"
+
+    def test_finite_values_whose_sum_overflows_are_accepted(self, cls, n):
+        x, fv = parabola(n)
+        fv = [v and 1e308 for v in fv]  # 0.0 at the centre, 1e308 elsewhere
+        assert build(cls, x, fv).fv == tuple(fv)
 
     def test_immutable(self, cls, n):
         b = build(cls, *parabola(n))

@@ -100,6 +100,11 @@ class TestMinimize:
             ),
             (("NU3", "--bracket", ""), "--bracket: could not convert string to float: ''"),
             (("NU3", "--trace", ""), "--trace: cannot write '': No such file or directory"),
+            # NU3 is finite at inf, so the bracket refuses the point itself
+            (
+                ("NU3", "--bracket", "-1,-0.5,-0.2,0,0.2,0.5,inf"),
+                "--bracket: not a seven-point bracket: point 6 is not finite: inf",
+            ),
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):
@@ -373,11 +378,15 @@ def test_failed_write_is_one_error_line(argv, message, buffered):
     assert err == f"kinkline {argv[0]}: error: {message}: No space left on device\n"
 
 
+def _readme_blocks():
+    """The fenced code blocks of README.md, each from its info string on."""
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text().split("```")[1::2]
+
+
 def test_readme_commands_exit_zero(monkeypatch):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     lines = [
         line
-        for block in readme.split("```")[1::2]
+        for block in _readme_blocks()
         for line in block.splitlines()
         if "python -m kinkline.cli " in line
     ]
@@ -391,3 +400,13 @@ def test_readme_commands_exit_zero(monkeypatch):
                 monkeypatch.setenv(name, value)
         assert main(words[at + 1 :]) == 0, line
         monkeypatch.undo()
+
+
+def test_readme_python_examples_run(capsys):
+    tag = "python\n"
+    blocks = [block[len(tag) :] for block in _readme_blocks() if block.startswith(tag)]
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
+    # the library example prints its run's status first
+    assert capsys.readouterr().out.startswith("Status.CONVERGED ")

@@ -19,7 +19,7 @@ from kinkline.dupm import (
 )
 from kinkline.eupm import eupm_step
 from kinkline.harness import generate_bracket
-from kinkline.models import build_model, divided_diff2, flank_coeffs, scaling_h
+from kinkline.models import build_model, flank_coeffs, scaling_h
 from kinkline.result import Status
 from kinkline.supm import Flanks, argmin_max_quadratics, supm_step
 from kinkline.testfuncs import get_function, oracle_for
@@ -251,12 +251,12 @@ class TestFlanks:
 
     def test_flank_data_is_computed_once_per_iteration(self, monkeypatch):
         # per iteration: the flank the update changed (both on a run's
-        # first), the two centre second divided differences, and one
-        # max-model minimization per condition check, none left for the
-        # step; the concavity threshold only when the first check fails
+        # first) and the two centre second divided differences, all three
+        # by flank_coeffs, and one max-model minimization per condition
+        # check, none left for the step; the concavity threshold only when
+        # the first check fails
         counts = Counter()
         targets = {
-            "divided_diff2": divided_diff2,
             "flank_coeffs": flank_coeffs,
             "argmin_max_quadratics": argmin_max_quadratics,
             "intersection_condition": intersection_condition,
@@ -291,8 +291,7 @@ class TestFlanks:
                 iterations += res.iterations
                 runs += 1
         assert counts["escalate_alpha"] == iterations > 0
-        assert counts["flank_coeffs"] == iterations + runs
-        assert counts["divided_diff2"] == 2 * iterations
+        assert counts["flank_coeffs"] == 3 * iterations + runs
         assert counts["argmin_max_quadratics"] == counts["intersection_condition"]
         assert counts["alpha_plus"] == counts["escalations with more than one check"] > 0
 

@@ -11,7 +11,6 @@ from kinkline.brackets import ExtendedBracket7
 from kinkline.models import (
     CoincidentPointsError,
     build_model,
-    divided_diff2,
     flank_coeffs,
     model_value,
     scaling_h,
@@ -21,31 +20,36 @@ from kinkline.supm import Flanks, supm_step
 EPS = sys.float_info.epsilon
 
 
+def dd2(fa, fb, fc, a, b, c):
+    """The second divided difference through (a, fa), (b, fb), (c, fc)."""
+    return flank_coeffs((a, b, c), (fa, fb, fc), 0, 1, 2)[2]
+
+
 class TestDividedDifferences:
     def test_coincident_rejected(self):
         with pytest.raises(CoincidentPointsError):
-            divided_diff2(1.0, 2.0, 3.0, 0.0, 1.0, 0.0)
+            dd2(1.0, 2.0, 3.0, 0.0, 1.0, 0.0)
 
     def test_square_curvature(self):
-        assert divided_diff2(0.0, 1.0, 4.0, 0.0, 1.0, 2.0) == 1.0
+        assert dd2(0.0, 1.0, 4.0, 0.0, 1.0, 2.0) == 1.0
 
     def test_affine_curvature_zero(self):
         f = lambda x: 3.0 * x - 2.0
-        assert divided_diff2(f(0.3), f(1.7), f(-2.0), 0.3, 1.7, -2.0) == pytest.approx(
+        assert dd2(f(0.3), f(1.7), f(-2.0), 0.3, 1.7, -2.0) == pytest.approx(
             0.0, abs=1e-15
         )
 
     def test_cubic_curvature(self):
         f = lambda x: x**3
-        assert divided_diff2(f(0.0), f(1.0), f(2.0), 0.0, 1.0, 2.0) == pytest.approx(3.0)
+        assert dd2(f(0.0), f(1.0), f(2.0), 0.0, 1.0, 2.0) == pytest.approx(3.0)
 
     @given(st.permutations([0.4, 1.3, -2.2]))
     @settings(max_examples=20, deadline=None)
     def test_full_symmetry_second(self, pts):
         f = lambda x: math.sin(x)
         a, b, c = pts
-        ref = divided_diff2(f(0.4), f(1.3), f(-2.2), 0.4, 1.3, -2.2)
-        got = divided_diff2(f(a), f(b), f(c), a, b, c)
+        ref = dd2(f(0.4), f(1.3), f(-2.2), 0.4, 1.3, -2.2)
+        got = dd2(f(a), f(b), f(c), a, b, c)
         assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -71,10 +75,10 @@ _triples = st.tuples(_finite, _finite, _finite)
 
 
 class TestOneCallForms:
-    """divided_diff2 and flank_coeffs are one expression each: the same
-    operations in the same order as the reference forms, which compute
-    every first difference afresh, so the same bits, and the same refusal
-    of coincident points."""
+    """flank_coeffs is one expression: the same operations in the same
+    order as the reference form, which computes every first difference
+    afresh, so the same bits, the second divided difference ``c2``
+    included, and the same refusal of coincident points."""
 
     @settings(max_examples=1000, deadline=None)
     @given(x=_triples, fv=_triples, order=st.permutations([0, 1, 2]))
@@ -86,23 +90,16 @@ class TestOneCallForms:
     @example(x=(0.0, 5e-324, 1e-323), fv=(1.0, 0.0, 1.0), order=[1, 0, 2])
     def test_bits_match_the_reference_forms(self, x, fv, order):
         i1, i2, i3 = order
-        args = (fv[i1], fv[i2], fv[i3], x[i1], x[i2], x[i3])
         try:
-            want2 = _ref_divided_diff2(*args)
             want = _ref_flank_coeffs(x, fv, i1, i2, i3)
         except CoincidentPointsError:
             with pytest.raises(CoincidentPointsError):
-                divided_diff2(*args)
-            with pytest.raises(CoincidentPointsError):
                 flank_coeffs(x, fv, i1, i2, i3)
             return
-        assert bits(divided_diff2(*args)) == bits(want2)
         assert [bits(v) for v in flank_coeffs(x, fv, i1, i2, i3)] == [bits(v) for v in want]
 
     def test_coincident_points_refused_at_every_pair(self):
         for x in ((1.0, 1.0, 2.0), (1.0, 2.0, 1.0), (2.0, 1.0, 1.0), (0.0, -0.0, 1.0)):
-            with pytest.raises(CoincidentPointsError):
-                divided_diff2(1.0, 2.0, 3.0, *x)
             with pytest.raises(CoincidentPointsError):
                 flank_coeffs(x, (1.0, 2.0, 3.0), 0, 1, 2)
 

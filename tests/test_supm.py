@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, random_bracket7, update
@@ -315,31 +315,33 @@ def _ref_layout(branch, xtrial, ftrial, b):
 
 @st.composite
 def _update_cases(draw):
-    """A valid five- or seven-point bracket and a trial: on either side of
-    the incumbent, at or one ulp beside an inner point, outside the inner
-    interval, anywhere in the bracket, or NaN; with a value that often ties
-    one of the bracket's."""
+    """A five- or seven-point bracket, valid by construction, and a trial:
+    on either side of the incumbent, at or one ulp beside an inner point,
+    outside the inner interval, anywhere in the bracket, or NaN; with a
+    value that often ties one of the bracket's."""
     cls = draw(st.sampled_from([ExtendedBracket5, ExtendedBracket7]))
     n, c = cls._N, cls._CENTRE
     # tiny scales make a one-ulp step wider than the minimum gap
     base = draw(st.one_of(st.integers(-3, 3).map(float), st.floats(-8.0, 8.0)))
     scale = draw(st.sampled_from([1.0, 1e-3, 1e-13, 1e-15]))
-    ks = sorted(draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=True)))
-    x = [base + scale * k for k in ks]
+    # gaps of one to six units.  A unit is at least two ulps of every
+    # point, so rounding leaves each gap above half a unit, and that clears
+    # the minimum gap, 16 eps times a span of at most 36 units
+    unit = max(scale, 2.0 * math.ulp(abs(base) + 1.0))
+    ks = [draw(st.integers(-20, 0))]
+    for _ in range(n - 1):
+        ks.append(ks[-1] + draw(st.integers(1, 6)))
+    x = [base + unit * k for k in ks]
     # an outer point far out: dropping it shrinks the span, and the minimum
-    # gap, by orders of magnitude.  Only at the two wide scales: at 1e-13 and
-    # 1e-15 the far point's minimum gap (16 eps * 1e9, about 3.6e-6) exceeds
-    # every gap the draw can make, so no such bracket is valid
+    # gap, by orders of magnitude.  Only at the two wide scales, where a
+    # unit clears the far point's minimum gap (16 eps * 1e9, about 3.6e-6)
     far = draw(st.sampled_from([None, 0, n - 1])) if scale >= 1e-3 else None
     if far is not None:
         x[far] += 1e9 if far else -1e9
     x = tuple(x)
     fv = list(draw(st.lists(_num, min_size=n, max_size=n)))
     fv[c] = min(fv[c - 1 : c + 2])
-    try:
-        b = cls(x, tuple(fv))
-    except BracketError:
-        assume(False)
+    b = cls(x, tuple(fv))
     inner = [x[c - 1], x[c], x[c + 1]]
     inf = math.inf
     trials = [t for p in inner for t in (p, math.nextafter(p, -inf), math.nextafter(p, inf))]
@@ -360,7 +362,8 @@ _FAR7 = ExtendedBracket7((-1e9, 2, 3, 4, 5, 6, 7), (9, 4, 1, 0, 1, 4, 9))
 class TestLocalValidation:
     """apply_update picks the rule a trial calls for, checks only what that
     rule changed, and must refuse exactly what the full constructor
-    refuses, with the same message."""
+    refuses, with the same message, for every trial value but an infinite
+    one, which the solver loop never passes it."""
 
     @settings(max_examples=1000, deadline=None)
     @given(case=_update_cases())
@@ -371,9 +374,12 @@ class TestLocalValidation:
     @example((_FAR7, 4.000001, -1.0))
     # one ulp beside the incumbent of a wide bracket: the gap is too small
     @example((_SQUARE7, math.nextafter(4.0, 5.0), 0.5))
-    # a trial outside the inner interval, a NaN trial and a NaN value
+    # a trial outside the inner interval, then a NaN or infinite trial and a
+    # NaN value, these four refused as not finite
     @example((_SQUARE7, 5.5, 0.5))
     @example((_SQUARE7, math.nan, -1.0))
+    @example((_SQUARE7, math.inf, -1.0))
+    @example((_SQUARE7, -math.inf, 0.5))
     @example((_SQUARE7, 3.5, math.nan))
     # a value tie with the incumbent on either side holds the centre
     @example((_SQUARE7, 3.5, 0.0))
@@ -619,7 +625,9 @@ class TestSolver:
                     (br.x, br.fv) for br in res4.bracket_trace
                 ], (func.fid, t)
 
-    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    # +inf included: apply_update, which the update-rule solvers call next,
+    # takes no infinite trial value
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf])
     @pytest.mark.parametrize(
         "spec", ["supm:1", "eupm", "dupm", "mifflin", "brent", "golden"]
     )
