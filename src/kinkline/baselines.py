@@ -109,10 +109,11 @@ def brent_minimize(
     the interval and moves less than half the step taken two iterations
     ago; otherwise a golden step into the larger sub-interval is taken.
     A minimum spacing keeps the parabola denominators alive; a probe that
-    spacing would put outside the open interval ends the run as stalled,
-    before it is evaluated.  Runs in :func:`~kinkline.supm.run_solver`;
-    its brackets are validated, as the incumbent's value never exceeds an
-    end's.
+    spacing would put outside the open interval, or onto the incumbent
+    (a spacing that rounds to zero near the subnormal range), ends the run
+    as stalled, before it is evaluated.  Runs in
+    :func:`~kinkline.supm.run_solver`; its brackets are validated, as the
+    incumbent's value never exceeds an end's.
     """
     require(b0, Bracket3)
 
@@ -155,6 +156,8 @@ def brent_minimize(
             u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0.0 else -tol1)
             if not a < u < b:
                 raise BracketTooSmallError(f"probe {u!r} outside ({a!r}, {b!r})")
+            if u == x:  # the spacing rounded to zero
+                raise BracketTooSmallError(f"probe {u!r} at the incumbent")
             fu = evaluate(u)
             if fu <= fx:
                 if u >= x:

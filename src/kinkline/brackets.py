@@ -17,7 +17,11 @@ re-query the oracle at a point the bracket already holds; fresh oracle calls
 happen only at new trial points.  Two tuples of builtin floats are kept as
 they are; other numbers are converted by ``float(+e)``, which refuses a
 string, bytes or None.  Validation refuses, in this order, a NaN or
-infinite point or value, a gap too small and a centre that is not minimal.
+infinite point or value; for five and seven points, a span whose square
+overflows (above about 1.34e154), since the closed-form step multiplies
+two gaps; a gap too small; and a centre that is not minimal.  Each rule is
+stated once: the gap is :func:`min_gap` for five and seven points, and
+zero for three, which refuse only coincident points.
 
 A validated :class:`Bracket` crosses the edges: solver inputs, results and
 recorded brackets.  Inside the update-rule loop a bracket is its point and
@@ -40,6 +44,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 _EPS = sys.float_info.epsilon
+_INF = math.inf
 _FLOAT = frozenset([float])
 
 #: Adjacent points of a five- or seven-point bracket closer than this
@@ -84,18 +89,23 @@ class BracketTooSmallError(RuntimeError):
 
 def _check(x: tuple, fv: tuple, c: int, gap: float) -> None:
     """Refuse points ``x`` and values ``fv`` (centre ``c``) by the first rule they break."""
+    span = x[-1] - x[0]
     a = x[0]
     for b in x[1:]:
         if not b - a > gap:
             break
         a = b
-    else:  # no gap failed, so every point is finite (the sum may still overflow)
-        if math.isfinite(sum(fv)) and fv[c - 1] >= fv[c] <= fv[c + 1]:
+    else:  # ascending points with a finite squared span are finite, and a
+        # finite sum says the values are; an overflow of either from finite
+        # numbers falls through to the naming path, which decides it
+        if span * span < _INF and math.isfinite(sum(fv)) and fv[c - 1] >= fv[c] <= fv[c + 1]:
             return
     for what, v in (("point", x), ("value", fv)):
         for i, e in enumerate(v):
             if not math.isfinite(e):
                 raise NotFiniteError(f"{what} {i} is not finite: {e!r}")
+    if len(x) > 3 and not span * span < _INF:
+        raise BracketError(f"span {span!r} too wide: its square overflows")
     for i in range(1, len(x)):
         if not x[i] - x[i - 1] > gap:
             raise NotAscendingError(i)
@@ -122,9 +132,10 @@ class Bracket:
     included; they are stored as tuples of builtin floats.
 
     A subclass sets the point count ``_N``, which fixes the centre index
-    ``_CENTRE``; adjacent points must lie more than ``_GAP_FACTOR`` times
-    machine epsilon times the bracket's span apart.  Instances are
-    immutable, so one bracket can start many solvers.
+    ``_CENTRE``.  Five or seven points must span less than about 1.34e154,
+    so that its square is finite, and adjacent ones must lie more than
+    :func:`min_gap` apart.  Instances are immutable, so one bracket can
+    start many solvers.
     """
 
     x: tuple[float, ...]
@@ -132,7 +143,6 @@ class Bracket:
 
     _N = 0
     _CENTRE = 0
-    _GAP_FACTOR = MIN_GAP_FACTOR
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -143,7 +153,7 @@ class Bracket:
             x, fv = tuple([float(+e) for e in x]), tuple([float(+e) for e in fv])
         if not len(x) == len(fv) == self._N:
             raise BracketError(f"need exactly {self._N} points and {self._N} values")
-        _check(x, fv, self._CENTRE, self._GAP_FACTOR * _EPS * (x[-1] - x[0]))
+        _check(x, fv, self._CENTRE, min_gap(x) if self._N > 3 else 0.0)
         d = self.__dict__  # frozen: the fields go straight into the instance dict
         d["x"], d["fv"] = x, fv
 
@@ -156,12 +166,12 @@ class Bracket:
 class Bracket3(Bracket):
     """Three points ``xl < xm < xr`` with ``f(xl) >= f(xm) <= f(xr)``.
 
-    Guarantees a local minimum in ``(xl, xr)``.  Its gap rule refuses only
-    coincident points: the classic solvers divide by no gap.
+    Guarantees a local minimum in ``(xl, xr)``.  It refuses only
+    coincident points, whatever its span: the classic solvers divide by no
+    gap and multiply no two.
     """
 
     _N = 3
-    _GAP_FACTOR = 0.0
 
     def __init__(self, xl: float, xm: float, xr: float, fl: float, fm: float, fr: float):
         super().__init__((xl, xm, xr), (fl, fm, fr))
@@ -211,7 +221,9 @@ _MIN_GAP = MIN_GAP_FACTOR * _EPS
 
 def min_gap(x: Sequence[float]) -> float:
     """The gap adjacent points of the five- or seven-point bracket with
-    points ``x`` must exceed: :data:`MIN_GAP_FACTOR` epsilons of its span."""
+    points ``x`` must exceed: :data:`MIN_GAP_FACTOR` epsilons of its span,
+    the one spelling that the constructor, :func:`apply_update` and
+    :func:`default_delta` share."""
     return _MIN_GAP * (x[-1] - x[0])
 
 

@@ -132,6 +132,16 @@ class TestBrent:
             rates.append(convergence_rate(res))
         assert sum(rates) / len(rates) >= 0.3  # nowhere near its smooth-case speed
 
+    def test_a_spacing_that_rounds_to_zero_stalls(self):
+        # on the subnormal grid at eps 5e-324 the minimum spacing rounds to
+        # zero, so a probe lands on the incumbent: the run stalls before
+        # evaluating it, where it once ended with two coincident points
+        tiny = 5e-324
+        b = Bracket3(-2 * tiny, 0.0, 2 * tiny, 2 * tiny, 0.0, 2 * tiny)
+        res = brent_minimize(abs, b, eps=tiny)
+        assert res.status is Status.STALLED
+        assert res.evaluations == res.iterations == 1
+
 
 def test_brent_brackets_validate_and_golden_triples_ascend():
     # Brent's brackets come from the validating constructor, so each one

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from kinkline.brackets import (
     reflect,
 )
 from kinkline.harness import SOLVERS, generate_bracket, run_algorithm
+from kinkline.result import Status
 from kinkline.testfuncs import list_functions
 from kinkline.verify import random_bracket5
 
@@ -349,3 +351,46 @@ class TestInnerViews:
         rng = np.random.default_rng(4)
         for _ in range(500):
             inner3(random_bracket7(rng))
+
+
+#: The widest span whose square is still finite, about 1.34e154.
+SQRT_MAX = math.sqrt(sys.float_info.max)
+
+
+class TestSpan:
+    """Five and seven points must span less than the square root of the
+    largest float; three points may span any finite width."""
+
+    def test_a_three_point_bracket_may_span_the_float_range(self):
+        b = Bracket3(-1e308, 0.0, 1e308, 1.0, 0.0, 1.0)
+        assert b.x == (-1e308, 0.0, 1e308)
+        for kind in ("golden", "brent"):
+            res = SOLVERS[kind][0](abs, b, 1e-8, 100)
+            assert isinstance(res.status, Status), kind
+
+    def test_a_span_that_overflows_is_refused_by_name(self):
+        # the points ascend, so the refusal names the span, not an index
+        with pytest.raises(BracketError) as exc:
+            ExtendedBracket5((-1e308, -1.0, 0.0, 1.0, 1e308), (1.0, 1.0, 0.0, 1.0, 1.0))
+        assert type(exc.value) is BracketError
+        assert str(exc.value) == "span inf too wide: its square overflows"
+
+    @pytest.mark.parametrize("factor", [0.999, 1.001])
+    def test_the_limit_is_the_square_root_of_the_largest_float(self, factor):
+        span = factor * SQRT_MAX
+        x = (-span / 2, -span / 4, 0.0, span / 4, span / 2)
+        fv = (1.0, 1.0, 0.0, 1.0, 1.0)
+        if factor > 1.0:
+            with pytest.raises(BracketError, match=f"^{re.escape(f'span {span!r}')} too wide"):
+                ExtendedBracket5(x, fv)
+            return
+        b = ExtendedBracket5(x, fv)
+        for kind in ("eupm", "mifflin"):
+            res = SOLVERS[kind][0](abs, b, 1e-8, 100)
+            assert isinstance(res.status, Status), kind
+
+    def test_a_span_the_closed_form_step_overflows_on_is_refused(self):
+        # the gaps' products overflow in the closed-form step, which then
+        # proposed a NaN trial from this bracket
+        with pytest.raises(BracketError, match=r"^span 4e\+155 too wide"):
+            ExtendedBracket5((-2e155, -1e155, 1e154, 1e155, 2e155), (1, 1, 0, 1, 1))

@@ -1,14 +1,22 @@
+import argparse
+import contextlib
+import functools
+import io
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import kinkline
 from kinkline import verify
-from kinkline.cli import main
+from kinkline.cli import build_parser, main
+from kinkline.harness import MAX_BITS, MAX_SAMPLES, SOLVERS, SUITES
 from test_seeded_outputs import BENCH_ALL_3_TRIALS_SEED_0
 
 
@@ -104,6 +112,15 @@ class TestMinimize:
             (
                 ("NU3", "--bracket", "-1,-0.5,-0.2,0,0.2,0.5,inf"),
                 "--bracket: not a seven-point bracket: point 6 is not finite: inf",
+            ),
+            # the closed-form step's products of two gaps would overflow
+            (
+                (
+                    "NU2", "--algorithm", "eupm",
+                    "--bracket", "-1e300,-5e299,-1e299,-3e298,1e299,5e299,1e300",
+                ),
+                "--bracket: not a seven-point bracket: span 2e+300 too wide: "
+                "its square overflows",
             ),
         ],
     )
@@ -410,3 +427,96 @@ def test_readme_python_examples_run(capsys):
         exec(compile(code, "README.md", "exec"), {})
     # the library example prints its run's status first
     assert capsys.readouterr().out.startswith("Status.CONVERGED ")
+
+
+#: A file the drawn command line may name for --out or --trace, and a path
+#: in a directory that does not exist.
+_FILE, _MISSING = "<file>", "<missing>"
+#: A bracket the closed-form step's products of two gaps overflow on.
+_HUGE = "-1e300,-5e299,-1e299,-3e298,1e299,5e299,1e300"
+#: Values drawn for each option of the parser: valid ones, boundaries (0,
+#: 1, the largest a run here uses, one past the maximum), empty strings,
+#: non-finite numbers and unknown ids.  The values drawn keep runs small:
+#: --trials at most 3, --samples at most 100, --bits at most 4, --budget
+#: at most 50 and --jobs 1 or 2.
+_OPTION_VALUES = {
+    "--function": ("NU2", "nu3", "SU1", "NU9", ""),
+    "--functions": ("NU1", "nu1,SU1", "NU1,nu1", "NU9", ""),
+    "--algorithm": (*SOLVERS, "SUPM:0.1", "supm:-1", "supm:inf", "newton", ""),
+    "--seed": ("0", "7", "-1", "x"),
+    "--eps": ("1e-8", "1e-3", "0", "-1", "nan", "inf", ""),
+    "--budget": ("1", "50", "0", "-5", ""),
+    "--trials": ("1", "3", "0", "-1", ""),
+    "--samples": ("1", "100", "0", str(MAX_SAMPLES + 1), ""),
+    "--bits": ("1", "4", "0", str(MAX_BITS + 1), ""),
+    "--jobs": ("1", "2", "0", ""),
+    "--bracket": (
+        "-1.811263,-2.171330,-2.23927,1.820150,2.102197,2.293404,2.334091",
+        _HUGE,
+        "-1e308,-2,-1,0,1,2,1e308",
+        "-1,-0.5,-0.2,0,0.2,0.5,inf",
+        "1,2,3",
+        "",
+    ),
+    "--suite": (*SUITES, "xx"),
+    "--skip": ("mifflin", "brent"),
+    "--out": (_FILE, _MISSING, "-", ""),
+    "--trace": (_FILE, _MISSING, "-", ""),
+}
+#: Options a run's size rests on, drawn on every command line that has them
+#: so that no default (1,000 trials, 10 bits, 10,000 samples) runs.
+_ALWAYS = {"--trials", "--bits", "--samples"}
+
+
+@functools.cache
+def _subcommands():
+    """Each subcommand's options: the long flag and whether it takes a value."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [(a.option_strings[-1], a.nargs != 0) for a in p._actions if a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+
+
+def test_every_option_has_drawn_values():
+    flags = {flag for opts in _subcommands().values() for flag, takes in opts if takes}
+    assert flags == set(_OPTION_VALUES)
+
+
+@st.composite
+def command_lines(draw):
+    name = draw(st.sampled_from(sorted(_subcommands())))
+    argv = [name]
+    for flag, takes_value in draw(st.permutations(_subcommands()[name])):
+        if not (flag in _ALWAYS or draw(st.booleans())):
+            continue
+        argv.append(flag)
+        if takes_value:
+            argv.append(draw(st.sampled_from(_OPTION_VALUES[flag])))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(command_lines())
+@example(["minimize", "--function", "NU2", "--algorithm", "eupm", "--bracket", _HUGE])
+@example(["minimize", "--function", "NU2", "--bracket", _HUGE, "--trace", _FILE])
+def test_drawn_command_lines_exit_by_the_documented_codes(argv):
+    # exit 0, 1, 2 or 141 and never a traceback; a usage error prints one
+    # error line and leaves an existing --out or --trace file as it was
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "kept.csv"
+        path.write_text("kept\n")
+        paths = {_FILE: str(path), _MISSING: str(Path(tmp) / "missing" / "x.csv")}
+        argv = [paths.get(word, word) for word in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own refusals
+                code = exc.code
+        assert code in (0, 1, 2, 141), argv
+        event(f"{argv[0]}: exit {code}")
+        if code == 2:
+            errors = [line for line in err.getvalue().splitlines() if ": error: " in line]
+            assert len(errors) == 1, (argv, err.getvalue())
+            assert path.read_text() == "kept\n", argv

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bracket7
@@ -47,7 +47,7 @@ from kinkline.harness import (
     write_trace_csv,
 )
 from kinkline.result import SolverResult, Status
-from kinkline.supm import Flanks
+from kinkline.supm import AdjustmentOverflowError, Flanks, NonFiniteValueError
 from kinkline import harness, testfuncs
 from kinkline.testfuncs import Category, get_function
 from kinkline.verify import random_bracket5
@@ -737,6 +737,19 @@ class TestTraceCsv:
         assert _trace_text(write_trace_csv, res) == _trace_text(_ref_write_trace_csv, res)
 
 
+def assert_ends_cleanly(res, spec):
+    """A run of ``spec`` ended with a status, its trace columns never
+    increase, and it spent one oracle call per iteration (plus golden
+    section's two upfront probes)."""
+    assert res.status in (Status.CONVERGED, Status.BUDGET_EXHAUSTED, Status.STALLED)
+    ds = [row[1] for row in res.trace]
+    fs = [row[2] for row in res.trace]
+    assert all(d2 <= d1 for d1, d2 in zip(ds, ds[1:])), spec
+    assert all(f2 <= f1 for f1, f2 in zip(fs, fs[1:])), spec
+    upfront = 2 if spec == "golden" and res.evaluations else 0
+    assert res.evaluations == res.iterations + upfront, spec
+
+
 @st.composite
 def ill_scaled_problems(draw):
     """A seven-point bracket centred up to 1e8 from zero, with gaps from 1e-6
@@ -780,13 +793,7 @@ def test_ill_scaled_brackets_end_cleanly(problem):
     for spec in PAPER_ALGORITHMS + ("golden",):
         res = run_algorithm(spec, f, bracket, 1e-8, 100)
         status[spec] = res.status
-        assert res.status in (Status.CONVERGED, Status.BUDGET_EXHAUSTED, Status.STALLED)
-        ds = [row[1] for row in res.trace]
-        fs = [row[2] for row in res.trace]
-        assert all(d2 <= d1 for d1, d2 in zip(ds, ds[1:])), spec
-        assert all(f2 <= f1 for f1, f2 in zip(fs, fs[1:])), spec
-        upfront = 2 if spec == "golden" and res.evaluations else 0
-        assert res.evaluations == res.iterations + upfront, spec
+        assert_ends_cleanly(res, spec)
         b = res.bracket
         if isinstance(b, Bracket3):
             assert b.xl < b.xm < b.xr, spec
@@ -798,3 +805,95 @@ def test_ill_scaled_brackets_end_cleanly(problem):
     if status.pop("golden") is Status.CONVERGED and min_gap(bracket.x) < 1e-8 / 16:
         del status["brent"]
         assert Status.STALLED not in status.values(), status
+
+
+#: The widest span of five or seven points whose square is finite.
+SQRT_MAX = math.sqrt(sys.float_info.max)
+#: The smallest subnormal float.
+TINY = 5e-324
+#: Every spec, by the size of the bracket it runs on (see ``harness.SOLVERS``).
+SPECS_BY_SIZE = {
+    3: ("brent", "golden"),
+    5: ("eupm", "mifflin"),
+    7: PAPER_ALGORITHMS[:4] + ("dupm",),
+}
+#: The bracket type of each size.
+BRACKETS = {3: lambda x, fv: Bracket3(*x, *fv), 5: ExtendedBracket5, 7: ExtendedBracket7}
+
+
+@st.composite
+def extreme_problems(draw):
+    """Points of a three-, five- or seven-point bracket on the subnormal
+    grid, at unit scale, near the square root of the largest float or near
+    the largest float, centred on either zero or off it, with gaps that may
+    vanish; an objective with its minimum near the centre, or constant (all
+    values tie); and a termination scale from 1e-2 to 1e-16 of the span,
+    at least the smallest subnormal."""
+    n = draw(st.sampled_from([3, 5, 7]))
+    scale = draw(
+        st.one_of(
+            st.integers(1, 10**6).map(lambda k: k * TINY),
+            st.floats(1e-3, 1e3),
+            st.floats(0.05, 0.6).map(lambda r: r * SQRT_MAX),
+            st.floats(1e300, 1e308),
+        )
+    )
+    centre = draw(st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0).map(lambda r: r * scale))
+    x = [centre]
+    weights = st.floats(0.05, 1.0) | st.floats(0.0, 1.0)
+    for i, w in enumerate(draw(st.lists(weights, min_size=n - 1, max_size=n - 1))):
+        if i < n // 2:
+            x.insert(0, x[0] - w * scale)
+        else:
+            x.append(x[-1] + w * scale)
+    lo, mid, hi = x[n // 2 - 1 : n // 2 + 2]
+    m = mid + draw(st.floats(-0.5, 0.5)) * min(mid - lo, hi - mid)
+    if not math.isfinite(m):
+        m = mid
+    a = draw(st.floats(0.1, 2.0))
+    kink, square, flat = lambda t: a * abs(t - m), lambda t: (t - m) * (t - m), lambda t: 1.0
+    f = draw(st.sampled_from([kink, square, flat]))
+    span = min(x[-1] - x[0], sys.float_info.max)
+    eps = max(span * 10.0 ** -draw(st.sampled_from([2, 8, 16])), TINY)
+    return x, f, eps
+
+
+def _around_the_limit(factor, n):
+    span = factor * SQRT_MAX
+    return [span * (i - n // 2) / (n - 1) for i in range(n)], abs, 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(extreme_problems())
+@example(_around_the_limit(0.999, 5))
+@example(_around_the_limit(0.999, 7))
+@example(_around_the_limit(1.001, 5))
+@example(_around_the_limit(1.001, 7))
+@example(([-1e308, 0.0, 1e308], abs, 1e-8))
+# the closed-form step's products of two gaps overflowed on these, and
+# Brent's spacing rounded to zero on the subnormal grid
+@example(([-2e155, -1e155, 1e154, 1e155, 2e155], abs, 1e-8))
+@example(([-1e300, -5e299, -1e299, -3e298, 1e299, 5e299, 1e300], abs, 1e-8))
+@example(([-2 * TINY, 0.0, 2 * TINY], abs, TINY))
+def test_extreme_brackets_are_refused_by_type_or_end_cleanly(problem):
+    # the constructor refuses a bracket with a BracketError, or every
+    # solver of its size ends cleanly from it or refuses the oracle's
+    # values by a documented type; none finds a broken invariant
+    x, f, eps = problem
+    n = len(x)
+    fv = [f(t) for t in x]
+    try:
+        bracket = BRACKETS[n](x, fv)
+    except BracketError as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    for spec in SPECS_BY_SIZE[n]:
+        kind, alpha = parse_algorithm(spec)
+        extra = {"alpha": alpha} if kind == "supm" else {}
+        try:
+            res = harness.SOLVERS[kind][0](f, bracket, eps, 60, **extra)
+        except (NonFiniteValueError, AdjustmentOverflowError) as exc:
+            event(f"{spec}: {type(exc).__name__}")
+            continue
+        assert_ends_cleanly(res, spec)
+        event(f"{n} points: {res.status.value}")
