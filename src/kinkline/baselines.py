@@ -44,7 +44,8 @@ def golden_section_minimize(
     placed afresh, so its rounding error stays while the interval shrinks:
     relative to the interval it can grow by a factor of up to 1/INVPHI per
     iteration, from about machine epsilon at the start to about 1e-10 by
-    the time a unit interval is down to 1e-8.
+    the time a unit interval is down to 1e-8.  A span that overflows, such
+    as from -1e308 to 1e308, places the two first probes from its halves.
 
     The incumbent value in the trace is the best value seen so far; on a
     multimodal objective the final interval need not contain it, so its
@@ -60,6 +61,9 @@ def golden_section_minimize(
         fa, fb = b0.fl, b0.fr
         x1 = b - INVPHI * (b - a)
         x2 = a + INVPHI * (b - a)
+        if b - a == math.inf:  # the same probes from the halves, which do not overflow
+            h = INVPHI * (b / 2 - a / 2)
+            x1, x2 = 2 * (b / 2 - h), 2 * (a / 2 + h)
         if not a < x1 < x2 < b:
             yield b - a, b0.fm, lambda: b0
             raise BracketTooSmallError(f"no room for two probes in ({a!r}, {b!r})")

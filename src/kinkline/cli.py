@@ -7,10 +7,13 @@ checks of :mod:`kinkline.verify`) and ``list-functions``.  Every subcommand
 is deterministic for a given ``--seed``; the ``KINKLINE_SEED`` environment
 variable supplies a fallback seed.  Output spells functions and algorithms
 one way: registry ids and :func:`~kinkline.harness.canonical_algorithm`
-specs.  Exit codes: 0 success, 1 solver or check failure, 2 usage error or
-a failed write to stdout, ``--out`` or ``--trace`` (one ``cannot write``
-line on stderr, such as on a full disk), 141 stdout closed early
-(``| head``; 128 + SIGPIPE, as a shell reports a command it ended).
+specs.  Each option's text is converted by its argparse type, where it is
+parsed.  Exit codes: 0 success, 1 solver or check failure, 2 usage error or
+a failed write to stdout, ``--out`` or ``--trace`` (such as on a full
+disk), 141 stdout closed early (``| head``; 128 + SIGPIPE, as a shell
+reports a command it ended).  Every refusal, argparse's own included, is
+one ``<prog>: error: <flag>: <reason>`` line on stderr, with no usage
+block, and :func:`main` returns 2; only ``-h`` exits by ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -49,21 +52,51 @@ def _checked(convert, ok, wanted: str):
     """argparse type: ``convert(text)``, refused unless ``ok`` holds for it."""
 
     def parse(text: str):
-        try:
-            value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
-        return value
+        with contextlib.suppress(ValueError):
+            if ok(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
 
     return parse
 
 
+def _converted(convert):
+    """argparse type: ``convert(text)``, refused with its ValueError's message."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _function_id(text: str) -> str:
+    """argparse type of ``--function``: the registry's canonical id."""
+    try:
+        return get_function(text).fid
+    except UnknownFunctionError:
+        raise argparse.ArgumentTypeError(f"unknown function {text!r}") from None
+
+
 class _UsageError(Exception):
-    """Bad input found after parsing: :func:`main` prints the message as one
-    ``error:`` line on stderr, worded as argparse words its own, and returns
-    the usage exit code 2."""
+    """Refused input: :func:`main` prints ``<prog>: error: <message>`` as
+    the one line on stderr and returns the usage exit code 2.  ``prog`` is
+    the parser that refused; ``None``, for input refused while the command
+    runs, stands for ``kinkline <command>``."""
+
+    def __init__(self, message: str, prog: str | None = None):
+        super().__init__(message)
+        self.prog = prog
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and the type of its subparsers, that refuses by raising
+    :class:`_UsageError` instead of printing its usage and exiting."""
+
+    def error(self, message):
+        raise _UsageError(message.removeprefix("argument "), self.prog)
 
 
 @contextlib.contextmanager
@@ -89,46 +122,28 @@ def _cmd_list_functions(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    points = None
-    if args.bracket is not None:
-        try:
-            points = [float(tok) for tok in args.bracket.split(",")]
-        except ValueError as exc:
-            raise _UsageError(f"--bracket: {exc}") from exc
     try:
-        algorithm = canonical_algorithm(args.algorithm)
-    except ValueError as exc:
-        raise _UsageError(f"--algorithm: {exc}") from exc
-    try:
-        result, bracket = minimize_once(
-            args.function,
-            algorithm,
-            seed=args.seed,
-            eps=args.eps,
-            budget=args.budget,
-            bracket_points=points,
+        result, _ = minimize_once(
+            args.function, args.algorithm, args.seed, args.eps, args.budget, args.bracket
         )
-    except UnknownFunctionError as exc:
-        raise _UsageError(f"--function: unknown function {exc.args[0]!r}") from exc
     except BracketPointsError as exc:
         raise _UsageError(f"--bracket: {exc}") from exc
     except AdjustmentOverflowError as exc:
         raise _UsageError(f"--algorithm: {exc}") from exc
-    fid = get_function(args.function).fid
-    # opened after the run, which takes milliseconds, so that a bad
-    # --function or --bracket leaves an existing trace file as it was
+    # opened after the run, which takes milliseconds, so that a bracket or
+    # alpha the run refuses leaves an existing trace file as it was
     if args.trace is not None:
         with _open_out("--trace", args.trace) as out:
             write_trace_csv(
                 result,
                 out,
-                header=f"kinkline minimize function={fid} "
-                f"algorithm={algorithm} seed={args.seed} eps={args.eps:g} "
+                header=f"kinkline minimize function={args.function} "
+                f"algorithm={args.algorithm} seed={args.seed} eps={args.eps:g} "
                 f"budget={args.budget}",
             )
     _, d, fm = result.trace[-1]
     print(
-        f"{fid} {algorithm}: {result.status.value} "
+        f"{args.function} {args.algorithm}: {result.status.value} "
         f"iterations={result.iterations} evaluations={result.evaluations} "
         f"d={d:.3e} f={fm:.10g}"
     )
@@ -136,14 +151,10 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.functions is not None:
-        functions = tuple(tok.strip() for tok in args.functions.split(","))
-    else:
-        functions = SUITES[args.suite]
     algorithms = tuple(s for s in PAPER_ALGORITHMS if s not in (args.skip or ()))
     try:
         cfg = TrialConfig(
-            functions=functions,
+            functions=args.functions or SUITES[args.suite],
             algorithms=algorithms,
             trials=args.trials,
             eps=args.eps,
@@ -173,9 +184,7 @@ def _cmd_verify(args) -> int:
     if args.sequences or run_all:
         rng = np.random.default_rng([args.seed, 4])
         print("sequence   feasible      max ratio")
-        for seq, (got, worst) in verify.minimal_sequence_ratios(
-            rng, args.samples, args.samples
-        ).items():
+        for seq, (got, worst) in verify.minimal_sequence_ratios(rng, args.samples).items():
             good = worst < verify.SEQUENCE_BOUND
             ok &= good
             label = "".join(map(str, seq))
@@ -199,7 +208,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kinkline",
         description="Derivative-free univariate minimization of piecewise-smooth functions.",
     )
@@ -217,9 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_list_functions)
 
     p = sub.add_parser("minimize", help="one seeded run of one algorithm")
-    p.add_argument("--function", required=True, help="test function id, e.g. NU3")
+    p.add_argument(
+        "--function", type=_function_id, required=True, help="test function id, e.g. NU3"
+    )
     p.add_argument(
         "--algorithm",
+        type=_converted(canonical_algorithm),
         default="dupm",
         help=f"{', '.join(SOLVERS)} or supm:<alpha> (alpha finite, >= 0), any case",
     )
@@ -229,13 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write the per-iteration trace CSV here")
     p.add_argument(
         "--bracket",
+        type=_converted(lambda text: [float(tok) for tok in text.split(",")]),
         help="comma-separated list of 7 starting abscissae (sorted before use)",
     )
     p.set_defaults(func=_cmd_minimize)
 
     p = sub.add_parser("bench", help="average convergence-rate tables")
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
-    p.add_argument("--functions", help="comma-separated function ids (overrides --suite)")
+    p.add_argument(
+        "--functions",
+        type=lambda text: tuple(tok.strip() for tok in text.split(",")),
+        help="comma-separated function ids (overrides --suite)",
+    )
     p.add_argument("--trials", type=count, default=1000)
     p.add_argument("--eps", type=positive, default=1e-8)
     p.add_argument("--budget", type=count, default=500)
@@ -319,19 +336,20 @@ def _attach_bracket_value(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_bracket_value(argv))
+    prog = "kinkline"
     try:
+        args = build_parser().parse_args(_attach_bracket_value(argv))
+        prog = f"kinkline {args.command}"
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
     except _UsageError as exc:
-        print(f"kinkline {args.command}: error: {exc}", file=sys.stderr)
+        print(f"{exc.prog or prog}: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # stdout failed: drop the rest of the output
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # the reader left early
             return 141
-        print(f"kinkline {args.command}: error: cannot write stdout: {exc.strerror}",
-              file=sys.stderr)
+        print(f"{prog}: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
     return code
 

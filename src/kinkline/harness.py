@@ -490,8 +490,9 @@ def write_trace_csv(result: SolverResult, out: IO[str], header: str = "") -> Non
     lines.append("iteration,xl1,xm,xr1,d,fm\n")
     pl = pm = pr = pf = None  # the previous row's values; tl, tm, tr, tf hold their text
     tl = tm = tr = tf = ""
+    c = len(result.bracket.x) // 2
     for (i, d, fm), br in zip(result.trace, result.bracket_trace):
-        x, c = br.x, br._CENTRE
+        x = br.x
         xl, xm, xr = x[c - 1], x[c], x[c + 1]
         nl = tl if xl is pl else tm if xl is pm else repr(xl)
         nr = tr if xr is pr else tm if xr is pm else repr(xr)

@@ -268,7 +268,7 @@ def run_bracket_solver(
     """
     quarter = eps / 4.0
     branches: list[int] = []
-    cls, c = type(b0), b0._CENTRE
+    cls, c = type(b0), len(b0.x) // 2
     lo, hi = c - 1, c + 1
 
     def iterate(evaluate):

@@ -50,12 +50,12 @@ def _largest_feasible_ratio(rng: np.random.Generator, n: int, seq) -> tuple[floa
 
 
 def minimal_sequence_ratios(
-    rng: np.random.Generator, samples: int, draw: int
+    rng: np.random.Generator, samples: int
 ) -> dict[tuple[int, ...], tuple[int, float]]:
     """Largest contraction ratio of each minimal sequence over random gap
     vectors from which it is feasible.
 
-    Gap vectors are drawn ``draw`` at a time from the unit simplex until
+    Gap vectors are drawn ``samples`` at a time from the unit simplex until
     ``samples`` feasible ones are seen or :data:`MAX_DRAWS` draws are
     made.  Maps each sequence to (feasible count, largest ratio), the
     ratio being ``-inf`` when no draw was feasible.
@@ -67,7 +67,7 @@ def minimal_sequence_ratios(
         for _ in range(MAX_DRAWS):
             if got >= samples:
                 break
-            ratio, count = _largest_feasible_ratio(rng, draw, seq)
+            ratio, count = _largest_feasible_ratio(rng, samples, seq)
             worst = max(worst, ratio)
             got += count
         out[seq] = (got, worst)

@@ -57,7 +57,7 @@ def test_01_five_step_contraction():
 
 def test_02_minimal_sequence_ratios_and_pair_identities():
     rng = np.random.default_rng([100, 2])
-    by_seq = verify.minimal_sequence_ratios(rng, 10000, 40000)
+    by_seq = verify.minimal_sequence_ratios(rng, 10000)
     assert all(got >= 10000 for got, _ in by_seq.values())
     worst_all = max(worst for _, worst in by_seq.values())
 

@@ -367,6 +367,9 @@ class TestSpan:
         for kind in ("golden", "brent"):
             res = SOLVERS[kind][0](abs, b, 1e-8, 100)
             assert isinstance(res.status, Status), kind
+            # the span overflows, yet the first probes fit in it
+            assert res.iterations >= 1, kind
+            assert all(math.isfinite(d) for _, d, _ in res.trace[1:]), kind
 
     def test_a_span_that_overflows_is_refused_by_name(self):
         # the points ascend, so the refusal names the span, not an index

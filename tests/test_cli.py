@@ -202,9 +202,9 @@ class TestBench:
         assert srow == frow[:-1]
 
     def test_unknown_flag_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--nope"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "bench", "--nope")
+        assert code == 2 and out == ""
+        assert err == "kinkline: error: unrecognized arguments: --nope\n"
 
     @pytest.mark.parametrize(
         "functions, fid", [("XX1", "XX1"), ("SU1,,", ""), pytest.param("", "", id="empty")]
@@ -321,16 +321,37 @@ class TestVerify:
 def test_out_of_range_number_is_usage_error(capsys, monkeypatch, argv, env_seed, flag):
     if env_seed is not None:
         monkeypatch.setenv("KINKLINE_SEED", env_seed)
-    # argparse exits by SystemExit; minimize's own checks of --algorithm
-    # return the exit code and word the line without argparse's "argument"
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    assert code == 2 and out.out == ""
-    errors = [l for l in out.err.splitlines() if l.startswith(f"kinkline {argv[0]}: error:")]
-    assert len(errors) == 1 and f"{flag}: expected " in errors[0]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"kinkline {argv[0]}: error: {flag}: expected ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("frobnicate",), "kinkline: error: command: invalid choice: 'frobnicate' "),
+        (
+            ("minimize",),
+            "kinkline minimize: error: the following arguments are required: --function",
+        ),
+        (("bench", "--suite", "xx"), "kinkline bench: error: --suite: invalid choice: 'xx' "),
+    ],
+    ids=["unknown-command", "missing-function", "unknown-suite"],
+)
+def test_argparse_refusal_is_one_error_line(capsys, argv, line):
+    # argparse's own refusals print no usage block and raise no SystemExit
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(line)
+    assert err.count("\n") == 1
+
+
+def test_only_help_exits_by_system_exit(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["minimize", "-h"])
+    assert exc.value.code == 0
+    assert "--bracket" in capsys.readouterr().out
 
 
 def run_cli_process(argv, stdout, buffered):
@@ -501,8 +522,9 @@ def command_lines(draw):
 @example(["minimize", "--function", "NU2", "--algorithm", "eupm", "--bracket", _HUGE])
 @example(["minimize", "--function", "NU2", "--bracket", _HUGE, "--trace", _FILE])
 def test_drawn_command_lines_exit_by_the_documented_codes(argv):
-    # exit 0, 1, 2 or 141 and never a traceback; a usage error prints one
-    # error line and leaves an existing --out or --trace file as it was
+    # exit 0, 1, 2 or 141 and never an exception, SystemExit included; a
+    # usage error prints one error line and nothing else on stderr, and
+    # leaves an existing --out or --trace file as it was
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "kept.csv"
         path.write_text("kept\n")
@@ -510,13 +532,10 @@ def test_drawn_command_lines_exit_by_the_documented_codes(argv):
         argv = [paths.get(word, word) for word in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own refusals
-                code = exc.code
+            code = main(argv)
         assert code in (0, 1, 2, 141), argv
         event(f"{argv[0]}: exit {code}")
         if code == 2:
-            errors = [line for line in err.getvalue().splitlines() if ": error: " in line]
-            assert len(errors) == 1, (argv, err.getvalue())
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and ": error: " in lines[0], (argv, err.getvalue())
             assert path.read_text() == "kept\n", argv

@@ -22,13 +22,17 @@ def test_no_module_imports_a_private_name_from_another():
     assert leaks == []
 
 
-def _top_level_names(tree):
-    for node in tree.body:
+def _names_defined(body):
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def _top_level_names(tree):
+    return _names_defined(tree.body)
 
 
 def _defined_and_read():
@@ -41,6 +45,35 @@ def _defined_and_read():
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
     return defined, read
+
+
+def test_no_module_reads_a_private_class_attribute_of_another():
+    # a class's ``_name`` attributes are its own layout: another module
+    # reads the public form (``len(b.x) // 2``, not ``b._CENTRE``)
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    private = {
+        name: {
+            attr
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for attr in _names_defined(cls.body)
+            if attr.startswith("_") and not attr.startswith("__")
+        }
+        for name, tree in trees.items()
+    }
+    assert "_CENTRE" in private["brackets.py"]
+    leaks = [
+        f"{name}:{node.lineno} reads {node.attr}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr not in private[name]
+        and any(node.attr in attrs for other, attrs in private.items() if other != name)
+    ]
+    assert leaks == []
 
 
 def test_every_private_top_level_name_is_used():
