@@ -13,7 +13,10 @@ a failed write to stdout, ``--out`` or ``--trace`` (such as on a full
 disk), 141 stdout closed early (``| head``; 128 + SIGPIPE, as a shell
 reports a command it ended).  Every refusal, argparse's own included, is
 one ``<prog>: error: <flag>: <reason>`` line on stderr, with no usage
-block, and :func:`main` returns 2; only ``-h`` exits by ``SystemExit``.
+block, and :func:`main` returns 2.  A token that starts like a negative
+number (``-1e-3``, ``-.5``, ``-1.8,-2.1,...``) is read as a value after any
+option.  :func:`main` returns every exit code, ``-h`` included: it never
+raises ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def _converted(convert):
 
 
 def _function_id(text: str) -> str:
-    """argparse type of ``--function``: the registry's canonical id."""
+    """argparse type of a function id: the registry's canonical id."""
     try:
         return get_function(text).fid
     except UnknownFunctionError:
@@ -93,10 +96,22 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """A parser, and the type of its subparsers, that refuses by raising
-    :class:`_UsageError` instead of printing its usage and exiting."""
+    :class:`_UsageError` instead of printing its usage and exiting, and
+    that reads a token starting like a negative number (``-`` then a digit,
+    or ``-.`` then a digit) as a value, whatever option it follows.  ``-h``
+    writes the help where a failed write reaches :func:`main`; argparse then
+    ends the parse by ``SystemExit``, which :func:`main` turns into 0."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise _UsageError(message.removeprefix("argument "), self.prog)
+
+    def print_help(self, file=None):
+        # argparse's own drops a failed write
+        (file or sys.stdout).write(self.format_help())
 
 
 @contextlib.contextmanager
@@ -161,9 +176,7 @@ def _cmd_bench(args) -> int:
             budget=args.budget,
             seed=args.seed,
         )
-    except UnknownFunctionError as exc:
-        raise _UsageError(f"--functions: unknown function {exc.args[0]!r}") from exc
-    except ValueError as exc:  # a repeated id: argparse has checked the numbers
+    except ValueError as exc:  # a repeated id: argparse has checked ids and numbers
         raise _UsageError(f"--functions: {exc}") from exc
     with _open_out("--out", args.out) as out:
         report = run_benchmark(cfg, jobs=args.jobs)
@@ -250,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
     p.add_argument(
         "--functions",
-        type=lambda text: tuple(tok.strip() for tok in text.split(",")),
+        type=lambda text: tuple(_function_id(tok.strip()) for tok in text.split(",")),
         help="comma-separated function ids (overrides --suite)",
     )
     p.add_argument("--trials", type=count, default=1000)
@@ -311,44 +324,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: A value that starts like a negative number.
-_NEGATIVE_VALUE = re.compile(r"-[\d.]")
-#: ``--bracket`` and the abbreviations argparse accepts for it (``--b``
-#: could also be ``--budget``).
-_BRACKET_FLAGS = {"--bracket"[:n] for n in range(4, 10)}
-
-
-def _attach_bracket_value(argv: list[str]) -> list[str]:
-    """Write ``--bracket -1.8,...`` as ``--bracket=-1.8,...``.
-
-    argparse takes a value that starts with ``-`` for an option unless the
-    whole value is one number, so a bracket list whose first point is
-    negative would be refused; attached with ``=`` it is read as the value.
-    """
-    out: list[str] = []
-    for tok in argv:
-        if out and out[-1] in _BRACKET_FLAGS and _NEGATIVE_VALUE.match(tok):
-            out[-1] = f"{out[-1]}={tok}"
-        else:
-            out.append(tok)
-    return out
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    prog = "kinkline"
+    # the parse names the command here as soon as it reaches it, so that a
+    # failed write of a subcommand's help names the subcommand too
+    args = argparse.Namespace(command=None)
     try:
-        args = build_parser().parse_args(_attach_bracket_value(argv))
-        prog = f"kinkline {args.command}"
-        code = args.func(args)
+        try:
+            build_parser().parse_args(argv, args)
+        except SystemExit:  # -h: the help is written
+            code = 0
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit
     except _UsageError as exc:
-        print(f"{exc.prog or prog}: error: {exc}", file=sys.stderr)
+        print(f"{exc.prog or f'kinkline {args.command}'}: error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # stdout failed: drop the rest of the output
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # the reader left early
             return 141
+        prog = " ".join(filter(None, ("kinkline", args.command)))
         print(f"{prog}: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
     return code

@@ -122,6 +122,12 @@ class TestMinimize:
                 "--bracket: not a seven-point bracket: span 2e+300 too wide: "
                 "its square overflows",
             ),
+            # a negative number in exponent form is read as the option's value
+            (("NU3", "--eps", "-1e-3"), "--eps: expected a finite number > 0, got '-1e-3'"),
+            (
+                ("NU3", "--bracket", "-1e-1,-5e-2,0"),
+                "--bracket: need exactly 7 bracket points, got 3",
+            ),
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):
@@ -347,11 +353,14 @@ def test_argparse_refusal_is_one_error_line(capsys, argv, line):
     assert err.count("\n") == 1
 
 
-def test_only_help_exits_by_system_exit(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["minimize", "-h"])
-    assert exc.value.code == 0
-    assert "--bracket" in capsys.readouterr().out
+@pytest.mark.parametrize(
+    "argv, flag", [(("-h",), "{list-functions,"), (("minimize", "-h"), "--bracket")]
+)
+def test_help_is_returned_by_main(capsys, argv, flag):
+    # -h leaves main by the one exit path, as every command does
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert flag in out
 
 
 def run_cli_process(argv, stdout, buffered):
@@ -376,8 +385,13 @@ def run_cli_process(argv, stdout, buffered):
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize(
     "argv",
-    [("seqexp", "--bits", "8", "--samples", "10"), ("verify", "--sequences", "--samples", "300")],
-    ids=["seqexp", "verify"],
+    [
+        ("seqexp", "--bits", "8", "--samples", "10"),
+        ("verify", "--sequences", "--samples", "300"),
+        ("-h",),
+        ("minimize", "-h"),
+    ],
+    ids=["seqexp", "verify", "help", "minimize-help"],
 )
 def test_closed_stdout_ends_without_traceback(argv, buffered):
     # the reading end is closed before the child starts, as ``| head -1``
@@ -405,15 +419,22 @@ def test_closed_stdout_ends_without_traceback(argv, buffered):
             ("minimize", "--function", "NU2", "--trace", "/dev/full"),
             "--trace: cannot write '/dev/full'",
         ),
+        (("-h",), "cannot write stdout"),
+        (("minimize", "-h"), "cannot write stdout"),
     ],
-    ids=["stdout-list-functions", "stdout-verify", "bench-out", "minimize-trace"],
+    ids=[
+        "stdout-list-functions", "stdout-verify", "bench-out", "minimize-trace",
+        "stdout-help", "stdout-minimize-help",
+    ],
 )
 def test_failed_write_is_one_error_line(argv, message, buffered):
     # a full device: every write to /dev/full fails with ENOSPC
     with open("/dev/full", "w") as full:
         code, err = run_cli_process(argv, full, buffered)
+    # the error names the subcommand the command line reached, if any
+    prog = " ".join(["kinkline", *(word for word in argv[:1] if not word.startswith("-"))])
     assert code == 2
-    assert err == f"kinkline {argv[0]}: error: {message}: No space left on device\n"
+    assert err == f"{prog}: error: {message}: No space left on device\n"
 
 
 def _readme_blocks():
@@ -455,19 +476,21 @@ def test_readme_python_examples_run(capsys):
 _FILE, _MISSING = "<file>", "<missing>"
 #: A bracket the closed-form step's products of two gaps overflow on.
 _HUGE = "-1e300,-5e299,-1e299,-3e298,1e299,5e299,1e300"
+#: Negative numbers in exponent form and with no digit before the point.
+_NEGATIVE = ("-1e-3", "-.5", "-1e3")
 #: Values drawn for each option of the parser: valid ones, boundaries (0,
 #: 1, the largest a run here uses, one past the maximum), empty strings,
-#: non-finite numbers and unknown ids.  The values drawn keep runs small:
-#: --trials at most 3, --samples at most 100, --bits at most 4, --budget
-#: at most 50 and --jobs 1 or 2.
+#: negative and non-finite numbers and unknown ids.  The values drawn keep
+#: runs small: --trials at most 3, --samples at most 100, --bits at most 4,
+#: --budget at most 50 and --jobs 1 or 2.
 _OPTION_VALUES = {
     "--function": ("NU2", "nu3", "SU1", "NU9", ""),
     "--functions": ("NU1", "nu1,SU1", "NU1,nu1", "NU9", ""),
     "--algorithm": (*SOLVERS, "SUPM:0.1", "supm:-1", "supm:inf", "newton", ""),
-    "--seed": ("0", "7", "-1", "x"),
-    "--eps": ("1e-8", "1e-3", "0", "-1", "nan", "inf", ""),
-    "--budget": ("1", "50", "0", "-5", ""),
-    "--trials": ("1", "3", "0", "-1", ""),
+    "--seed": ("0", "7", "-1", "x", *_NEGATIVE),
+    "--eps": ("1e-8", "1e-3", "0", "-1", "nan", "inf", "", *_NEGATIVE),
+    "--budget": ("1", "50", "0", "-5", "", *_NEGATIVE),
+    "--trials": ("1", "3", "0", "-1", "", *_NEGATIVE),
     "--samples": ("1", "100", "0", str(MAX_SAMPLES + 1), ""),
     "--bits": ("1", "4", "0", str(MAX_BITS + 1), ""),
     "--jobs": ("1", "2", "0", ""),
