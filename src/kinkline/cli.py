@@ -98,13 +98,14 @@ class _Parser(argparse.ArgumentParser):
     """A parser, and the type of its subparsers, that refuses by raising
     :class:`_UsageError` instead of printing its usage and exiting, and
     that reads a token starting like a negative number (``-`` then a digit,
-    or ``-.`` then a digit) as a value, whatever option it follows.  ``-h``
+    ``-.`` then a digit, or ``-inf``, ``-infinity`` or ``-nan`` in any case,
+    as ``float`` reads them) as a value, whatever option it follows.  ``-h``
     writes the help where a failed write reaches :func:`main`; argparse then
     ends the parse by ``SystemExit``, which :func:`main` turns into 0."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf(inity)?|nan)\b)", re.I)
 
     def error(self, message):
         raise _UsageError(message.removeprefix("argument "), self.prog)

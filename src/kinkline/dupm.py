@@ -62,11 +62,13 @@ def alpha_floor(fl: Flanks) -> float:
     below.  Each flank's curvature is compared with the centre second
     divided difference through the incumbent and the flank's two inner
     points: the ``c2`` of :func:`~kinkline.models.flank_coeffs` on them.
+    Only a difference the record does not carry is computed, and stored.
     """
-    x, fv = fl.x, fl.fv
-    dl = flank_coeffs(x, fv, 3, 2, 1)[2]
-    dr = flank_coeffs(x, fv, 3, 4, 5)[2]
-    return max(fl.left[2] - dl, fl.right[2] - dr) / fl.h
+    if fl.dl is None:
+        fl.dl = flank_coeffs(fl.x, fl.fv, 3, 2, 1)[2]
+    if fl.dr is None:
+        fl.dr = flank_coeffs(fl.x, fl.fv, 3, 4, 5)[2]
+    return max(fl.left[2] - fl.dl, fl.right[2] - fl.dr) / fl.h
 
 
 def alpha_plus(fl: Flanks) -> float:

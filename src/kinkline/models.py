@@ -39,7 +39,8 @@ def scaling_h(x: Sequence[float]) -> float:
     Positive, shrinks to zero with the bracket, and never exceeds the outer
     diameter, so the adjustment term vanishes as the bracket collapses.
     """
-    return max(x[6] - x[2], x[4] - x[0])
+    a, b = x[6] - x[2], x[4] - x[0]
+    return b if b > a else a  # max(a, b), NaN included, without the call
 
 
 def model_value(m: Model, x):

@@ -35,6 +35,7 @@ from .models import Model, flank_coeffs, scaling_h
 from .result import SolverResult, Status
 
 _EPS = sys.float_info.epsilon
+_sqrt, _copysign = math.sqrt, math.copysign
 
 
 class NonFiniteValueError(ValueError):
@@ -59,10 +60,14 @@ def argmin_max_quadratics(
     at the vertex of a convex one (``"vertex"``), or at an endpoint
     (``"endpoint"``); those are exactly the candidates scored here.
     ``"flat"`` means both models are one constant, so every point
-    minimizes and the midpoint is returned.  Ties go to the candidate
-    nearest ``centre``, then leftward; a point found as more than one kind
-    is reported as the first of endpoint, crossing, vertex.  ``centre``
-    also anchors the shifted coordinates used for the root solve.
+    minimizes and the midpoint is returned.  Each candidate is scored where
+    it is found, in this order: the left and the right endpoint, the
+    in-range roots of ``ql - qr``, then the in-range vertices, the left
+    model's first.  The first candidate with the smallest max value wins;
+    ties go to the candidate nearest ``centre``, then leftward, so a point
+    found as more than one kind is reported as the first of endpoint,
+    crossing, vertex.  ``centre`` also anchors the shifted coordinates used
+    for the root solve.
     """
     l0, l1, l2, lx1, lx2 = ql
     r0, r1, r2, rx1, rx2 = qr
@@ -72,7 +77,20 @@ def argmin_max_quadratics(
     if l1 == 0.0 and l2 == 0.0 and r1 == 0.0 and r2 == 0.0 and l0 == r0:
         return s + 0.5 * (lo + hi), "flat"
 
-    cands = [lo, hi]
+    # Keep the first candidate with the strictly smallest key (max value,
+    # |u|, u), as min(key=...) over them in scoring order would; models
+    # evaluate as models.model_value does, and "vr if vr > vl else vl" is
+    # max(vl, vr), NaN included.
+    x = s + lo
+    vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
+    vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
+    bm, bu, kind = vr if vr > vl else vl, lo, "endpoint"
+    x = s + hi
+    vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
+    vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
+    m = vr if vr > vl else vl
+    if m < bm or (m == bm and (abs(hi), hi) < (abs(lo), lo)):
+        bm, bu = m, hi
     # ql - qr in monomial form in the shifted variable u = x - s
     a1l, a2l, a1r, a2r = lx1 - s, lx2 - s, rx1 - s, rx2 - s
     da = l2 - r2
@@ -89,33 +107,31 @@ def argmin_max_quadratics(
         if disc < 0.0:
             roots = ()
         elif db == 0.0:
-            r = math.sqrt(disc) / (2.0 * abs(da))
+            r = _sqrt(disc) / (2.0 * abs(da))
             roots = (-r, r) if r != 0.0 else (0.0,)
         else:
-            q = -0.5 * (db + math.copysign(math.sqrt(disc), db))
+            q = -0.5 * (db + _copysign(_sqrt(disc), db))
             # q is 0 only when db is subnormal and 4 da dc underflowed: dc as 0
             roots = (q / da, dc / q) if q != 0.0 else (0.0, -db / da)
     for u in roots:
         if lo <= u <= hi:
-            cands.append(u)
-    n_cross = len(cands)
+            x = s + u
+            vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
+            vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
+            m = vr if vr > vl else vl
+            if m < bm or (m == bm and (abs(u), u) < (abs(bu), bu)):
+                bm, bu, kind = m, u, "crossing"
     for _, c1, c2, x1, x2 in (ql, qr):
         if c2 > 0.0:
             u = 0.5 * (x1 + x2) - c1 / (2.0 * c2) - s
             if lo <= u <= hi:
-                cands.append(u)
-
-    # Keep the first candidate with the strictly smallest key (max value,
-    # |u|, u), as min(key=...) would; models evaluate as models.model_value
-    # does, and "vr if vr > vl else vl" is max(vl, vr), NaN included.
-    for i, u in enumerate(cands):
-        x = s + u
-        vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
-        vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
-        m = vr if vr > vl else vl
-        if i == 0 or m < bm or (m == bm and (abs(u), u) < (abs(bu), bu)):
-            bm, bu, ib = m, u, i
-    return s + bu, "endpoint" if ib < 2 else "crossing" if ib < n_cross else "vertex"
+                x = s + u
+                vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
+                vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
+                m = vr if vr > vl else vl
+                if m < bm or (m == bm and (abs(u), u) < (abs(bu), bu)):
+                    bm, bu, kind = m, u, "vertex"
+    return s + bu, kind
 
 
 def minimize_max_quadratics(
@@ -134,16 +150,19 @@ class Flanks:
     :func:`~kinkline.models.scaling_h`; ``left`` and ``right`` are the
     :func:`~kinkline.models.flank_coeffs` of points 2, 1, 0 and 4, 5, 6,
     each flank's model before adjustment, anchored at its two inner points.
-    Nothing in it depends on the adjustment constant; :meth:`solve` applies
-    one.
+    ``dl`` and ``dr`` are the centre second divided differences of points
+    3, 2, 1 and 3, 4, 5, or None until the dynamic solver's
+    :func:`~kinkline.dupm.alpha_floor` computes them.  Nothing in it
+    depends on the adjustment constant; :meth:`solve` applies one.
     """
 
-    __slots__ = ("x", "fv", "h", "left", "right")
+    __slots__ = ("x", "fv", "h", "left", "right", "dl", "dr")
 
     def __init__(self, x: tuple[float, ...], fv: tuple[float, ...]):
         self.x, self.fv, self.h = x, fv, scaling_h(x)
         self.left = flank_coeffs(x, fv, 2, 1, 0)
         self.right = flank_coeffs(x, fv, 4, 5, 6)
+        self.dl = self.dr = None
 
     def advance(self, x: tuple[float, ...], fv: tuple[float, ...], branch: int) -> None:
         """Move the record in place to the bracket ``x, fv``, which update
@@ -151,12 +170,18 @@ class Flanks:
         numbers them) made from the record's bracket.  Rules 1 and 3 keep
         the left flank's points and rules 2 and 4 the right's, so that
         flank's coefficients stay, exactly as recomputing them would give;
-        the other flank and ``h`` are recomputed."""
+        the other flank and ``h`` are recomputed.  Rule 3 also keeps the
+        incumbent, so ``dl`` stays, and rule 4 likewise ``dr``; any other
+        centre difference is dropped."""
         self.x, self.fv, self.h = x, fv, scaling_h(x)
         if branch == 1 or branch == 3:
             self.right = flank_coeffs(x, fv, 4, 5, 6)
         else:
             self.left = flank_coeffs(x, fv, 2, 1, 0)
+        if branch != 3:
+            self.dl = None
+        if branch != 4:
+            self.dr = None
 
     def solve(self, alpha: float) -> tuple[Model, Model, float, Winner]:
         """Both flank models at ``alpha``, the tuples
@@ -167,7 +192,8 @@ class Flanks:
         r0, r1, r2 = self.right
         ql = (l0, l1, l2 - ah, x[2], x[1])
         qr = (r0, r1, r2 - ah, x[4], x[5])
-        return (ql, qr) + argmin_max_quadratics(ql, qr, x[2], x[4], x[3])
+        g, kind = argmin_max_quadratics(ql, qr, x[2], x[4], x[3])
+        return ql, qr, g, kind
 
 
 def supm_step(fl: Flanks, alpha: float) -> float:
@@ -207,12 +233,13 @@ def run_solver(
     """
     check_stop_rule(eps, budget)
     calls = 0
+    isfinite = math.isfinite
 
     def evaluate(x: float) -> float:
         nonlocal calls
         calls += 1
         fx = oracle(x)
-        if not math.isfinite(fx):
+        if not isfinite(fx):
             raise NonFiniteValueError(f"oracle returned {fx!r} at x={x!r}")
         return fx
 
@@ -221,8 +248,9 @@ def run_solver(
     trace = [(0, d, fm)]
     hist = [b0] if record_brackets else None
     status = Status.CONVERGED
-    while d > 2.0 * eps:
-        if len(trace) > budget:
+    stop, k = 2.0 * eps, 0  # k: iterations done, trace rows less one
+    while d > stop:
+        if k == budget:
             status = Status.BUDGET_EXHAUSTED
             break
         try:
@@ -230,12 +258,13 @@ def run_solver(
         except BracketTooSmallError:
             status = Status.STALLED
             break
-        trace.append((len(trace), d, fm))
+        k += 1
+        trace.append((k, d, fm))
         if hist is not None:
             hist.append(snapshot())
     return SolverResult(
         bracket=snapshot(),
-        iterations=len(trace) - 1,
+        iterations=k,
         evaluations=calls,
         trace=trace,
         status=status,

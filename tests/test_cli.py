@@ -128,6 +128,16 @@ class TestMinimize:
                 ("NU3", "--bracket", "-1e-1,-5e-2,0"),
                 "--bracket: need exactly 7 bracket points, got 3",
             ),
+            # and so is a negative non-finite number, in any case float reads
+            (("NU3", "--eps", "-inf"), "--eps: expected a finite number > 0, got '-inf'"),
+            (
+                ("NU3", "--eps", "-Infinity"),
+                "--eps: expected a finite number > 0, got '-Infinity'",
+            ),
+            (
+                ("NU3", "--bracket", "-inf,-1,-0.5,0,0.5,1,2"),
+                "--bracket: not a seven-point bracket: point 0 is not finite: -inf",
+            ),
         ],
     )
     def test_invalid_input_is_usage_error(self, capsys, argv, message):
@@ -488,7 +498,7 @@ _OPTION_VALUES = {
     "--functions": ("NU1", "nu1,SU1", "NU1,nu1", "NU9", ""),
     "--algorithm": (*SOLVERS, "SUPM:0.1", "supm:-1", "supm:inf", "newton", ""),
     "--seed": ("0", "7", "-1", "x", *_NEGATIVE),
-    "--eps": ("1e-8", "1e-3", "0", "-1", "nan", "inf", "", *_NEGATIVE),
+    "--eps": ("1e-8", "1e-3", "0", "-1", "nan", "inf", "-inf", "", *_NEGATIVE),
     "--budget": ("1", "50", "0", "-5", "", *_NEGATIVE),
     "--trials": ("1", "3", "0", "-1", "", *_NEGATIVE),
     "--samples": ("1", "100", "0", str(MAX_SAMPLES + 1), ""),
@@ -499,6 +509,7 @@ _OPTION_VALUES = {
         _HUGE,
         "-1e308,-2,-1,0,1,2,1e308",
         "-1,-0.5,-0.2,0,0.2,0.5,inf",
+        "-inf,-1,-0.5,0,0.5,1,2",
         "1,2,3",
         "",
     ),

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bits, random_bracket7, update
+from kinkline import supm
 from kinkline.brackets import (
     BracketError,
     BracketTooSmallError,
@@ -38,7 +39,7 @@ from kinkline.supm import (
     supm_minimize,
     supm_step,
 )
-from kinkline.testfuncs import list_functions, oracle_for
+from kinkline.testfuncs import get_function, list_functions, oracle_for
 
 
 def with_values(points, f):
@@ -214,6 +215,30 @@ class TestScoringMatchesReference:
         got = argmin_max_quadratics(ql, qr, left, right, centre)
         want = _ref_argmin_max_quadratics(ql, qr, left, right, centre)
         assert (bits(got[0]), got[1]) == (bits(want[0]), want[1])
+
+    def test_solver_calls_match_the_reference(self, monkeypatch):
+        # every kernel call the model-based solvers make from each registry
+        # function's seed-0 bracket, replayed through the reference
+        calls = []
+
+        def recording_kernel(*args):
+            got = argmin_max_quadratics(*args)
+            calls.append((args, got))
+            return got
+
+        monkeypatch.setattr(supm, "argmin_max_quadratics", recording_kernel)
+        kinds = Counter()
+        for func in list_functions():
+            b = generate_bracket(func, np.random.default_rng(0))
+            for spec in ("supm:0", "supm:1", "dupm", "mifflin"):
+                calls.clear()
+                run_algorithm(spec, oracle_for(func), b, 1e-8, 500)
+                assert calls, (func.fid, spec)
+                for args, got in calls:
+                    want = _ref_argmin_max_quadratics(*args)
+                    assert (bits(got[0]), got[1]) == (bits(want[0]), want[1]), (func.fid, spec)
+                    kinds[got[1]] += 1
+        assert {"endpoint", "crossing", "vertex"} <= set(kinds)
 
     @pytest.mark.parametrize(
         "ql, qr, ends, want",
@@ -499,6 +524,21 @@ class TestSolver:
         assert len(res.branches) == res.iterations > 0
         if spec == "dupm":
             assert len(res.alphas) == res.iterations
+
+    @pytest.mark.parametrize("spec", PAPER_ALGORITHMS + ("golden",))
+    def test_budget_of_exactly_the_iterations_needed(self, spec):
+        # a run that converges in n iterations still converges with budget
+        # n, and with budget n - 1 stops after the same n - 1 iterations
+        func = get_function("SU2")
+        b = generate_bracket(func, np.random.default_rng(0))
+        full = run_algorithm(spec, oracle_for(func), b, 1e-8, 500)
+        n = full.iterations
+        assert full.status is Status.CONVERGED and n > 1
+        res = run_algorithm(spec, oracle_for(func), b, 1e-8, n)
+        assert (res.status, res.iterations, res.trace) == (Status.CONVERGED, n, full.trace)
+        res = run_algorithm(spec, oracle_for(func), b, 1e-8, n - 1)
+        assert (res.status, res.iterations) == (Status.BUDGET_EXHAUSTED, n - 1)
+        assert res.trace == full.trace[:n] and res.evaluations == full.evaluations - 1
 
     @pytest.mark.parametrize("spec", ["supm:0", "supm:1", "eupm", "dupm", "mifflin"])
     def test_wide_bracket_far_from_zero_ends_cleanly(self, spec):
