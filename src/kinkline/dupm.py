@@ -19,12 +19,13 @@ iterations running, the next trial is forced to the closed-form extremal
 step, which guarantees both flanks keep moving.
 
 Only the adjusted curvature depends on the constant, so the floor, the
-threshold and every condition check read the fixed-constant solver's
-:class:`~kinkline.supm.Flanks` record, which each update advances; a
-model at ``alpha`` is the tuple :func:`~kinkline.models.build_model`
-returns.  The escalation returns its decision, the constant and the
-max-model minimizer that the last condition check found there, and that
-minimizer is the trial unless the closed-form override applies.
+threshold and every condition check read one
+:class:`~kinkline.models.Flanks` record, the one the fixed-constant solver
+also carries, which each update advances; a model at ``alpha`` is the tuple
+:func:`~kinkline.models.build_model` returns.  The escalation returns its
+decision, the constant and the max-model minimizer that the last condition
+check found there, and that minimizer is the trial unless the closed-form
+override applies.
 
 The loop is :func:`~kinkline.supm.run_bracket_solver`; the flank history
 is read from the update rules it has applied, and the loop, not this
@@ -37,12 +38,12 @@ from typing import Callable, Sequence
 
 from .brackets import ExtendedBracket7, require
 from .eupm import eupm_step
-from .models import flank_coeffs, model_value
+from .models import Flanks, flank_coeffs, model_value
 # Not called here (the models come from the carried Flanks record), but
 # perfbench/test_perfbench.py checks that tracing restores this binding.
 from .models import build_model  # noqa: F401
 from .result import SolverResult
-from .supm import Flanks, run_bracket_solver
+from .supm import run_bracket_solver
 
 #: Relative tolerance for deciding that the two models agree at the step.
 INTERSECTION_RTOL = 1e-10
@@ -58,17 +59,14 @@ def alpha_floor(fl: Flanks) -> float:
     """Smallest constant keeping both models at or below the incumbent value.
 
     May be negative; the caller clamps with the running maximum.  ``fl``
-    is a bracket's :class:`~kinkline.supm.Flanks`, as for the functions
+    is a bracket's :class:`~kinkline.models.Flanks`, as for the functions
     below.  Each flank's curvature is compared with the centre second
     divided difference through the incumbent and the flank's two inner
     points: the ``c2`` of :func:`~kinkline.models.flank_coeffs` on them.
-    Only a difference the record does not carry is computed, and stored.
     """
-    if fl.dl is None:
-        fl.dl = flank_coeffs(fl.x, fl.fv, 3, 2, 1)[2]
-    if fl.dr is None:
-        fl.dr = flank_coeffs(fl.x, fl.fv, 3, 4, 5)[2]
-    return max(fl.left[2] - fl.dl, fl.right[2] - fl.dr) / fl.h
+    dl = flank_coeffs(fl.x, fl.fv, 3, 2, 1)[2]
+    dr = flank_coeffs(fl.x, fl.fv, 3, 4, 5)[2]
+    return max(fl.left[2] - dl, fl.right[2] - dr) / fl.h
 
 
 def alpha_plus(fl: Flanks) -> float:
@@ -162,7 +160,7 @@ def dupm_minimize(
     :func:`~kinkline.supm.run_bracket_solver`.
 
     The adjustment constant starts at zero.  Each iteration advances one
-    :class:`~kinkline.supm.Flanks` record to the bracket, escalates the
+    :class:`~kinkline.models.Flanks` record to the bracket, escalates the
     constant on it by :func:`escalate_alpha`, which also returns the
     max-model minimizer there, then picks the trial point by
     :func:`dupm_step`.  The per-iteration constants are returned in

@@ -208,8 +208,8 @@ class TrialConfig:
     """Settings of one benchmark run.  Functions are stored as the
     registry's canonical ids (``"nu3"`` becomes ``"NU3"``) and algorithms
     as :func:`canonical_algorithm` specs; an empty function or algorithm
-    list, or one that names a function or algorithm twice, is refused with
-    :class:`ValueError`."""
+    list, one that names a function or algorithm twice, or a negative seed
+    is refused with :class:`ValueError`."""
 
     functions: tuple[str, ...]
     algorithms: tuple[str, ...] = PAPER_ALGORITHMS
@@ -221,6 +221,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         check_stop_rule(self.eps, self.budget)
         specs = tuple(map(canonical_algorithm, self.algorithms))
         if not self.functions:
@@ -280,8 +282,11 @@ def run_benchmark(cfg: TrialConfig, jobs: int = 1) -> BenchmarkReport:
     no worker idles long at the end when some functions' trials cost far
     more than others'.  A pool starts all its workers at once, so there are
     at most as many as units and usable CPUs.  Each cell takes its rates in
-    trial order, so the outputs are identical either way.
+    trial order, so the outputs are identical either way.  ``jobs`` below
+    one is refused with :class:`ValueError`.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     fids, trials = zip(*itertools.product(cfg.functions, range(cfg.trials)))
     cfgs = itertools.repeat(cfg)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -1,13 +1,4 @@
-"""Static-constant solver: minimize the max of the two side quadratics.
-
-Each iteration builds the left and right adjusted quadratics with a fixed
-constant ``alpha``, takes the minimizer of their pointwise maximum over the
-inner interval as the next trial point, evaluates the oracle there and
-shuffles the seven-point bracket by one of four update rules depending on
-which side the trial fell and whether it improved on the incumbent.  Each
-rule keeps one flank's points, so the solver carries that flank's
-coefficients over in a :class:`Flanks` record, which the dynamic solver
-shares, and recomputes only the other's.
+"""The solver loop, and the fixed-constant solver that runs in it.
 
 Every solver runs in one loop, :func:`run_solver`, which owns the stop
 rule, the budget, the oracle-call count, the non-finite value check and
@@ -21,21 +12,23 @@ incumbent and the inner endpoints, which guarantees the bracket strictly
 shrinks even when the models misbehave: the solvers propose, the loop
 clips.  The clip, like the builtin floats brackets hold, is in
 :mod:`~kinkline.brackets`.
+
+The fixed-constant solver (:func:`supm_minimize`) takes as each trial the
+minimizer of the max of the two flank models at one constant ``alpha``
+over the inner interval.  The models, the :class:`~kinkline.models.Flanks`
+record that carries them across updates and the max-model kernel are in
+:mod:`~kinkline.models`.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator
 
 from .brackets import Bracket, BracketTooSmallError, ExtendedBracket7, apply_update, require
 from .brackets import default_delta, inner_length, min_separation, trusted_build
-from .models import Model, flank_coeffs, scaling_h
+from .models import Flanks, Model, argmin_max_quadratics
 from .result import SolverResult, Status
-
-_EPS = sys.float_info.epsilon
-_sqrt, _copysign = math.sqrt, math.copysign
 
 
 class NonFiniteValueError(ValueError):
@@ -46,154 +39,12 @@ class AdjustmentOverflowError(ValueError):
     """The adjustment ``alpha * h`` of the starting bracket is not finite."""
 
 
-#: Kinds of candidate that can minimize the max of two quadratics.
-Winner = Literal["endpoint", "crossing", "vertex", "flat"]
-
-
-def argmin_max_quadratics(
-    ql: Model, qr: Model, left: float, right: float, centre: float
-) -> tuple[float, Winner]:
-    """Minimizer over [left, right] of the pointwise max of two flank
-    models (see :mod:`~kinkline.models`), and which kind of candidate it is.
-
-    The minimum is attained at an intersection of the two (``"crossing"``),
-    at the vertex of a convex one (``"vertex"``), or at an endpoint
-    (``"endpoint"``); those are exactly the candidates scored here.
-    ``"flat"`` means both models are one constant, so every point
-    minimizes and the midpoint is returned.  Each candidate is scored where
-    it is found, in this order: the left and the right endpoint, the
-    in-range roots of ``ql - qr``, then the in-range vertices, the left
-    model's first.  The first candidate with the smallest max value wins;
-    ties go to the candidate nearest ``centre``, then leftward, so a point
-    found as more than one kind is reported as the first of endpoint,
-    crossing, vertex.  ``centre`` also anchors the shifted coordinates used
-    for the root solve.
-    """
-    l0, l1, l2, lx1, lx2 = ql
-    r0, r1, r2, rx1, rx2 = qr
-    s = centre
-    lo, hi = left - s, right - s
-
-    if l1 == 0.0 and l2 == 0.0 and r1 == 0.0 and r2 == 0.0 and l0 == r0:
-        return s + 0.5 * (lo + hi), "flat"
-
-    # Keep the first candidate with the strictly smallest key (max value,
-    # |u|, u), as min(key=...) over them in scoring order would; models
-    # evaluate as models.model_value does, and "vr if vr > vl else vl" is
-    # max(vl, vr), NaN included.
-    x = s + lo
-    vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
-    vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
-    bm, bu, kind = vr if vr > vl else vl, lo, "endpoint"
-    x = s + hi
-    vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
-    vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
-    m = vr if vr > vl else vl
-    if m < bm or (m == bm and (abs(hi), hi) < (abs(lo), lo)):
-        bm, bu = m, hi
-    # ql - qr in monomial form in the shifted variable u = x - s
-    a1l, a2l, a1r, a2r = lx1 - s, lx2 - s, rx1 - s, rx2 - s
-    da = l2 - r2
-    db = (l1 - l2 * (a1l + a2l)) - (r1 - r2 * (a1r + a2r))
-    dc = (l0 - l1 * a1l + l2 * a1l * a2l) - (r0 - r1 * a1r + r2 * a1r * a2r)
-    # its real roots, cancellation-safe; a discriminant a few rounding units
-    # below zero counts as zero, so a grazing intersection is kept
-    if da == 0.0:
-        roots = (-dc / db,) if db != 0.0 else ()
-    else:
-        disc = db * db - 4.0 * da * dc
-        if disc < 0.0 and disc >= -4.0 * _EPS * (db * db + abs(4.0 * da * dc)):
-            disc = 0.0
-        if disc < 0.0:
-            roots = ()
-        elif db == 0.0:
-            r = _sqrt(disc) / (2.0 * abs(da))
-            roots = (-r, r) if r != 0.0 else (0.0,)
-        else:
-            q = -0.5 * (db + _copysign(_sqrt(disc), db))
-            # q is 0 only when db is subnormal and 4 da dc underflowed: dc as 0
-            roots = (q / da, dc / q) if q != 0.0 else (0.0, -db / da)
-    for u in roots:
-        if lo <= u <= hi:
-            x = s + u
-            vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
-            vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
-            m = vr if vr > vl else vl
-            if m < bm or (m == bm and (abs(u), u) < (abs(bu), bu)):
-                bm, bu, kind = m, u, "crossing"
-    for _, c1, c2, x1, x2 in (ql, qr):
-        if c2 > 0.0:
-            u = 0.5 * (x1 + x2) - c1 / (2.0 * c2) - s
-            if lo <= u <= hi:
-                x = s + u
-                vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
-                vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
-                m = vr if vr > vl else vl
-                if m < bm or (m == bm and (abs(u), u) < (abs(bu), bu)):
-                    bm, bu, kind = m, u, "vertex"
-    return s + bu, kind
-
-
 def minimize_max_quadratics(
     ql: Model, qr: Model, left: float, right: float, centre: float
 ) -> float:
     """Minimizer over [left, right] of the pointwise max of two flank
-    models; see :func:`argmin_max_quadratics`."""
+    models; see :func:`~kinkline.models.argmin_max_quadratics`."""
     return argmin_max_quadratics(ql, qr, left, right, centre)[0]
-
-
-class Flanks:
-    """A seven-point bracket's flank data, carried across iterations by the
-    fixed-constant and dynamic solvers.
-
-    ``x``, ``fv`` are the bracket's points and values, ``h`` its
-    :func:`~kinkline.models.scaling_h`; ``left`` and ``right`` are the
-    :func:`~kinkline.models.flank_coeffs` of points 2, 1, 0 and 4, 5, 6,
-    each flank's model before adjustment, anchored at its two inner points.
-    ``dl`` and ``dr`` are the centre second divided differences of points
-    3, 2, 1 and 3, 4, 5, or None until the dynamic solver's
-    :func:`~kinkline.dupm.alpha_floor` computes them.  Nothing in it
-    depends on the adjustment constant; :meth:`solve` applies one.
-    """
-
-    __slots__ = ("x", "fv", "h", "left", "right", "dl", "dr")
-
-    def __init__(self, x: tuple[float, ...], fv: tuple[float, ...]):
-        self.x, self.fv, self.h = x, fv, scaling_h(x)
-        self.left = flank_coeffs(x, fv, 2, 1, 0)
-        self.right = flank_coeffs(x, fv, 4, 5, 6)
-        self.dl = self.dr = None
-
-    def advance(self, x: tuple[float, ...], fv: tuple[float, ...], branch: int) -> None:
-        """Move the record in place to the bracket ``x, fv``, which update
-        rule ``branch`` (numbered as :func:`~kinkline.brackets.apply_update`
-        numbers them) made from the record's bracket.  Rules 1 and 3 keep
-        the left flank's points and rules 2 and 4 the right's, so that
-        flank's coefficients stay, exactly as recomputing them would give;
-        the other flank and ``h`` are recomputed.  Rule 3 also keeps the
-        incumbent, so ``dl`` stays, and rule 4 likewise ``dr``; any other
-        centre difference is dropped."""
-        self.x, self.fv, self.h = x, fv, scaling_h(x)
-        if branch == 1 or branch == 3:
-            self.right = flank_coeffs(x, fv, 4, 5, 6)
-        else:
-            self.left = flank_coeffs(x, fv, 2, 1, 0)
-        if branch != 3:
-            self.dl = None
-        if branch != 4:
-            self.dr = None
-
-    def solve(self, alpha: float) -> tuple[Model, Model, float, Winner]:
-        """Both flank models at ``alpha``, the tuples
-        :func:`~kinkline.models.build_model` returns, and the minimizer of
-        their max over the inner interval with its kind."""
-        x, ah = self.x, alpha * self.h
-        l0, l1, l2 = self.left
-        r0, r1, r2 = self.right
-        ql = (l0, l1, l2 - ah, x[2], x[1])
-        qr = (r0, r1, r2 - ah, x[4], x[5])
-        g, kind = argmin_max_quadratics(ql, qr, x[2], x[4], x[3])
-        return ql, qr, g, kind
 
 
 def supm_step(fl: Flanks, alpha: float) -> float:
@@ -330,9 +181,9 @@ def supm_minimize(
     """Run the fixed-constant solver with adjustment constant ``alpha``
     from ``b0``; see :func:`run_bracket_solver`.
 
-    Each trial is :func:`supm_step`'s, taken from one :class:`Flanks`
-    record that each update advances, so only the flank the update changed
-    is recomputed.
+    Each trial is :func:`supm_step`'s, taken from one
+    :class:`~kinkline.models.Flanks` record that each update advances, so
+    only the flank the update changed is recomputed.
 
     With ``alpha > 0`` the solver is not scale-free, by design: the
     adjustment ``alpha * h`` comes off a curvature in the units of f, so

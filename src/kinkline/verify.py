@@ -4,7 +4,9 @@ five-step contraction and reflection symmetry.
 Each check lives here whole: what it samples (:data:`MINIMAL_SEQUENCES`,
 :func:`random_bracket5`), its loop and its bound.  It takes a random stream
 and a sample size and returns what it measured; the caller compares that
-with the bound and decides pass or fail.
+with the bound and decides pass or fail.  A sample size below one is
+refused with :class:`ValueError`: a check that drew nothing would read as
+a pass.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ MAX_DRAWS = 200
 MAX_BRACKETS = 20000
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
 def _largest_feasible_ratio(rng: np.random.Generator, n: int, seq) -> tuple[float, int]:
     """Largest ratio of ``seq`` over ``n`` fresh gap vectors from which it
     is feasible (``-inf`` if none is), and the number of those."""
@@ -60,6 +67,7 @@ def minimal_sequence_ratios(
     made.  Maps each sequence to (feasible count, largest ratio), the
     ratio being ``-inf`` when no draw was feasible.
     """
+    _require_samples(samples)
     out = {}
     for seq in MINIMAL_SEQUENCES:
         got = 0
@@ -83,6 +91,7 @@ def five_step_contraction(
     Returns the ratio, the sequence attaining it (``None`` when no pair was
     feasible) and the number of feasible (vector, sequence) pairs.
     """
+    _require_samples(samples)
     worst = -math.inf
     worst_seq = None
     feasible = 0
@@ -138,6 +147,7 @@ def reflection_deviation(b: ExtendedBracket5) -> float:
 
 def reflection_symmetry(rng: np.random.Generator, samples: int) -> float:
     """Worst :func:`reflection_deviation` over ``samples`` random brackets,
-    at most :data:`MAX_BRACKETS` of them; 0 when none is drawn."""
+    at most :data:`MAX_BRACKETS` of them."""
+    _require_samples(samples)
     brackets = (random_bracket5(rng) for _ in range(min(samples, MAX_BRACKETS)))
-    return max(map(reflection_deviation, brackets), default=0.0)
+    return max(map(reflection_deviation, brackets))

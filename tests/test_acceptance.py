@@ -45,7 +45,7 @@ def test_01_five_step_contraction():
     rng = np.random.default_rng([100, 1])
     worst, worst_seq, feasible_total = verify.five_step_contraction(rng, 10000)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 0.5 + 1e-12 and elapsed < 60.0
+    ok = worst <= verify.CONTRACTION_BOUND and elapsed < 60.0
     report(
         1,
         "five-step contraction over all update sequences",
@@ -78,7 +78,7 @@ def test_02_minimal_sequence_ratios_and_pair_identities():
     r4322, _ = gap_sequence_ratios(p, (4, 3, 2, 2))
     d2 = float(np.max(np.abs(r434 - r4322)))
 
-    ok = worst_all < 0.5 and d1 <= 1e-12 and d2 <= 1e-12
+    ok = worst_all < verify.SEQUENCE_BOUND and d1 <= 1e-12 and d2 <= 1e-12
     report(
         2,
         "per-sequence ratios below one half plus pair identities",
@@ -95,7 +95,7 @@ def test_03_reflection_symmetry_suite():
         rb = reflect(b)
         assert reflect(rb).x == b.x and reflect(rb).fv == b.fv
         worst = max(worst, verify.reflection_deviation(b))
-    ok = worst <= 1.0
+    ok = worst <= verify.REFLECTION_BOUND
     report(3, "reflection symmetry identities", ok, f"worst {worst:.3f} of tolerance")
 
 

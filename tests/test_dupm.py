@@ -249,33 +249,12 @@ class TestFlanks:
             alpha, g = escalate_alpha(fl, 0.0)
             assert g == supm_step(fl, alpha) == intersection_condition(fl, alpha)
 
-    def test_carried_centre_differences_equal_fresh_ones(self):
-        # rules 3 and 4 keep the incumbent and one flank, so the record
-        # carries that centre difference; after any rule the floor and both
-        # differences equal those of a record built on the new bracket
-        rng = np.random.default_rng(36)
-        for _ in range(100):
-            b = random_bracket7(rng)
-            for branch in (1, 2, 3, 4):
-                on_left = branch in (1, 4)
-                xt = float(rng.uniform(b.x[2], b.x[3]) if on_left else rng.uniform(b.x[3], b.x[4]))
-                rule, nb = update(xt, b.fm - 0.5 if branch in (1, 2) else b.fm + 0.5, b)
-                assert rule == branch
-                fl = Flanks(b.x, b.fv)
-                alpha_floor(fl)
-                fl.advance(nb.x, nb.fv, branch)
-                assert (fl.dl is None, fl.dr is None) == (branch != 3, branch != 4)
-                fresh = Flanks(nb.x, nb.fv)
-                assert alpha_floor(fl) == alpha_floor(fresh)
-                assert (fl.dl, fl.dr) == (fresh.dl, fresh.dr)
-
     def test_flank_data_is_computed_once_per_iteration(self, monkeypatch):
         # per iteration: the flank the update changed (both on a run's
         # first) and the two centre second divided differences, all three
-        # by flank_coeffs, less the centre difference that rules 3 and 4
-        # carry, since they keep the incumbent and one flank; one max-model
-        # minimization per condition check, none left for the step; the
-        # concavity threshold only when the first check fails
+        # by flank_coeffs; one max-model minimization per condition check,
+        # none left for the step; the concavity threshold only when the
+        # first check fails
         counts = Counter()
         targets = {
             "flank_coeffs": flank_coeffs,
@@ -302,7 +281,7 @@ class TestFlanks:
                     for name, fn in targets.items():
                         if value is fn:
                             monkeypatch.setattr(mod, key, counting(name, fn))
-        iterations = runs = carried = 0
+        iterations = runs = 0
         for fid in ("NU1", "NU2", "NU3", "NU4", "NU5"):
             func = get_function(fid)
             for t in range(20):
@@ -311,10 +290,8 @@ class TestFlanks:
                 assert res.converged
                 iterations += res.iterations
                 runs += 1
-                carried += sum(r in (3, 4) for r in res.branches[:-1])
         assert counts["escalate_alpha"] == iterations > 0
-        assert counts["flank_coeffs"] == 3 * iterations + runs - carried
-        assert carried > 0
+        assert counts["flank_coeffs"] == 3 * iterations + runs
         assert counts["argmin_max_quadratics"] == counts["intersection_condition"]
         assert counts["alpha_plus"] == counts["escalations with more than one check"] > 0
 

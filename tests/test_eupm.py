@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import bits, outer_length, random_bracket7, update
+from kinkline import verify
 from kinkline.brackets import ExtendedBracket5, default_delta, inner5, inner_length, reflect
 from kinkline.eupm import (
     all_branch_sequences,
@@ -405,3 +406,15 @@ class TestColumnForm:
         for br in (1, 2, 3, 4):
             _, feasible = gap_sequence_ratios(zero, (br,))
             assert np.all(feasible == (br in (1, 4))), br
+
+
+class TestVerifyChecks:
+    @pytest.mark.parametrize(
+        "check", ["minimal_sequence_ratios", "five_step_contraction", "reflection_symmetry"]
+    )
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_is_refused_not_passed(self, check, samples):
+        # a check that drew nothing has no evidence: it must not return a
+        # reading below its bound
+        with pytest.raises(ValueError, match="^samples must be >= 1$"):
+            getattr(verify, check)(np.random.default_rng(0), samples)

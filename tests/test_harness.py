@@ -424,6 +424,12 @@ class TestBenchmark:
         assert run_benchmark(one, jobs=5000).cells == run_benchmark(one).cells
         assert asked == []
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_run_benchmark_refuses_fewer_than_one_job(self, jobs):
+        cfg = TrialConfig(functions=("NU3",), algorithms=("golden",), trials=1)
+        with pytest.raises(ValueError, match="^jobs must be >= 1$"):
+            run_benchmark(cfg, jobs=jobs)
+
     def test_serial_runs_import_no_process_pool(self):
         # the pool's module takes about 20 ms to import, which only a
         # parallel bench should pay
@@ -510,6 +516,7 @@ class TestBenchmark:
                 {"functions": ("SU1",), "algorithms": ("supm:-0", "supm:0")},
                 "^algorithm 'supm:0' listed twice$",
             ),
+            ({"functions": ("SU1",), "trials": 2, "seed": -1}, "^seed must be >= 0$"),
         ],
     )
     def test_config_refuses(self, fields, message):

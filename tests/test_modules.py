@@ -133,3 +133,20 @@ def test_only_brackets_reads_the_minimum_gap_factor():
             if name == "MIN_GAP_FACTOR":
                 readers.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert readers == []
+
+
+def test_the_model_layer_is_defined_in_models():
+    # the flank record and the max-model kernel are defined once, beside
+    # the divided differences; the solver loop's module only imports them
+    trees = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    layer = {"Flanks", "Winner", "argmin_max_quadratics"}
+    homes = {
+        name: sorted(stem for stem, tree in trees.items() if name in set(_top_level_names(tree)))
+        for name in layer
+    }
+    assert homes == {name: ["models"] for name in layer}
+    assert kinkline.supm.Flanks is kinkline.models.Flanks
+    assert kinkline.models.Flanks.__slots__ == ("x", "fv", "h", "left", "right")
