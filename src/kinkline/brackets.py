@@ -222,8 +222,9 @@ _MIN_GAP = MIN_GAP_FACTOR * _EPS
 def min_gap(x: Sequence[float]) -> float:
     """The gap adjacent points of the five- or seven-point bracket with
     points ``x`` must exceed: :data:`MIN_GAP_FACTOR` epsilons of its span,
-    the one spelling that the constructor, :func:`apply_update` and
-    :func:`default_delta` share."""
+    the one spelling that the constructor and :func:`default_delta` call
+    and that :func:`apply_update`, run once per solver iteration, writes
+    out in place, marked with this name."""
     return _MIN_GAP * (x[-1] - x[0])
 
 
@@ -285,8 +286,10 @@ def apply_update(xtrial: float, ftrial: float, x: tuple, fv: tuple) -> tuple[int
     improving, 3 right and not, 4 left and not.  A value tie counts as not
     improving, keeping the incumbent in place; a trial at the incumbent
     raises :class:`TrialAtCenterError`.  The trial slots in next to the
-    incumbent and the far point on the opposite side drops off; every kept
-    point and value is the same float object as before.
+    incumbent and the far point on the opposite side drops off: one picker,
+    looked up once by size and rule, builds the new points and the new
+    values, so every kept point and value is the same float object as
+    before.
 
     Only what that can break is checked: the gaps on either side of the
     trial and the new centre triple.  The new ends are old points, so the
@@ -300,14 +303,15 @@ def apply_update(xtrial: float, ftrial: float, x: tuple, fv: tuple) -> tuple[int
     xm = x[c]
     if xtrial == xm:
         raise TrialAtCenterError(f"trial coincides with incumbent at {xtrial!r}")
+    pickers, fm = _PICKERS[n], fv[c]
     if xtrial < xm:
-        rule = 1 if ftrial < fv[c] else 4
+        rule = 1 if ftrial < fm else 4
     else:
-        rule = 2 if ftrial < fv[c] else 3
-    pick, i = _PICKERS[n][rule]
+        rule = 2 if ftrial < fm else 3
+    pick, i = pickers[rule]
     nx = pick(x + (xtrial,))
     nf = pick(fv + (ftrial,))
-    gap = min_gap(nx)
+    gap = _MIN_GAP * (nx[-1] - nx[0])  # min_gap(nx)
     if nx[i] - nx[i - 1] > gap and nx[i + 1] - nx[i] > gap and nf[c - 1] >= nf[c] <= nf[c + 1]:
         return rule, nx, nf
     try:  # refused: the full check of the new bracket names the failure

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -203,13 +204,23 @@ def run_algorithm(
     return solve(oracle, view(bracket), eps, budget, record_brackets, **extra)
 
 
+def _check_count(name: str, n: int, low: int) -> None:
+    """Refuse ``n`` unless it is an integer of at least ``low``, with a
+    :class:`TypeError` or :class:`ValueError` that names the parameter."""
+    if not isinstance(n, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {n!r}")
+    if n < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Settings of one benchmark run.  Functions are stored as the
     registry's canonical ids (``"nu3"`` becomes ``"NU3"``) and algorithms
     as :func:`canonical_algorithm` specs; an empty function or algorithm
     list, one that names a function or algorithm twice, or a negative seed
-    is refused with :class:`ValueError`."""
+    is refused with :class:`ValueError`, and a count or seed that is not an
+    integer with :class:`TypeError`."""
 
     functions: tuple[str, ...]
     algorithms: tuple[str, ...] = PAPER_ALGORITHMS
@@ -219,10 +230,8 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_count("trials", self.trials, 1)
+        _check_count("seed", self.seed, 0)
         check_stop_rule(self.eps, self.budget)
         specs = tuple(map(canonical_algorithm, self.algorithms))
         if not self.functions:
@@ -283,10 +292,10 @@ def run_benchmark(cfg: TrialConfig, jobs: int = 1) -> BenchmarkReport:
     more than others'.  A pool starts all its workers at once, so there are
     at most as many as units and usable CPUs.  Each cell takes its rates in
     trial order, so the outputs are identical either way.  ``jobs`` below
-    one is refused with :class:`ValueError`.
+    one is refused with :class:`ValueError`, and one that is not an integer
+    with :class:`TypeError`.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    _check_count("jobs", jobs, 1)
     fids, trials = zip(*itertools.product(cfg.functions, range(cfg.trials)))
     cfgs = itertools.repeat(cfg)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -383,17 +392,16 @@ def run_sequence_experiment(
     pattern keeps its own stream ``[seed, 2, index]`` and its rate is the
     mean over its own rows, so the rows do not depend on the block size.
 
-    ``bits`` runs from 1 to :data:`MAX_BITS`, ``samples`` from 1 to
-    :data:`MAX_SAMPLES`.
+    ``bits`` is an integer from 1 to :data:`MAX_BITS`, ``samples`` one
+    from 1 to :data:`MAX_SAMPLES` and ``seed`` one from 0 up.
     """
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    _check_count("bits", bits, 1)
     if bits > MAX_BITS:
         raise ValueError(f"bits must be <= {MAX_BITS}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_count("samples", samples, 1)
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}")
+    _check_count("seed", seed, 0)
     m = min(bits, max(0, (_BLOCK_ROWS // samples).bit_length() - 1))
     width = 1 << m
     patterns = itertools.product((1, 0), repeat=bits)
@@ -452,8 +460,10 @@ def minimize_once(
     evaluated to finite real values, and validated, and any failure raises
     :class:`BracketPointsError`.  Injected points may extend beyond the
     function's nominal domain (the oracle's domain check widens to their
-    hull); the values must still satisfy the centre condition.
+    hull); the values must still satisfy the centre condition.  ``seed`` is
+    an integer from 0 up.
     """
+    _check_count("seed", seed, 0)
     func = get_function(fid)
     a, b = func.domain
     if bracket_points is None:

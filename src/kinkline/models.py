@@ -37,7 +37,7 @@ Model = tuple[float, float, float, float, float]
 #: Kinds of candidate that can minimize the max of two quadratics.
 Winner = Literal["endpoint", "crossing", "vertex", "flat"]
 
-_EPS = sys.float_info.epsilon
+_EPS, _NAN = sys.float_info.epsilon, math.nan
 _sqrt, _copysign = math.sqrt, math.copysign
 
 
@@ -50,6 +50,8 @@ def scaling_h(x: Sequence[float]) -> float:
 
     Positive, shrinks to zero with the bracket, and never exceeds the outer
     diameter, so the adjustment term vanishes as the bracket collapses.
+    :meth:`Flanks.advance`, run once per solver iteration, writes it out in
+    place, marked with this name.
     """
     a, b = x[6] - x[2], x[4] - x[0]
     return b if b > a else a  # max(a, b), NaN included, without the call
@@ -136,41 +138,59 @@ def argmin_max_quadratics(
     da = l2 - r2
     db = (l1 - l2 * (a1l + a2l)) - (r1 - r2 * (a1r + a2r))
     dc = (l0 - l1 * a1l + l2 * a1l * a2l) - (r0 - r1 * a1r + r2 * a1r * a2r)
-    # its real roots, cancellation-safe; a discriminant a few rounding units
+    # its real roots u1, u2, cancellation-safe, NaN standing for no root so
+    # that the range test skips it; a discriminant a few rounding units
     # below zero counts as zero, so a grazing intersection is kept
+    u1 = u2 = _NAN
     if da == 0.0:
-        roots = (-dc / db,) if db != 0.0 else ()
+        if db != 0.0:
+            u1 = -dc / db
     else:
         disc = db * db - 4.0 * da * dc
         if disc < 0.0 and disc >= -4.0 * _EPS * (db * db + abs(4.0 * da * dc)):
             disc = 0.0
         if disc < 0.0:
-            roots = ()
+            pass  # no real root
         elif db == 0.0:
             r = _sqrt(disc) / (2.0 * abs(da))
-            roots = (-r, r) if r != 0.0 else (0.0,)
+            u1, u2 = (-r, r) if r != 0.0 else (0.0, _NAN)
         else:
             q = -0.5 * (db + _copysign(_sqrt(disc), db))
             # q is 0 only when db is subnormal and 4 da dc underflowed: dc as 0
-            roots = (q / da, dc / q) if q != 0.0 else (0.0, -db / da)
-    for u in roots:
+            u1, u2 = (q / da, dc / q) if q != 0.0 else (0.0, -db / da)
+    # each in-range root, then each in-range convex vertex, scored as above
+    if lo <= u1 <= hi:
+        x = s + u1
+        vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
+        vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
+        m = vr if vr > vl else vl
+        if m < bm or (m == bm and (abs(u1), u1) < (abs(bu), bu)):
+            bm, bu, kind = m, u1, "crossing"
+    if lo <= u2 <= hi:
+        x = s + u2
+        vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
+        vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
+        m = vr if vr > vl else vl
+        if m < bm or (m == bm and (abs(u2), u2) < (abs(bu), bu)):
+            bm, bu, kind = m, u2, "crossing"
+    if l2 > 0.0:
+        u = 0.5 * (lx1 + lx2) - l1 / (2.0 * l2) - s
         if lo <= u <= hi:
             x = s + u
             vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
             vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
             m = vr if vr > vl else vl
             if m < bm or (m == bm and (abs(u), u) < (abs(bu), bu)):
-                bm, bu, kind = m, u, "crossing"
-    for _, c1, c2, x1, x2 in (ql, qr):
-        if c2 > 0.0:
-            u = 0.5 * (x1 + x2) - c1 / (2.0 * c2) - s
-            if lo <= u <= hi:
-                x = s + u
-                vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
-                vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
-                m = vr if vr > vl else vl
-                if m < bm or (m == bm and (abs(u), u) < (abs(bu), bu)):
-                    bm, bu, kind = m, u, "vertex"
+                bm, bu, kind = m, u, "vertex"
+    if r2 > 0.0:
+        u = 0.5 * (rx1 + rx2) - r1 / (2.0 * r2) - s
+        if lo <= u <= hi:
+            x = s + u
+            vl = l0 + (x - lx1) * (l1 + l2 * (x - lx2))
+            vr = r0 + (x - rx1) * (r1 + r2 * (x - rx2))
+            m = vr if vr > vl else vl
+            if m < bm or (m == bm and (abs(u), u) < (abs(bu), bu)):
+                bm, bu, kind = m, u, "vertex"
     return s + bu, kind
 
 
@@ -199,7 +219,8 @@ class Flanks:
         the left flank's points and rules 2 and 4 the right's, so that
         flank's coefficients stay, exactly as recomputing them would give;
         the other flank and ``h`` are recomputed."""
-        self.x, self.fv, self.h = x, fv, scaling_h(x)
+        a, b = x[6] - x[2], x[4] - x[0]  # scaling_h(x)
+        self.x, self.fv, self.h = x, fv, b if b > a else a
         if branch == 1 or branch == 3:
             self.right = flank_coeffs(x, fv, 4, 5, 6)
         else:

@@ -56,11 +56,15 @@ def supm_step(fl: Flanks, alpha: float) -> float:
 
 def check_stop_rule(eps: float, budget: int) -> None:
     """Reject a stop rule no run could meet: ``eps`` must be finite and
-    positive and ``budget`` at least one iteration."""
+    positive and ``budget`` a whole number of iterations, at least one.  A
+    whole float such as ``500.0`` is a budget; NaN, an infinity or
+    ``500.5`` is not, since the loop stops when its count equals it."""
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be finite and > 0")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if not budget % 1 == 0:  # NaN and the infinities included
+        raise ValueError(f"budget must be a whole number, got {budget!r}")
 
 
 def run_solver(
@@ -97,6 +101,7 @@ def run_solver(
     steps = iterate(evaluate)
     d, fm, snapshot = next(steps)
     trace = [(0, d, fm)]
+    row = trace.append
     hist = [b0] if record_brackets else None
     status = Status.CONVERGED
     stop, k = 2.0 * eps, 0  # k: iterations done, trace rows less one
@@ -110,7 +115,7 @@ def run_solver(
             status = Status.STALLED
             break
         k += 1
-        trace.append((k, d, fm))
+        row((k, d, fm))
         if hist is not None:
             hist.append(snapshot())
     return SolverResult(
@@ -154,12 +159,13 @@ def run_bracket_solver(
     def iterate(evaluate):
         x, fv = b0.x, b0.fv
         delta = default_delta(eps, x)
+        applied = branches.append
         snapshot = lambda: trusted_build(cls, x, fv)
         yield inner_length(b0), b0.fm, snapshot
         while True:
             xt = min_separation(next_trial(x, fv, branches), x[lo], x[c], x[hi], delta)
             br, x, fv = apply_update(xt, evaluate(xt), x, fv)
-            branches.append(br)
+            applied(br)
             if delta > quarter:
                 delta = default_delta(eps, x)
             yield x[hi] - x[lo], fv[c], snapshot

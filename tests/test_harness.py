@@ -517,11 +517,33 @@ class TestBenchmark:
                 "^algorithm 'supm:0' listed twice$",
             ),
             ({"functions": ("SU1",), "trials": 2, "seed": -1}, "^seed must be >= 0$"),
+            (
+                {"functions": ("SU1",), "budget": 500.5},
+                r"^budget must be a whole number, got 500\.5$",
+            ),
+            ({"functions": ("SU1",), "budget": math.nan}, "^budget must be a whole number, got nan$"),
         ],
     )
     def test_config_refuses(self, fields, message):
         with pytest.raises(ValueError, match=message):
             TrialConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"trials": 2.5}, r"^trials must be an integer, got 2\.5$"),
+            ({"trials": "3"}, "^trials must be an integer, got '3'$"),
+            ({"seed": 1.0}, r"^seed must be an integer, got 1\.0$"),
+        ],
+    )
+    def test_config_refuses_a_count_that_is_not_an_integer(self, fields, message):
+        with pytest.raises(TypeError, match=message):
+            TrialConfig(functions=("SU1",), **fields)
+
+    def test_run_benchmark_refuses_a_job_count_that_is_not_an_integer(self):
+        cfg = TrialConfig(functions=("NU3",), algorithms=("golden",), trials=1)
+        with pytest.raises(TypeError, match=r"^jobs must be an integer, got 2\.5$"):
+            run_benchmark(cfg, jobs=2.5)
 
 
 def _ref_run_sequence_experiment(bits=10, samples=1000, seed=0):
@@ -596,6 +618,19 @@ class TestSequenceExperiment:
         with pytest.raises(ValueError, match=message):
             run_sequence_experiment(bits=bits, samples=samples)
 
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"samples": 5.5}, TypeError, r"^samples must be an integer, got 5\.5$"),
+            ({"bits": 2.5}, TypeError, r"^bits must be an integer, got 2\.5$"),
+            ({"seed": -1}, ValueError, "^seed must be >= 0$"),
+            ({"seed": 0.5}, TypeError, r"^seed must be an integer, got 0\.5$"),
+        ],
+    )
+    def test_bad_counts_and_seeds_are_named(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            run_sequence_experiment(**{"bits": 2, "samples": 10} | kwargs)
+
     def test_simplex_sampler_adds_each_row_left_to_right(self):
         ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
         rows = ref_rng.standard_exponential((300, 4)).tolist()
@@ -645,6 +680,14 @@ class TestMinimizeOnce:
             b = random_bracket7(rng)
             g = intersection_condition(Flanks(b.x, b.fv), 0.0)
             assert type(g) in (float, type(None))
+
+    @pytest.mark.parametrize(
+        "seed, error, message",
+        [(-1, ValueError, "^seed must be >= 0$"), (1.5, TypeError, r"^seed must be an integer, got 1\.5$")],
+    )
+    def test_bad_seed_is_named(self, seed, error, message):
+        with pytest.raises(error, match=message):
+            minimize_once("SU1", "brent", seed=seed)
 
     def test_trace_csv_needs_recorded_brackets(self):
         with pytest.raises(ValueError, match="record_brackets=True"):

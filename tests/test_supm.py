@@ -38,6 +38,7 @@ from kinkline.supm import (
     supm_minimize,
     supm_step,
 )
+from kinkline import supm
 from kinkline.testfuncs import get_function, list_functions, oracle_for
 
 
@@ -235,7 +236,7 @@ class TestScoringMatchesReference:
         kinds = Counter()
         for func in list_functions():
             b = generate_bracket(func, np.random.default_rng(0))
-            for spec in ("supm:0", "supm:1", "dupm", "mifflin"):
+            for spec in ("supm:0", "supm:0.1", "supm:1", "supm:10", "dupm", "mifflin"):
                 calls.clear()
                 run_algorithm(spec, oracle_for(func), b, 1e-8, 500)
                 assert calls, (func.fid, spec)
@@ -244,6 +245,30 @@ class TestScoringMatchesReference:
                     assert (bits(got[0]), got[1]) == (bits(want[0]), want[1]), (func.fid, spec)
                     kinds[got[1]] += 1
         assert {"endpoint", "crossing", "vertex"} <= set(kinds)
+
+    def test_solver_clips_match_the_reference(self, monkeypatch):
+        # every trial the update-rule loop clips in the model-based solvers'
+        # runs from each registry function's seed-0 bracket, replayed
+        # through the reference: real bracket scales, the eps/4 floor
+        calls = []
+
+        def recording_clip(*args):
+            got = min_separation(*args)
+            calls.append((args, got))
+            return got
+
+        monkeypatch.setattr(supm, "min_separation", recording_clip)
+        clipped = 0
+        for func in list_functions():
+            b = generate_bracket(func, np.random.default_rng(0))
+            for spec in ("supm:0", "supm:0.1", "supm:1", "supm:10", "eupm", "dupm", "mifflin"):
+                calls.clear()
+                res = run_algorithm(spec, oracle_for(func), b, 1e-8, 500)
+                assert len(calls) >= res.iterations > 0, (func.fid, spec)
+                for args, got in calls:
+                    assert bits(got) == bits(_ref_min_separation(*args)), (func.fid, spec)
+                    clipped += got != args[0]
+        assert clipped > 0
 
     @pytest.mark.parametrize(
         "ql, qr, ends, want",
@@ -862,6 +887,21 @@ class TestConfig:
                 run_algorithm("supm:1e308", oracle, b, 1e-8, 500)
             with pytest.raises(ValueError, match=message):
                 supm_minimize(oracle, b, alpha=1e308)
+
+    def test_budget_must_be_a_whole_number(self):
+        # the loop stops when its count equals the budget, so one that is
+        # not a whole number would never stop a run that does not converge;
+        # this run converges in 47 iterations, so it shows the refusal alone
+        func = get_function("SU2")
+        b = generate_bracket(func, np.random.default_rng(0))
+        for budget in (500.5, 46.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="^budget must be a whole number, got "):
+                run_algorithm("supm:0", oracle_for(func), b, 1e-8, budget)
+        for budget, status in ((500.0, Status.CONVERGED), (46.0, Status.BUDGET_EXHAUSTED)):
+            got = run_algorithm("supm:0", oracle_for(func), b, 1e-8, budget)
+            want = run_algorithm("supm:0", oracle_for(func), b, 1e-8, int(budget))
+            assert got.status is want.status is status
+            assert got.trace == want.trace
 
     def test_default_delta_scales(self):
         # a quarter of eps near zero; far from zero, the minimum gap plus
