@@ -71,8 +71,9 @@ class ResampleLimitExceededError(RuntimeError):
 
 class BracketPointsError(ValueError):
     """Given starting abscissae do not make a valid seven-point bracket:
-    wrong count, a point where the function cannot be evaluated, repeated
-    points, or values failing the centre condition."""
+    not a sequence of real numbers, wrong count, a point where the function
+    cannot be evaluated, repeated points, or values failing the centre
+    condition."""
 
 
 #: Full draws :func:`generate_bracket` makes before it gives up.
@@ -204,13 +205,16 @@ def run_algorithm(
     return solve(oracle, view(bracket), eps, budget, record_brackets, **extra)
 
 
-def _check_count(name: str, n: int, low: int) -> None:
-    """Refuse ``n`` unless it is an integer of at least ``low``, with a
-    :class:`TypeError` or :class:`ValueError` that names the parameter."""
+def check_count(name: str, n: int, low: int, high: int | None = None) -> None:
+    """Refuse ``n`` unless it is an integer from ``low`` to ``high`` (no
+    upper bound when ``None``), with a :class:`TypeError` or
+    :class:`ValueError` that names the parameter."""
     if not isinstance(n, numbers.Integral):
         raise TypeError(f"{name} must be an integer, got {n!r}")
     if n < low:
         raise ValueError(f"{name} must be >= {low}")
+    if high is not None and n > high:
+        raise ValueError(f"{name} must be <= {high}")
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,8 @@ class TrialConfig:
     as :func:`canonical_algorithm` specs; an empty function or algorithm
     list, one that names a function or algorithm twice, or a negative seed
     is refused with :class:`ValueError`, and a count or seed that is not an
-    integer with :class:`TypeError`."""
+    integer, or a single string given as the function or algorithm list,
+    with :class:`TypeError`."""
 
     functions: tuple[str, ...]
     algorithms: tuple[str, ...] = PAPER_ALGORITHMS
@@ -230,9 +235,12 @@ class TrialConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("trials", self.trials, 1)
-        _check_count("seed", self.seed, 0)
+        check_count("trials", self.trials, 1)
+        check_count("seed", self.seed, 0)
         check_stop_rule(self.eps, self.budget)
+        for name, names in (("functions", self.functions), ("algorithms", self.algorithms)):
+            if isinstance(names, str):
+                raise TypeError(f"{name} must be a sequence of names, got {names!r}")
         specs = tuple(map(canonical_algorithm, self.algorithms))
         if not self.functions:
             raise ValueError("functions must name at least one function")
@@ -295,7 +303,7 @@ def run_benchmark(cfg: TrialConfig, jobs: int = 1) -> BenchmarkReport:
     one is refused with :class:`ValueError`, and one that is not an integer
     with :class:`TypeError`.
     """
-    _check_count("jobs", jobs, 1)
+    check_count("jobs", jobs, 1)
     fids, trials = zip(*itertools.product(cfg.functions, range(cfg.trials)))
     cfgs = itertools.repeat(cfg)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -363,8 +371,9 @@ _BLOCK_ROWS = 4000
 #: step 23 and reach zero inner length after about 30.
 MAX_BITS = 20
 
-#: The most gap vectors the sequence experiment draws per pattern, and
-#: ``kinkline verify`` per draw.  A draw holds several arrays of that many
+#: The most gap vectors the sequence experiment draws per pattern, and a
+#: :mod:`kinkline.verify` check per draw; :func:`check_count` refuses a
+#: larger ``samples`` in both.  A draw holds several arrays of that many
 #: rows at once: ``seqexp --bits 1`` at this bound peaks near 170 MB.
 MAX_SAMPLES = 1_000_000
 
@@ -393,15 +402,13 @@ def run_sequence_experiment(
     mean over its own rows, so the rows do not depend on the block size.
 
     ``bits`` is an integer from 1 to :data:`MAX_BITS`, ``samples`` one
-    from 1 to :data:`MAX_SAMPLES` and ``seed`` one from 0 up.
+    from 1 to :data:`MAX_SAMPLES` and ``seed`` one from 0 up; otherwise
+    :func:`check_count` raises :class:`TypeError` for a value that is not
+    an integer and :class:`ValueError` for one out of range.
     """
-    _check_count("bits", bits, 1)
-    if bits > MAX_BITS:
-        raise ValueError(f"bits must be <= {MAX_BITS}")
-    _check_count("samples", samples, 1)
-    if samples > MAX_SAMPLES:
-        raise ValueError(f"samples must be <= {MAX_SAMPLES}")
-    _check_count("seed", seed, 0)
+    check_count("bits", bits, 1, MAX_BITS)
+    check_count("samples", samples, 1, MAX_SAMPLES)
+    check_count("seed", seed, 0)
     m = min(bits, max(0, (_BLOCK_ROWS // samples).bit_length() - 1))
     width = 1 << m
     patterns = itertools.product((1, 0), repeat=bits)
@@ -456,21 +463,30 @@ def minimize_once(
     """One seeded run of one algorithm on one function.
 
     Without ``bracket_points`` the starting bracket comes from the random
-    generator; with them, the seven given abscissae are sorted ascending,
-    evaluated to finite real values, and validated, and any failure raises
-    :class:`BracketPointsError`.  Injected points may extend beyond the
-    function's nominal domain (the oracle's domain check widens to their
-    hull); the values must still satisfy the centre condition.  ``seed`` is
-    an integer from 0 up.
+    generator; with them, the seven given abscissae are read as floats,
+    sorted ascending, evaluated to finite real values, and validated, and
+    any failure raises :class:`BracketPointsError`, a string, bytes or a
+    point that is not a real number included.  Injected points may extend
+    beyond the function's nominal domain (the oracle's domain check widens
+    to their hull); the values must still satisfy the centre condition.
+    ``seed`` is an integer from 0 up.
     """
-    _check_count("seed", seed, 0)
+    check_count("seed", seed, 0)
     func = get_function(fid)
     a, b = func.domain
     if bracket_points is None:
         rng = np.random.default_rng([seed, _ONCE_STREAM, list_functions().index(func)])
         bracket = generate_bracket(func, rng)
     else:
-        pts = sorted(float(x) for x in bracket_points)
+        if isinstance(bracket_points, (str, bytes)):
+            raise BracketPointsError(f"need a sequence of numbers, got {bracket_points!r}")
+        pts = []
+        for x in bracket_points:
+            try:
+                pts.append(float(x))
+            except (TypeError, ValueError) as exc:
+                raise BracketPointsError(f"bracket point {x!r} is not a real number") from exc
+        pts.sort()
         if len(pts) != 7:
             raise BracketPointsError(f"need exactly 7 bracket points, got {len(pts)}")
         values = []

@@ -4,9 +4,11 @@ five-step contraction and reflection symmetry.
 Each check lives here whole: what it samples (:data:`MINIMAL_SEQUENCES`,
 :func:`random_bracket5`), its loop and its bound.  It takes a random stream
 and a sample size and returns what it measured; the caller compares that
-with the bound and decides pass or fail.  A sample size below one is
-refused with :class:`ValueError`: a check that drew nothing would read as
-a pass.
+with the bound and decides pass or fail.  The sample size must be an
+integer from 1 to :data:`~kinkline.harness.MAX_SAMPLES`, checked by
+:func:`~kinkline.harness.check_count` before anything is drawn: a check
+that drew nothing would read as a pass, and the bound keeps each draw's
+arrays in memory.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .brackets import ExtendedBracket5, apply_update, reflect
 from .eupm import all_branch_sequences, bracket_check, eupm_step, gap_sequence_ratios
-from .harness import sample_simplex
+from .harness import MAX_SAMPLES, check_count, sample_simplex
 
 #: Update sequences whose contraction ratios bound every realizable
 #: five-step sequence (the remaining ones reduce to these by substring
@@ -43,11 +45,6 @@ MAX_DRAWS = 200
 MAX_BRACKETS = 20000
 
 
-def _require_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-
-
 def _largest_feasible_ratio(rng: np.random.Generator, n: int, seq) -> tuple[float, int]:
     """Largest ratio of ``seq`` over ``n`` fresh gap vectors from which it
     is feasible (``-inf`` if none is), and the number of those."""
@@ -67,7 +64,7 @@ def minimal_sequence_ratios(
     made.  Maps each sequence to (feasible count, largest ratio), the
     ratio being ``-inf`` when no draw was feasible.
     """
-    _require_samples(samples)
+    check_count("samples", samples, 1, MAX_SAMPLES)
     out = {}
     for seq in MINIMAL_SEQUENCES:
         got = 0
@@ -91,7 +88,7 @@ def five_step_contraction(
     Returns the ratio, the sequence attaining it (``None`` when no pair was
     feasible) and the number of feasible (vector, sequence) pairs.
     """
-    _require_samples(samples)
+    check_count("samples", samples, 1, MAX_SAMPLES)
     worst = -math.inf
     worst_seq = None
     feasible = 0
@@ -148,6 +145,6 @@ def reflection_deviation(b: ExtendedBracket5) -> float:
 def reflection_symmetry(rng: np.random.Generator, samples: int) -> float:
     """Worst :func:`reflection_deviation` over ``samples`` random brackets,
     at most :data:`MAX_BRACKETS` of them."""
-    _require_samples(samples)
+    check_count("samples", samples, 1, MAX_SAMPLES)
     brackets = (random_bracket5(rng) for _ in range(min(samples, MAX_BRACKETS)))
     return max(map(reflection_deviation, brackets))

@@ -18,7 +18,7 @@ from kinkline.eupm import (
     gap_offset,
     gap_sequence_ratios,
 )
-from kinkline.harness import generate_bracket, sample_simplex
+from kinkline.harness import MAX_SAMPLES, generate_bracket, sample_simplex
 from kinkline.result import Status
 from kinkline.testfuncs import list_functions
 from kinkline.verify import MINIMAL_SEQUENCES, random_bracket5
@@ -418,3 +418,23 @@ class TestVerifyChecks:
         # reading below its bound
         with pytest.raises(ValueError, match="^samples must be >= 1$"):
             getattr(verify, check)(np.random.default_rng(0), samples)
+
+    @pytest.mark.parametrize(
+        "check", ["minimal_sequence_ratios", "five_step_contraction", "reflection_symmetry"]
+    )
+    @pytest.mark.parametrize(
+        "samples, error, message",
+        [
+            (5.5, TypeError, r"^samples must be an integer, got 5\.5$"),
+            (MAX_SAMPLES + 1, ValueError, f"^samples must be <= {MAX_SAMPLES}$"),
+        ],
+    )
+    def test_bad_samples_are_refused_before_any_draw(self, check, samples, error, message):
+        # a count that is not an integer would fail inside NumPy, and one
+        # above the bound would ask for arrays of many gigabytes
+        class Untouchable:
+            def __getattr__(self, name):
+                pytest.fail(f"{check} drew from the generator ({name}) before refusing")
+
+        with pytest.raises(error, match=message):
+            getattr(verify, check)(Untouchable(), samples)

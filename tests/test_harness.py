@@ -31,6 +31,7 @@ from kinkline.eupm import gap_apply_binary
 from kinkline.harness import (
     PAPER_ALGORITHMS,
     SUITES,
+    BracketPointsError,
     ResampleLimitExceededError,
     TrialConfig,
     canonical_algorithm,
@@ -534,11 +535,17 @@ class TestBenchmark:
             ({"trials": 2.5}, r"^trials must be an integer, got 2\.5$"),
             ({"trials": "3"}, "^trials must be an integer, got '3'$"),
             ({"seed": 1.0}, r"^seed must be an integer, got 1\.0$"),
+            ({"algorithms": "dupm"}, "^algorithms must be a sequence of names, got 'dupm'$"),
         ],
     )
     def test_config_refuses_a_count_that_is_not_an_integer(self, fields, message):
         with pytest.raises(TypeError, match=message):
             TrialConfig(functions=("SU1",), **fields)
+
+    def test_config_refuses_a_single_function_name(self):
+        # a string is a sequence of one-letter names, none of them a function
+        with pytest.raises(TypeError, match="^functions must be a sequence of names, got 'NU3'$"):
+            TrialConfig(functions="NU3")
 
     def test_run_benchmark_refuses_a_job_count_that_is_not_an_integer(self):
         cfg = TrialConfig(functions=("NU3",), algorithms=("golden",), trials=1)
@@ -688,6 +695,20 @@ class TestMinimizeOnce:
     def test_bad_seed_is_named(self, seed, error, message):
         with pytest.raises(error, match=message):
             minimize_once("SU1", "brent", seed=seed)
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            (["a", 1, 2, 3, 4, 5, 6], "^bracket point 'a' is not a real number$"),
+            ([None] * 7, "^bracket point None is not a real number$"),
+            ([1, 2, 3, 1j, 5, 6, 7], r"^bracket point 1j is not a real number$"),
+            ("1234567", "^need a sequence of numbers, got '1234567'$"),
+            (b"1234567", "^need a sequence of numbers, got b'1234567'$"),
+        ],
+    )
+    def test_points_that_are_not_real_numbers_are_bracket_errors(self, points, message):
+        with pytest.raises(BracketPointsError, match=message):
+            minimize_once("NU3", "supm:0", bracket_points=points)
 
     def test_trace_csv_needs_recorded_brackets(self):
         with pytest.raises(ValueError, match="record_brackets=True"):
