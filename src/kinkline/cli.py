@@ -316,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=10000,
         help="--sequences: feasible gap vectors sought per sequence, and the draw "
         "size; --contraction: gap vectors drawn per five-step sequence; "
-        f"--symmetry: brackets, at most {verify.MAX_BRACKETS:,} "
-        f"(1 to {MAX_SAMPLES:,})",
+        f"--symmetry: brackets (1 to {MAX_SAMPLES:,})",
     )
     p.add_argument("--seed", type=seed, default=seed_default)
     p.set_defaults(func=_cmd_verify)

@@ -13,6 +13,7 @@ import math
 import numbers
 import os
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -208,8 +209,8 @@ def run_algorithm(
 def check_count(name: str, n: int, low: int, high: int | None = None) -> None:
     """Refuse ``n`` unless it is an integer from ``low`` to ``high`` (no
     upper bound when ``None``), with a :class:`TypeError` or
-    :class:`ValueError` that names the parameter."""
-    if not isinstance(n, numbers.Integral):
+    :class:`ValueError` that names the parameter.  A bool is not a count."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
         raise TypeError(f"{name} must be an integer, got {n!r}")
     if n < low:
         raise ValueError(f"{name} must be >= {low}")
@@ -465,11 +466,11 @@ def minimize_once(
     Without ``bracket_points`` the starting bracket comes from the random
     generator; with them, the seven given abscissae are read as floats,
     sorted ascending, evaluated to finite real values, and validated, and
-    any failure raises :class:`BracketPointsError`, a string, bytes or a
-    point that is not a real number included.  Injected points may extend
-    beyond the function's nominal domain (the oracle's domain check widens
-    to their hull); the values must still satisfy the centre condition.
-    ``seed`` is an integer from 0 up.
+    any failure raises :class:`BracketPointsError`, a string, bytes, a
+    non-iterable or a point that is not a real number included.  Injected
+    points may extend beyond the function's nominal domain (the oracle's
+    domain check widens to their hull); the values must still satisfy the
+    centre condition.  ``seed`` is an integer from 0 up.
     """
     check_count("seed", seed, 0)
     func = get_function(fid)
@@ -478,7 +479,7 @@ def minimize_once(
         rng = np.random.default_rng([seed, _ONCE_STREAM, list_functions().index(func)])
         bracket = generate_bracket(func, rng)
     else:
-        if isinstance(bracket_points, (str, bytes)):
+        if isinstance(bracket_points, (str, bytes)) or not isinstance(bracket_points, Iterable):
             raise BracketPointsError(f"need a sequence of numbers, got {bracket_points!r}")
         pts = []
         for x in bracket_points:

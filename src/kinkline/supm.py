@@ -56,14 +56,14 @@ def supm_step(fl: Flanks, alpha: float) -> float:
 
 def check_stop_rule(eps: float, budget: int) -> None:
     """Reject a stop rule no run could meet: ``eps`` must be finite and
-    positive and ``budget`` a whole number of iterations, at least one.  A
-    whole float such as ``500.0`` is a budget; NaN, an infinity or
-    ``500.5`` is not, since the loop stops when its count equals it."""
+    positive and ``budget`` a whole number of iterations, at least one, not
+    a bool.  A whole float such as ``500.0`` is a budget; NaN, an infinity
+    or ``500.5`` is not, since the loop stops when its count equals it."""
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be finite and > 0")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if not budget % 1 == 0:  # NaN and the infinities included
+    if isinstance(budget, bool) or not budget % 1 == 0:  # NaN and the infinities included
         raise ValueError(f"budget must be a whole number, got {budget!r}")
 
 

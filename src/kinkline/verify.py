@@ -4,11 +4,11 @@ five-step contraction and reflection symmetry.
 Each check lives here whole: what it samples (:data:`MINIMAL_SEQUENCES`,
 :func:`random_bracket5`), its loop and its bound.  It takes a random stream
 and a sample size and returns what it measured; the caller compares that
-with the bound and decides pass or fail.  The sample size must be an
-integer from 1 to :data:`~kinkline.harness.MAX_SAMPLES`, checked by
-:func:`~kinkline.harness.check_count` before anything is drawn: a check
-that drew nothing would read as a pass, and the bound keeps each draw's
-arrays in memory.
+with the bound and decides pass or fail.  The sample size is used as given
+and must be an integer from 1 to :data:`~kinkline.harness.MAX_SAMPLES`,
+checked by :func:`~kinkline.harness.check_count` before anything is drawn:
+a check that drew nothing would read as a pass, and the bound keeps each
+draw's arrays in memory.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ REFLECTION_BOUND = 1.0
 #: Draws per sequence after which :func:`minimal_sequence_ratios` stops
 #: short of the requested feasible count.
 MAX_DRAWS = 200
-#: Brackets :func:`reflection_symmetry` draws at most, whatever it is asked.
-MAX_BRACKETS = 20000
 
 
 def _largest_feasible_ratio(rng: np.random.Generator, n: int, seq) -> tuple[float, int]:
@@ -143,8 +141,7 @@ def reflection_deviation(b: ExtendedBracket5) -> float:
 
 
 def reflection_symmetry(rng: np.random.Generator, samples: int) -> float:
-    """Worst :func:`reflection_deviation` over ``samples`` random brackets,
-    at most :data:`MAX_BRACKETS` of them."""
+    """Worst :func:`reflection_deviation` over ``samples`` random brackets."""
     check_count("samples", samples, 1, MAX_SAMPLES)
-    brackets = (random_bracket5(rng) for _ in range(min(samples, MAX_BRACKETS)))
+    brackets = (random_bracket5(rng) for _ in range(samples))
     return max(map(reflection_deviation, brackets))

@@ -427,6 +427,7 @@ class TestVerifyChecks:
         [
             (5.5, TypeError, r"^samples must be an integer, got 5\.5$"),
             (MAX_SAMPLES + 1, ValueError, f"^samples must be <= {MAX_SAMPLES}$"),
+            (True, TypeError, "^samples must be an integer, got True$"),
         ],
     )
     def test_bad_samples_are_refused_before_any_draw(self, check, samples, error, message):
@@ -438,3 +439,18 @@ class TestVerifyChecks:
 
         with pytest.raises(error, match=message):
             getattr(verify, check)(Untouchable(), samples)
+
+    def test_reflection_check_draws_every_bracket_it_is_asked_for(self):
+        # random_bracket5 makes seven uniform draws per bracket
+        class Counting:
+            def __init__(self):
+                self.rng = np.random.default_rng(0)
+                self.calls = 0
+
+            def uniform(self, *args):
+                self.calls += 1
+                return self.rng.uniform(*args)
+
+        rng = Counting()
+        assert verify.reflection_symmetry(rng, 20001) <= verify.REFLECTION_BOUND
+        assert rng.calls == 7 * 20001

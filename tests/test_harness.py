@@ -523,6 +523,7 @@ class TestBenchmark:
                 r"^budget must be a whole number, got 500\.5$",
             ),
             ({"functions": ("SU1",), "budget": math.nan}, "^budget must be a whole number, got nan$"),
+            ({"functions": ("SU1",), "budget": True}, "^budget must be a whole number, got True$"),
         ],
     )
     def test_config_refuses(self, fields, message):
@@ -536,6 +537,8 @@ class TestBenchmark:
             ({"trials": "3"}, "^trials must be an integer, got '3'$"),
             ({"seed": 1.0}, r"^seed must be an integer, got 1\.0$"),
             ({"algorithms": "dupm"}, "^algorithms must be a sequence of names, got 'dupm'$"),
+            ({"trials": True}, "^trials must be an integer, got True$"),
+            ({"seed": False}, "^seed must be an integer, got False$"),
         ],
     )
     def test_config_refuses_a_count_that_is_not_an_integer(self, fields, message):
@@ -704,6 +707,7 @@ class TestMinimizeOnce:
             ([1, 2, 3, 1j, 5, 6, 7], r"^bracket point 1j is not a real number$"),
             ("1234567", "^need a sequence of numbers, got '1234567'$"),
             (b"1234567", "^need a sequence of numbers, got b'1234567'$"),
+            (5, "^need a sequence of numbers, got 5$"),
         ],
     )
     def test_points_that_are_not_real_numbers_are_bracket_errors(self, points, message):
