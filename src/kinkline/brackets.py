@@ -14,9 +14,9 @@ inner triple that the classic solvers move, with the names ``xl``, ``xr``,
 
 Every bracket caches the objective value at each point.  Solvers never
 re-query the oracle at a point the bracket already holds; fresh oracle calls
-happen only at new trial points.  Two tuples of builtin floats are kept as
-they are; other numbers are converted by ``float(+e)``, which refuses a
-string, bytes or None.  Validation refuses, in this order, a NaN or
+happen only at new trial points.  Each point and value is converted once,
+by ``float(+e)``, which keeps a builtin float as it is; a string, bytes, a
+bytearray or None is refused.  Validation refuses, in this order, a NaN or
 infinite point or value; for five and seven points, a span whose square
 overflows (above about 1.34e154), since the closed-form step multiplies
 two gaps; a gap too small; and a centre that is not minimal.  Each rule is
@@ -44,8 +44,6 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 _EPS = sys.float_info.epsilon
-_INF = math.inf
-_FLOAT = frozenset([float])
 
 #: Adjacent points of a five- or seven-point bracket closer than this
 #: multiple of machine epsilon times the bracket diameter are rejected:
@@ -89,22 +87,12 @@ class BracketTooSmallError(RuntimeError):
 
 def _check(x: tuple, fv: tuple, c: int, gap: float) -> None:
     """Refuse points ``x`` and values ``fv`` (centre ``c``) by the first rule they break."""
-    span = x[-1] - x[0]
-    a = x[0]
-    for b in x[1:]:
-        if not b - a > gap:
-            break
-        a = b
-    else:  # ascending points with a finite squared span are finite, and a
-        # finite sum says the values are; an overflow of either from finite
-        # numbers falls through to the naming path, which decides it
-        if span * span < _INF and math.isfinite(sum(fv)) and fv[c - 1] >= fv[c] <= fv[c + 1]:
-            return
     for what, v in (("point", x), ("value", fv)):
         for i, e in enumerate(v):
             if not math.isfinite(e):
                 raise NotFiniteError(f"{what} {i} is not finite: {e!r}")
-    if len(x) > 3 and not span * span < _INF:
+    span = x[-1] - x[0]
+    if len(x) > 3 and not span * span < math.inf:
         raise BracketError(f"span {span!r} too wide: its square overflows")
     for i in range(1, len(x)):
         if not x[i] - x[i - 1] > gap:
@@ -129,7 +117,8 @@ class Bracket:
     """Ascending points ``x`` with cached values ``fv``, centre at index
     ``len(x) // 2`` carrying the smallest of the inner value triple.
     ``x`` and ``fv`` may be any iterables of finite real numbers, NumPy's
-    included; they are stored as tuples of builtin floats.
+    included; a ``str``, ``bytes`` or ``bytearray`` raises :class:`TypeError`.
+    Each number is converted once, by ``float(+e)``, to a builtin float.
 
     A subclass sets the point count ``_N``, which fixes the centre index
     ``_CENTRE``.  Five or seven points must span less than about 1.34e154,
@@ -149,13 +138,14 @@ class Bracket:
         cls._CENTRE = cls._N // 2
 
     def __init__(self, x: Iterable[float], fv: Iterable[float]):
-        if not (type(x) is type(fv) is tuple and _FLOAT.issuperset(map(type, x + fv))):
-            x, fv = tuple([float(+e) for e in x]), tuple([float(+e) for e in fv])
+        for v in (x, fv):
+            if isinstance(v, (str, bytes, bytearray)):
+                raise TypeError(f"need a sequence of numbers, got {type(v).__name__}")
+        x, fv = tuple([float(+e) for e in x]), tuple([float(+e) for e in fv])
         if not len(x) == len(fv) == self._N:
             raise BracketError(f"need exactly {self._N} points and {self._N} values")
         _check(x, fv, self._CENTRE, min_gap(x) if self._N > 3 else 0.0)
-        d = self.__dict__  # frozen: the fields go straight into the instance dict
-        d["x"], d["fv"] = x, fv
+        self.__dict__.update(x=x, fv=fv)  # frozen: straight into the instance dict
 
     xl1 = property(lambda self: self.x[self._CENTRE - 1])
     xm = property(lambda self: self.x[self._CENTRE])

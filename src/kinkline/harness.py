@@ -72,9 +72,9 @@ class ResampleLimitExceededError(RuntimeError):
 
 class BracketPointsError(ValueError):
     """Given starting abscissae do not make a valid seven-point bracket:
-    not a sequence of real numbers, wrong count, a point where the function
-    cannot be evaluated, repeated points, or values failing the centre
-    condition."""
+    not a sequence of real numbers (a numeric string is not one), wrong
+    count, a point where the function cannot be evaluated, repeated points,
+    or values failing the centre condition."""
 
 
 #: Full draws :func:`generate_bracket` makes before it gives up.
@@ -464,13 +464,15 @@ def minimize_once(
     """One seeded run of one algorithm on one function.
 
     Without ``bracket_points`` the starting bracket comes from the random
-    generator; with them, the seven given abscissae are read as floats,
-    sorted ascending, evaluated to finite real values, and validated, and
-    any failure raises :class:`BracketPointsError`, a string, bytes, a
-    non-iterable or a point that is not a real number included.  Injected
-    points may extend beyond the function's nominal domain (the oracle's
-    domain check widens to their hull); the values must still satisfy the
-    centre condition.  ``seed`` is an integer from 0 up.
+    generator; with them, the seven given abscissae are read as floats by
+    the bracket types' rule ``float(+x)``, sorted ascending, evaluated to
+    finite real values, and validated.  Any failure raises
+    :class:`BracketPointsError`: a string, bytes, a bytearray, a
+    non-iterable, or a point that is not a real number, a numeric string
+    such as ``"0.5"`` included.  Injected points may extend beyond the
+    function's nominal domain (the oracle's domain check widens to their
+    hull); the values must still satisfy the centre condition.  ``seed`` is
+    an integer from 0 up.
     """
     check_count("seed", seed, 0)
     func = get_function(fid)
@@ -479,12 +481,13 @@ def minimize_once(
         rng = np.random.default_rng([seed, _ONCE_STREAM, list_functions().index(func)])
         bracket = generate_bracket(func, rng)
     else:
-        if isinstance(bracket_points, (str, bytes)) or not isinstance(bracket_points, Iterable):
+        text = isinstance(bracket_points, (str, bytes, bytearray))
+        if text or not isinstance(bracket_points, Iterable):
             raise BracketPointsError(f"need a sequence of numbers, got {bracket_points!r}")
         pts = []
         for x in bracket_points:
             try:
-                pts.append(float(x))
+                pts.append(float(+x))
             except (TypeError, ValueError) as exc:
                 raise BracketPointsError(f"bracket point {x!r} is not a real number") from exc
         pts.sort()

@@ -142,6 +142,19 @@ class TestOneBracketType:
         fv = [v and 1e308 for v in fv]  # 0.0 at the centre, 1e308 elsewhere
         assert build(cls, x, fv).fv == tuple(fv)
 
+    @pytest.mark.parametrize("kind", [str, bytes, bytearray])
+    @pytest.mark.parametrize("what", ["points", "values"])
+    def test_text_and_bytes_are_refused_whole(self, cls, n, kind, what):
+        # the small integers of a valid bracket, which bytes and a bytearray
+        # would iterate as, and a str as characters
+        x, fv = list(range(n)), [0 if i == n // 2 else 1 for i in range(n)]
+        assert build(cls, x, fv).xm == n // 2
+        text = bytes(x if what == "points" else fv)
+        text = text.decode() if kind is str else kind(text)
+        args = (text, fv) if what == "points" else (x, text)
+        with pytest.raises(TypeError, match=f"^need a sequence of numbers, got {kind.__name__}$"):
+            Bracket.__init__(object.__new__(cls), *args)
+
     def test_immutable(self, cls, n):
         b = build(cls, *parabola(n))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -157,10 +170,11 @@ def test_any_sequences_are_stored_as_tuples(cls, n):
         b = cls(px, pf)
         assert type(b.x) is tuple and type(b.fv) is tuple
         assert b.x == tuple(x) and b.fv == tuple(fv)
-    # a tuple is kept as it is, so every point and value keeps its identity
+    # float(+e) hands a builtin float back as it is, so every point and
+    # value keeps its identity
     tx, tf = tuple(x), tuple(fv)
     b = cls(tx, tf)
-    assert b.x is tx and b.fv is tf
+    assert all(u is v for u, v in zip(b.x, tx)) and all(u is v for u, v in zip(b.fv, tf))
 
 
 class TestNumberType:

@@ -708,6 +708,11 @@ class TestMinimizeOnce:
             ("1234567", "^need a sequence of numbers, got '1234567'$"),
             (b"1234567", "^need a sequence of numbers, got b'1234567'$"),
             (5, "^need a sequence of numbers, got 5$"),
+            (
+                ["-1", "-0.5", "-0.2", "0", "0.2", "0.5", "1"],
+                "^bracket point '-1' is not a real number$",
+            ),
+            (bytearray(b"1234567"), r"^need a sequence of numbers, got bytearray\(b'1234567'\)$"),
         ],
     )
     def test_points_that_are_not_real_numbers_are_bracket_errors(self, points, message):

@@ -3,10 +3,20 @@
 A change that must not alter any result (a refactor of the solver loops,
 say) keeps every value here.  A change that alters results on purpose
 updates the affected entries and lists them in CHANGES.md.
+
+The run of every function and algorithm at seed 0 is also kept readable in
+``tests/pins/all_runs_seed_0.txt``: one line per run with its status,
+counts, final inner triple and trace hash, so a changed result shows which
+run and field moved.  After a change on purpose, rewrite it with
+
+    PYTHONPATH=src python tests/test_seeded_outputs.py
+
+and commit the diff with the updated hash below.
 """
 
 import hashlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,16 +100,46 @@ def test_minimize_trace(capsys, tmp_path, spec):
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == NU2_SEED_3_TRACE_SHA256[spec]
 
 
-def test_every_function_and_algorithm_at_seed_0():
+#: The readable form of the same runs, one line of these fields per run.
+ALL_RUNS_FIELDS = ("function", "spec", "status", "iterations", "evaluations",
+                   "xl1", "xm", "xr1", "fm", "trace_sha256")
+ALL_RUNS_PIN = Path(__file__).parent / "pins" / "all_runs_seed_0.txt"
+
+
+def all_runs_at_seed_0():
+    """The hash over every run at seed 0, and one summary line per run."""
     h = hashlib.sha256()
+    lines = [" ".join(ALL_RUNS_FIELDS)]
     for f in list_functions():
         for spec in PAPER_ALGORITHMS + ("golden",):
             res, _ = minimize_once(f.fid, spec, seed=0)
             buf = io.StringIO()
             write_trace_csv(res, buf)
+            csv = buf.getvalue().encode()
             h.update(f"{f.fid} {spec} {res.status.value} {res.evaluations}\n".encode())
-            h.update(buf.getvalue().encode())
-    assert h.hexdigest() == ALL_RUNS_SEED_0_SHA256
+            h.update(csv)
+            b = res.bracket
+            lines.append(f"{f.fid} {spec} {res.status.value} {res.iterations} {res.evaluations} "
+                         f"{b.xl1!r} {b.xm!r} {b.xr1!r} {b.fm!r} {hashlib.sha256(csv).hexdigest()}")
+    return h.hexdigest(), lines
+
+
+def first_difference(lines, pinned):
+    """Where ``lines`` first part from ``pinned``: the run and the field."""
+    for got, want in zip(lines, pinned):
+        if got != want:
+            g, w = got.split() + ["(none)"], want.split() + ["(none)"]
+            k = next(k for k, (u, v) in enumerate(zip(g, w)) if u != v)
+            name = ALL_RUNS_FIELDS[k] if k < len(ALL_RUNS_FIELDS) else f"field {k}"
+            return f"{g[0]} {g[1]}: {name} is {g[k]}, pinned {w[k]}"
+    return f"{len(lines)} lines, pinned {len(pinned)}"
+
+
+def test_every_function_and_algorithm_at_seed_0():
+    digest, lines = all_runs_at_seed_0()
+    pinned = ALL_RUNS_PIN.read_text().splitlines()
+    assert lines == pinned, first_difference(lines, pinned)
+    assert digest == ALL_RUNS_SEED_0_SHA256
 
 
 def test_bracket_stream_at_seed_0():
@@ -129,3 +169,8 @@ def test_oracle_free_outputs(capsys, command):
     assert main([command, "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_FREE_SEED_0_SHA256[command]
+
+
+if __name__ == "__main__":
+    ALL_RUNS_PIN.parent.mkdir(exist_ok=True)
+    ALL_RUNS_PIN.write_text("\n".join(all_runs_at_seed_0()[1]) + "\n")
