@@ -14,14 +14,14 @@ inner triple that the classic solvers move, with the names ``xl``, ``xr``,
 
 Every bracket caches the objective value at each point.  Solvers never
 re-query the oracle at a point the bracket already holds; fresh oracle calls
-happen only at new trial points.  Each point and value is converted once,
-by ``float(+e)``, which keeps a builtin float as it is; a string, bytes, a
-bytearray or None is refused.  Validation refuses, in this order, a NaN or
-infinite point or value; for five and seven points, a span whose square
-overflows (above about 1.34e154), since the closed-form step multiplies
-two gaps; a gap too small; and a centre that is not minimal.  Each rule is
-stated once: the gap is :func:`min_gap` for five and seven points, and
-zero for three, which refuse only coincident points.
+happen only at new trial points.  Each point and value is converted once, by
+``float(+e)``, which keeps a builtin float as it is; a string, bytes, a
+bytearray, a byte memoryview or None is refused.  Validation refuses, in
+this order, a NaN or infinite point or value; for five and seven points, a
+span whose square overflows (above about 1.34e154), since the closed-form
+step multiplies two gaps; a gap too small; and a centre that is not minimal.
+Each rule is stated once: the gap is :func:`min_gap` for five and seven
+points, and zero for three, which refuse only coincident points.
 
 A validated :class:`Bracket` crosses the edges: solver inputs, results and
 recorded brackets.  Inside the update-rule loop a bracket is its point and
@@ -117,7 +117,8 @@ class Bracket:
     """Ascending points ``x`` with cached values ``fv``, centre at index
     ``len(x) // 2`` carrying the smallest of the inner value triple.
     ``x`` and ``fv`` may be any iterables of finite real numbers, NumPy's
-    included; a ``str``, ``bytes`` or ``bytearray`` raises :class:`TypeError`.
+    included; a ``str``, ``bytes``, ``bytearray`` or byte memoryview raises
+    :class:`TypeError`.
     Each number is converted once, by ``float(+e)``, to a builtin float.
 
     A subclass sets the point count ``_N``, which fixes the centre index
@@ -139,7 +140,9 @@ class Bracket:
 
     def __init__(self, x: Iterable[float], fv: Iterable[float]):
         for v in (x, fv):
-            if isinstance(v, (str, bytes, bytearray)):
+            if isinstance(v, (str, bytes, bytearray)) or (
+                isinstance(v, memoryview) and v.format in ("B", "b", "c")
+            ):
                 raise TypeError(f"need a sequence of numbers, got {type(v).__name__}")
         x, fv = tuple([float(+e) for e in x]), tuple([float(+e) for e in fv])
         if not len(x) == len(fv) == self._N:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
@@ -29,7 +28,7 @@ from .brackets import BracketError, ExtendedBracket7, inner3, inner5
 from .dupm import dupm_minimize
 from .eupm import eupm_minimize, gap_apply_binary
 from .result import SolverResult, Status
-from .supm import check_stop_rule, supm_minimize
+from .supm import check_count, check_stop_rule, supm_minimize
 from .testfuncs import CountingOracle, TestFunction, get_function, list_functions, oracle_for
 
 _BENCH_STREAM = 1
@@ -206,27 +205,15 @@ def run_algorithm(
     return solve(oracle, view(bracket), eps, budget, record_brackets, **extra)
 
 
-def check_count(name: str, n: int, low: int, high: int | None = None) -> None:
-    """Refuse ``n`` unless it is an integer from ``low`` to ``high`` (no
-    upper bound when ``None``), with a :class:`TypeError` or
-    :class:`ValueError` that names the parameter.  A bool is not a count."""
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise TypeError(f"{name} must be an integer, got {n!r}")
-    if n < low:
-        raise ValueError(f"{name} must be >= {low}")
-    if high is not None and n > high:
-        raise ValueError(f"{name} must be <= {high}")
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Settings of one benchmark run.  Functions are stored as the
     registry's canonical ids (``"nu3"`` becomes ``"NU3"``) and algorithms
-    as :func:`canonical_algorithm` specs; an empty function or algorithm
-    list, one that names a function or algorithm twice, or a negative seed
-    is refused with :class:`ValueError`, and a count or seed that is not an
-    integer, or a single string given as the function or algorithm list,
-    with :class:`TypeError`."""
+    as :func:`canonical_algorithm` specs.  ``trials``, ``seed`` and ``budget``
+    are counts by :func:`~kinkline.supm.check_count`; an empty function or
+    algorithm list, or one that lists a name twice, is refused with
+    :class:`ValueError`, and a single string given as either with
+    :class:`TypeError`."""
 
     functions: tuple[str, ...]
     algorithms: tuple[str, ...] = PAPER_ALGORITHMS
@@ -373,9 +360,9 @@ _BLOCK_ROWS = 4000
 MAX_BITS = 20
 
 #: The most gap vectors the sequence experiment draws per pattern, and a
-#: :mod:`kinkline.verify` check per draw; :func:`check_count` refuses a
-#: larger ``samples`` in both.  A draw holds several arrays of that many
-#: rows at once: ``seqexp --bits 1`` at this bound peaks near 170 MB.
+#: :mod:`kinkline.verify` check per draw; :func:`~kinkline.supm.check_count`
+#: refuses a larger ``samples`` in both.  A draw holds several arrays of that
+#: many rows at once: ``seqexp --bits 1`` at this bound peaks near 170 MB.
 MAX_SAMPLES = 1_000_000
 
 
@@ -404,8 +391,8 @@ def run_sequence_experiment(
 
     ``bits`` is an integer from 1 to :data:`MAX_BITS`, ``samples`` one
     from 1 to :data:`MAX_SAMPLES` and ``seed`` one from 0 up; otherwise
-    :func:`check_count` raises :class:`TypeError` for a value that is not
-    an integer and :class:`ValueError` for one out of range.
+    :func:`~kinkline.supm.check_count` raises :class:`TypeError` for a value
+    that is not an integer and :class:`ValueError` for one out of range.
     """
     check_count("bits", bits, 1, MAX_BITS)
     check_count("samples", samples, 1, MAX_SAMPLES)
@@ -467,29 +454,38 @@ def minimize_once(
     generator; with them, the seven given abscissae are read as floats by
     the bracket types' rule ``float(+x)``, sorted ascending, evaluated to
     finite real values, and validated.  Any failure raises
-    :class:`BracketPointsError`: a string, bytes, a bytearray, a
-    non-iterable, or a point that is not a real number, a numeric string
-    such as ``"0.5"`` included.  Injected points may extend beyond the
+    :class:`BracketPointsError`: a string, bytes, a bytearray, a memoryview
+    of bytes, a non-iterable, a point that is not a real number, a numeric
+    string such as ``"0.5"`` included, or one too large for a float, which
+    is named by its position.  Injected points may extend beyond the
     function's nominal domain (the oracle's domain check widens to their
-    hull); the values must still satisfy the centre condition.  ``seed`` is
-    an integer from 0 up.
+    hull); the values must still satisfy the centre condition.  ``seed`` (a
+    count from 0 up), ``eps`` and ``budget`` (see
+    :func:`~kinkline.supm.check_stop_rule`) are checked before any draw.
     """
     check_count("seed", seed, 0)
+    check_stop_rule(eps, budget)
     func = get_function(fid)
     a, b = func.domain
     if bracket_points is None:
         rng = np.random.default_rng([seed, _ONCE_STREAM, list_functions().index(func)])
         bracket = generate_bracket(func, rng)
     else:
-        text = isinstance(bracket_points, (str, bytes, bytearray))
+        text = isinstance(bracket_points, (str, bytes, bytearray)) or (
+            isinstance(bracket_points, memoryview) and bracket_points.format in ("B", "b", "c")
+        )
         if text or not isinstance(bracket_points, Iterable):
             raise BracketPointsError(f"need a sequence of numbers, got {bracket_points!r}")
         pts = []
-        for x in bracket_points:
+        for i, x in enumerate(bracket_points):
             try:
                 pts.append(float(+x))
             except (TypeError, ValueError) as exc:
                 raise BracketPointsError(f"bracket point {x!r} is not a real number") from exc
+            except OverflowError as exc:  # named by position: a huge int's repr may fail
+                raise BracketPointsError(
+                    f"bracket point at index {i} is too large for a float"
+                ) from exc
         pts.sort()
         if len(pts) != 7:
             raise BracketPointsError(f"need exactly 7 bracket points, got {len(pts)}")

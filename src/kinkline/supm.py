@@ -23,6 +23,7 @@ record that carries them across updates and the max-model kernel are in
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Iterator
 
 from .brackets import Bracket, BracketTooSmallError, ExtendedBracket7, apply_update, require
@@ -54,17 +55,25 @@ def supm_step(fl: Flanks, alpha: float) -> float:
     return fl.solve(alpha)[2]
 
 
+def check_count(name: str, n: int, low: int, high: int | None = None) -> None:
+    """The one rule for every count, seeds and the budget included: refuse
+    ``n`` unless it is an integer from ``low`` to ``high`` (no upper bound
+    when ``None``), with a :class:`TypeError` or :class:`ValueError` that
+    names the parameter.  A bool is not a count."""
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise TypeError(f"{name} must be an integer, got {n!r}")
+    if n < low:
+        raise ValueError(f"{name} must be >= {low}")
+    if high is not None and n > high:
+        raise ValueError(f"{name} must be <= {high}")
+
+
 def check_stop_rule(eps: float, budget: int) -> None:
     """Reject a stop rule no run could meet: ``eps`` must be finite and
-    positive and ``budget`` a whole number of iterations, at least one, not
-    a bool.  A whole float such as ``500.0`` is a budget; NaN, an infinity
-    or ``500.5`` is not, since the loop stops when its count equals it."""
+    positive, and ``budget`` a count from 1 up by :func:`check_count`."""
     if not 0.0 < eps < math.inf:
         raise ValueError("eps must be finite and > 0")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if isinstance(budget, bool) or not budget % 1 == 0:  # NaN and the infinities included
-        raise ValueError(f"budget must be a whole number, got {budget!r}")
+    check_count("budget", budget, 1)
 
 
 def run_solver(

@@ -6,7 +6,7 @@ Each check lives here whole: what it samples (:data:`MINIMAL_SEQUENCES`,
 and a sample size and returns what it measured; the caller compares that
 with the bound and decides pass or fail.  The sample size is used as given
 and must be an integer from 1 to :data:`~kinkline.harness.MAX_SAMPLES`,
-checked by :func:`~kinkline.harness.check_count` before anything is drawn:
+checked by :func:`~kinkline.supm.check_count` before anything is drawn:
 a check that drew nothing would read as a pass, and the bound keeps each
 draw's arrays in memory.
 """
@@ -20,7 +20,8 @@ import numpy as np
 
 from .brackets import ExtendedBracket5, apply_update, reflect
 from .eupm import all_branch_sequences, bracket_check, eupm_step, gap_sequence_ratios
-from .harness import MAX_SAMPLES, check_count, sample_simplex
+from .harness import MAX_SAMPLES, sample_simplex
+from .supm import check_count
 
 #: Update sequences whose contraction ratios bound every realizable
 #: five-step sequence (the remaining ones reduce to these by substring

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import sys
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -142,7 +143,7 @@ class TestOneBracketType:
         fv = [v and 1e308 for v in fv]  # 0.0 at the centre, 1e308 elsewhere
         assert build(cls, x, fv).fv == tuple(fv)
 
-    @pytest.mark.parametrize("kind", [str, bytes, bytearray])
+    @pytest.mark.parametrize("kind", [str, bytes, bytearray, memoryview])
     @pytest.mark.parametrize("what", ["points", "values"])
     def test_text_and_bytes_are_refused_whole(self, cls, n, kind, what):
         # the small integers of a valid bracket, which bytes and a bytearray
@@ -154,6 +155,13 @@ class TestOneBracketType:
         args = (text, fv) if what == "points" else (x, text)
         with pytest.raises(TypeError, match=f"^need a sequence of numbers, got {kind.__name__}$"):
             Bracket.__init__(object.__new__(cls), *args)
+
+    def test_a_memoryview_of_doubles_is_a_sequence_of_numbers(self, cls, n):
+        # the text check refuses a memoryview by its format, not its type
+        x, fv = parabola(n)
+        b = object.__new__(cls)
+        Bracket.__init__(b, memoryview(array("d", x)), memoryview(array("d", fv)))
+        assert b.x == tuple(x) and b.fv == tuple(fv)
 
     def test_immutable(self, cls, n):
         b = build(cls, *parabola(n))

@@ -5,6 +5,8 @@ import os
 import pickle
 import subprocess
 import sys
+from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -518,12 +520,6 @@ class TestBenchmark:
                 "^algorithm 'supm:0' listed twice$",
             ),
             ({"functions": ("SU1",), "trials": 2, "seed": -1}, "^seed must be >= 0$"),
-            (
-                {"functions": ("SU1",), "budget": 500.5},
-                r"^budget must be a whole number, got 500\.5$",
-            ),
-            ({"functions": ("SU1",), "budget": math.nan}, "^budget must be a whole number, got nan$"),
-            ({"functions": ("SU1",), "budget": True}, "^budget must be a whole number, got True$"),
         ],
     )
     def test_config_refuses(self, fields, message):
@@ -539,6 +535,10 @@ class TestBenchmark:
             ({"algorithms": "dupm"}, "^algorithms must be a sequence of names, got 'dupm'$"),
             ({"trials": True}, "^trials must be an integer, got True$"),
             ({"seed": False}, "^seed must be an integer, got False$"),
+            ({"budget": 500.5}, r"^budget must be an integer, got 500\.5$"),
+            ({"budget": math.nan}, "^budget must be an integer, got nan$"),
+            ({"budget": True}, "^budget must be an integer, got True$"),
+            ({"budget": 500.0}, r"^budget must be an integer, got 500\.0$"),
         ],
     )
     def test_config_refuses_a_count_that_is_not_an_integer(self, fields, message):
@@ -713,11 +713,44 @@ class TestMinimizeOnce:
                 "^bracket point '-1' is not a real number$",
             ),
             (bytearray(b"1234567"), r"^need a sequence of numbers, got bytearray\(b'1234567'\)$"),
+            (
+                memoryview(bytes(range(7))),
+                "^need a sequence of numbers, got <memory at 0x[0-9a-f]+>$",
+            ),
+            # named by position: in Python 3.11 repr(10**5000) itself raises
+            ([1, 2, 10**5000, 3, 4, 5, 6], "^bracket point at index 2 is too large for a float$"),
+            ([10**400, 1, 2, 3, 4, 5, 6], "^bracket point at index 0 is too large for a float$"),
+            (
+                [0, Fraction(10**400), 1, 2, 3, 4, 5],
+                "^bracket point at index 1 is too large for a float$",
+            ),
         ],
     )
     def test_points_that_are_not_real_numbers_are_bracket_errors(self, points, message):
         with pytest.raises(BracketPointsError, match=message):
             minimize_once("NU3", "supm:0", bracket_points=points)
+
+    def test_a_memoryview_of_doubles_is_a_sequence_of_points(self):
+        pts = (-1.811263, -2.171330, -2.23927, 1.820150, 2.102197, 2.293404, 2.334091)
+        res, bracket = minimize_once("NU3", "supm:0", bracket_points=memoryview(array("d", pts)))
+        want, _ = minimize_once("NU3", "supm:0", bracket_points=pts)
+        assert bracket.x == tuple(sorted(pts)) and res.trace == want.trace
+
+    @pytest.mark.parametrize(
+        "budget, error, message",
+        [
+            (0, ValueError, "^budget must be >= 1$"),
+            (500.0, TypeError, r"^budget must be an integer, got 500\.0$"),
+            (math.nan, TypeError, "^budget must be an integer, got nan$"),
+        ],
+    )
+    def test_a_bad_budget_is_refused_before_any_draw(self, monkeypatch, budget, error, message):
+        def no_draw(*args):
+            pytest.fail("generate_bracket was called")
+
+        monkeypatch.setattr(harness, "generate_bracket", no_draw)
+        with pytest.raises(error, match=message):
+            minimize_once("SU1", "brent", budget=budget)
 
     def test_trace_csv_needs_recorded_brackets(self):
         with pytest.raises(ValueError, match="record_brackets=True"):

@@ -4,16 +4,23 @@ A change that must not alter any result (a refactor of the solver loops,
 say) keeps every value here.  A change that alters results on purpose
 updates the affected entries and lists them in CHANGES.md.
 
-The run of every function and algorithm at seed 0 is also kept readable in
-``tests/pins/all_runs_seed_0.txt``: one line per run with its status,
-counts, final inner triple and trace hash, so a changed result shows which
-run and field moved.  After a change on purpose, rewrite it with
+Four of them are also kept readable in ``tests/pins/``, and each test
+compares that text before its hash, so a changed result shows where it
+moved: the run of every function and algorithm at seed 0
+(``all_runs_seed_0.txt``, one line per run with its status, counts, final
+inner triple and trace hash; a mismatch names the run and field), the
+DUPM constants of those runs (``dupm_alphas_seed_0.txt``, one line per
+function with the count, the last constant and a hash; a mismatch names
+the function and field), and the stdout of ``verify --seed 0`` and of
+``bench --suite all --trials 30 --seed 0`` as it is (a mismatch quotes the
+first differing line).  After a change on purpose, rewrite all four with
 
     PYTHONPATH=src python tests/test_seeded_outputs.py
 
-and commit the diff with the updated hash below.
+and commit their diff with the updated hashes below.
 """
 
+import contextlib
 import hashlib
 import io
 from pathlib import Path
@@ -85,6 +92,31 @@ ORACLE_FREE_SEED_0_SHA256 = {
     "seqexp": "6373e502ab0ee3f1d650aa261ca059a27063b17c474dbee8dbf608f5f84abef5",
 }
 
+#: SHA-256 of the stdout of ``bench --suite all --trials 30 --seed 0``.
+BENCH_ALL_30_TRIALS_SEED_0_SHA256 = (
+    "0353e2d784f548b901b29d591ca0499a572f377865b8c14214e6b9d42b7e7284"
+)
+
+PINS = Path(__file__).parent / "pins"
+BENCH_30_ARGS = ("bench", "--suite", "all", "--trials", "30", "--seed", "0")
+#: Command lines whose stdout is kept as text in ``pins/``.
+COMMAND_PINS = {
+    ("verify", "--seed", "0"): PINS / "verify_seed_0.txt",
+    BENCH_30_ARGS: PINS / "bench_all_30_seed_0.csv",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def stdout_of(argv):
+    """What ``kinkline`` writes to stdout for ``argv``, which must exit 0."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    return buf.getvalue()
+
 
 def test_bench_csv(capsys):
     assert main(["bench", "--suite", "all", "--trials", "3", "--seed", "0"]) == 0
@@ -103,43 +135,65 @@ def test_minimize_trace(capsys, tmp_path, spec):
 #: The readable form of the same runs, one line of these fields per run.
 ALL_RUNS_FIELDS = ("function", "spec", "status", "iterations", "evaluations",
                    "xl1", "xm", "xr1", "fm", "trace_sha256")
-ALL_RUNS_PIN = Path(__file__).parent / "pins" / "all_runs_seed_0.txt"
+ALL_RUNS_PIN = PINS / "all_runs_seed_0.txt"
+#: The readable form of the DUPM constants, one line of these fields per function.
+DUPM_ALPHAS_FIELDS = ("function", "count", "last_alpha", "alphas_sha256")
+DUPM_ALPHAS_PIN = PINS / "dupm_alphas_seed_0.txt"
 
 
 def all_runs_at_seed_0():
-    """The hash over every run at seed 0, and one summary line per run."""
-    h = hashlib.sha256()
-    lines = [" ".join(ALL_RUNS_FIELDS)]
+    """The hash over every run at seed 0 and one summary line per run, and
+    the hash over the DUPM runs' constants and one line per DUPM run."""
+    h, ha = hashlib.sha256(), hashlib.sha256()
+    lines, alpha_lines = [" ".join(ALL_RUNS_FIELDS)], [" ".join(DUPM_ALPHAS_FIELDS)]
     for f in list_functions():
         for spec in PAPER_ALGORITHMS + ("golden",):
             res, _ = minimize_once(f.fid, spec, seed=0)
             buf = io.StringIO()
             write_trace_csv(res, buf)
-            csv = buf.getvalue().encode()
+            csv = buf.getvalue()
             h.update(f"{f.fid} {spec} {res.status.value} {res.evaluations}\n".encode())
-            h.update(csv)
+            h.update(csv.encode())
             b = res.bracket
             lines.append(f"{f.fid} {spec} {res.status.value} {res.iterations} {res.evaluations} "
-                         f"{b.xl1!r} {b.xm!r} {b.xr1!r} {b.fm!r} {hashlib.sha256(csv).hexdigest()}")
-    return h.hexdigest(), lines
+                         f"{b.xl1!r} {b.xm!r} {b.xr1!r} {b.fm!r} {sha256(csv)}")
+            if spec == "dupm":
+                alphas = repr(res.alphas)
+                ha.update(f"{f.fid}:{alphas}\n".encode())
+                last = res.alphas[-1] if res.alphas else None
+                alpha_lines.append(f"{f.fid} {len(res.alphas)} {last!r} {sha256(alphas)}")
+    return (h.hexdigest(), lines), (ha.hexdigest(), alpha_lines)
 
 
-def first_difference(lines, pinned):
-    """Where ``lines`` first part from ``pinned``: the run and the field."""
-    for got, want in zip(lines, pinned):
+def first_difference(lines, pinned, key=0):
+    """Where ``lines`` first part from ``pinned``.  For lines of fields
+    under a header line that names them, the first ``key`` of which name
+    the line: that line and the field.  With ``key=0``: the line number and
+    both lines."""
+    for n, (got, want) in enumerate(zip(lines, pinned), 1):
         if got != want:
+            if not key:
+                return f"line {n} is {got!r}, pinned {want!r}"
             g, w = got.split() + ["(none)"], want.split() + ["(none)"]
             k = next(k for k, (u, v) in enumerate(zip(g, w)) if u != v)
-            name = ALL_RUNS_FIELDS[k] if k < len(ALL_RUNS_FIELDS) else f"field {k}"
-            return f"{g[0]} {g[1]}: {name} is {g[k]}, pinned {w[k]}"
+            fields = pinned[0].split()
+            name = fields[k] if k < len(fields) else f"field {k}"
+            return f"{' '.join(g[:key])}: {name} is {g[k]}, pinned {w[k]}"
     return f"{len(lines)} lines, pinned {len(pinned)}"
 
 
+def assert_pin(lines, pin, key=0):
+    pinned = pin.read_text().splitlines()
+    assert lines == pinned, first_difference(lines, pinned, key)
+
+
 def test_every_function_and_algorithm_at_seed_0():
-    digest, lines = all_runs_at_seed_0()
-    pinned = ALL_RUNS_PIN.read_text().splitlines()
-    assert lines == pinned, first_difference(lines, pinned)
+    # the DUPM constants come from the same runs, so they are checked here too
+    (digest, lines), (alphas_digest, alpha_lines) = all_runs_at_seed_0()
+    assert_pin(lines, ALL_RUNS_PIN, key=2)
     assert digest == ALL_RUNS_SEED_0_SHA256
+    assert_pin(alpha_lines, DUPM_ALPHAS_PIN, key=1)
+    assert alphas_digest == DUPM_ALPHAS_SEED_0_SHA256
 
 
 def test_bracket_stream_at_seed_0():
@@ -156,21 +210,25 @@ def test_bracket_stream_at_seed_0():
     assert h.hexdigest() == BRACKET_STREAM_SEED_0_SHA256
 
 
-def test_dupm_alphas_at_seed_0():
-    h = hashlib.sha256()
-    for f in list_functions():
-        res, _ = minimize_once(f.fid, "dupm", seed=0)
-        h.update(f"{f.fid}:{res.alphas!r}\n".encode())
-    assert h.hexdigest() == DUPM_ALPHAS_SEED_0_SHA256
-
-
 @pytest.mark.parametrize("command", sorted(ORACLE_FREE_SEED_0_SHA256))
-def test_oracle_free_outputs(capsys, command):
-    assert main([command, "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_FREE_SEED_0_SHA256[command]
+def test_oracle_free_outputs(command):
+    argv = (command, "--seed", "0")
+    out = stdout_of(argv)
+    if argv in COMMAND_PINS:
+        assert_pin(out.splitlines(), COMMAND_PINS[argv])
+    assert sha256(out) == ORACLE_FREE_SEED_0_SHA256[command]
+
+
+def test_bench_csv_at_30_trials():
+    out = stdout_of(BENCH_30_ARGS)
+    assert_pin(out.splitlines(), COMMAND_PINS[BENCH_30_ARGS])
+    assert sha256(out) == BENCH_ALL_30_TRIALS_SEED_0_SHA256
 
 
 if __name__ == "__main__":
-    ALL_RUNS_PIN.parent.mkdir(exist_ok=True)
-    ALL_RUNS_PIN.write_text("\n".join(all_runs_at_seed_0()[1]) + "\n")
+    PINS.mkdir(exist_ok=True)
+    (_, lines), (_, alpha_lines) = all_runs_at_seed_0()
+    ALL_RUNS_PIN.write_text("\n".join(lines) + "\n")
+    DUPM_ALPHAS_PIN.write_text("\n".join(alpha_lines) + "\n")
+    for argv, pin in COMMAND_PINS.items():
+        pin.write_text(stdout_of(argv))

@@ -894,14 +894,9 @@ class TestConfig:
         # this run converges in 47 iterations, so it shows the refusal alone
         func = get_function("SU2")
         b = generate_bracket(func, np.random.default_rng(0))
-        for budget in (500.5, 46.5, math.nan, math.inf):
-            with pytest.raises(ValueError, match="^budget must be a whole number, got "):
+        for budget in (500.5, 46.5, math.nan, math.inf, True, 500.0, 46.0):
+            with pytest.raises(TypeError, match="^budget must be an integer, got "):
                 run_algorithm("supm:0", oracle_for(func), b, 1e-8, budget)
-        for budget, status in ((500.0, Status.CONVERGED), (46.0, Status.BUDGET_EXHAUSTED)):
-            got = run_algorithm("supm:0", oracle_for(func), b, 1e-8, budget)
-            want = run_algorithm("supm:0", oracle_for(func), b, 1e-8, int(budget))
-            assert got.status is want.status is status
-            assert got.trace == want.trace
 
     def test_default_delta_scales(self):
         # a quarter of eps near zero; far from zero, the minimum gap plus
